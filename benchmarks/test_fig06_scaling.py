@@ -42,8 +42,8 @@ def test_fig06_core_scaling(benchmark, emit):
     assert ndp_growth > cpu_growth
     # (b) The NDP overhead share stays dominant and does not shrink
     # with cores.  (Paper: it rises; in our model data stalls inflate
-    # alongside walk latency under contention, so the share is ~flat —
-    # recorded in EXPERIMENTS.md.)
+    # alongside walk latency under contention, so the share is ~flat,
+    # which the bounds below allow.)
     ndp_ovh = [out["ndp"][c]["overhead"] for c in (1, 4, 8)]
     cpu_ovh = [out["cpu"][c]["overhead"] for c in (1, 4, 8)]
     assert ndp_ovh[2] > ndp_ovh[0] - 0.03

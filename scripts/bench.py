@@ -8,8 +8,11 @@ NDPage mechanism — and reports wall-clock seconds and simulated
 references per second for each, plus two aggregates (total refs / total
 wall and the geometric mean of per-config refs/sec).
 
-Results are written as JSON (default ``BENCH_PR1.json`` at the repo
-root) so successive PRs accumulate a performance trajectory::
+Results are written as JSON (default: the untracked ``bench.json`` at
+the repo root, labelled ``dev``); committed ``BENCH_*.json`` files are
+written only through an explicit ``--out``, so successive changes
+accumulate a performance trajectory without a bare run overwriting
+one::
 
     PYTHONPATH=src python scripts/bench.py
     PYTHONPATH=src python scripts/bench.py --refs 200000 --out BENCH.json
@@ -39,7 +42,7 @@ file-queue coordination overhead is on the perf trajectory too).
 JSON format (``BENCH_*.json``)::
 
     {
-      "label": "PR1",
+      "label": "dev",
       "python": "3.11.x",
       "host": {"cpu_count": 8, "cpu_model": "...", "machine": "...",
                "platform": "..."},
@@ -280,7 +283,7 @@ def run_sweep_bench(refs: int, scale: float, jobs: int,
             backend=backend, jobs=max(1, jobs),
             queue_dir=queue_dir.name if queue_dir else None)
         start = time.perf_counter()
-        results = service.run(configs)
+        results = service.run_grid(configs).results
         wall = time.perf_counter() - start
     finally:
         if queue_dir is not None:
@@ -358,10 +361,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--repeats", type=int, default=1,
                         help="runs per config; best wall time is kept")
-    parser.add_argument("--label", default="PR1",
-                        help="label recorded in the JSON report")
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_PR1.json"),
-                        help="output JSON path (default BENCH_PR1.json)")
+    parser.add_argument("--label", default="dev",
+                        help="label recorded in the JSON report "
+                             "(default dev)")
+    parser.add_argument("--out", default=str(REPO_ROOT / "bench.json"),
+                        help="output JSON path (default bench.json at "
+                             "the repo root, untracked)")
     parser.add_argument("--baseline", default=None,
                         help="previous BENCH_*.json to compare against "
                              "and embed in the report")

@@ -2,8 +2,13 @@
 
 A functional + timing simulator reproducing *NDPage: Efficient Address
 Translation for Near-Data Processing Architectures via Tailored Page
-Table* (DATE 2025).  See DESIGN.md for the system inventory and
-EXPERIMENTS.md for paper-vs-measured results.
+Table* (DATE 2025).  Subpackages follow the simulated machine: ``vm``
+(page tables, frames, OS fault path), ``core`` (the NDPage mechanisms),
+``mmu`` (TLBs, page-walk caches, walker), ``mem`` (caches, mesh, DRAM),
+``workloads`` (Table II generators), ``sim`` (cores, engines, system,
+sweeps) and ``analysis`` (figure drivers, result cache).  The
+paper-vs-measured checks live in ``tests/integration/test_paper_claims.py``
+and the ``benchmarks/`` figure benches.
 
 Quickstart::
 
@@ -24,7 +29,6 @@ from repro.core import (
 )
 from repro.sim import (
     RunResult,
-    SweepRunner,
     System,
     SystemConfig,
     cpu_config,
@@ -32,7 +36,6 @@ from repro.sim import (
     ndp_config,
     run_mechanisms,
     run_once,
-    run_sweep,
 )
 from repro.service import (
     SweepPolicy,
@@ -68,7 +71,6 @@ __all__ = [
     "RunResult",
     "SweepPolicy",
     "SweepResult",
-    "SweepRunner",
     "SweepService",
     "System",
     "SystemConfig",
@@ -80,6 +82,5 @@ __all__ = [
     "occupancy_report",
     "run_mechanisms",
     "run_once",
-    "run_sweep",
     "workload_table",
 ]

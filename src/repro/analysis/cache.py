@@ -22,8 +22,8 @@ its result payload, verified on every load, so a bit-flipped but
 still-parseable entry cannot be served silently.  Undecodable or
 checksum-failing entries are moved to a ``quarantine/`` subdirectory —
 they degrade to a one-time miss and are re-simulated, instead of being
-retried (and failing) every run.  v1 entries (pre-checksum) remain
-readable and are migrated to v2 in place on first load.
+retried (and failing) every run.  Any other entry format — including
+the pre-checksum v1 — counts as corrupt the same way.
 :meth:`ResultCache.verify` audits the whole directory eagerly;
 :meth:`ResultCache.gc` removes what only wastes space (orphaned tmp
 files, stale code versions, quarantined entries).
@@ -51,8 +51,8 @@ from repro.sim.runner import RunResult
 CODE_VERSION = "sim-v2"
 
 #: On-disk format version of the cache entries themselves.  v2 added
-#: the per-entry payload checksum; v1 entries (no ``sha256`` field)
-#: are still readable and upgraded in place on first load.
+#: the per-entry payload checksum; entries in any other format are
+#: quarantined on load and re-simulated.
 _ENTRY_FORMAT = 2
 
 #: Subdirectory corrupt entries are moved to (never re-read).
@@ -159,24 +159,22 @@ class ResultCache:
 
     def _decode(self, text: str
                 ) -> Tuple[str, Optional[Dict[str, Any]]]:
-        """Classify one entry body: ('ok', payload) | ('v1', payload)
-        | ('stale', None) | ('corrupt', None).
+        """Classify one entry body: ('ok', payload) | ('stale', None)
+        | ('corrupt', None).
 
         'stale' (another code version) is not corruption: the bytes
         are fine, they just belong to different simulation code.
         """
         try:
             entry = json.loads(text)
-            fmt = entry.get("format")
-            if fmt not in (1, _ENTRY_FORMAT):
+            if entry.get("format") != _ENTRY_FORMAT:
                 return "corrupt", None
             if entry.get("code_version") != self.code_version:
                 return "stale", None
             payload = entry["result"]
-            if fmt == _ENTRY_FORMAT:
-                if entry.get("sha256") != payload_checksum(payload):
-                    return "corrupt", None
-            return ("ok" if fmt == _ENTRY_FORMAT else "v1"), payload
+            if entry.get("sha256") != payload_checksum(payload):
+                return "corrupt", None
+            return "ok", payload
         except (json.JSONDecodeError, KeyError, TypeError,
                 ValueError, AttributeError):
             return "corrupt", None
@@ -196,11 +194,11 @@ class ResultCache:
 
         An unreadable entry — truncated JSON, a failing payload
         checksum (bit flip), or a payload whose fields no longer match
-        the current RunResult/SystemConfig shape — degrades to a miss
-        *and* is moved to ``quarantine/`` so it isn't re-parsed (and
-        re-failed) on every future run; the cell is re-simulated and a
-        fresh entry overwrites its slot.  v1 entries verify without a
-        checksum and are migrated to v2 in place.
+        the current RunResult/SystemConfig shape, or an entry format
+        other than the current one — degrades to a miss *and* is moved
+        to ``quarantine/`` so it isn't re-parsed (and re-failed) on
+        every future run; the cell is re-simulated and a fresh entry
+        takes its slot.
 
         ``key`` skips re-hashing when the caller (the sweep runner)
         already computed this config's key.
@@ -212,7 +210,7 @@ class ResultCache:
             self.stats.misses += 1
             return None
         status, payload = self._decode(text)
-        if status in ("ok", "v1"):
+        if status == "ok":
             try:
                 result = result_from_dict(payload)
             except (KeyError, TypeError, ValueError, AttributeError):
@@ -222,10 +220,6 @@ class ResultCache:
             else:
                 self.stats.hits += 1
                 emit("cache.hit", key=path.stem)
-                if status == "v1":
-                    # v1 -> v2 migration: rewrite with a checksum so
-                    # integrity covers this entry from now on.
-                    self.store(config, result, key=key)
                 return result
         self.stats.misses += 1
         if status == "corrupt":
@@ -292,7 +286,7 @@ class ResultCache:
         except OSError:
             return "corrupt"
         status, payload = self._decode(text)
-        if status in ("ok", "v1"):
+        if status == "ok":
             try:
                 result_from_dict(payload)
             except (KeyError, TypeError, ValueError, AttributeError):

@@ -353,7 +353,7 @@ def cmd_sweep(args) -> int:
         numa=_numa_from(args))
     service = _service_from(args)
     try:
-        results = service.run(configs)
+        results = service.run_grid(configs).results
     except SweepInterrupted as exc:
         return _report_interrupt(args, exc)
     except SweepFailure:
@@ -513,9 +513,9 @@ def cmd_cache(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    """Per-mechanism PTW/queue diagnostics on a few workloads (the
-    former scripts/diag.py): speedup, PTW latency, DRAM queueing,
-    PTE traffic per workload x mechanism."""
+    """Per-mechanism PTW/queue diagnostics on a few workloads:
+    speedup, PTW latency, DRAM queueing, PTE traffic per workload x
+    mechanism."""
     for workload in args.workloads:
         base = None
         for mechanism in args.mechanisms:

@@ -13,8 +13,9 @@ caches, and how the OS backs memory:
 * ``ideal``    — zero-latency translation upper bound.
 
 Ablation variants decompose NDPage's two mechanisms so their individual
-contributions can be measured (DESIGN.md "ablations"):
-``ndpage-bypass-only``, ``ndpage-flatten-only``, ``ndpage-nopwc``.
+contributions can be measured (``benchmarks/test_ablation_ndpage.py``
+runs them): ``ndpage-bypass-only``, ``ndpage-flatten-only``,
+``ndpage-nopwc``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Memory-system substrate: caches, DRAM, interconnect, hierarchy."""
 
-from repro.mem.cache import Cache, CacheAccessResult, CacheStats
+from repro.mem.cache import Cache, CacheStats
 from repro.mem.dram import DDR4_2400, HBM2, DramModel, DramTiming
 from repro.mem.hierarchy import (
     MemoryHierarchy,
@@ -8,32 +8,19 @@ from repro.mem.hierarchy import (
     build_ndp_hierarchy,
 )
 from repro.mem.interconnect import MeshConfig, MeshInterconnect
-from repro.mem.replacement import make_policy
-from repro.mem.request import (
-    AccessType,
-    MemoryRequest,
-    RequestKind,
-    read,
-    write,
-)
+from repro.mem.request import RequestKind
 
 __all__ = [
-    "AccessType",
     "Cache",
-    "CacheAccessResult",
     "CacheStats",
     "DDR4_2400",
     "DramModel",
     "DramTiming",
     "HBM2",
     "MemoryHierarchy",
-    "MemoryRequest",
     "MeshConfig",
     "MeshInterconnect",
     "RequestKind",
     "build_cpu_hierarchy",
     "build_ndp_hierarchy",
-    "make_policy",
-    "read",
-    "write",
 ]

@@ -1,4 +1,4 @@
-"""Set-associative cache model with data/metadata attribution.
+"""Set-associative LRU cache model with data/metadata attribution.
 
 The cache tracks, per line, whether it holds normal data or page-table
 metadata.  This is what lets the simulator measure the paper's key
@@ -6,32 +6,20 @@ motivation numbers: the L1 miss rate of metadata (Fig. 7, ~98 %) and the
 *pollution* effect — data lines evicted by metadata fills — that raises
 the normal-data miss rate from its ideal value.
 
-Hot-path design: resident lines are stored as packed ints
-(``kind_index << 1 | dirty``) rather than per-line objects, and the
-internal entry point :meth:`Cache.access_fast` takes plain positional
-arguments and returns an int code — no :class:`MemoryRequest`,
-:class:`CacheAccessResult` or per-fill ``CacheLine`` is ever allocated
-on the simulated hot path.  The object-based :meth:`Cache.access`
-remains as a thin shim for tests and external callers.
+Hot-path design: each set is an insertion-ordered dict (oldest first,
+so LRU is a pop-and-reinsert on hit and the first key on eviction)
+mapping a line tag to a packed int (``kind_index << 1 | dirty``).
+:meth:`Cache.access_fast` takes plain positional arguments and returns
+an int code, with any victim left in :attr:`Cache.evict_tag` /
+:attr:`Cache.evict_kind`, so a cache access allocates nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.mem.replacement import (
-    LruPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
-from repro.mem.request import (
-    KIND_BY_INDEX,
-    KIND_INDEX,
-    AccessType,
-    MemoryRequest,
-    RequestKind,
-)
+from repro.mem.request import KIND_BY_INDEX, RequestKind
 from repro.sim.stats import HitMissStats
 
 #: Return codes of :meth:`Cache.access_fast`.
@@ -39,35 +27,6 @@ HIT = 0
 MISS = 1
 MISS_CLEAN_EVICT = 2
 MISS_DIRTY_EVICT = 3
-
-
-@dataclass(slots=True)
-class CacheLine:
-    """State of one resident line (public/introspection shape only).
-
-    Internally lines live as packed ints; this class survives as the
-    element type of :meth:`Cache.access`-era APIs.
-    """
-
-    kind: RequestKind
-    dirty: bool = False
-
-
-@dataclass(slots=True)
-class Eviction:
-    """Description of a line pushed out by a fill."""
-
-    line_addr: int
-    kind: RequestKind
-    dirty: bool
-
-
-@dataclass(slots=True)
-class CacheAccessResult:
-    """Outcome of one cache access."""
-
-    hit: bool
-    eviction: Optional[Eviction] = None
 
 
 @dataclass(slots=True)
@@ -99,7 +58,7 @@ class CacheStats:
 
 
 class Cache:
-    """A single set-associative, write-back, allocate-on-miss cache.
+    """A single set-associative, write-back, allocate-on-miss LRU cache.
 
     Args:
         name: label used in aggregated statistics ('L1D', 'L2', ...).
@@ -109,18 +68,14 @@ class Cache:
             pays this lookup latency before descending, as in Sniper's
             cache model).
         line_size: bytes per line; Table I uses 64 B throughout.
-        replacement: policy name understood by
-            :func:`repro.mem.replacement.make_policy`.
     """
 
     __slots__ = ("name", "size_bytes", "associativity", "hit_latency",
-                 "line_size", "num_sets", "stats", "_policy", "_sets",
-                 "_line_shift", "_kind_stats", "_is_lru",
-                 "_policy_evicts", "evict_tag", "evict_kind")
+                 "line_size", "num_sets", "stats", "_sets",
+                 "_line_shift", "_kind_stats", "evict_tag", "evict_kind")
 
     def __init__(self, name: str, size_bytes: int, associativity: int,
-                 hit_latency: int, line_size: int = 64,
-                 replacement: str = "lru"):
+                 hit_latency: int, line_size: int = 64):
         if size_bytes % (line_size * associativity) != 0:
             raise ValueError(
                 f"{name}: size {size_bytes} not divisible by "
@@ -138,13 +93,8 @@ class Cache:
         # place, so the binding stays valid for a cache's lifetime.
         self._kind_stats = (self.stats.data, self.stats.metadata,
                             self.stats.instruction)
-        self._policy: ReplacementPolicy = make_policy(replacement)
-        # LRU (the Table I policy everywhere) is inlined on the fast
-        # path; only other policies pay the strategy-object dispatch.
-        self._is_lru = type(self._policy) is LruPolicy
-        self._policy_evicts = (
-            type(self._policy).on_evict is not ReplacementPolicy.on_evict)
-        # tag -> packed line state: (kind_index << 1) | dirty
+        # tag -> packed line state: (kind_index << 1) | dirty, oldest
+        # (least recently used) first.
         self._sets: List[Dict[int, int]] = [
             {} for _ in range(self.num_sets)
         ]
@@ -174,11 +124,11 @@ class Cache:
     def access_fast(self, paddr: int, kind: int, is_write: int) -> int:
         """Look up ``paddr``; on miss, allocate the line.
 
-        Allocation-free internal entry point: ``kind`` is a kind code
-        (:data:`repro.mem.request.KIND_DATA` ...), ``is_write`` is 0/1.
-        Returns :data:`HIT`, :data:`MISS`, :data:`MISS_CLEAN_EVICT` or
-        :data:`MISS_DIRTY_EVICT`; for the two eviction codes the victim
-        is described by :attr:`evict_tag` / :attr:`evict_kind`.
+        ``kind`` is a kind code (:data:`repro.mem.request.KIND_DATA`
+        ...), ``is_write`` is 0/1.  Returns :data:`HIT`, :data:`MISS`,
+        :data:`MISS_CLEAN_EVICT` or :data:`MISS_DIRTY_EVICT`; for the
+        two eviction codes the victim is described by
+        :attr:`evict_tag` (its line number) / :attr:`evict_kind`.
         """
         line = paddr >> self._line_shift
         cache_set = self._sets[line % self.num_sets]
@@ -186,29 +136,17 @@ class Cache:
         kind_stats = self._kind_stats[kind]
         if resident is not None:
             kind_stats.hits += 1
-            if self._is_lru:
-                # on_hit + dirty update in one dict round-trip.
-                cache_set[line] = cache_set.pop(line) | is_write
-            else:
-                self._policy.on_hit(cache_set, line)
-                if is_write:
-                    cache_set[line] = cache_set[line] | 1
+            # LRU refresh + dirty update in one dict round-trip.
+            cache_set[line] = cache_set.pop(line) | is_write
             return HIT
 
         kind_stats.misses += 1
         if len(cache_set) < self.associativity:
             cache_set[line] = (kind << 1) | is_write
-            if not self._is_lru:
-                self._policy.on_insert(cache_set, line)
             return MISS
 
-        if self._is_lru:
-            victim_tag = next(iter(cache_set))
-        else:
-            victim_tag = self._policy.victim(cache_set)
+        victim_tag = next(iter(cache_set))
         packed = cache_set.pop(victim_tag)
-        if self._policy_evicts:
-            self._policy.on_evict(cache_set, victim_tag)
         victim_kind = packed >> 1
         dirty = packed & 1
         if dirty:
@@ -219,37 +157,15 @@ class Cache:
         elif kind == 0 and victim_kind == 1:
             self.stats.metadata_evicted_by_data += 1
         cache_set[line] = (kind << 1) | is_write
-        if not self._is_lru:
-            self._policy.on_insert(cache_set, line)
         self.evict_tag = victim_tag
         self.evict_kind = victim_kind
         return MISS_DIRTY_EVICT if dirty else MISS_CLEAN_EVICT
-
-    def access(self, request: MemoryRequest) -> CacheAccessResult:
-        """Object-API shim over :meth:`access_fast`.
-
-        Returns the hit/miss outcome plus any eviction the fill caused
-        so callers can account for write-back traffic.
-        """
-        code = self.access_fast(
-            request.paddr, KIND_INDEX[request.kind],
-            1 if request.access is AccessType.WRITE else 0)
-        if code == HIT:
-            return CacheAccessResult(hit=True)
-        if code == MISS:
-            return CacheAccessResult(hit=False)
-        return CacheAccessResult(hit=False, eviction=Eviction(
-            line_addr=self.evict_tag,
-            kind=KIND_BY_INDEX[self.evict_kind],
-            dirty=code == MISS_DIRTY_EVICT,
-        ))
 
     def invalidate(self, paddr: int) -> bool:
         """Drop the line holding ``paddr``; True if it was resident."""
         cache_set, line = self._locate(paddr)
         if line in cache_set:
             del cache_set[line]
-            self._policy.on_evict(cache_set, line)
             return True
         return False
 
@@ -257,7 +173,6 @@ class Cache:
         """Empty the cache (statistics are preserved)."""
         for cache_set in self._sets:
             cache_set.clear()
-        self._policy.on_clear()
 
     @property
     def resident_lines(self) -> int:

@@ -10,10 +10,8 @@ Two shapes exist in the paper (Table I):
 ``MemoryHierarchy.access_fast`` is the single timing entry point used by
 the core model (normal data) and the page-table walker (metadata); it
 takes plain positional arguments so the per-reference path allocates
-nothing.  The object-based :meth:`MemoryHierarchy.access` shim accepts a
-:class:`MemoryRequest` for external callers.  NDPage's metadata bypass
-is expressed per request (``bypass_l1``), so the hierarchy stays
-mechanism agnostic.
+nothing.  NDPage's metadata bypass is expressed per request
+(``bypass_l1``), so the hierarchy stays mechanism agnostic.
 """
 
 from __future__ import annotations
@@ -28,12 +26,7 @@ from repro.mem.cache import (
 )
 from repro.mem.dram import DramModel, DramStats, DramTiming
 from repro.mem.interconnect import MeshInterconnect
-from repro.mem.request import (
-    KIND_INDEX,
-    AccessType,
-    MemoryRequest,
-    RequestKind,
-)
+from repro.mem.request import RequestKind
 from repro.vm.address import NODE_PADDR_MASK, NODE_PADDR_SHIFT
 
 
@@ -163,29 +156,16 @@ class MemoryHierarchy:
                 cache_set = cache._sets[line % cache.num_sets]
                 resident = cache_set.get(line)
                 kind_stats = cache._kind_stats[kind]
-                is_lru = cache._is_lru
                 if resident is not None:
                     kind_stats.hits += 1
-                    if is_lru:
-                        cache_set[line] = cache_set.pop(line) | is_write
-                    else:
-                        cache._policy.on_hit(cache_set, line)
-                        if is_write:
-                            cache_set[line] = cache_set[line] | 1
+                    cache_set[line] = cache_set.pop(line) | is_write
                     return latency
                 kind_stats.misses += 1
                 if len(cache_set) < cache.associativity:
                     cache_set[line] = (kind << 1) | is_write
-                    if not is_lru:
-                        cache._policy.on_insert(cache_set, line)
                 else:
-                    if is_lru:
-                        victim_tag = next(iter(cache_set))
-                    else:
-                        victim_tag = cache._policy.victim(cache_set)
+                    victim_tag = next(iter(cache_set))
                     packed = cache_set.pop(victim_tag)
-                    if cache._policy_evicts:
-                        cache._policy.on_evict(cache_set, victim_tag)
                     victim_kind = packed >> 1
                     cache_stats = cache.stats
                     if kind == 1:  # METADATA evicting ...
@@ -194,8 +174,6 @@ class MemoryHierarchy:
                     elif kind == 0 and victim_kind == 1:
                         cache_stats.metadata_evicted_by_data += 1
                     cache_set[line] = (kind << 1) | is_write
-                    if not is_lru:
-                        cache._policy.on_insert(cache_set, line)
                     if packed & 1:  # dirty victim
                         cache_stats.writebacks += 1
                         self._drain_writeback(
@@ -261,13 +239,6 @@ class MemoryHierarchy:
         else:
             self.drams[victim_paddr >> NODE_PADDR_SHIFT].drain_write_fast(
                 now, victim_paddr & NODE_PADDR_MASK, kind)
-
-    def access(self, now: float, request: MemoryRequest) -> float:
-        """Object-API shim over :meth:`access_fast`."""
-        return self.access_fast(
-            now, request.paddr, KIND_INDEX[request.kind],
-            1 if request.access is AccessType.WRITE else 0,
-            request.core_id, 1 if request.bypass_l1 else 0)
 
     # -- inspection helpers --------------------------------------------------
 

@@ -1,9 +1,9 @@
 """MMU substrate: TLBs, page-walk caches, walker, MMU composition."""
 
-from repro.mmu.mmu import Mmu, MmuStats, TranslationOutcome
+from repro.mmu.mmu import Mmu, MmuStats
 from repro.mmu.pwc import PageWalkCache, PwcSet
 from repro.mmu.tlb import Tlb, TlbHierarchy, build_table1_tlbs
-from repro.mmu.walker import PageTableWalker, WalkOutcome, WalkerStats
+from repro.mmu.walker import PageTableWalker, WalkerStats
 
 __all__ = [
     "Mmu",
@@ -13,8 +13,6 @@ __all__ = [
     "PwcSet",
     "Tlb",
     "TlbHierarchy",
-    "TranslationOutcome",
-    "WalkOutcome",
     "WalkerStats",
     "build_table1_tlbs",
 ]

@@ -1,6 +1,7 @@
 """Memory-management unit: TLB hierarchy + walker + OS fault path.
 
-``translate`` implements the Fig. 3 / Fig. 11 flow for one reference:
+:meth:`Mmu.translate_parts` implements the Fig. 3 / Fig. 11 flow for
+one reference:
 
 1. probe the TLBs (L1 4 KB and 2 MB in parallel, then L2);
 2. on a full miss, let the OS resolve any page fault (demand paging),
@@ -11,11 +12,11 @@ Translation cycles (TLB + walk) and OS fault cycles are accounted
 separately: the paper's "address translation overhead" (Fig. 5) is the
 former, while end-to-end speedups include both.
 
-Hot-path design: :meth:`Mmu.translate_parts` is the allocation-free
-entry point — it returns a plain tuple and inlines the L1-DTLB hit
-(one dict probe), which is the overwhelmingly common outcome.
-:meth:`Mmu.translate` wraps it in a :class:`TranslationOutcome` for
-external callers.
+Hot-path design: :meth:`Mmu.translate_parts` returns a plain tuple
+and inlines the L1-DTLB hit (one dict probe), which is the
+overwhelmingly common outcome; everything rarer goes through
+:meth:`Mmu._translate_slow`, which the core model's inlined hit loop
+also calls directly.
 """
 
 from __future__ import annotations
@@ -27,17 +28,6 @@ from repro.mmu.walker import PageTableWalker
 from repro.sim.stats import LatencyStats
 from repro.vm.address import ASID_KEY_MASK, PAGE_SHIFT, VA_MASK, asid_tag
 from repro.vm.os_model import OSMemoryManager
-
-
-@dataclass(slots=True)
-class TranslationOutcome:
-    """What one address translation cost and produced."""
-
-    paddr: int
-    latency: float        # TLB + walk cycles (the translation overhead)
-    fault_cycles: float   # OS demand-paging cycles, charged separately
-    tlb_hit: bool
-    walked: bool
 
 
 @dataclass(slots=True)
@@ -101,8 +91,10 @@ class Mmu:
     def translate_parts(self, now: float, vaddr: int):
         """Translate ``vaddr`` for an access issued at cycle ``now``.
 
-        Allocation-free fast path.  Returns the plain tuple
-        ``(paddr, latency, fault_cycles, tlb_hit, walked)``.
+        Returns the plain tuple ``(paddr, latency, fault_cycles,
+        tlb_hit, walked)``: ``latency`` is the TLB + walk cycles (the
+        translation overhead), ``fault_cycles`` the OS demand-paging
+        cycles, charged separately.
         """
         stats = self.stats
         stats.translations += 1
@@ -190,11 +182,3 @@ class Mmu:
         return ((translation[0] << shift)
                 | (vaddr & ((1 << shift) - 1)),
                 latency, fault_cycles, False, True)
-
-    def translate(self, now: float, vaddr: int) -> TranslationOutcome:
-        """Object-API shim over :meth:`translate_parts`."""
-        paddr, latency, fault_cycles, tlb_hit, walked = \
-            self.translate_parts(now, vaddr)
-        return TranslationOutcome(
-            paddr=paddr, latency=latency, fault_cycles=fault_cycles,
-            tlb_hit=tlb_hit, walked=walked)

@@ -272,13 +272,6 @@ class SweepService:
             raise SweepFailure(stats.manifest)
         return SweepResult(results, stats)
 
-    def run(self, configs: Sequence[SystemConfig],
-            run_fn: Optional[Callable] = None
-            ) -> List[Optional[RunResult]]:
-        """Drop-in replacement for ``SweepRunner.run``: plain result
-        list, strict raise per the service policy."""
-        return self.run_grid(configs, run_fn=run_fn).results
-
     def _execute(self, configs, policy, run_fn):
         with contextlib.ExitStack() as stack:
             if self.events_out:

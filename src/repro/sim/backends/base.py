@@ -31,9 +31,9 @@ sweeps, pool otherwise) lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 #: Names accepted by ``BackendSpec`` / ``--backend``.
 BACKEND_NAMES = ("auto", "serial", "pool", "fileq")
@@ -119,7 +119,6 @@ class BackendSpec:
     heartbeat_interval: float = 1.0
     stale_after: float = 5.0
     poll_interval: float = 0.05
-    options: Dict[str, object] = field(default_factory=dict)
 
     def resolve(self, missing: int,
                 cell_timeout: Optional[float]) -> SweepBackend:

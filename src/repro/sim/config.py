@@ -8,8 +8,10 @@ the paper's values as defaults.
 ``scale`` shrinks *workload footprints* (and physical memory with them)
 so runs complete in seconds; hardware structure sizes stay at Table I
 values, keeping every capacity ratio that matters — footprint versus
-TLB reach, PTE working set versus L1 — in the paper's regime (see
-DESIGN.md, "Timing model substitution").
+TLB reach, PTE working set versus L1 — in the paper's regime.  The
+timing comes from this repo's mechanistic core model
+(:mod:`repro.sim.core_model`) in place of the paper's cycle-level
+simulator.
 """
 
 from __future__ import annotations

@@ -16,37 +16,32 @@ The model is deliberately simple — mechanistic, like Sniper's interval
 core — because every compared mechanism runs on the *same* core model
 and only the translation path differs.
 
-Hot-path design: a core can be fed either a legacy per-item iterator
-(``stream``) or whole reference chunks (``chunks``, handed over by
+Hot-path design: a core is fed whole reference chunks, handed over by
 :meth:`repro.workloads.base.Workload.stream_chunks` as plain lists with
-precomputed VPN and line-address arrays).  With chunks,
-:meth:`Core.step_until` advances through as many references as its
-caller's time bound (and optional reference budget) allows — resuming
-mid-chunk via a persistent cursor and refilling across chunk boundaries
-— inlining the L1-DTLB-hit + L1-cache-hit fast path and falling back to
-the shared slow paths (``Mmu._translate_slow``,
-``MemoryHierarchy.access_fast``) only on misses, so the common reference
-allocates nothing and crosses no function-call boundary.  Single-core
-engines call it once with an infinite bound; the multi-core run-ahead
-engines call it with the next other-core event time as the bound (see
-:mod:`repro.sim.engine`).  :meth:`Core.step` remains the one-reference
-entry point (the debug reference engine) and produces bit-identical
-statistics.
+precomputed VPN and line-address arrays.  :meth:`Core.step_until`
+advances through as many references as its caller's time bound (and
+optional reference budget) allows — resuming mid-chunk via a persistent
+cursor and refilling across chunk boundaries — inlining the
+L1-DTLB-hit + L1-cache-hit fast path and falling back to the shared
+slow paths (``Mmu._translate_slow``, ``MemoryHierarchy.access_fast``)
+only on misses, so the common reference allocates nothing and crosses
+no function-call boundary.  Single-core engines call it once with an
+infinite bound; the multi-core run-ahead engines call it with the next
+other-core event time as the bound (see :mod:`repro.sim.engine`).
+:meth:`Core.step` remains the one-reference entry point (the debug
+reference engine) and produces bit-identical statistics.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Deque, Iterator, List, Optional
 
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.request import KIND_DATA
 from repro.mmu.mmu import Mmu
 from repro.vm.address import LINE_SHIFT, PAGE_SHIFT
-from repro.workloads.base import chunk_probe_keys
 
 
 @dataclass(slots=True)
@@ -77,28 +72,22 @@ class CoreStats:
 class Core:
     """One NDP/CPU core bound to a reference stream and an MMU.
 
-    Exactly one of ``stream`` (iterator of ``(vaddr, is_write)`` pairs)
-    and ``chunks`` should be provided; ``chunks`` enables the chunked
-    fast path.  A chunk is ``(addrs, writes, vpns, vlines)`` — equal
-    length plain lists, where ``vpns[i] == (addrs[i] & VA_MASK) >>
-    PAGE_SHIFT`` and ``vlines[i] == addrs[i] >> LINE_SHIFT`` (the
-    numpy-precomputed probe keys of :meth:`repro.workloads.base
-    .Workload.stream_chunks`).  Legacy ``(addrs, writes)`` pairs are
-    accepted too; the missing arrays are derived at refill time.
+    ``chunks`` iterates the core's reference stream as ``(addrs,
+    writes, vpns, vlines)`` chunks — equal length plain lists, where
+    ``vpns[i] == (addrs[i] & VA_MASK) >> PAGE_SHIFT`` and ``vlines[i]
+    == addrs[i] >> LINE_SHIFT`` (the numpy-precomputed probe keys of
+    :meth:`repro.workloads.base.Workload.stream_chunks`, built by
+    :func:`repro.workloads.base.chunk_probe_keys`).
     """
 
     def __init__(self, core_id: int, mmu: Mmu, hierarchy: MemoryHierarchy,
-                 stream: Optional[Iterator[Tuple[int, bool]]],
-                 gap_cycles: int, mlp: int = 4, issue_cycles: int = 1,
-                 chunks: Optional[Iterator[tuple]] = None):
+                 chunks: Iterator[tuple], gap_cycles: int, mlp: int = 4,
+                 issue_cycles: int = 1):
         if mlp < 1:
             raise ValueError("mlp must be >= 1")
-        if stream is not None and chunks is not None:
-            raise ValueError("provide either stream or chunks, not both")
         self.core_id = core_id
         self.mmu = mmu
         self.hierarchy = hierarchy
-        self.stream = stream
         self.gap_cycles = gap_cycles
         self.mlp = mlp
         self.issue_cycles = issue_cycles
@@ -124,21 +113,12 @@ class Core:
     def _refill(self) -> bool:
         """Pull the next non-empty chunk into the buffer; False when
         the chunk stream is exhausted (empty chunks are skipped, not
-        treated as end-of-stream).  Legacy two-field chunks get their
-        VPN/line arrays derived here, once per chunk."""
-        if self._chunks is None:
-            return False
+        treated as end-of-stream)."""
         while True:
             nxt = next(self._chunks, None)
             if nxt is None:
                 return False
-            if len(nxt) >= 4:
-                addrs, writes, vpns, vlines = nxt[0], nxt[1], nxt[2], \
-                    nxt[3]
-            else:
-                addrs, writes = nxt
-                vpns, vlines = chunk_probe_keys(
-                    np.asarray(addrs, dtype=np.int64))
+            addrs, writes, vpns, vlines = nxt
             if len(addrs) > 0:
                 self._buf_addrs = addrs
                 self._buf_writes = writes
@@ -154,21 +134,13 @@ class Core:
         reference, or None when the stream is exhausted (after draining
         outstanding accesses into the cycle count).
         """
-        if self._chunks is not None:
-            pos = self._buf_pos
-            if pos >= len(self._buf_addrs) and not self._refill():
-                self._drain(now)
-                return None
-            pos = self._buf_pos
-            vaddr = self._buf_addrs[pos]
-            is_write = self._buf_writes[pos]
-            self._buf_pos = pos + 1
-        else:
-            item = next(self.stream, None)
-            if item is None:
-                self._drain(now)
-                return None
-            vaddr, is_write = item
+        if self._buf_pos >= len(self._buf_addrs) and not self._refill():
+            self._drain(now)
+            return None
+        pos = self._buf_pos
+        vaddr = self._buf_addrs[pos]
+        is_write = self._buf_writes[pos]
+        self._buf_pos = pos + 1
 
         clock = now
         paddr, t_latency, fault_cycles, _, _ = \
@@ -213,24 +185,7 @@ class Core:
         accounting is applied per reference in the same order so every
         reported value is bit-identical.
         """
-        if self._chunks is None:
-            # Legacy per-item stream: bounded loop over step().
-            remaining = max_refs
-            while now < bound:
-                if remaining is not None:
-                    if remaining <= 0:
-                        return now
-                    remaining -= 1
-                nxt = self.step(now)
-                if nxt is None:
-                    return None
-                now = nxt
-            return now
-        runner = self._runner
-        if runner is None:
-            runner = self._runner = self._chunk_runner()
-            next(runner)  # run the prologue, park at the first yield
-        return runner.send((now, bound, max_refs))
+        return self.runner_send()((now, bound, max_refs))
 
     def runner_send(self):
         """One-call-per-batch entry point for the run-ahead engines.
@@ -238,19 +193,13 @@ class Core:
         Returns a callable taking a single ``(now, bound, max_refs)``
         tuple — the bound ``send`` of the persistent chunk coroutine,
         so a batch costs one C-level generator resume with no Python
-        wrapper frame.  Legacy per-item streams get an equivalent shim.
+        wrapper frame.
         """
-        if self._chunks is None:
-            return self._stream_send
         runner = self._runner
         if runner is None:
             runner = self._runner = self._chunk_runner()
-            next(runner)
+            next(runner)  # run the prologue, park at the first yield
         return runner.send
-
-    def _stream_send(self, args):
-        """Tuple-argument shim matching the coroutine send protocol."""
-        return self.step_until(args[0], args[1], args[2])
 
     def _chunk_runner(self):
         """Persistent coroutine behind :meth:`step_until`.
@@ -286,7 +235,6 @@ class Core:
             l1t_latency = l1t.latency
             l1t_stats = l1t.stats
         l1c = hierarchy.l1ds[core_id]
-        l1c_fast = l1c._is_lru
         l1c_sets = l1c._sets
         l1c_num_sets = l1c.num_sets
         l1c_shift = l1c._line_shift
@@ -413,11 +361,10 @@ class Core:
                         stats.data_stall_cycles += oldest - clock
                         clock = oldest
 
-                # Inlined L1 hit (LRU caches only); misses take the
-                # shared hierarchy fast path, which re-probes the set.
+                # Inlined L1 hit; misses take the shared hierarchy
+                # fast path, which re-probes the set.
                 cache_set = l1c_sets[line % l1c_num_sets]
-                packed = cache_set.get(line)
-                if packed is not None and l1c_fast:
+                if cache_set.get(line) is not None:
                     hier_stats.accesses += 1
                     l1c_data_stats.hits += 1
                     cache_set[line] = cache_set.pop(line) | is_write

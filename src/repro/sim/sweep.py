@@ -40,7 +40,7 @@ Guarantees the figure drivers rely on:
   completable; ``strict=False`` returns ``None`` in the quarantined
   cells' slots, which the figure drivers render as explicit holes.
 
-New callers should go through :mod:`repro.service`::
+Callers go through :mod:`repro.service`::
 
     from repro.service import SweepPolicy, SweepService
 
@@ -51,8 +51,7 @@ New callers should go through :mod:`repro.service`::
                                         mechanisms=("radix", "ndpage")))
     print(grid.stats.summary())
 
-:class:`SweepRunner` remains as a deprecated shim over the same
-machinery.  Fault injection (tests, CI chaos job) threads a
+Fault injection (tests, CI chaos job) threads a
 :class:`~repro.sim.faults.FaultPlan` through the executors — see
 :mod:`repro.sim.faults`.
 """
@@ -60,12 +59,10 @@ machinery.  Fault injection (tests, CI chaos job) threads a
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import signal
 import threading
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
@@ -90,7 +87,7 @@ from repro.sim.journal import (
     journal_path,
     load_journal,
 )
-from repro.sim.runner import RunResult, run_once
+from repro.sim.runner import RunResult
 
 
 def derive_seed(base_seed: int, *parts) -> int:
@@ -695,103 +692,3 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
                 signal.signal(signum, handler)
             except (ValueError, OSError, TypeError):  # pragma: no cover
                 pass
-
-
-# -- legacy runner (deprecated shim) ------------------------------------------
-
-class SweepRunner:
-    """Deprecated: construct a :class:`repro.service.SweepService`
-    (or call :func:`execute_sweep`) instead.
-
-    The old kwarg-pile constructor keeps working — it now builds a
-    :class:`SweepPolicy` + :class:`BackendSpec` pair and delegates to
-    :func:`execute_sweep` — and emits a ``DeprecationWarning``.
-
-    Parameters
-    ----------
-    jobs:
-        Worker process count.  ``None`` means ``os.cpu_count()``;
-        ``1`` runs everything in-process (no pool, no pickling).
-    cache:
-        A :class:`~repro.analysis.cache.ResultCache` (or any object
-        with the same ``key``/``load``/``store`` surface), or ``None``
-        to disable persistence.
-    cache_dir:
-        Convenience: build a ``ResultCache`` rooted here.  Ignored
-        when ``cache`` is given.
-    chunk_size:
-        Unused since the supervised runner dispatches per cell;
-        accepted for backward compatibility.
-    retries / cell_timeout / backoff / strict / fault_plan:
-        See :class:`SweepPolicy`.
-    """
-
-    def __init__(self, jobs: Optional[int] = 1, cache=None,
-                 cache_dir=None, chunk_size: Optional[int] = None,
-                 retries: int = 1,
-                 cell_timeout: Optional[float] = None,
-                 backoff: float = 0.25,
-                 strict: bool = True,
-                 fault_plan: Optional[Union[FaultPlan, str]] = None):
-        warnings.warn(
-            "SweepRunner is deprecated; use repro.service.SweepService "
-            "(submit/gather/run_grid) with a SweepPolicy instead",
-            DeprecationWarning, stacklevel=2)
-        if cache is None and cache_dir is not None:
-            from repro.analysis.cache import ResultCache
-            cache = ResultCache(cache_dir)
-        self.jobs = max(1, jobs if jobs is not None
-                        else (os.cpu_count() or 1))
-        self.cache = cache
-        self.chunk_size = chunk_size
-        self.retries = max(0, retries)
-        self.cell_timeout = cell_timeout
-        self.backoff = max(0.0, backoff)
-        self.strict = strict
-        self.fault_plan = fault_plan
-        self.last_stats = SweepStats()
-
-    def run(self, configs: Sequence[SystemConfig],
-            run_fn: Optional[Callable[[SystemConfig], RunResult]] = None
-            ) -> List[Optional[RunResult]]:
-        """Simulate every config; return results in input order.
-
-        ``run_fn`` is an instrumentation seam, not an alternate
-        simulator: it must be observationally equivalent to
-        :func:`run_once` for the same config, and picklable when
-        ``jobs > 1``.
-        """
-        policy = SweepPolicy(retries=self.retries,
-                             cell_timeout=self.cell_timeout,
-                             backoff=self.backoff,
-                             strict=self.strict,
-                             fault_plan=self.fault_plan)
-        spec = BackendSpec(name="auto", jobs=self.jobs)
-        results, stats = execute_sweep(configs, spec=spec,
-                                       policy=policy,
-                                       cache=self.cache,
-                                       run_fn=run_fn)
-        self.last_stats = stats
-        if self.strict and stats.manifest:
-            raise SweepFailure(stats.manifest)
-        return results
-
-
-def run_sweep(configs: Sequence[SystemConfig],
-              jobs: Optional[int] = 1,
-              cache_dir=None) -> List[Optional[RunResult]]:
-    """Deprecated one-shot wrapper; use
-    :func:`repro.service.run_grid` instead."""
-    warnings.warn(
-        "run_sweep is deprecated; use repro.service.run_grid instead",
-        DeprecationWarning, stacklevel=2)
-    cache = None
-    if cache_dir is not None:
-        from repro.analysis.cache import ResultCache
-        cache = ResultCache(cache_dir)
-    jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-    results, stats = execute_sweep(
-        configs, spec=BackendSpec(name="auto", jobs=jobs), cache=cache)
-    if stats.manifest:
-        raise SweepFailure(stats.manifest)
-    return results

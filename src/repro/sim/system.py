@@ -288,10 +288,9 @@ class System:
         else:
             chunks = self.workload.stream_chunks(
                 core_id, cfg.refs_per_core)
-        core = Core(core_id, mmu, self.hierarchy, None,
+        core = Core(core_id, mmu, self.hierarchy, chunks,
                     gap_cycles=self.workload.gap_cycles,
-                    mlp=cfg.core.mlp, issue_cycles=cfg.core.issue_cycles,
-                    chunks=chunks)
+                    mlp=cfg.core.mlp, issue_cycles=cfg.core.issue_cycles)
         self.pwc_sets.append(pwcs)
         self.mmus.append(mmu)
         self.cores.append(core)
@@ -390,11 +389,10 @@ class System:
                 # quantum exceeds the generation batch.
                 chunks = quantum_chunks(
                     source, tenant_quantum(params, tenant.asid))
-                core = Core(slot_id, mmu, self.hierarchy, None,
+                core = Core(slot_id, mmu, self.hierarchy, chunks,
                             gap_cycles=tenant.workload.gap_cycles,
                             mlp=cfg.core.mlp,
-                            issue_cycles=cfg.core.issue_cycles,
-                            chunks=chunks)
+                            issue_cycles=cfg.core.issue_cycles)
                 slot_cores.append(core)
                 self.mmus.append(mmu)
                 self.cores.append(core)

@@ -4,16 +4,20 @@ The paper evaluates 11 data-intensive applications (Table II) under a
 cycle-level simulator.  Here each application is a *reference-stream
 generator* reproducing its documented access pattern — the structure
 that matters to address translation: footprint, locality, read/write
-mix and pointer-chasing irregularity.  DESIGN.md's "Workload
-substitution" table maps each generator to its paper counterpart.
+mix and pointer-chasing irregularity.  Each generator's module
+docstring names the Table II application it stands in for, and
+``repro workloads`` (:func:`repro.workloads.registry.workload_table`)
+lists them with their suite and dataset size.
 
 A workload exposes:
 
 * ``regions()`` — its virtual-address layout at the configured scale
   (datasets are laid out densely in one arena, the way the real apps'
   init phases populate their heaps; this is what fills PL1/PL2);
-* ``stream(core_id, num_refs)`` — a deterministic per-core iterator of
-  ``(vaddr, is_write)`` pairs;
+* ``stream_chunks(core_id, num_refs)`` — the deterministic per-core
+  reference stream in whole chunks of plain lists, with the probe keys
+  the core model's inlined hit loop consumes; ``stream`` is its
+  per-item ``(vaddr, is_write)`` view;
 * ``gap_cycles`` — non-memory instructions between references.
 """
 
@@ -54,8 +58,8 @@ def chunk_probe_keys(addrs: np.ndarray) -> Tuple[List[int], List[int]]:
     (``addr >> LINE_SHIFT``) of every reference — the two keys the
     inlined TLB/L1 hit probe in :meth:`repro.sim.core_model
     .Core.step_until` consumes.  The single definition of the chunk
-    layout contract: both :meth:`Workload.stream_chunks` and
-    ``Core._refill`` (legacy two-field chunks) derive through it.
+    layout contract: :meth:`Workload.stream_chunks` and every test
+    that builds chunks by hand derive through it.
     """
     return (((addrs & VA_MASK) >> PAGE_SHIFT).tolist(),
             (addrs >> LINE_SHIFT).tolist())
@@ -195,8 +199,7 @@ class Workload(ABC):
         ``probe_keys=False`` yields plain ``(addresses, writes)``
         pairs instead — same addresses, no VPN/line materialization —
         for consumers that only read addresses (the prefault warmup,
-        :meth:`stream`); ``Core._refill`` derives the arrays on demand
-        if such a stream is ever fed to a core.
+        :meth:`stream`); a core needs the four-field form.
         """
         rng = np.random.default_rng(
             (self.seed * 1_000_003 + core_id) & 0xFFFFFFFF)
@@ -235,7 +238,8 @@ class Workload(ABC):
 
     def stream(self, core_id: int,
                num_refs: int) -> Iterator[Tuple[int, bool]]:
-        """Per-item view of :meth:`stream_chunks` (compatibility API)."""
+        """Per-item view of :meth:`stream_chunks`: ``(vaddr,
+        is_write)`` pairs."""
         for addrs, writes in self.stream_chunks(core_id, num_refs,
                                                 probe_keys=False):
             yield from zip(addrs, writes)

@@ -13,6 +13,7 @@ from repro.analysis.cache import (
     result_from_dict,
     result_to_dict,
 )
+from repro.service import SweepService
 from repro.sim.config import ndp_config
 from repro.sim.runner import run_once
 
@@ -184,9 +185,10 @@ class TestEntryIntegrity:
         assert new.stats.corrupt == 0
         assert old.path(cfg).exists()
 
-    def test_v1_entry_readable_and_migrated(self, tmp_path):
-        """Pre-checksum entries still hit, and the first load rewrites
-        them as v2 so integrity covers them from then on."""
+    def test_v1_entry_quarantined_and_restored(self, tmp_path):
+        """Pre-checksum (format 1) entries are not read: the first
+        sweep quarantines the entry, re-simulates the cell once and
+        stores it as v2, and the next sweep is served from the cache."""
         cache = ResultCache(tmp_path)
         cfg = tiny_config()
         result = run_once(cfg)
@@ -198,16 +200,19 @@ class TestEntryIntegrity:
         cache.root.mkdir(parents=True, exist_ok=True)
         cache.path(cfg).write_text(json.dumps(v1) + "\n")
 
-        loaded = cache.load(cfg)
-        assert loaded is not None
-        assert dataclasses.asdict(loaded) == dataclasses.asdict(result)
-        assert cache.stats.hits == 1
+        service = SweepService(backend="serial", cache=cache)
+        (rerun,) = service.run_grid([cfg]).results
+        assert service.last_stats.simulated == 1
+        assert cache.stats.corrupt == 1
+        assert (tmp_path / QUARANTINE_DIR / cache.path(cfg).name).exists()
+        assert dataclasses.asdict(rerun) == dataclasses.asdict(result)
 
-        migrated = json.loads(cache.path(cfg).read_text())
-        assert migrated["format"] == 2
-        assert migrated["sha256"] == payload_checksum(migrated["result"])
-        # And the migrated entry is bit-identical on a re-load.
-        again = cache.load(cfg)
+        restored = json.loads(cache.path(cfg).read_text())
+        assert restored["format"] == 2
+        assert restored["sha256"] == payload_checksum(restored["result"])
+        (again,) = service.run_grid([cfg]).results
+        assert service.last_stats.cache_hits == 1
+        assert service.last_stats.simulated == 0
         assert dataclasses.asdict(again) == dataclasses.asdict(result)
 
 

@@ -85,14 +85,14 @@ class TestExternalWorkers:
     def test_two_external_workers_bit_identical_to_serial(
             self, tmp_path):
         configs = expand_grid(**FIG12)
-        reference = SweepService(backend="serial").run(configs)
+        reference = SweepService(backend="serial").run_grid(configs).results
 
         queue = tmp_path / "queue"
         workers = [spawn_worker(queue) for _ in range(2)]
         try:
             service = SweepService(backend="fileq", jobs=0,
                                    queue_dir=queue, **FAST_Q)
-            results = service.run(configs)
+            results = service.run_grid(configs).results
         finally:
             terminate(workers)
 
@@ -109,7 +109,7 @@ class TestExternalWorkers:
         reclaims the claim as lost, the surviving worker completes the
         retry — zero quarantined cells, results bit-identical."""
         configs = expand_grid(**FIG12)
-        reference = SweepService(backend="serial").run(configs)
+        reference = SweepService(backend="serial").run_grid(configs).results
 
         victim_config = configs[len(configs) // 2]
         victim = cell_label(victim_config)
@@ -142,7 +142,7 @@ class TestExternalWorkers:
                 backend="fileq", jobs=0, queue_dir=queue,
                 policy=SweepPolicy(retries=2, backoff=0.01),
                 **FAST_Q)
-            results = service.run(configs)
+            results = service.run_grid(configs).results
         finally:
             killer.join(timeout=5)
             terminate(workers)

@@ -3,20 +3,26 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mem.cache import Cache
-from repro.mem.request import AccessType, MemoryRequest, RequestKind
+from repro.mem.cache import (
+    HIT,
+    MISS,
+    MISS_CLEAN_EVICT,
+    MISS_DIRTY_EVICT,
+    Cache,
+)
+from repro.mem.request import KIND_DATA, KIND_METADATA, RequestKind
 
 
-def data_read(paddr):
-    return MemoryRequest(paddr=paddr)
+def data_read(cache, paddr):
+    return cache.access_fast(paddr, KIND_DATA, 0)
 
 
-def data_write(paddr):
-    return MemoryRequest(paddr=paddr, access=AccessType.WRITE)
+def data_write(cache, paddr):
+    return cache.access_fast(paddr, KIND_DATA, 1)
 
 
-def meta_read(paddr):
-    return MemoryRequest(paddr=paddr, kind=RequestKind.METADATA)
+def meta_read(cache, paddr):
+    return cache.access_fast(paddr, KIND_METADATA, 0)
 
 
 @pytest.fixture
@@ -40,30 +46,30 @@ class TestGeometry:
 
 class TestHitMiss:
     def test_cold_miss(self, cache):
-        assert not cache.access(data_read(0)).hit
+        assert data_read(cache, 0) == MISS
 
     def test_second_access_hits(self, cache):
-        cache.access(data_read(0))
-        assert cache.access(data_read(0)).hit
+        data_read(cache, 0)
+        assert data_read(cache, 0) == HIT
 
     def test_same_line_different_bytes_hit(self, cache):
-        cache.access(data_read(0))
-        assert cache.access(data_read(63)).hit
+        data_read(cache, 0)
+        assert data_read(cache, 63) == HIT
 
     def test_adjacent_line_misses(self, cache):
-        cache.access(data_read(0))
-        assert not cache.access(data_read(64)).hit
+        data_read(cache, 0)
+        assert data_read(cache, 64) != HIT
 
     def test_stats_per_kind(self, cache):
-        cache.access(data_read(0))
-        cache.access(meta_read(4096))
-        cache.access(meta_read(4096))
+        data_read(cache, 0)
+        meta_read(cache, 4096)
+        meta_read(cache, 4096)
         assert cache.stats.data.misses == 1
         assert cache.stats.metadata.misses == 1
         assert cache.stats.metadata.hits == 1
 
     def test_contains_no_side_effects(self, cache):
-        cache.access(data_read(0))
+        data_read(cache, 0)
         hits_before = cache.stats.data.hits
         assert cache.contains(0)
         assert cache.stats.data.hits == hits_before
@@ -73,65 +79,66 @@ class TestEviction:
     def test_lru_eviction_within_set(self, cache):
         stride = cache.num_sets * 64  # same set
         for i in range(5):
-            cache.access(data_read(i * stride))
+            data_read(cache, i * stride)
         assert not cache.contains(0)
         assert cache.contains(4 * stride)
 
     def test_eviction_reports_victim(self, cache):
         stride = cache.num_sets * 64
         for i in range(4):
-            cache.access(data_read(i * stride))
-        result = cache.access(data_read(4 * stride))
-        assert result.eviction is not None
-        assert result.eviction.line_addr == 0
+            data_read(cache, i * stride)
+        assert data_read(cache, 4 * stride) == MISS_CLEAN_EVICT
+        assert cache.evict_tag == 0
+        assert cache.evict_kind == KIND_DATA
 
     def test_dirty_eviction_flagged(self, cache):
         stride = cache.num_sets * 64
-        cache.access(data_write(0))
+        data_write(cache, 0)
         for i in range(1, 5):
-            result = cache.access(data_read(i * stride))
-        assert result.eviction.dirty
+            code = data_read(cache, i * stride)
+        assert code == MISS_DIRTY_EVICT
         assert cache.stats.writebacks == 1
 
     def test_clean_eviction_not_writeback(self, cache):
         stride = cache.num_sets * 64
         for i in range(5):
-            cache.access(data_read(i * stride))
+            data_read(cache, i * stride)
         assert cache.stats.writebacks == 0
 
     def test_pollution_counter(self, cache):
         """Metadata fills evicting data lines — the Fig. 7 mechanism."""
         stride = cache.num_sets * 64
         for i in range(4):
-            cache.access(data_read(i * stride))
-        cache.access(meta_read(4 * stride))
+            data_read(cache, i * stride)
+        meta_read(cache, 4 * stride)
         assert cache.stats.data_evicted_by_metadata == 1
 
     def test_reverse_pollution_counter(self, cache):
         stride = cache.num_sets * 64
         for i in range(4):
-            cache.access(meta_read(i * stride))
-        cache.access(data_read(4 * stride))
+            meta_read(cache, i * stride)
+        assert data_read(cache, 4 * stride) == MISS_CLEAN_EVICT
+        assert cache.evict_kind == KIND_METADATA
         assert cache.stats.metadata_evicted_by_data == 1
 
 
 class TestWriteSemantics:
     def test_write_hit_marks_dirty(self, cache):
-        cache.access(data_read(0))
-        cache.access(data_write(0))
+        data_read(cache, 0)
+        data_write(cache, 0)
         stride = cache.num_sets * 64
         for i in range(1, 5):
-            result = cache.access(data_read(i * stride))
-        assert result.eviction.dirty
+            code = data_read(cache, i * stride)
+        assert code == MISS_DIRTY_EVICT
 
     def test_write_allocates(self, cache):
-        cache.access(data_write(128))
+        data_write(cache, 128)
         assert cache.contains(128)
 
 
 class TestMaintenance:
     def test_invalidate(self, cache):
-        cache.access(data_read(0))
+        data_read(cache, 0)
         assert cache.invalidate(0)
         assert not cache.contains(0)
 
@@ -140,13 +147,13 @@ class TestMaintenance:
 
     def test_flush(self, cache):
         for i in range(8):
-            cache.access(data_read(i * 64))
+            data_read(cache, i * 64)
         cache.flush()
         assert cache.resident_lines == 0
 
     def test_resident_kind_counts(self, cache):
-        cache.access(data_read(0))
-        cache.access(meta_read(64))
+        data_read(cache, 0)
+        meta_read(cache, 64)
         counts = cache.resident_kind_counts()
         assert counts[RequestKind.DATA] == 1
         assert counts[RequestKind.METADATA] == 1
@@ -158,7 +165,7 @@ class TestProperties:
     def test_capacity_never_exceeded(self, lines):
         cache = Cache("prop", 2048, 2, 1)
         for line in lines:
-            cache.access(data_read(line * 64))
+            data_read(cache, line * 64)
         assert cache.resident_lines <= 2048 // 64
         for s in cache._sets:
             assert len(s) <= 2
@@ -168,7 +175,7 @@ class TestProperties:
     def test_hits_plus_misses_equals_accesses(self, lines):
         cache = Cache("prop", 2048, 2, 1)
         for line in lines:
-            cache.access(data_read(line * 64))
+            data_read(cache, line * 64)
         stats = cache.stats.data
         assert stats.hits + stats.misses == len(lines)
 
@@ -177,6 +184,6 @@ class TestProperties:
     def test_small_working_set_always_hits_after_warmup(self, lines):
         cache = Cache("prop", 4096, 8, 1)  # 8 lines fit in one set? no: 8 sets
         for line in set(lines):
-            cache.access(data_read(line * 64))
+            data_read(cache, line * 64)
         for line in lines:
-            assert cache.access(data_read(line * 64)).hit
+            assert data_read(cache, line * 64) == HIT

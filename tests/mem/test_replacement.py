@@ -1,160 +1,50 @@
-"""Tests for cache replacement policies."""
+"""Tests for the cache's LRU replacement, through ``Cache.access_fast``.
+
+LRU is the policy of every cache in the paper's Table I, and the only
+one the simulator models: each set is an insertion-ordered dict, oldest
+line first.
+"""
 
 import pytest
 
-from repro.mem.replacement import (
-    FifoPolicy,
-    LruPolicy,
-    RandomPolicy,
-    SrripPolicy,
-    make_policy,
-)
+from repro.mem.cache import Cache
+from repro.mem.request import KIND_DATA
 
 
-def filled_set(tags):
-    return {tag: f"line{tag}" for tag in tags}
+def data_read(cache, paddr):
+    return cache.access_fast(paddr, KIND_DATA, 0)
+
+
+@pytest.fixture
+def cache():
+    # 4 KB, 4-way, 64 B lines: 16 sets.
+    return Cache("L1D", 4096, 4, hit_latency=4)
 
 
 class TestLru:
-    def test_victim_is_oldest(self):
-        policy = LruPolicy()
-        cache_set = filled_set([1, 2, 3])
-        assert policy.victim(cache_set) == 1
+    """Least-recently-used replacement within one set."""
 
-    def test_hit_refreshes(self):
-        policy = LruPolicy()
-        cache_set = filled_set([1, 2, 3])
-        policy.on_hit(cache_set, 1)
-        assert policy.victim(cache_set) == 2
+    @pytest.fixture
+    def full_set(self, cache):
+        stride = cache.num_sets * 64
+        for i in range(cache.associativity):
+            data_read(cache, i * stride)
+        return stride
 
-    def test_repeated_hits_keep_line_young(self):
-        policy = LruPolicy()
-        cache_set = filled_set([1, 2, 3])
+    def test_victim_is_oldest(self, cache, full_set):
+        data_read(cache, 4 * full_set)
+        assert cache.evict_tag == cache.line_addr(0)
+
+    def test_hit_refreshes(self, cache, full_set):
+        data_read(cache, 0)
+        data_read(cache, 4 * full_set)
+        assert cache.contains(0)
+        assert cache.evict_tag == cache.line_addr(full_set)
+
+    def test_repeated_hits_keep_line_young(self, cache, full_set):
         for _ in range(5):
-            policy.on_hit(cache_set, 1)
-        assert policy.victim(cache_set) == 2
-
-
-class TestFifo:
-    def test_victim_is_first_in(self):
-        policy = FifoPolicy()
-        cache_set = filled_set([4, 5, 6])
-        assert policy.victim(cache_set) == 4
-
-    def test_hits_do_not_refresh(self):
-        policy = FifoPolicy()
-        cache_set = filled_set([4, 5, 6])
-        policy.on_hit(cache_set, 4)
-        assert policy.victim(cache_set) == 4
-
-
-class TestRandom:
-    def test_victim_member_of_set(self):
-        policy = RandomPolicy(seed=1)
-        cache_set = filled_set([7, 8, 9])
-        assert policy.victim(cache_set) in cache_set
-
-    def test_deterministic_under_seed(self):
-        a = RandomPolicy(seed=5)
-        b = RandomPolicy(seed=5)
-        cache_set = filled_set(range(16))
-        assert [a.victim(cache_set) for _ in range(10)] \
-            == [b.victim(cache_set) for _ in range(10)]
-
-
-class TestSrrip:
-    def test_insert_then_evictable(self):
-        policy = SrripPolicy()
-        cache_set = filled_set([1])
-        policy.on_insert(cache_set, 1)
-        assert policy.victim(cache_set) == 1
-
-    def test_hit_protects_line(self):
-        policy = SrripPolicy()
-        cache_set = filled_set([1, 2])
-        policy.on_insert(cache_set, 1)
-        policy.on_insert(cache_set, 2)
-        policy.on_hit(cache_set, 1)
-        assert policy.victim(cache_set) == 2
-
-    def test_aging_terminates(self):
-        policy = SrripPolicy()
-        cache_set = filled_set([1, 2, 3])
-        for tag in cache_set:
-            policy.on_insert(cache_set, tag)
-            policy.on_hit(cache_set, tag)
-        assert policy.victim(cache_set) in cache_set
-
-
-class TestFactory:
-    @pytest.mark.parametrize("name,cls", [
-        ("lru", LruPolicy), ("fifo", FifoPolicy),
-        ("random", RandomPolicy), ("srrip", SrripPolicy),
-        ("LRU", LruPolicy),
-    ])
-    def test_make_policy(self, name, cls):
-        assert isinstance(make_policy(name), cls)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("belady")
-
-
-class TestEvictionHooks:
-    """on_evict/on_clear keep stateful policies from leaking entries."""
-
-    def test_srrip_victim_state_cleaned_on_evict(self):
-        policy = SrripPolicy()
-        cache_set = filled_set([1, 2])
-        policy.on_insert(cache_set, 1)
-        policy.on_insert(cache_set, 2)
-        victim = policy.victim(cache_set)
-        del cache_set[victim]
-        policy.on_evict(cache_set, victim)
-        assert victim not in policy._rrpv
-
-    def test_srrip_on_clear_empties_state(self):
-        policy = SrripPolicy()
-        cache_set = filled_set([1, 2, 3])
-        for tag in cache_set:
-            policy.on_insert(cache_set, tag)
-        policy.on_clear()
-        assert policy._rrpv == {}
-
-    def test_default_hooks_are_noops(self):
-        policy = LruPolicy()
-        cache_set = filled_set([1])
-        policy.on_evict(cache_set, 1)  # must not raise
-        policy.on_clear()
-
-    def test_cache_invalidate_informs_policy(self):
-        from repro.mem.cache import Cache
-        from repro.mem.request import MemoryRequest
-
-        cache = Cache("srrip", 1024, 2, 1, replacement="srrip")
-        cache.access(MemoryRequest(paddr=0))
-        line = cache.line_addr(0)
-        assert line in cache._policy._rrpv
-        cache.invalidate(0)
-        assert line not in cache._policy._rrpv
-
-    def test_cache_flush_informs_policy(self):
-        from repro.mem.cache import Cache
-        from repro.mem.request import MemoryRequest
-
-        cache = Cache("srrip", 1024, 2, 1, replacement="srrip")
-        for i in range(8):
-            cache.access(MemoryRequest(paddr=i * 64))
-        cache.flush()
-        assert cache._policy._rrpv == {}
-
-    def test_srrip_no_leak_across_fills(self):
-        """Fill-driven evictions must not leave RRPV entries behind —
-        the leak that skewed later victim picks before the hooks."""
-        from repro.mem.cache import Cache
-        from repro.mem.request import MemoryRequest
-
-        cache = Cache("srrip", 1024, 2, 1, replacement="srrip")
-        for i in range(200):
-            cache.access(MemoryRequest(paddr=i * 64))
-        assert len(cache._policy._rrpv) <= cache.resident_lines
+            data_read(cache, 0)
+        for i in range(4, 7):
+            data_read(cache, i * full_set)
+        assert cache.contains(0)
+        assert not cache.contains(3 * full_set)

@@ -1,5 +1,7 @@
 """Tests for the MMU translation flow (Fig. 3 / Fig. 11)."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.core.bypass import NoBypass
@@ -14,6 +16,20 @@ from repro.vm.os_model import OSMemoryManager
 from repro.vm.radix import RadixPageTable
 
 MIB = 1024 ** 2
+
+
+class Outcome(NamedTuple):
+    """The fields of :meth:`Mmu.translate_parts`'s tuple, by name."""
+
+    paddr: int
+    latency: float
+    fault_cycles: float
+    tlb_hit: bool
+    walked: bool
+
+
+def translate(mmu, now, vaddr):
+    return Outcome(*mmu.translate_parts(now, vaddr))
 
 
 def make_mmu(ideal=False):
@@ -32,7 +48,7 @@ def make_mmu(ideal=False):
 class TestTranslationFlow:
     def test_first_access_faults_and_walks(self):
         mmu = make_mmu()
-        outcome = mmu.translate(0.0, 0x1234_5678)
+        outcome = translate(mmu, 0.0, 0x1234_5678)
         assert not outcome.tlb_hit
         assert outcome.walked
         assert outcome.fault_cycles > 0
@@ -40,34 +56,34 @@ class TestTranslationFlow:
 
     def test_second_access_tlb_hit(self):
         mmu = make_mmu()
-        mmu.translate(0.0, 0x1234_5678)
-        outcome = mmu.translate(1000.0, 0x1234_5678)
+        translate(mmu, 0.0, 0x1234_5678)
+        outcome = translate(mmu, 1000.0, 0x1234_5678)
         assert outcome.tlb_hit
         assert outcome.latency == 1
         assert outcome.fault_cycles == 0
 
     def test_paddr_preserves_offset(self):
         mmu = make_mmu()
-        outcome = mmu.translate(0.0, 0x1234_5678)
+        outcome = translate(mmu, 0.0, 0x1234_5678)
         assert outcome.paddr % 4096 == 0x678
 
     def test_same_page_same_frame(self):
         mmu = make_mmu()
-        a = mmu.translate(0.0, 0x1234_5000)
-        b = mmu.translate(100.0, 0x1234_5FFF)
+        a = translate(mmu, 0.0, 0x1234_5000)
+        b = translate(mmu, 100.0, 0x1234_5FFF)
         assert a.paddr // 4096 == b.paddr // 4096
 
     def test_different_pages_different_frames(self):
         mmu = make_mmu()
-        a = mmu.translate(0.0, 0x1000)
-        b = mmu.translate(100.0, 0x2000)
+        a = translate(mmu, 0.0, 0x1000)
+        b = translate(mmu, 100.0, 0x2000)
         assert a.paddr // 4096 != b.paddr // 4096
 
     def test_stats_accumulate(self):
         mmu = make_mmu()
-        mmu.translate(0.0, 0x1000)
-        mmu.translate(100.0, 0x1000)
-        mmu.translate(200.0, 0x2000)
+        translate(mmu, 0.0, 0x1000)
+        translate(mmu, 100.0, 0x1000)
+        translate(mmu, 200.0, 0x2000)
         assert mmu.stats.translations == 3
         assert mmu.stats.tlb_hits == 1
         assert mmu.stats.walks == 2
@@ -75,7 +91,7 @@ class TestTranslationFlow:
 
     def test_walk_latency_distribution(self):
         mmu = make_mmu()
-        mmu.translate(0.0, 0x1000)
+        translate(mmu, 0.0, 0x1000)
         assert mmu.stats.walk_latency.count == 1
         assert mmu.stats.walk_latency.mean > 0
 
@@ -83,7 +99,7 @@ class TestTranslationFlow:
 class TestIdealMmu:
     def test_zero_translation_latency(self):
         mmu = make_mmu(ideal=True)
-        outcome = mmu.translate(0.0, 0x9999_0000)
+        outcome = translate(mmu, 0.0, 0x9999_0000)
         assert outcome.latency == 0.0
         assert outcome.tlb_hit
         assert not outcome.walked
@@ -92,11 +108,11 @@ class TestIdealMmu:
         """Demand paging exists in every mechanism, including Ideal, so
         end-to-end comparisons stay apples-to-apples."""
         mmu = make_mmu(ideal=True)
-        outcome = mmu.translate(0.0, 0x9999_0000)
+        outcome = translate(mmu, 0.0, 0x9999_0000)
         assert outcome.fault_cycles > 0
-        assert mmu.translate(1.0, 0x9999_0000).fault_cycles == 0
+        assert translate(mmu, 1.0, 0x9999_0000).fault_cycles == 0
 
     def test_paddr_still_valid(self):
         mmu = make_mmu(ideal=True)
-        outcome = mmu.translate(0.0, 0x9999_0123)
+        outcome = translate(mmu, 0.0, 0x9999_0123)
         assert outcome.paddr % 4096 == 0x123

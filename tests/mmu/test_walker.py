@@ -1,11 +1,13 @@
 """Tests for the page-table walker: PWC skipping, bypass, parallelism."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bypass import MetadataBypass, NoBypass
-from repro.mem.dram import HBM2
-from repro.mem.hierarchy import build_ndp_hierarchy
-from repro.mem.request import RequestKind
+from repro.core.mechanisms import get_mechanism
+from repro.mem.dram import DDR4_2400, HBM2
+from repro.mem.hierarchy import build_cpu_hierarchy, build_ndp_hierarchy
+from repro.mem.request import KIND_DATA, RequestKind
 from repro.mmu.pwc import PwcSet
 from repro.mmu.walker import PageTableWalker
 from repro.vm.cuckoo import ElasticCuckooPageTable
@@ -14,6 +16,21 @@ from repro.vm.ideal import IdealPageTable
 from repro.vm.radix import RadixPageTable
 
 MIB = 1024 ** 2
+
+
+def walk(walker, now, page):
+    """Walk ``page`` through the two calls the MMU makes; returns
+    ``(latency, PTE memory accesses of this walk)``."""
+    before = walker.stats.memory_accesses
+    flat, staged, _ = walker.plan_info(page)
+    latency = walker.walk_from_plan(now, flat, staged)
+    return latency, walker.stats.memory_accesses - before
+
+
+def pwc_hits(pwcs):
+    """PWC hits per level so far."""
+    return {level: cache.stats.hits
+            for level, cache in pwcs.caches().items()}
 
 
 @pytest.fixture
@@ -33,29 +50,28 @@ class TestSequentialWalk:
     def test_four_memory_accesses_without_pwc(self, radix_setup):
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        outcome = walker.walk(0.0, 0x12345)
-        assert outcome.memory_accesses == 4
-        assert outcome.pwc_hit_level is None
+        _, accesses = walk(walker, 0.0, 0x12345)
+        assert accesses == 4
 
     def test_walk_latency_accumulates_sequentially(self, radix_setup):
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        outcome = walker.walk(0.0, 0x12345)
+        latency, _ = walk(walker, 0.0, 0x12345)
         # Four sequential accesses, each at least an L1 lookup.
-        assert outcome.latency >= 4 * hierarchy.l1ds[0].hit_latency
+        assert latency >= 4 * hierarchy.l1ds[0].hit_latency
 
     def test_stats_recorded(self, radix_setup):
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        walker.walk(0.0, 0x12345)
-        walker.walk(1000.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
+        walk(walker, 1000.0, 0x12345)
         assert walker.stats.walks == 2
         assert walker.stats.latency.count == 2
 
     def test_metadata_kind_used(self, radix_setup):
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        walker.walk(0.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
         assert hierarchy.l1ds[0].stats.metadata.accesses == 4
         assert hierarchy.l1ds[0].stats.data.accesses == 0
 
@@ -65,36 +81,39 @@ class TestPwcSkipping:
         table, hierarchy = radix_setup
         pwcs = PwcSet(("PL4", "PL3", "PL2", "PL1"))
         walker = PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs)
-        first = walker.walk(0.0, 0x12345)
-        second = walker.walk(10_000.0, 0x12345)
-        assert first.memory_accesses == 4
-        assert second.memory_accesses == 0  # PL1 PWC hit: full skip
-        assert second.pwc_hit_level == "PL1"
+        _, first = walk(walker, 0.0, 0x12345)
+        assert pwc_hits(pwcs) == dict.fromkeys(("PL4", "PL3", "PL2",
+                                                "PL1"), 0)
+        _, second = walk(walker, 10_000.0, 0x12345)
+        assert first == 4
+        assert second == 0  # PL1 PWC hit: full skip
+        assert pwc_hits(pwcs)["PL1"] == 1
 
     def test_partial_skip_resumes_below_hit(self, radix_setup):
         table, hierarchy = radix_setup
         table.map_page(0x12345 + 1, pfn=6)  # same PL2 prefix
         pwcs = PwcSet(("PL4", "PL3", "PL2", "PL1"))
         walker = PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs)
-        walker.walk(0.0, 0x12345)
-        outcome = walker.walk(10_000.0, 0x12345 + 1)
-        assert outcome.pwc_hit_level == "PL2"
-        assert outcome.memory_accesses == 1  # only PL1 fetched
+        walk(walker, 0.0, 0x12345)
+        _, accesses = walk(walker, 10_000.0, 0x12345 + 1)
+        # Deepest hit is PL2 (PL1 holds the other page's prefix).
+        assert pwc_hits(pwcs) == {"PL4": 1, "PL3": 1, "PL2": 1, "PL1": 0}
+        assert accesses == 1  # only PL1 fetched
 
     def test_pwc_levels_restricted(self, radix_setup):
         table, hierarchy = radix_setup
         pwcs = PwcSet(("PL4", "PL3"))  # no PL2/PL1 caches
         walker = PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs)
-        walker.walk(0.0, 0x12345)
-        outcome = walker.walk(10_000.0, 0x12345)
-        assert outcome.memory_accesses == 2  # PL2 and PL1 every time
+        walk(walker, 0.0, 0x12345)
+        _, accesses = walk(walker, 10_000.0, 0x12345)
+        assert accesses == 2  # PL2 and PL1 every time
 
     def test_pwc_hit_rates_observable(self, radix_setup):
         table, hierarchy = radix_setup
         pwcs = PwcSet(("PL4", "PL3", "PL2", "PL1"))
         walker = PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs)
-        walker.walk(0.0, 0x12345)
-        walker.walk(10_000.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
+        walk(walker, 10_000.0, 0x12345)
         assert pwcs.hit_rates()["PL1"] == 0.5
 
 
@@ -103,7 +122,7 @@ class TestBypass:
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0,
                                  bypass=MetadataBypass())
-        walker.walk(0.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
         assert hierarchy.l1ds[0].stats.metadata.accesses == 0
         assert hierarchy.stats.l1_bypasses == 4
 
@@ -111,7 +130,7 @@ class TestBypass:
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0,
                                  bypass=NoBypass())
-        walker.walk(0.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
         counts = hierarchy.l1ds[0].resident_kind_counts()
         assert counts[RequestKind.METADATA] == 4
 
@@ -120,7 +139,7 @@ class TestBypass:
         walker = PageTableWalker(
             table, hierarchy, core_id=0,
             bypass=MetadataBypass(levels=("PL1",)))
-        walker.walk(0.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
         assert hierarchy.stats.l1_bypasses == 1
 
 
@@ -130,21 +149,21 @@ class TestParallelStages:
         table = ElasticCuckooPageTable(allocator, initial_entries=1 << 10)
         table.map_page(7, pfn=1)
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        outcome = walker.walk(0.0, 7)
-        assert outcome.memory_accesses == 2
+        _, accesses = walk(walker, 0.0, 7)
+        assert accesses == 2
 
     def test_parallel_latency_is_max_not_sum(self, hierarchy):
         allocator = FrameAllocator(256 * MIB)
         table = ElasticCuckooPageTable(allocator, initial_entries=1 << 10)
         table.map_page(7, pfn=1)
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        parallel = walker.walk(0.0, 7).latency
+        parallel, _ = walk(walker, 0.0, 7)
 
         radix = RadixPageTable(FrameAllocator(64 * MIB))
         radix.map_page(7, pfn=1)
         seq_hierarchy = build_ndp_hierarchy(1, HBM2)
-        seq = PageTableWalker(radix, seq_hierarchy, core_id=0) \
-            .walk(0.0, 7).latency
+        seq, _ = walk(PageTableWalker(radix, seq_hierarchy, core_id=0),
+                      0.0, 7)
         # 2 parallel probes must be well under 4 sequential accesses.
         assert parallel < seq
 
@@ -152,6 +171,102 @@ class TestParallelStages:
         table = IdealPageTable()
         table.map_page(3, pfn=1)
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        outcome = walker.walk(0.0, 3)
-        assert outcome.latency == 0.0
-        assert outcome.memory_accesses == 0
+        latency, accesses = walk(walker, 0.0, 3)
+        assert latency == 0.0
+        assert accesses == 0
+
+
+#: Pages a differential sequence walks: two dense runs (shared PL1/PL2
+#: prefixes, hits in small PWCs) and a sparse spread (distinct PL3/PL4
+#: prefixes, PWC evictions).
+DIFF_PAGES = ([0x12345 + i for i in range(24)]
+              + [0x40000 + 97 * i for i in range(24)]
+              + [(i << 27) + 0x3000 for i in range(1, 9)])
+
+#: One operation: (cycles since the previous one, walk or data
+#: access, page index or data line).
+OPS = st.lists(
+    st.tuples(st.integers(0, 500), st.booleans(),
+              st.integers(0, len(DIFF_PAGES) - 1)),
+    min_size=60, max_size=200)
+
+
+def walker_world(mechanism, shape, table):
+    """One walker over ``table`` with ``mechanism``'s PWC levels and
+    bypass policy, in front of a small private hierarchy."""
+    spec = get_mechanism(mechanism)
+    if shape == "ndp":
+        hierarchy = build_ndp_hierarchy(1, HBM2, l1_size=2048, l1_assoc=2)
+    else:
+        hierarchy = build_cpu_hierarchy(
+            1, DDR4_2400, l1_size=2048, l1_assoc=2, l2_size=8192,
+            l2_assoc=2, l3_per_core=16384, l3_assoc=2)
+    pwcs = PwcSet(spec.pwc_levels, entries=4, associativity=2)
+    return PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs,
+                           bypass=spec.build_bypass())
+
+
+def walker_counters(walker):
+    hierarchy = walker.hierarchy
+    caches = [hierarchy.l1ds[0]]
+    if hierarchy.l2s is not None:
+        caches += [hierarchy.l2s[0], hierarchy.l3]
+    stats = walker.stats
+    return {
+        "walker": (stats.walks, stats.memory_accesses,
+                   stats.latency.total, stats.latency.count,
+                   stats.latency.maximum),
+        "pwc": {level: (cache.stats.hits, cache.stats.misses)
+                for level, cache in walker.pwcs.caches().items()},
+        "caches": [(cache.stats.data.hits, cache.stats.data.misses,
+                    cache.stats.metadata.hits, cache.stats.metadata.misses,
+                    cache.stats.writebacks,
+                    cache.stats.data_evicted_by_metadata,
+                    cache.stats.metadata_evicted_by_data)
+                   for cache in caches],
+        "hierarchy": (hierarchy.stats.accesses,
+                      hierarchy.stats.l1_bypasses,
+                      hierarchy.stats.dram_reads),
+        "dram": (list(hierarchy.dram.stats.kind_counts),
+                 hierarchy.dram.stats.row_hits,
+                 hierarchy.dram.stats.row_misses),
+    }
+
+
+class TestFlatPlanDifferential:
+    """``walk_from_plan``'s flat path (inlined PWC probe and L1
+    metadata hit) against the same plan run as single-step stages
+    through ``_walk_staged``."""
+
+    @pytest.mark.parametrize("mechanism,shape", [
+        ("radix", "ndp"), ("radix", "cpu"), ("ndpage", "ndp"),
+        ("ndpage-flatten-only", "ndp"), ("ndpage-bypass-only", "cpu"),
+    ])
+    @given(ops=OPS)
+    @settings(max_examples=25, deadline=None)
+    def test_flat_matches_single_step_stages(self, mechanism, shape, ops):
+        table = get_mechanism(mechanism).build_table(
+            FrameAllocator(1024 * MIB))
+        for pfn, page in enumerate(DIFF_PAGES, start=1):
+            table.map_page(page, pfn=pfn)
+        flat_walker = walker_world(mechanism, shape, table)
+        staged_walker = walker_world(mechanism, shape, table)
+        now = 0.0
+        for gap, is_walk, index in ops:
+            now += gap
+            if not is_walk:
+                # Data traffic competes with PTE lines for the L1.
+                paddr = index * 3 * 64
+                for walker in (flat_walker, staged_walker):
+                    walker.hierarchy.access_fast(now, paddr, KIND_DATA, 1,
+                                                 0, 0)
+                continue
+            page = DIFF_PAGES[index]
+            flat, staged, _ = flat_walker.plan_info(page)
+            assert staged is None
+            got = flat_walker.walk_from_plan(now, flat, None)
+            flat_b, _, _ = staged_walker.plan_info(page)
+            stages = tuple((step,) for step in flat_b)
+            assert got == staged_walker.walk_from_plan(now, None, stages)
+        assert walker_counters(flat_walker) \
+            == walker_counters(staged_walker)

@@ -108,7 +108,7 @@ class TestBackendEquivalence:
             queue_dir=(tmp_path / f"queue-{backend}"
                        if backend == "fileq" else None),
             **kwargs)
-        return service.run(configs), service
+        return service.run_grid(configs).results, service
 
     def test_results_and_cache_bit_identical(self, tmp_path):
         configs = tiny_grid()
@@ -310,7 +310,7 @@ class TestFileqRecovery:
         victim = cell_label(configs[1])
         service = self._service(tmp_path, retries=1, backoff=0.01,
                                 fault_plan=f"kill:{victim}:1")
-        results = service.run(configs)
+        results = service.run_grid(configs).results
         assert all(r is not None for r in results)
         stats = service.last_stats
         assert stats.worker_deaths >= 1
@@ -324,7 +324,7 @@ class TestFileqRecovery:
         service = self._service(tmp_path, retries=1, backoff=0.01,
                                 strict=False,
                                 fault_plan=f"kill:{victim}:*")
-        results = service.run(configs)
+        results = service.run_grid(configs).results
         assert results[0] is None
         assert all(r is not None for r in results[1:])
         failure = service.last_stats.manifest.failures[0]
@@ -338,7 +338,7 @@ class TestFileqRecovery:
                                 cell_timeout=1.0, backoff=0.01,
                                 strict=False,
                                 fault_plan=f"hang:{wedged}:*:30")
-        results = service.run(configs)
+        results = service.run_grid(configs).results
         assert results[1] is None
         assert all(r is not None
                    for i, r in enumerate(results) if i != 1)
@@ -433,13 +433,13 @@ class TestFileqResilience:
         """One flaky write per process (``:1``) is retried inside
         guarded_io; the sweep completes bit-identically."""
         configs = tiny_grid()
-        reference = SweepService(backend="serial").run(configs)
+        reference = SweepService(backend="serial").run_grid(configs).results
         service = SweepService(
             backend="fileq", jobs=2, queue_dir=tmp_path / "q",
             policy=SweepPolicy(strict=False,
                                fault_plan="ioerr:queue/:1"),
             **FAST_Q)
-        results = service.run(configs)
+        results = service.run_grid(configs).results
         assert not service.last_stats.manifest
         assert [fields(r) for r in results] \
             == [fields(r) for r in reference]
@@ -450,7 +450,7 @@ class TestFileqResilience:
         configs = tiny_grid()
         service = SweepService(backend="fileq", jobs=2,
                                queue_dir=tmp_path / "q", **FAST_Q)
-        assert all(r is not None for r in service.run(configs))
+        assert all(r is not None for r in service.run_grid(configs).results)
         layout = QueueLayout(tmp_path / "q")
         assert not list(layout.workers.glob("*.hb"))
         assert not list(layout.claims.iterdir())

@@ -1,5 +1,6 @@
 """Tests for the core timing model (MLP window, accounting)."""
 
+import numpy as np
 import pytest
 
 from repro.mem.dram import HBM2
@@ -11,8 +12,19 @@ from repro.sim.core_model import Core
 from repro.vm.frames import FrameAllocator
 from repro.vm.ideal import IdealPageTable
 from repro.vm.os_model import OSMemoryManager
+from repro.workloads.base import chunk_probe_keys
 
 MIB = 1024 ** 2
+
+
+def chunks_of(stream, size=8):
+    """``(vaddr, is_write)`` pairs as the four-field chunks a core
+    consumes, ``size`` references per chunk."""
+    for start in range(0, len(stream), size):
+        part = stream[start:start + size]
+        addrs = [vaddr for vaddr, _ in part]
+        vpns, vlines = chunk_probe_keys(np.asarray(addrs, dtype=np.int64))
+        yield addrs, [is_write for _, is_write in part], vpns, vlines
 
 
 def make_core(stream, mlp=2, gap=1):
@@ -25,7 +37,8 @@ def make_core(stream, mlp=2, gap=1):
     hierarchy = build_ndp_hierarchy(1, HBM2)
     walker = PageTableWalker(table, hierarchy, core_id=0)
     mmu = Mmu(0, build_table1_tlbs(), walker, os_model, ideal=True)
-    return Core(0, mmu, hierarchy, iter(stream), gap_cycles=gap, mlp=mlp)
+    return Core(0, mmu, hierarchy, chunks_of(stream), gap_cycles=gap,
+                mlp=mlp)
 
 
 class TestStepping:

@@ -40,12 +40,7 @@ from repro.sim.journal import (
     sweep_digest,
 )
 from repro.sim.runner import run_once
-from repro.sim.sweep import (
-    SweepFailure,
-    SweepInterrupted,
-    SweepRunner,
-    expand_grid,
-)
+from repro.sim.sweep import SweepFailure, SweepInterrupted, expand_grid
 
 TINY = dict(refs_per_core=300, scale=1 / 64, seed=7)
 
@@ -171,10 +166,9 @@ class TestSerialFaultTolerance:
     def test_keep_going_leaves_hole_and_manifest(self):
         configs = tiny_grid()
         bad = cell_label(configs[1])
-        runner = SweepRunner(jobs=1, strict=False, retries=1,
-                             backoff=0.0,
-                             fault_plan=f"fail:{bad}:*")
-        results = runner.run(configs)
+        runner = SweepService(jobs=1, policy=SweepPolicy(
+            strict=False, retries=1, backoff=0.0, fault_plan=f"fail:{bad}:*"))
+        results = runner.run_grid(configs).results
         assert results[1] is None
         assert all(r is not None
                    for i, r in enumerate(results) if i != 1)
@@ -193,11 +187,10 @@ class TestSerialFaultTolerance:
         configs = tiny_grid()
         bad = cell_label(configs[0])
         cache = ResultCache(tmp_path)
-        runner = SweepRunner(jobs=1, cache=cache, strict=True,
-                             retries=0, backoff=0.0,
-                             fault_plan=f"fail:{bad}:*")
+        runner = SweepService(jobs=1, cache=cache, policy=SweepPolicy(
+            strict=True, retries=0, backoff=0.0, fault_plan=f"fail:{bad}:*"))
         with pytest.raises(SweepFailure) as excinfo:
-            runner.run(configs)
+            runner.run_grid(configs)
         assert excinfo.value.manifest.labels() == [bad]
         # Every healthy cell was still completed and persisted.
         assert len(cache) == len(configs) - 1
@@ -205,9 +198,9 @@ class TestSerialFaultTolerance:
     def test_retry_recovers_flaky_cell(self):
         configs = tiny_grid()
         flaky = cell_label(configs[2])
-        runner = SweepRunner(jobs=1, retries=1, backoff=0.0,
-                             fault_plan=f"fail:{flaky}:1")
-        results = runner.run(configs)
+        runner = SweepService(jobs=1, policy=SweepPolicy(
+            retries=1, backoff=0.0, fault_plan=f"fail:{flaky}:1"))
+        results = runner.run_grid(configs).results
         assert all(r is not None for r in results)
         assert runner.last_stats.retries == 1
         assert not runner.last_stats.manifest
@@ -216,10 +209,10 @@ class TestSerialFaultTolerance:
 
     def test_retries_zero_means_one_attempt(self):
         configs = tiny_grid()
-        runner = SweepRunner(jobs=1, strict=False, retries=0,
-                             backoff=0.0,
-                             fault_plan=f"fail:{cell_label(configs[0])}:1")
-        results = runner.run(configs)
+        runner = SweepService(jobs=1, policy=SweepPolicy(
+            strict=False, retries=0, backoff=0.0,
+            fault_plan=f"fail:{cell_label(configs[0])}:1"))
+        results = runner.run_grid(configs).results
         assert results[0] is None
         assert runner.last_stats.manifest.failures[0].attempts == 1
 
@@ -227,9 +220,9 @@ class TestSerialFaultTolerance:
         configs = tiny_grid()
         monkeypatch.setenv(FAULT_PLAN_ENV,
                            f"fail:{cell_label(configs[0])}:*")
-        runner = SweepRunner(jobs=1, strict=False, retries=0,
-                             backoff=0.0)
-        results = runner.run(configs)
+        runner = SweepService(jobs=1, policy=SweepPolicy(
+            strict=False, retries=0, backoff=0.0))
+        results = runner.run_grid(configs).results
         assert results[0] is None
         assert runner.last_stats.failed == 1
 
@@ -240,9 +233,9 @@ class TestSupervisedFaultTolerance:
         worker is respawned, the cell re-dispatched and completed."""
         configs = tiny_grid()
         victim = cell_label(configs[1])
-        runner = SweepRunner(jobs=2, retries=1, backoff=0.01,
-                             fault_plan=f"kill:{victim}:1")
-        results = runner.run(configs)
+        runner = SweepService(jobs=2, policy=SweepPolicy(
+            retries=1, backoff=0.01, fault_plan=f"kill:{victim}:1"))
+        results = runner.run_grid(configs).results
         assert all(r is not None for r in results)
         stats = runner.last_stats
         assert stats.worker_deaths >= 1
@@ -253,10 +246,10 @@ class TestSupervisedFaultTolerance:
     def test_worker_kill_exhausts_retries_into_manifest(self):
         configs = tiny_grid()
         victim = cell_label(configs[0])
-        runner = SweepRunner(jobs=2, strict=False, retries=1,
-                             backoff=0.01,
-                             fault_plan=f"kill:{victim}:*")
-        results = runner.run(configs)
+        runner = SweepService(jobs=2, policy=SweepPolicy(
+            strict=False, retries=1, backoff=0.01,
+            fault_plan=f"kill:{victim}:*"))
+        results = runner.run_grid(configs).results
         assert results[0] is None
         assert all(r is not None for r in results[1:])
         failure = runner.last_stats.manifest.failures[0]
@@ -267,10 +260,10 @@ class TestSupervisedFaultTolerance:
     def test_hung_cell_trips_timeout(self):
         configs = tiny_grid()
         wedged = cell_label(configs[1])
-        runner = SweepRunner(jobs=2, strict=False, retries=0,
-                             cell_timeout=1.0, backoff=0.01,
-                             fault_plan=f"hang:{wedged}:*:30")
-        results = runner.run(configs)
+        runner = SweepService(jobs=2, policy=SweepPolicy(
+            strict=False, retries=0, cell_timeout=1.0, backoff=0.01,
+            fault_plan=f"hang:{wedged}:*:30"))
+        results = runner.run_grid(configs).results
         assert results[1] is None
         assert all(r is not None
                    for i, r in enumerate(results) if i != 1)
@@ -283,10 +276,9 @@ class TestSupervisedFaultTolerance:
     def test_failing_cell_in_pool_quarantined(self):
         configs = tiny_grid()
         bad = cell_label(configs[3])
-        runner = SweepRunner(jobs=2, strict=False, retries=1,
-                             backoff=0.01,
-                             fault_plan=f"fail:{bad}:*")
-        results = runner.run(configs)
+        runner = SweepService(jobs=2, policy=SweepPolicy(
+            strict=False, retries=1, backoff=0.01, fault_plan=f"fail:{bad}:*"))
+        results = runner.run_grid(configs).results
         assert results[3] is None
         failure = runner.last_stats.manifest.failures[0]
         assert failure.kind == "error"
@@ -297,15 +289,15 @@ class TestSupervisedFaultTolerance:
         the cache, and a clean re-run simulates only the casualty."""
         configs = tiny_grid()
         victim = cell_label(configs[2])
-        first = SweepRunner(jobs=2, cache_dir=tmp_path, strict=False,
-                            retries=1, backoff=0.01,
-                            fault_plan=f"kill:{victim}:*")
-        results = first.run(configs)
+        first = SweepService(jobs=2, cache_dir=tmp_path, policy=SweepPolicy(
+            strict=False, retries=1, backoff=0.01,
+            fault_plan=f"kill:{victim}:*"))
+        results = first.run_grid(configs).results
         assert results[2] is None
         assert first.last_stats.failed == 1
 
-        second = SweepRunner(jobs=1, cache_dir=tmp_path)
-        resumed = second.run(configs)
+        second = SweepService(jobs=1, cache_dir=tmp_path)
+        resumed = second.run_grid(configs).results
         assert all(r is not None for r in resumed)
         assert second.last_stats.simulated == 1
         assert second.last_stats.cache_hits == len(configs) - 1
@@ -313,9 +305,9 @@ class TestSupervisedFaultTolerance:
 
     def test_unpicklable_run_fn_fails_fast(self):
         configs = tiny_grid()
-        runner = SweepRunner(jobs=2)
+        runner = SweepService(jobs=2)
         with pytest.raises(ValueError, match="not picklable"):
-            runner.run(configs, run_fn=lambda config: run_once(config))
+            runner.run_grid(configs, run_fn=lambda config: run_once(config))
 
 
 class TestCorruptionThroughSweep:
@@ -326,11 +318,11 @@ class TestCorruptionThroughSweep:
         target = cell_label(configs[0])
         plan = FaultPlan.parse(f"corrupt:{target}")
         cache = ResultCache(tmp_path, fault_plan=plan)
-        SweepRunner(jobs=1, cache=cache).run(configs)
+        SweepService(jobs=1, cache=cache).run_grid(configs)
 
         clean_cache = ResultCache(tmp_path)
-        runner = SweepRunner(jobs=1, cache=clean_cache)
-        results = runner.run(configs)
+        runner = SweepService(jobs=1, cache=clean_cache)
+        results = runner.run_grid(configs).results
         assert clean_cache.stats.corrupt == 1
         assert runner.last_stats.simulated == 1
         assert runner.last_stats.cache_hits == len(configs) - 1
@@ -362,10 +354,10 @@ class TestAcceptance20Cells:
             f"kill:{killed}:1;corrupt:{corrupted}")
 
         cache = ResultCache(tmp_path, fault_plan=plan)
-        chaos = SweepRunner(jobs=2, cache=cache, strict=False,
-                            retries=1, cell_timeout=1.0, backoff=0.01,
-                            fault_plan=plan)
-        results = chaos.run(configs)
+        chaos = SweepService(jobs=2, cache=cache, policy=SweepPolicy(
+            strict=False, retries=1, cell_timeout=1.0, backoff=0.01,
+            fault_plan=plan))
+        results = chaos.run_grid(configs).results
 
         stats = chaos.last_stats
         assert stats.failed == 2
@@ -380,16 +372,16 @@ class TestAcceptance20Cells:
         # Follow-up run, no faults: exactly the 2 quarantined cells
         # plus the 1 corrupt entry are re-simulated, nothing else.
         resume_cache = ResultCache(tmp_path)
-        resume = SweepRunner(jobs=1, cache=resume_cache)
-        resumed = resume.run(configs)
+        resume = SweepService(jobs=1, cache=resume_cache)
+        resumed = resume.run_grid(configs).results
         assert all(r is not None for r in resumed)
         assert resume.last_stats.simulated == 3
         assert resume.last_stats.cache_hits == 17
         assert resume_cache.stats.corrupt == 1
 
         # Third run: fully cache-served and bit-identical to clean.
-        third = SweepRunner(jobs=1, cache_dir=tmp_path)
-        final = third.run(configs)
+        third = SweepService(jobs=1, cache_dir=tmp_path)
+        final = third.run_grid(configs).results
         assert third.last_stats.simulated == 0
         for config, result in zip(configs, final):
             assert fields(result) == fields(run_once(config))
@@ -493,7 +485,7 @@ class TestCacheStoreDegrade:
         service = SweepService(
             backend="serial", cache_dir=tmp_path / "cache",
             policy=SweepPolicy(strict=False))
-        results = service.run(configs)
+        results = service.run_grid(configs).results
         assert all(r is not None for r in results)
         assert fields(results[1]) == fields(run_once(configs[1]))
         manifest = service.last_stats.manifest
@@ -515,7 +507,7 @@ class TestCacheStoreDegrade:
         service = SweepService(
             backend="serial", cache_dir=tmp_path / "cache",
             policy=SweepPolicy(strict=False))
-        results = service.run(configs)
+        results = service.run_grid(configs).results
         assert all(r is not None for r in results)
         assert not service.last_stats.manifest
         entries = list((tmp_path / "cache").glob("*.json"))
@@ -623,14 +615,14 @@ class TestResumeSupervision:
             backend="serial", cache_dir=tmp_path / "cache",
             policy=SweepPolicy(retries=0, backoff=0.0, strict=False,
                                fault_plan=f"fail:{bad}:*"))
-        assert first.run(configs)[1] is None
+        assert first.run_grid(configs).results[1] is None
         assert len(first.last_stats.manifest) == 1
 
         resumed = SweepService(
             backend="serial", cache_dir=tmp_path / "cache",
             resume=True,
             policy=SweepPolicy(retries=0, strict=False))
-        results = resumed.run(configs)
+        results = resumed.run_grid(configs).results
         assert results[1] is None
         stats = resumed.last_stats
         assert stats.simulated == 0          # nothing re-simulated
@@ -643,7 +635,7 @@ class TestResumeSupervision:
         fresh = SweepService(
             backend="serial", cache_dir=tmp_path / "cache",
             policy=SweepPolicy(retries=0, strict=False))
-        assert all(r is not None for r in fresh.run(configs))
+        assert all(r is not None for r in fresh.run_grid(configs).results)
         assert fresh.last_stats.simulated == 1
 
     def test_attempt_counts_carried_on_resume(self, tmp_path):
@@ -666,7 +658,7 @@ class TestResumeSupervision:
             resume=True,
             policy=SweepPolicy(retries=2, backoff=0.0, strict=False,
                                fault_plan=f"fail:{bad}:*"))
-        results = service.run(configs)
+        results = service.run_grid(configs).results
         assert results[bad_index] is None
         stats = service.last_stats
         failure = stats.manifest.failures[0]
@@ -698,7 +690,7 @@ class TestResumeSupervision:
         killer = threading.Thread(target=send_term, daemon=True)
         killer.start()
         with pytest.raises(SweepInterrupted) as excinfo:
-            service.run(configs)
+            service.run_grid(configs)
         killer.join(timeout=5)
         assert excinfo.value.completed == 3
         assert excinfo.value.requeued == 1
@@ -714,7 +706,7 @@ class TestResumeSupervision:
 
         resumed = SweepService(backend="serial", cache_dir=cache_dir,
                                resume=True)
-        results = resumed.run(configs)
+        results = resumed.run_grid(configs).results
         assert all(r is not None for r in results)
         assert resumed.last_stats.cache_hits == 3
         assert resumed.last_stats.simulated == 1

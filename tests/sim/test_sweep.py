@@ -11,13 +11,9 @@ import dataclasses
 import pytest
 
 from repro.analysis.cache import ResultCache
+from repro.service import SweepService
 from repro.sim.runner import run_once
-from repro.sim.sweep import (
-    SweepRunner,
-    derive_seed,
-    expand_grid,
-    run_sweep,
-)
+from repro.sim.sweep import derive_seed, expand_grid
 
 TINY = dict(refs_per_core=300, scale=1 / 64, seed=7)
 
@@ -80,7 +76,7 @@ class TestSerialSweep:
     def test_matches_run_once_in_order(self):
         configs = tiny_grid()
         expected = [run_once(c) for c in configs]
-        got = SweepRunner(jobs=1).run(configs)
+        got = SweepService(jobs=1).run_grid(configs).results
         assert [fields(r) for r in got] == \
             [fields(r) for r in expected]
 
@@ -88,17 +84,17 @@ class TestSerialSweep:
         _CALLS.clear()
         configs = tiny_grid(n_workloads=1,
                             mechanisms=("radix", "radix", "radix"))
-        results = SweepRunner(jobs=1).run(configs,
-                                          run_fn=counting_run)
+        results = SweepService(jobs=1).run_grid(
+            configs, run_fn=counting_run).results
         assert len(results) == 3
         assert len(_CALLS) == 1
         assert fields(results[0]) == fields(results[1]) \
             == fields(results[2])
 
     def test_stats_reflect_work(self):
-        runner = SweepRunner(jobs=1)
+        runner = SweepService(jobs=1)
         configs = tiny_grid()
-        runner.run(configs)
+        runner.run_grid(configs)
         stats = runner.last_stats
         assert stats.cells == len(configs)
         assert stats.unique == len(configs)
@@ -112,8 +108,8 @@ class TestSerialSweep:
 class TestParallelSweep:
     def test_bit_identical_to_serial(self):
         configs = tiny_grid()
-        serial = SweepRunner(jobs=1).run(configs)
-        parallel = SweepRunner(jobs=2).run(configs)
+        serial = SweepService(jobs=1).run_grid(configs).results
+        parallel = SweepService(jobs=2).run_grid(configs).results
         assert [fields(r) for r in parallel] == \
             [fields(r) for r in serial]
 
@@ -121,14 +117,14 @@ class TestParallelSweep:
         configs = expand_grid(
             workloads=("rnd", "bfs", "xs"),
             mechanisms=("radix", "ndpage", "ideal"), **TINY)
-        serial = SweepRunner(jobs=1).run(configs)
-        chunked = SweepRunner(jobs=3, chunk_size=2).run(configs)
+        serial = SweepService(jobs=1).run_grid(configs).results
+        chunked = SweepService(jobs=3).run_grid(configs).results
         assert [fields(r) for r in chunked] == \
             [fields(r) for r in serial]
 
     def test_pool_results_carry_matching_config(self):
         configs = tiny_grid()
-        results = SweepRunner(jobs=2).run(configs)
+        results = SweepService(jobs=2).run_grid(configs).results
         for config, result in zip(configs, results):
             assert result.config == config
 
@@ -136,11 +132,11 @@ class TestParallelSweep:
 class TestCachedSweep:
     def test_second_run_fully_cached(self, tmp_path):
         configs = tiny_grid()
-        runner = SweepRunner(jobs=2, cache=ResultCache(tmp_path))
-        first = runner.run(configs)
+        runner = SweepService(jobs=2, cache=ResultCache(tmp_path))
+        first = runner.run_grid(configs).results
         assert runner.last_stats.simulated == len(configs)
 
-        second = runner.run(configs)
+        second = runner.run_grid(configs).results
         stats = runner.last_stats
         assert stats.simulated == 0
         assert stats.cache_hits == stats.unique == len(configs)
@@ -151,37 +147,30 @@ class TestCachedSweep:
     def test_cached_equals_fresh_bit_for_bit(self, tmp_path):
         configs = tiny_grid(n_workloads=1)
         fresh = [run_once(c) for c in configs]
-        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path))
-        runner.run(configs)
-        cached = runner.run(configs)
+        runner = SweepService(jobs=1, cache=ResultCache(tmp_path))
+        runner.run_grid(configs)
+        cached = runner.run_grid(configs).results
         assert [fields(r) for r in cached] == \
             [fields(r) for r in fresh]
 
     def test_new_cell_only_simulates_missing(self, tmp_path):
         cache = ResultCache(tmp_path)
-        runner = SweepRunner(jobs=1, cache=cache)
-        runner.run(tiny_grid(mechanisms=("radix",)))
+        runner = SweepService(jobs=1, cache=cache)
+        runner.run_grid(tiny_grid(mechanisms=("radix",)))
 
         _CALLS.clear()
         grown = tiny_grid(mechanisms=("radix", "ndpage"))
-        runner.run(grown, run_fn=counting_run)
+        runner.run_grid(grown, run_fn=counting_run)
         stats = runner.last_stats
         assert stats.cache_hits == 2      # the radix cells
         assert stats.simulated == 2       # only the new ndpage cells
         assert len(_CALLS) == 2
 
     def test_cache_dir_convenience(self, tmp_path):
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path / "c")
-        runner.run(tiny_grid(n_workloads=1))
+        runner = SweepService(jobs=1, cache_dir=tmp_path / "c")
+        runner.run_grid(tiny_grid(n_workloads=1))
         assert runner.cache is not None
         assert len(runner.cache) == 2
-
-    def test_run_sweep_helper(self, tmp_path):
-        configs = tiny_grid(n_workloads=1)
-        results = run_sweep(configs, jobs=1,
-                            cache_dir=tmp_path / "c")
-        assert [fields(r) for r in results] == \
-            [fields(run_once(c)) for c in configs]
 
 
 class TestGoldenThroughPool:
@@ -193,7 +182,7 @@ class TestGoldenThroughPool:
 
         mechanisms = sorted(golden.GOLDEN)
         configs = [golden.small_config(m) for m in mechanisms]
-        results = SweepRunner(jobs=4).run(configs)
+        results = SweepService(jobs=4).run_grid(configs).results
         for mechanism, result in zip(mechanisms, results):
             for name, expected in golden.GOLDEN[mechanism].items():
                 assert getattr(result, name) == expected, (
@@ -208,7 +197,7 @@ class TestGoldenThroughPool:
         serial_table, serial_avg, serial_raw = speedup_experiment(
             1, **kwargs)
         par_table, par_avg, par_raw = speedup_experiment(
-            1, runner=SweepRunner(jobs=4), **kwargs)
+            1, runner=SweepService(jobs=4), **kwargs)
         assert par_table == serial_table
         assert par_avg == serial_avg
         for workload in serial_raw:
@@ -234,13 +223,13 @@ class TestInterruptAndResume:
 
         _CALLS.clear()
         with pytest.raises(KeyboardInterrupt):
-            SweepRunner(jobs=1, cache=cache).run(
+            SweepService(jobs=1, cache=cache).run_grid(
                 configs, run_fn=interrupting_run)
         assert len(cache) == 3            # finished cells persisted
 
         _CALLS.clear()
-        runner = SweepRunner(jobs=1, cache=cache)
-        results = runner.run(configs, run_fn=counting_run)
+        runner = SweepService(jobs=1, cache=cache)
+        results = runner.run_grid(configs, run_fn=counting_run).results
         assert len(_CALLS) == 3           # only the missing cells ran
         assert runner.last_stats.cache_hits == 3
         assert runner.last_stats.simulated == 3
@@ -255,8 +244,8 @@ class TestInterruptAndResume:
         for config in configs[:2]:
             cache.store(config, run_once(config))
 
-        runner = SweepRunner(jobs=2, cache=cache)
-        results = runner.run(configs)
+        runner = SweepService(jobs=2, cache=cache)
+        results = runner.run_grid(configs).results
         assert runner.last_stats.cache_hits == 2
         assert runner.last_stats.simulated == len(configs) - 2
         assert [fields(r) for r in results] == \
