@@ -101,8 +101,10 @@ def test_bench_profile_report(tmp_path):
         assert cumtimes == sorted(cumtimes, reverse=True)
 
 
-def test_bench_regression_gate(tmp_path):
-    """--fail-below trips on a too-fast baseline and passes otherwise."""
+def test_bench_regression_gate(tmp_path, capsys):
+    """--fail-below trips on a too-fast baseline and passes otherwise;
+    one regressed row fails the gate even when the aggregate passes."""
+    import json
     bench = load_bench_module()
     baseline = tmp_path / "baseline.json"
     args = ["--refs", "1000", "--scale", str(1 / 64),
@@ -118,3 +120,24 @@ def test_bench_regression_gate(tmp_path):
                               "--baseline", str(baseline),
                               "--fail-below", "1000000"])
     assert slow == 1
+
+    # Aggregate and every row far below this run but one, inflated.
+    report = json.loads(baseline.read_text())
+    report["aggregate"]["refs_per_sec"] = 1.0
+    for row in report["results"]:
+        row["refs_per_sec"] = 1.0
+    inflated = report["results"][1]
+    inflated["refs_per_sec"] = 1e12
+    one_row = tmp_path / "one_row.json"
+    one_row.write_text(json.dumps(report))
+    capsys.readouterr()
+    rc = bench.main(args + ["--out", str(tmp_path / "row.json"),
+                            "--baseline", str(one_row),
+                            "--fail-below", "0.8"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "aggregate throughput" not in out
+    failing = [line for line in out.splitlines()
+               if line.startswith("FAIL: row")]
+    assert len(failing) == 1
+    assert inflated["name"] in failing[0]

@@ -21,11 +21,12 @@ one::
 ``--baseline`` compares the current run against a previous JSON and
 prints per-config and aggregate speedups; adding ``--fail-below R``
 turns the comparison into a regression gate that exits non-zero when
-the aggregate refs/s falls below ``R x`` the baseline (CI runs this
-with ``R = 0.8``).  ``--profile`` adds one instrumented pass per
-config after the timed suite and embeds each config's top-25
-functions by cumulative time in the report (a ``profile`` block), so
-future perf PRs can cite where the time goes.
+the aggregate refs/s, or any suite row's refs/s, falls below ``R x``
+the baseline's (CI runs this with ``R = 0.8``), so one regressed row
+cannot hide inside a healthy aggregate.  ``--profile`` adds one
+instrumented pass per config after the timed suite and embeds each
+config's top-25 functions by cumulative time in the report (a
+``profile`` block), so future perf PRs can cite where the time goes.
 
 Alongside the single-run rows the harness times one *parallel sweep*
 per execution backend (the QUICK workload grid through
@@ -317,15 +318,21 @@ def run_sweep_bench(refs: int, scale: float, jobs: int,
     return block
 
 
-def compare(report: dict, baseline: dict) -> None:
-    """Print per-config and aggregate speedups against ``baseline``."""
+def paired_rows(report: dict, baseline: dict):
+    """Yield ``(row, base_row, ratio)`` for each suite row, where
+    ``ratio`` is its refs/s over its baseline row's; rows the baseline
+    lacks, or has no throughput for, are skipped."""
     base_rows = {row["name"]: row for row in baseline.get("results", ())}
-    print("\nSpeedup vs baseline:")
     for row in report["results"]:
         base = base_rows.get(row["name"])
-        if base is None or not base.get("refs_per_sec"):
-            continue
-        ratio = row["refs_per_sec"] / base["refs_per_sec"]
+        if base is not None and base.get("refs_per_sec"):
+            yield row, base, row["refs_per_sec"] / base["refs_per_sec"]
+
+
+def compare(report: dict, baseline: dict) -> None:
+    """Print per-config and aggregate speedups against ``baseline``."""
+    print("\nSpeedup vs baseline:")
+    for row, base, ratio in paired_rows(report, baseline):
         print(f"  {row['name']:<12} {ratio:5.2f}x "
               f"({base['refs_per_sec']:,.0f} -> "
               f"{row['refs_per_sec']:,.0f} refs/s)")
@@ -373,7 +380,8 @@ def main(argv=None) -> int:
     parser.add_argument("--fail-below", type=float, default=None,
                         metavar="RATIO",
                         help="with --baseline: exit 1 if aggregate "
-                             "refs/s < RATIO x baseline (CI gate)")
+                             "or any row's refs/s < RATIO x baseline "
+                             "(CI gate)")
     parser.add_argument("--sweep-jobs", type=int, default=None,
                         help="workers for the parallel sweep bench "
                              "(default: min(4, cpu_count); 0 skips)")
@@ -443,9 +451,16 @@ def main(argv=None) -> int:
                 print(f"\nFAIL: aggregate throughput is {ratio:.2f}x "
                       f"the baseline (floor {floor:.2f}x)")
                 failed = True
-            else:
-                print(f"\nregression gate: {ratio:.2f}x baseline "
-                      f">= {floor:.2f}x floor — ok")
+            # Per row too: one regressed row must not hide inside a
+            # healthy aggregate.
+            for row, _, row_ratio in paired_rows(report, baseline):
+                if row_ratio < floor:
+                    print(f"FAIL: row {row['name']} is {row_ratio:.2f}x "
+                          f"its baseline row (floor {floor:.2f}x)")
+                    failed = True
+            if not failed:
+                print(f"\nregression gate: aggregate {ratio:.2f}x "
+                      f"baseline, every row >= {floor:.2f}x floor — ok")
 
     out_path = Path(args.out)
     out_path.write_text(json.dumps(report, indent=2) + "\n")

@@ -100,10 +100,11 @@ class Core:
         self._buf_pos = 0
         self._outstanding: Deque[float] = deque()
         self._finished = False
-        # Persistent chunk-loop coroutine (created on first use): keeps
-        # the hot loop's ~30 local bindings alive across step_until
-        # calls, so a run-ahead batch of one reference costs a
-        # generator resume, not a full prologue.
+        # Persistent chunk-loop coroutine (created on first use,
+        # dropped when the stream ends): keeps the hot loop's ~30
+        # local bindings alive across step_until calls, so a run-ahead
+        # batch of one reference costs a generator resume, not a full
+        # prologue.
         self._runner = None
 
     @property
@@ -267,7 +268,12 @@ class Core:
                     self._drain(now)
                     # Stream exhausted: every further call behaves like
                     # step() on a finished core — drain (a no-op) and
-                    # report None.
+                    # report None.  Dropping the core's handle breaks
+                    # the core -> coroutine -> frame -> core cycle, so
+                    # a finished System is freed by refcounting; a
+                    # later call starts a fresh coroutine, which finds
+                    # the same exhausted stream.
+                    self._runner = None
                     while True:
                         now, bound, max_refs = yield None
                         self._drain(now)

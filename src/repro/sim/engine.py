@@ -165,9 +165,13 @@ class SimulationEngine:
         """
         # The simulation loop allocates short-lived tuples at a rate
         # that makes the cyclic collector's gen-0 sweeps a measurable
-        # tax, while producing no reference cycles of its own —
-        # everything is reclaimed by refcounting.  Pause the collector
-        # for the loop, restoring the caller's setting afterwards.
+        # tax, while producing no reference cycles of its own.  Nor
+        # does the machine around it: a core drops its chunk coroutine
+        # once its stream ends, and the tenant coordinator holds its
+        # OS managers weakly, so a finished System is reclaimed by
+        # refcounting alone (tests/sim/test_system.py::TestLifetime).
+        # Pause the collector for the loop, restoring the caller's
+        # setting afterwards.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -98,7 +99,10 @@ class TenantCoordinator:
         self.params = params
         self.stats = SchedulerStats()
         self._slots: List[TlbHierarchy] = []
-        self._tenants: List[tuple] = []   # (asid, os_model)
+        # asid -> os_model, held weakly: each manager holds this
+        # coordinator's hooks, so a strong registry would make a
+        # reference cycle that outlives the finished System.
+        self._tenants = weakref.WeakValueDictionary()
         self._pending_cycles = 0.0
         self._reclaiming = False
         # Shootdown batching (Linux's arch_tlbbatch model): unmapped
@@ -115,7 +119,7 @@ class TenantCoordinator:
 
     def register_tenant(self, asid: int, os_model: OSMemoryManager
                         ) -> None:
-        self._tenants.append((asid, os_model))
+        self._tenants[asid] = os_model
 
     # -- OSMemoryManager hooks ---------------------------------------
 
@@ -182,7 +186,7 @@ class TenantCoordinator:
             try:
                 victims = sorted(
                     ((os_model.resident_records, peer, os_model)
-                     for peer, os_model in self._tenants
+                     for peer, os_model in self._tenants.items()
                      if peer != asid),
                     key=lambda item: (-item[0], item[1]))
                 for _, _, victim in victims:

@@ -116,9 +116,10 @@ class ElasticCuckooPageTable(PageTable):
 
     @property
     def load_factor(self) -> float:
-        occupied = sum(len(w.slots) for w in self._ways)
-        capacity = sum(w.size for w in self._ways)
-        return occupied / capacity if capacity else 0.0
+        # Every mapped page occupies exactly one slot, and all ways
+        # share one size, so no per-way sums are needed.
+        capacity = self._ways_count * self._ways[0].size
+        return self._mapped_pages / capacity if capacity else 0.0
 
     def lookup(self, page: int) -> Optional[Translation]:
         for way in self._ways:

@@ -18,9 +18,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional
 
+import numpy as np
+
 from repro.vm.address import HUGE_PAGE_SIZE, PAGE_SIZE
 
 FRAMES_PER_BLOCK = HUGE_PAGE_SIZE // PAGE_SIZE  # 512
+
+#: Frames of a boot-fragmented block taken by unmovable boot noise.
+BOOT_NOISE_FRAMES = FRAMES_PER_BLOCK // 2
 
 
 class OutOfMemoryError(Exception):
@@ -40,13 +45,19 @@ class AllocatorStats:
 
 
 class _PartialBlock:
-    """A 2 MB block being carved into 4 KB frames for one site."""
+    """A 2 MB block being carved into 4 KB frames for one site.
 
-    __slots__ = ("first_frame", "next_offset")
+    ``pinned`` marks a boot-fragmented block: its free room sits next
+    to unmovable allocations, so compaction can never reclaim it.
+    """
 
-    def __init__(self, first_frame: int):
+    __slots__ = ("first_frame", "next_offset", "pinned")
+
+    def __init__(self, first_frame: int, next_offset: int = 0,
+                 pinned: bool = False):
         self.first_frame = first_frame
-        self.next_offset = 0
+        self.next_offset = next_offset
+        self.pinned = pinned
 
     @property
     def exhausted(self) -> bool:
@@ -94,17 +105,24 @@ class FrameAllocator:
         reserved_blocks = -(-reserved_bytes // HUGE_PAGE_SIZE)
         if reserved_blocks >= self.num_blocks:
             raise ValueError("reservation swallows all physical memory")
-        usable = range(reserved_blocks, self.num_blocks)
-        self._free_blocks: Deque[int] = deque()
-        self._fragmented: Deque[_PartialBlock] = deque()
-        for i, block in enumerate(usable):
-            # Evenly interleave fragmented blocks at the requested rate.
-            if int(i * fragmentation) < int((i + 1) * fragmentation):
-                partial = _PartialBlock(block * FRAMES_PER_BLOCK)
-                partial.next_offset = FRAMES_PER_BLOCK // 2  # boot noise
-                self._fragmented.append(partial)
-            else:
-                self._free_blocks.append(block)
+        # Evenly interleave fragmented blocks at the requested rate:
+        # usable block i is fragmented iff int(i * f) < int((i + 1) * f).
+        # numpy's float64 products and truncating cast match Python's
+        # int(i * f) exactly, so this is the same partition, computed
+        # without a per-block Python loop.
+        usable = self.num_blocks - reserved_blocks
+        steps = (np.arange(usable + 1, dtype=np.int64)
+                 * fragmentation).astype(np.int64)
+        fragmented = steps[:-1] < steps[1:]
+        blocks = np.arange(reserved_blocks, self.num_blocks,
+                           dtype=np.int64)
+        self._free_blocks: Deque[int] = deque(
+            blocks[~fragmented].tolist())
+        # Boot-fragmented blocks not yet opened, in block order; each
+        # has BOOT_NOISE_FRAMES taken.  Only the head is ever carved,
+        # so it alone is materialized as a _PartialBlock (on demand).
+        self._fragmented: Deque[int] = deque(blocks[fragmented].tolist())
+        self._fragmented_head: Optional[_PartialBlock] = None
         self._partials: Dict[int, _PartialBlock] = {}
         self._free_frames: Deque[int] = deque()  # frames returned by free()
         self.stats = AllocatorStats()
@@ -121,8 +139,13 @@ class FrameAllocator:
         """Total free 4 KB frames, contiguous or not."""
         partial = sum(FRAMES_PER_BLOCK - p.next_offset
                       for p in self._partials.values())
-        fragmented = sum(FRAMES_PER_BLOCK - p.next_offset
-                         for p in self._fragmented)
+        # The opened head counts here *and* in every site carving it
+        # (a known double count that frame_pressure inherits).
+        fragmented = len(self._fragmented) * (FRAMES_PER_BLOCK
+                                              - BOOT_NOISE_FRAMES)
+        head = self._fragmented_head
+        if head is not None:
+            fragmented += FRAMES_PER_BLOCK - head.next_offset
         return (len(self._free_blocks) * FRAMES_PER_BLOCK
                 + partial + fragmented + len(self._free_frames))
 
@@ -157,12 +180,8 @@ class FrameAllocator:
         allocations and excluded.
         """
         partial = sum(FRAMES_PER_BLOCK - p.next_offset
-                      for site, p in self._partials.items()
-                      if not self._is_fragmented(p))
+                      for p in self._partials.values() if not p.pinned)
         return partial + len(self._free_frames)
-
-    def _is_fragmented(self, partial: _PartialBlock) -> bool:
-        return any(p is partial for p in self._fragmented)
 
     # -- allocation -----------------------------------------------------------
 
@@ -187,11 +206,14 @@ class FrameAllocator:
         # Prefer boot-fragmented blocks for small allocations: their
         # contiguity is already lost, so spending them preserves whole
         # blocks for 2 MB requests (Linux's grouping-by-mobility).
-        while self._fragmented:
-            partial = self._fragmented[0]
-            if partial.exhausted:
-                self._fragmented.popleft()
-                continue
+        partial = self._fragmented_head
+        if partial is not None and partial.exhausted:
+            partial = self._fragmented_head = None
+        if partial is None and self._fragmented:
+            block = self._fragmented.popleft()
+            partial = self._fragmented_head = _PartialBlock(
+                block * FRAMES_PER_BLOCK, BOOT_NOISE_FRAMES, pinned=True)
+        if partial is not None:
             self._partials[site] = partial
             return partial
         if not self._free_blocks:
@@ -265,7 +287,7 @@ class FrameAllocator:
             if drained >= blocks * FRAMES_PER_BLOCK:
                 break
             partial = self._partials[site]
-            if self._is_fragmented(partial):
+            if partial.pinned:
                 continue  # pinned by unmovable boot allocations
             room = FRAMES_PER_BLOCK - partial.next_offset
             take = min(room, blocks * FRAMES_PER_BLOCK - drained)

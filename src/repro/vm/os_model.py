@@ -126,6 +126,10 @@ class OSMemoryManager:
         self.stats = OsStats()
         self._fallback_regions: set = set()
         self._lru_frames: Deque[_FrameRecord] = deque()
+        # Only the radix tree stores 2 MB leaves; other mechanisms run
+        # with the SMALL policy in the paper's configuration.
+        self._huge = (policy is PagingPolicy.HUGE
+                      and hasattr(page_table, "huge_mappings"))
         self._is_ech = isinstance(page_table, ElasticCuckooPageTable)
         self._last_rehashed = self._rehashed_entries()
 
@@ -136,10 +140,9 @@ class OSMemoryManager:
             return self.page_table.stats.rehashed_entries
         return 0
 
-    def _charge_rehash(self):
-        """Cycles for ECH growth work done since the last fault."""
-        if not self._is_ech:
-            return 0
+    def _charge_rehash(self) -> int:
+        """Cycles for ECH growth work done since the last fault (ECH
+        tables only)."""
         current = self.page_table.stats.rehashed_entries
         delta = current - self._last_rehashed
         self._last_rehashed = current
@@ -160,48 +163,65 @@ class OSMemoryManager:
         translation = self.page_table.lookup(page)
         if translation is not None:
             return translation, 0.0
+        cycles = self._fault(page, site)
+        return self.page_table.lookup(page), cycles
+
+    def ensure_mapped(self, vaddr: int, site: int = 0) -> float:
+        """Map the page backing ``vaddr`` if needed; return fault cycles.
+
+        The prefault's entry point: one table lookup per touch, since
+        the caller never needs the resulting translation.
+        """
+        page = (vaddr & VA_MASK) >> PAGE_SHIFT
+        if self.page_table.lookup(page) is not None:
+            return 0.0
+        return self._fault(page, site)
+
+    def _fault(self, page: int, site: int) -> float:
+        """Fault unmapped ``page`` in; return (and book) its cycles."""
         if self._note_fault_site is not None:
             self._note_fault_site(site)
-        if self.policy is PagingPolicy.HUGE and self._supports_huge():
+        if self._huge:
             cycles = self._fault_huge(page, site)
         else:
             cycles = self._fault_small(page, site)
-        cycles += self._charge_rehash()
+        if self._is_ech:
+            cycles += self._charge_rehash()
         if self._extra_fault_cycles is not None:
             # Shootdown IPIs etc. raised by reclaim during this fault,
             # charged to the faulting core (multi-tenant only).
             cycles += self._extra_fault_cycles()
         self.stats.fault_cycles += cycles
-        return self.page_table.lookup(page), cycles
-
-    def ensure_mapped(self, vaddr: int, site: int = 0) -> float:
-        """Map the page backing ``vaddr`` if needed; return fault cycles."""
-        return self.ensure_translated(vaddr, site)[1]
-
-    def _supports_huge(self) -> bool:
-        # Only the radix tree stores 2 MB leaves; other mechanisms run
-        # with the SMALL policy in the paper's configuration.
-        return hasattr(self.page_table, "huge_mappings")
+        return cycles
 
     def _fault_small(self, page: int, site: int) -> float:
-        frame = self._retrying(self.allocator.alloc_frame, site=site)
+        try:
+            frame = self.allocator.alloc_frame(site)
+        except OutOfMemoryError:
+            frame = self._retrying(self.allocator.alloc_frame, site)
         # Installing the mapping may itself allocate page-table nodes.
-        self._retrying(self.page_table.map_page, page, frame, PAGE_SHIFT)
+        try:
+            self.page_table.map_page(page, frame, PAGE_SHIFT)
+        except OutOfMemoryError:
+            self._retrying(self.page_table.map_page, page, frame,
+                           PAGE_SHIFT)
         self._lru_frames.append(_FrameRecord(page, frame, huge=False))
         self.stats.minor_faults += 1
         return self.costs.minor_fault_cycles
 
-    def _retrying(self, operation, *args, **kwargs):
-        """Run an allocating operation, reclaiming memory on OOM.
+    def _retrying(self, operation, *args):
+        """Retry an allocating operation that just ran out of memory,
+        reclaiming one mapping before each attempt.
 
         ``_reclaim_one`` raises when nothing is left to evict, which
         bounds the loop.
         """
         while True:
+            self._reclaim_one()
             try:
-                return operation(*args, **kwargs)
+                return operation(*args)
             except OutOfMemoryError:
-                self._reclaim_one()
+                pass
 
     @property
     def resident_records(self) -> int:
@@ -299,8 +319,12 @@ class OSMemoryManager:
                 return cycles + self._fault_small(page, site)
 
         base_page = region << (HUGE_PAGE_SHIFT - PAGE_SHIFT)
-        self._retrying(self.page_table.map_page, base_page, first_frame,
-                       HUGE_PAGE_SHIFT)
+        try:
+            self.page_table.map_page(base_page, first_frame,
+                                     HUGE_PAGE_SHIFT)
+        except OutOfMemoryError:
+            self._retrying(self.page_table.map_page, base_page,
+                           first_frame, HUGE_PAGE_SHIFT)
         self._lru_frames.append(
             _FrameRecord(base_page, first_frame, huge=True))
         self.stats.huge_faults += 1

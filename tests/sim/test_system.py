@@ -1,8 +1,15 @@
 """Tests for system assembly (Table I wiring, prefault warmup)."""
 
+import gc
+
+import pytest
+
 from repro.mem.dram import DDR4_2400, HBM2
+from repro.sim import runner
 from repro.sim.config import cpu_config, ndp_config
+from repro.sim.core_model import Core
 from repro.sim.system import System
+from repro.vm.os_model import OSMemoryManager, _FrameRecord
 
 FAST = dict(workload="rnd", refs_per_core=300, scale=1 / 64)
 
@@ -73,3 +80,39 @@ class TestPrefault:
         system = System(ndp_config(mechanism="hugepage",
                                    thp_promotion_fraction=1.0, **FAST))
         assert system.page_table.huge_mappings > 0
+
+
+def _leftovers(config):
+    """Cores, OS managers and frame records still alive after a
+    finished System is dropped, with the cyclic collector paused."""
+    tracked = (Core, OSMemoryManager, _FrameRecord)
+
+    def live():
+        return sum(type(obj) in tracked for obj in gc.get_objects())
+
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = live()
+        system = System(config)
+        runner.collect(system, system.run())
+        del system
+        return live() - before
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+class TestLifetime:
+    """The cyclic GC never frees a finished System: refcounting does."""
+
+    @pytest.mark.parametrize("config", [
+        ndp_config(workload="bc", mechanism="radix", refs_per_core=3000),
+        ndp_config(workload="rnd", mechanism="radix", num_cores=4,
+                   refs_per_core=1000, scale=1 / 64),
+        ndp_config(workload="xs", mechanism="ndpage", num_cores=2,
+                   tenants=2, refs_per_core=2000, scale=1 / 64),
+    ], ids=["fig12-cell", "radix-4c", "ndpage-2t-2c"])
+    def test_finished_system_freed_by_refcount(self, config):
+        assert _leftovers(config) == 0

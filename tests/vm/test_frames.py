@@ -1,15 +1,23 @@
 """Tests for the physical frame allocator and its contiguity model."""
 
+import gc
+from collections import deque
+from typing import Deque, Dict, Optional
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.vm.address import HUGE_PAGE_SIZE, PAGE_SIZE
 from repro.vm.frames import (
     FRAMES_PER_BLOCK,
+    AllocatorStats,
     FrameAllocator,
     OutOfMemoryError,
+    _PartialBlock,
 )
 
 MIB = 1024 ** 2
+GIB = 1024 ** 3
 
 
 class TestBasicAllocation:
@@ -219,3 +227,292 @@ class TestCompaction:
     def test_compaction_counted(self, allocator):
         allocator.compact()
         assert allocator.stats.compactions == 1
+
+
+# -- differential test against the eager allocator ---------------------------
+#
+# The allocator used to materialize every block at boot: a Python loop
+# over all usable blocks and one _PartialBlock per boot-fragmented one.
+# It is kept here verbatim (docstrings dropped) as the reference model
+# for the lazy allocator, which must return the same frames and report
+# the same capacity after every operation — including the double count
+# of a fragmented block being carved, which frame_pressure inherits.
+
+class _EagerPartialBlock:
+    """The old _PartialBlock."""
+
+    __slots__ = ("first_frame", "next_offset")
+
+    def __init__(self, first_frame: int):
+        self.first_frame = first_frame
+        self.next_offset = 0
+
+    @property
+    def exhausted(self) -> bool:
+        return self.next_offset >= FRAMES_PER_BLOCK
+
+    def take(self) -> int:
+        frame = self.first_frame + self.next_offset
+        self.next_offset += 1
+        return frame
+
+
+class EagerFrameAllocator:
+    """The old FrameAllocator: every block materialized at boot."""
+
+    def __init__(self, phys_bytes: int, reserved_bytes: Optional[int] = None,
+                 compaction_efficiency: float = 0.5,
+                 fragmentation: float = 0.0):
+        if phys_bytes < HUGE_PAGE_SIZE:
+            raise ValueError("physical memory smaller than one 2 MB block")
+        if not 0.0 <= fragmentation < 1.0:
+            raise ValueError("fragmentation must be in [0, 1)")
+        if reserved_bytes is None:
+            reserved_bytes = phys_bytes // 50
+        self.phys_bytes = phys_bytes
+        self.compaction_efficiency = compaction_efficiency
+        self.fragmentation = fragmentation
+        self.num_frames = phys_bytes // PAGE_SIZE
+        self.num_blocks = self.num_frames // FRAMES_PER_BLOCK
+        reserved_blocks = -(-reserved_bytes // HUGE_PAGE_SIZE)
+        if reserved_blocks >= self.num_blocks:
+            raise ValueError("reservation swallows all physical memory")
+        usable = range(reserved_blocks, self.num_blocks)
+        self._free_blocks: Deque[int] = deque()
+        self._fragmented: Deque[_EagerPartialBlock] = deque()
+        for i, block in enumerate(usable):
+            # Evenly interleave fragmented blocks at the requested rate.
+            if int(i * fragmentation) < int((i + 1) * fragmentation):
+                partial = _EagerPartialBlock(block * FRAMES_PER_BLOCK)
+                partial.next_offset = FRAMES_PER_BLOCK // 2  # boot noise
+                self._fragmented.append(partial)
+            else:
+                self._free_blocks.append(block)
+        self._partials: Dict[int, _EagerPartialBlock] = {}
+        self._free_frames: Deque[int] = deque()  # frames returned by free()
+        self.stats = AllocatorStats()
+
+    # -- capacity inspection --------------------------------------------------
+
+    @property
+    def free_block_count(self) -> int:
+        return len(self._free_blocks)
+
+    @property
+    def free_frames(self) -> int:
+        partial = sum(FRAMES_PER_BLOCK - p.next_offset
+                      for p in self._partials.values())
+        fragmented = sum(FRAMES_PER_BLOCK - p.next_offset
+                         for p in self._fragmented)
+        return (len(self._free_blocks) * FRAMES_PER_BLOCK
+                + partial + fragmented + len(self._free_frames))
+
+    @property
+    def scattered_free_frames(self) -> int:
+        return self.free_frames - len(self._free_blocks) * FRAMES_PER_BLOCK
+
+    @property
+    def free_fraction(self) -> float:
+        if self.num_frames == 0:
+            return 0.0
+        return self.free_frames / self.num_frames
+
+    @property
+    def pressure(self) -> float:
+        return 1.0 - self.free_fraction
+
+    @property
+    def movable_scattered_frames(self) -> int:
+        partial = sum(FRAMES_PER_BLOCK - p.next_offset
+                      for site, p in self._partials.items()
+                      if not self._is_fragmented(p))
+        return partial + len(self._free_frames)
+
+    def _is_fragmented(self, partial: _EagerPartialBlock) -> bool:
+        return any(p is partial for p in self._fragmented)
+
+    # -- allocation -----------------------------------------------------------
+
+    def alloc_frame(self, site: int = 0) -> int:
+        if self._free_frames:
+            self.stats.small_allocs += 1
+            return self._free_frames.popleft()
+        partial = self._partials.get(site)
+        if partial is None or partial.exhausted:
+            partial = self._open_block(site)
+        self.stats.small_allocs += 1
+        return partial.take()
+
+    def _open_block(self, site: int) -> _EagerPartialBlock:
+        # Prefer boot-fragmented blocks for small allocations: their
+        # contiguity is already lost, so spending them preserves whole
+        # blocks for 2 MB requests (Linux's grouping-by-mobility).
+        while self._fragmented:
+            partial = self._fragmented[0]
+            if partial.exhausted:
+                self._fragmented.popleft()
+                continue
+            self._partials[site] = partial
+            return partial
+        if not self._free_blocks:
+            # Steal leftover room from the least-drained other partial.
+            best = None
+            for other in self._partials.values():
+                if not other.exhausted and (
+                        best is None
+                        or other.next_offset < best.next_offset):
+                    best = other
+            if best is not None:
+                self._partials[site] = best
+                return best
+            raise OutOfMemoryError("no free 4 KB frame")
+        block = self._free_blocks.popleft()
+        partial = _EagerPartialBlock(block * FRAMES_PER_BLOCK)
+        self._partials[site] = partial
+        return partial
+
+    def alloc_huge(self, site: int = 0) -> Optional[int]:
+        if not self._free_blocks:
+            self.stats.huge_failures += 1
+            return None
+        block = self._free_blocks.popleft()
+        self.stats.huge_allocs += 1
+        return block * FRAMES_PER_BLOCK
+
+    def free_frame(self, frame: int) -> None:
+        if not 0 <= frame < self.num_frames:
+            raise ValueError(f"frame {frame} out of range")
+        self.stats.frees += 1
+        self._free_frames.append(frame)
+
+    def free_block(self, first_frame: int) -> None:
+        if first_frame % FRAMES_PER_BLOCK != 0:
+            raise ValueError(
+                f"frame {first_frame} is not 2 MB block-aligned")
+        if not 0 <= first_frame < self.num_frames:
+            raise ValueError(f"frame {first_frame} out of range")
+        self.stats.frees += 1
+        self._free_blocks.append(first_frame // FRAMES_PER_BLOCK)
+
+    def compact(self) -> int:
+        self.stats.compactions += 1
+        reclaimable = int(self.movable_scattered_frames
+                          * self.compaction_efficiency)
+        blocks = reclaimable // FRAMES_PER_BLOCK
+        if blocks == 0:
+            return 0
+        # Drain scattered pools to represent the coalesced memory.
+        drained = 0
+        while self._free_frames and drained < blocks * FRAMES_PER_BLOCK:
+            self._free_frames.popleft()
+            drained += 1
+        for site in list(self._partials):
+            if drained >= blocks * FRAMES_PER_BLOCK:
+                break
+            partial = self._partials[site]
+            if self._is_fragmented(partial):
+                continue  # pinned by unmovable boot allocations
+            room = FRAMES_PER_BLOCK - partial.next_offset
+            take = min(room, blocks * FRAMES_PER_BLOCK - drained)
+            partial.next_offset += take
+            drained += take
+        # The recovered blocks come from imaginary coalesced regions at
+        # block granularity; hand back synthetic block numbers from the
+        # tail of physical memory that were previously fragmented.
+        base = self.num_blocks - blocks
+        for i in range(blocks):
+            self._free_blocks.append(base + i)
+        self.stats.blocks_recovered += blocks
+        return blocks
+
+
+#: One allocator operation: ("alloc", site, count) runs alloc_frame
+#: count times, ("huge", site), ("free", pick), ("free_block", pick)
+#: and ("compact",).  ``pick`` indexes the frames handed out so far,
+#: or is a raw (possibly invalid) frame when there are none.
+OPS = st.one_of(
+    st.tuples(st.just("alloc"), st.integers(0, 2), st.integers(1, 700)),
+    st.tuples(st.just("huge"), st.integers(0, 2)),
+    st.tuples(st.just("free"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("free_block"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("compact")),
+)
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except (OutOfMemoryError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _capacity(alloc):
+    return (alloc.free_frames, alloc.free_block_count,
+            alloc.scattered_free_frames, alloc.movable_scattered_frames,
+            alloc.stats)
+
+
+def _apply(alloc, op, small, huge):
+    """Run ``op``; return the outcomes of its allocator calls."""
+    kind = op[0]
+    if kind == "alloc":
+        outcomes = [_outcome(lambda: alloc.alloc_frame(op[1]))
+                    for _ in range(op[2])]
+        small.extend(value for status, value in outcomes
+                     if status == "ok")
+        return outcomes
+    if kind == "huge":
+        outcome = _outcome(lambda: alloc.alloc_huge(op[1]))
+        if outcome[1] is not None:
+            huge.append(outcome[1])
+        return [outcome]
+    if kind == "free":
+        frame = small.pop(op[1] % len(small)) if small else op[1]
+        return [_outcome(lambda: alloc.free_frame(frame))]
+    if kind == "free_block":
+        first = huge.pop(op[1] % len(huge)) if huge else op[1]
+        return [_outcome(lambda: alloc.free_block(first))]
+    return [_outcome(alloc.compact)]
+
+
+class TestLazyBootDifferential:
+    @given(blocks=st.integers(1, 24),
+           tail_frames=st.integers(0, FRAMES_PER_BLOCK - 1),
+           reserved=st.one_of(st.none(),
+                              st.integers(0, 4 * HUGE_PAGE_SIZE)),
+           fragmentation=st.floats(0.0, 0.9),
+           ops=st.lists(OPS, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_eager_allocator(self, blocks, tail_frames, reserved,
+                                     fragmentation, ops):
+        phys = blocks * HUGE_PAGE_SIZE + tail_frames * PAGE_SIZE
+        boot = [_outcome(lambda: cls(phys, reserved_bytes=reserved,
+                                     fragmentation=fragmentation))
+                for cls in (EagerFrameAllocator, FrameAllocator)]
+        assert boot[0][0] == boot[1][0]
+        if boot[0][0] != "ok":
+            assert boot[0] == boot[1]
+            return
+        eager, lazy = boot[0][1], boot[1][1]
+        assert _capacity(lazy) == _capacity(eager)
+        handed = ([], []), ([], [])
+        for op in ops:
+            assert (_apply(lazy, op, *handed[1])
+                    == _apply(eager, op, *handed[0])), op
+            assert _capacity(lazy) == _capacity(eager), op
+
+    def test_boot_builds_no_partial_blocks(self):
+        gc.collect()
+
+        def partial_blocks():
+            return sum(type(obj) is _PartialBlock
+                       for obj in gc.get_objects())
+
+        before = partial_blocks()
+        alloc = FrameAllocator(16 * GIB, fragmentation=0.55)
+        assert partial_blocks() == before
+        eager = EagerFrameAllocator(16 * GIB, fragmentation=0.55)
+        assert alloc.free_frames == eager.free_frames
+        assert alloc.free_block_count == eager.free_block_count
+        alloc.alloc_frame()
+        assert partial_blocks() == before + 1  # the opened head only

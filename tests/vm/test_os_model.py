@@ -1,5 +1,7 @@
 """Tests for the OS memory manager: demand paging, THP, reclaim."""
 
+import random
+
 import pytest
 
 from repro.vm.address import HUGE_PAGE_SHIFT, PAGE_SIZE
@@ -316,6 +318,66 @@ class TestEchRehashCharging:
                           * os.costs.ech_rehash_cycles_per_entry)
         assert total == pytest.approx(base + expected_extra)
         assert expected_extra > 0
+
+
+def _radix_small():
+    return make_os(phys=8 * MIB)
+
+
+def _radix_thp():
+    return make_os(phys=16 * MIB, policy=PagingPolicy.HUGE, frag=0.5,
+                   promo=0.75)
+
+
+def _ech():
+    allocator = FrameAllocator(8 * MIB)
+    table = ElasticCuckooPageTable(allocator, initial_entries=64,
+                                   resize_threshold=0.5)
+    return OSMemoryManager(allocator, table)
+
+
+class TestFaultEntryPoints:
+    """``ensure_mapped`` (the prefault's call) and
+    ``ensure_translated`` (the MMU's) share one fault path."""
+
+    @pytest.mark.parametrize("build", [_radix_small, _radix_thp, _ech])
+    def test_mapped_and_translated_agree(self, build):
+        # A footprint of 4096 pages over 8-16 MB of memory: faults,
+        # THP compaction and fallback, ECH growth and FIFO reclaim.
+        rng = random.Random(11)
+        addrs = [rng.randrange(4096) * PAGE_SIZE + rng.randrange(PAGE_SIZE)
+                 for _ in range(6000)]
+        mapped, translated = build(), build()
+        for addr in addrs:
+            cycles = mapped.ensure_mapped(addr, site=addr % 3)
+            translation, expected = translated.ensure_translated(
+                addr, site=addr % 3)
+            assert cycles == expected
+            assert translation == translated.page_table.lookup(
+                addr // PAGE_SIZE)
+        assert mapped.stats == translated.stats
+        assert translated.stats.reclaims > 0
+        for page in range(4096):
+            assert (mapped.page_table.lookup(page)
+                    == translated.page_table.lookup(page))
+        assert (mapped.allocator.free_frames
+                == translated.allocator.free_frames)
+
+    def test_first_touch_mapped_does_one_lookup(self):
+        os = make_os()
+        table = os.page_table
+        lookup = table.lookup
+        calls = []
+
+        def counting(page):
+            calls.append(page)
+            return lookup(page)
+
+        table.lookup = counting
+        assert os.ensure_mapped(0x1000_0000) > 0
+        assert calls == [0x1000_0000 // PAGE_SIZE]
+        assert os.ensure_mapped(0x1000_0008) == 0.0
+        assert len(calls) == 2
 
 
 class TestHelpers:
