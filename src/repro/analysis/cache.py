@@ -48,7 +48,7 @@ from repro.sim.runner import RunResult
 #: perturbs simulated statistics (i.e. whenever the golden values in
 #: tests/sim/test_golden_stats.py move); cached results from older
 #: tags are then ignored.  Pure speedups keep the tag.
-CODE_VERSION = "sim-v2"
+CODE_VERSION = "sim-v3"
 
 #: On-disk format version of the cache entries themselves.  v2 added
 #: the per-entry payload checksum; entries in any other format are

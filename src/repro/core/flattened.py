@@ -127,7 +127,6 @@ class FlattenedPageTable(PageTable):
             raise MappingError(f"page {page:#x} already mapped")
         flat.entries[index] = Translation(pfn, PAGE_SHIFT)
         self._mapped_pages += 1
-        self.structure_version += 1
 
     def unmap_page(self, page: int) -> None:
         flat = self._flat_node_for(page, create=False)
@@ -135,7 +134,6 @@ class FlattenedPageTable(PageTable):
             raise MappingError(f"page {page:#x} not mapped")
         del flat.entries[flat_index(page)]
         self._mapped_pages -= 1
-        self.structure_version += 1
 
     def walk_stages(self, page: int) -> List[List[WalkStage]]:
         node = self._root

@@ -110,7 +110,6 @@ class UpperFlattenedPageTable(PageTable):
             raise MappingError(f"page {page:#x} already mapped")
         pl1.entries[idx1] = Translation(pfn, PAGE_SHIFT)
         self._mapped += 1
-        self.structure_version += 1
 
     def unmap_page(self, page: int) -> None:
         pl1 = self._pl1_for(page, create=False)
@@ -119,7 +118,6 @@ class UpperFlattenedPageTable(PageTable):
             raise MappingError(f"page {page:#x} not mapped")
         del pl1.entries[idx1]
         self._mapped -= 1
-        self.structure_version += 1
 
     def walk_stages(self, page: int) -> List[List[WalkStage]]:
         idx4 = level_index(page, 4)

@@ -90,7 +90,7 @@ class DramStats:
     """
 
     __slots__ = ("kind_counts", "writes", "row_hits", "row_misses",
-                 "queue_delay", "service_latency")
+                 "queue_delay")
 
     def __init__(self):
         self.kind_counts: List[int] = [0] * len(KIND_BY_INDEX)
@@ -98,7 +98,6 @@ class DramStats:
         self.row_hits = 0
         self.row_misses = 0
         self.queue_delay = LatencyStats()
-        self.service_latency = LatencyStats()
 
     @property
     def accesses_by_kind(self) -> Dict[RequestKind, int]:
@@ -119,7 +118,6 @@ class DramStats:
         self.row_hits = 0
         self.row_misses = 0
         self.queue_delay.reset()
-        self.service_latency.reset()
 
     def merge(self, other: "DramStats") -> None:
         """Fold another device's counters in (per-node NUMA DRAMs are
@@ -130,7 +128,6 @@ class DramStats:
         self.row_hits += other.row_hits
         self.row_misses += other.row_misses
         self.queue_delay.merge(other.queue_delay)
-        self.service_latency.merge(other.service_latency)
 
 
 class _Bank:
@@ -252,18 +249,12 @@ class DramModel:
         stats.kind_counts[kind] += 1
         if is_write:
             stats.writes += 1
-        total = queue_delay + service
         queue_stats = stats.queue_delay
         queue_stats.total += queue_delay
         queue_stats.count += 1
         if queue_delay > queue_stats.maximum:
             queue_stats.maximum = queue_delay
-        service_stats = stats.service_latency
-        service_stats.total += total
-        service_stats.count += 1
-        if total > service_stats.maximum:
-            service_stats.maximum = total
-        return total
+        return queue_delay + service
 
     def drain_write_fast(self, now: float, paddr: int, kind: int) -> None:
         """Account a write-back: occupies the bank but nobody waits on it."""

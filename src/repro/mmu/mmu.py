@@ -135,9 +135,8 @@ class Mmu:
         """L1-DTLB miss: 2 MB L1 / L2 TLBs, then fault + walk.
 
         ``page`` is the ASID-tagged key (tag 0 single-process); the
-        page table and walker plan memo work on the untagged VPN —
-        each tenant has its own table, so tags would only split the
-        memo for nothing.
+        page table works on the untagged VPN (each tenant has its own
+        table) and the walker tags PWC keys itself.
         """
         stats = self.stats
         translation, latency = \
@@ -150,11 +149,10 @@ class Mmu:
                     | (vaddr & ((1 << shift) - 1)),
                     latency, 0.0, True, False)
 
-        # Full TLB miss: resolve any fault, then walk.  The walker's
-        # plan memo resolves the PTE access plan and the translation in
-        # one table descent; only an actual fault (plan_info None)
-        # takes the OS path, after which the page is mapped and the
-        # plan resolves.
+        # Full TLB miss: resolve any fault, then walk.  The walker
+        # resolves the PTE access plan and the translation in one table
+        # descent; only an actual fault (plan_info None) takes the OS
+        # path, after which the page is mapped and the plan resolves.
         walker = self.walker
         vpn = page & ASID_KEY_MASK
         plan = walker.plan_info(vpn)

@@ -15,11 +15,12 @@ memory traffic:
 A walk is two calls: :meth:`PageTableWalker.plan_info` resolves a
 page's *walk plan* (PTE addresses, PWC prefixes and per-level
 bypass/PWC treatment) and its translation in one table descent, and
-:meth:`PageTableWalker.walk_from_plan` times it.  Plans are a pure
-function of the table structure, so the walker memoizes them per page
-until the table's :attr:`~repro.vm.base.PageTable.structure_version`
-moves.  The flat (one step per stage) path inlines the PWC probe and
-the L1 metadata hit, falling back to the hierarchy's positional
+:meth:`PageTableWalker.walk_from_plan` times it.  Plans are not
+memoized: walk streams are too irregular for a plan cache to pay, so
+every walk descends the table afresh.  Under multiprogramming the
+walker ORs its tenant's ASID tag into each PWC key as it probes.  The
+flat (one step per stage) path inlines the PWC probe and the L1
+metadata hit, falling back to the hierarchy's positional
 ``access_fast`` on cache misses; the staged path (parallel probes)
 runs :meth:`PageTableWalker._probe_single_step` and ``access_fast``
 per step.  No ``WalkStage`` traversal or tuple-key hashing happens
@@ -34,41 +35,34 @@ probe-then-fill sequence would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.bypass import BypassPolicy, NoBypass
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.request import KIND_METADATA
 from repro.mmu.pwc import PwcSet
-from repro.sim.stats import LatencyStats
 from repro.vm.address import asid_tag
 from repro.vm.base import PageTable
-
-#: Plan-memo bound; the memo is cleared wholesale when it fills.  High
-#: enough that steady-state walks of a hot page set always hit, low
-#: enough that a page-churning run cannot grow without bound.
-_PLAN_CACHE_LIMIT = 1 << 16
 
 
 @dataclass(slots=True)
 class WalkerStats:
+    """Walk counts; walk latency is the MMU's (``MmuStats``)."""
+
     walks: int = 0
     memory_accesses: int = 0
-    latency: LatencyStats = field(default_factory=LatencyStats)
 
     def reset(self) -> None:
         self.walks = 0
         self.memory_accesses = 0
-        self.latency.reset()
 
 
 class PageTableWalker:
     """One core's PTW engine."""
 
     __slots__ = ("table", "hierarchy", "core_id", "pwcs", "bypass",
-                 "asid_tag", "stats", "_level_info", "_plan_cache",
-                 "_plan_cache_version", "_l1")
+                 "asid_tag", "stats", "_level_info", "_l1")
 
     def __init__(self, table: PageTable, hierarchy: MemoryHierarchy,
                  core_id: int, pwcs: Optional[PwcSet] = None,
@@ -79,17 +73,16 @@ class PageTableWalker:
         self.pwcs = pwcs
         self.bypass = bypass if bypass is not None else NoBypass()
         # Non-zero when this walker serves one tenant of a multi-process
-        # run: PWC keys in memoized plans get the tag ORed in, so
+        # run: every PWC key gets the tag ORed in as it is probed, so
         # co-runners sharing the per-core PWCs never alias prefixes.
+        # The tag sits above the prefix bits, so set indexing (``key %
+        # num_sets``) is unchanged; tag 0 leaves keys as they are.
         self.asid_tag = asid_tag(asid)
         self.stats = WalkerStats()
         # level -> (bypass_flag, pwc_cache_or_None): bypass policies are
         # pure per level name and the PWC set is fixed, so both halves
         # of a stage's treatment are memoized.
         self._level_info: Dict[str, tuple] = {}
-        # page -> (raw_plan, translation); see plan_info.
-        self._plan_cache: Dict[int, tuple] = {}
-        self._plan_cache_version = -1
         # This core's L1, for the inlined metadata-hit fast path.
         self._l1 = hierarchy.l1ds[core_id]
 
@@ -109,57 +102,17 @@ class PageTableWalker:
         return info
 
     def plan_info(self, page: int) -> Optional[tuple]:
-        """Memoized ``(flat, staged, translation)`` for ``page`` (see
-        :meth:`PageTable.walk_info_decorated` for the plan shapes).
+        """``(flat, staged, translation)`` for ``page`` from one table
+        descent (see :meth:`PageTable.walk_info_decorated` for the plan
+        shapes), or None when the page is unmapped.
 
-        Pure in the table structure (invalidated when
-        ``table.structure_version`` moves).  Returns None when the page
-        is unmapped — unmapped results are not cached, as the caller
-        typically faults the page in and retries.  Carrying the
-        translation here spares the MMU a second table descent per
+        Resolved afresh on every walk: walks revisit too few pages for
+        a per-page plan cache to pay for the memory it holds.  Carrying
+        the translation here spares the MMU a second table descent per
         walk.
         """
-        version = self.table.structure_version
-        cache = self._plan_cache
-        if version != self._plan_cache_version:
-            cache.clear()
-            self._plan_cache_version = version
-        plan = cache.get(page)
-        if plan is None:
-            plan = self.table.walk_info_decorated(
-                page, self._level_info, self._level_info_for)
-            if plan is None:
-                return None
-            if self.asid_tag:
-                plan = self._tag_plan(plan)
-            if len(cache) >= _PLAN_CACHE_LIMIT:
-                cache.clear()
-            cache[page] = plan
-        return plan
-
-    def _tag_plan(self, plan: tuple) -> tuple:
-        """OR this walker's ASID tag into every PWC key of a plan.
-
-        Runs once per memoized plan (never per walk) and only for
-        tenants with a non-zero ASID; the tag sits above the prefix
-        bits, so set indexing (``key % num_sets``) is unchanged and
-        co-runners' identical prefixes stay distinct in the tag match.
-        """
-        tag = self.asid_tag
-        flat, staged, translation = plan
-
-        def tag_step(step: tuple) -> tuple:
-            key = step[3]
-            if key is None:
-                return step
-            return (step[0], step[1], step[2], key | tag, step[4])
-
-        if flat is not None:
-            return (tuple(tag_step(s) for s in flat), None, translation)
-        return (None,
-                tuple(tuple(tag_step(s) for s in stage)
-                      for stage in staged),
-                translation)
+        return self.table.walk_info_decorated(
+            page, self._level_info, self._level_info_for)
 
     def walk_from_plan(self, now: float, flat: Optional[tuple],
                        staged: Optional[tuple]) -> float:
@@ -174,7 +127,6 @@ class PageTableWalker:
         if flat is None:
             return self._walk_staged(now, staged)
         if not flat:  # ideal table: nothing to fetch
-            stats.latency.record(0.0)
             return 0.0
 
         # Probe every level's PWC (hardware probes them in parallel)
@@ -185,12 +137,15 @@ class PageTableWalker:
         start = 0
         pwcs = self.pwcs
         if pwcs is not None:
+            tag = self.asid_tag
             index = 0
             for step in flat:
                 pwc = step[2]  # (sets, num_sets, assoc, stats)
                 if pwc is not None:
                     key = step[3]
                     if key is not None:
+                        if tag:
+                            key |= tag
                         pwc_set = pwc[0][key % pwc[1]]
                         if key in pwc_set:
                             pwc[3].hits += 1
@@ -238,14 +193,8 @@ class PageTableWalker:
                 clock, pte_paddr, KIND_METADATA, 0, core_id, bypass_l1)
             accesses += 1
 
-        latency = clock - now
         stats.memory_accesses += accesses
-        latency_stats = stats.latency
-        latency_stats.total += latency
-        latency_stats.count += 1
-        if latency > latency_stats.maximum:
-            latency_stats.maximum = latency
-        return latency
+        return clock - now
 
     def _probe_single_step(self, step: tuple) -> bool:
         """Fused PWC probe+fill for one decorated step; True on a hit.
@@ -260,6 +209,8 @@ class PageTableWalker:
         key = step[3]
         if key is None:
             return False
+        if self.asid_tag:
+            key |= self.asid_tag
         pwc_set = pwc[0][key % pwc[1]]
         if key in pwc_set:
             pwc[3].hits += 1
@@ -277,9 +228,7 @@ class PageTableWalker:
         Same semantics as the flat path; ``stats.walks`` was already
         counted by the caller.
         """
-        stats = self.stats
         if not staged:
-            stats.latency.record(0.0)
             return 0.0
 
         start = 0
@@ -309,11 +258,5 @@ class PageTableWalker:
                 accesses += 1
             clock += stage_latency
 
-        latency = clock - now
-        stats.memory_accesses += accesses
-        latency_stats = stats.latency
-        latency_stats.total += latency
-        latency_stats.count += 1
-        if latency > latency_stats.maximum:
-            latency_stats.maximum = latency
-        return latency
+        self.stats.memory_accesses += accesses
+        return clock - now

@@ -16,20 +16,22 @@ The model is deliberately simple — mechanistic, like Sniper's interval
 core — because every compared mechanism runs on the *same* core model
 and only the translation path differs.
 
-Hot-path design: a core is fed whole reference chunks, handed over by
-:meth:`repro.workloads.base.Workload.stream_chunks` as plain lists with
-precomputed VPN and line-address arrays.  :meth:`Core.step_until`
-advances through as many references as its caller's time bound (and
-optional reference budget) allows — resuming mid-chunk via a persistent
-cursor and refilling across chunk boundaries — inlining the
-L1-DTLB-hit + L1-cache-hit fast path and falling back to the shared
-slow paths (``Mmu._translate_slow``, ``MemoryHierarchy.access_fast``)
-only on misses, so the common reference allocates nothing and crosses
-no function-call boundary.  Single-core engines call it once with an
-infinite bound; the multi-core run-ahead engines call it with the next
-other-core event time as the bound (see :mod:`repro.sim.engine`).
-:meth:`Core.step` remains the one-reference entry point (the debug
-reference engine) and produces bit-identical statistics.
+Hot-path design: a core is fed whole reference chunks of plain lists
+with precomputed VPN and line-address arrays, each made from one numpy
+batch of :meth:`repro.workloads.base.Workload.stream_chunks` by
+:func:`repro.workloads.base.core_chunk` as the core reaches it.
+:meth:`Core.step_until` advances through as many references as its
+caller's time bound (and optional reference budget) allows — resuming
+mid-chunk via a persistent cursor and refilling across chunk
+boundaries — inlining the L1-DTLB-hit + L1-cache-hit fast path and
+falling back to the shared slow paths (``Mmu._translate_slow``,
+``MemoryHierarchy.access_fast``) only on misses, so the common
+reference allocates nothing and crosses no function-call boundary.
+Single-core engines call it once with an infinite bound; the
+multi-core run-ahead engines call it with the next other-core event
+time as the bound (see :mod:`repro.sim.engine`).  :meth:`Core.step`
+remains the one-reference entry point (the debug reference engine) and
+produces bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -76,8 +78,11 @@ class Core:
     writes, vpns, vlines)`` chunks — equal length plain lists, where
     ``vpns[i] == (addrs[i] & VA_MASK) >> PAGE_SHIFT`` and ``vlines[i]
     == addrs[i] >> LINE_SHIFT`` (the numpy-precomputed probe keys of
-    :meth:`repro.workloads.base.Workload.stream_chunks`, built by
-    :func:`repro.workloads.base.chunk_probe_keys`).
+    :func:`repro.workloads.base.chunk_probe_keys`).  The system builds
+    them lazily, one chunk at a time, by mapping
+    :func:`repro.workloads.base.core_chunk` over the workload's numpy
+    batches, so a core holds the lists of one chunk, not of its whole
+    stream.
     """
 
     def __init__(self, core_id: int, mmu: Mmu, hierarchy: MemoryHierarchy,

@@ -445,10 +445,10 @@ def quantum_chunks(chunks, quantum: int):
     Keeps chunk handover aligned to time slices — including when the
     quantum exceeds the workload's generation batch (cumulative
     boundaries like 8192+1808 for a 10000-ref quantum).  Works on any
-    chunk arity (``(addrs, writes)`` or the preprocessed
-    ``(addrs, writes, vpns, vlines)`` tuples); pure list slicing on
-    already-generated chunks, so the underlying RNG draw sequence is
-    untouched.
+    chunk arity and on numpy or list fields (the system slices
+    :meth:`~repro.workloads.base.Workload.stream_chunks`' numpy pairs
+    before any list exists); pure slicing of already-generated chunks,
+    so the underlying RNG draw sequence is untouched.
     """
     used = 0
     for chunk in chunks:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.mechanisms import MechanismSpec, get_mechanism
@@ -49,7 +50,7 @@ from repro.vm.address import HUGE_PAGE_SHIFT, PAGE_SHIFT
 from repro.vm.base import PageTable
 from repro.vm.frames import FrameAllocator
 from repro.vm.os_model import OSMemoryManager
-from repro.workloads.base import CHUNK_REFS, Workload
+from repro.workloads.base import CHUNK_REFS, Workload, core_chunk
 from repro.workloads.registry import make_workload
 
 
@@ -96,9 +97,10 @@ class System:
             thp_promotion_fraction=config.thp_promotion_fraction)
         self.hierarchy = self._build_hierarchy()
         # When the warmup replays the exact ROI stream (the default),
-        # the chunks materialized for prefaulting are handed to the
-        # cores afterwards, so each stream is generated once.  Bounded
-        # so huge sweeps do not hold every reference in memory.
+        # the numpy batches generated for prefaulting are kept (9 bytes
+        # per reference) and handed to the cores afterwards, so each
+        # stream is generated once.  Bounded so huge sweeps do not hold
+        # every reference in memory.
         self._replay_chunks: Optional[List[List[tuple]]] = None
         warmup = (config.refs_per_core if config.warmup_refs is None
                   else config.warmup_refs)
@@ -154,12 +156,8 @@ class System:
                 recording(core_id) for core_id in range(cfg.num_cores)
             ]
         else:
-            # Prefault only reads addresses: skip the VPN/line-array
-            # materialization the cores would need (no replay here —
-            # the ROI regenerates its own, fully decorated, streams).
             chunk_iters = [
-                self.workload.stream_chunks(core_id, warmup,
-                                            probe_keys=False)
+                self.workload.stream_chunks(core_id, warmup)
                 for core_id in range(cfg.num_cores)
             ]
         buffers: List[List[int]] = [[] for _ in range(cfg.num_cores)]
@@ -186,7 +184,7 @@ class System:
                         if nxt is None:
                             exhausted = True
                             break
-                        addrs = buffers[core_id] = nxt[0]
+                        addrs = buffers[core_id] = nxt[0].tolist()
                         pos = 0
                     stop = pos + quota
                     if stop > len(addrs):
@@ -284,11 +282,12 @@ class System:
         if self._replay_chunks is not None:
             # The warmup consumed (and recorded) the identical stream;
             # replay it instead of regenerating every numpy batch.
-            chunks = iter(self._replay_chunks[core_id])
+            source = self._replay_chunks[core_id]
         else:
-            chunks = self.workload.stream_chunks(
+            source = self.workload.stream_chunks(
                 core_id, cfg.refs_per_core)
-        core = Core(core_id, mmu, self.hierarchy, chunks,
+        core = Core(core_id, mmu, self.hierarchy,
+                    starmap(core_chunk, source),
                     gap_cycles=self.workload.gap_cycles,
                     mlp=cfg.core.mlp, issue_cycles=cfg.core.issue_cycles)
         self.pwc_sets.append(pwcs)
@@ -379,7 +378,7 @@ class System:
                 mmu = Mmu(slot_id, tlbs, walker, tenant.os,
                           ideal=self.spec.ideal, asid=tenant.asid)
                 if replay is not None:
-                    source = iter(replay[(tenant.asid, slot_id)])
+                    source = replay[(tenant.asid, slot_id)]
                 else:
                     source = tenant.workload.stream_chunks(
                         slot_id, cfg.refs_per_core,
@@ -387,8 +386,8 @@ class System:
                 # Align chunk boundaries to quantum multiples so chunk
                 # handover matches slice boundaries even when the
                 # quantum exceeds the generation batch.
-                chunks = quantum_chunks(
-                    source, tenant_quantum(params, tenant.asid))
+                chunks = starmap(core_chunk, quantum_chunks(
+                    source, tenant_quantum(params, tenant.asid)))
                 core = Core(slot_id, mmu, self.hierarchy, chunks,
                             gap_cycles=tenant.workload.gap_cycles,
                             mlp=cfg.core.mlp,
@@ -454,13 +453,10 @@ class System:
                  for tenant in tenants]
 
         def make_iter(tenant: Tenant, slot: int):
-            if replay is None:
-                # Address-only pass: no VPN/line materialization.
-                return tenant.workload.stream_chunks(
-                    slot, warmup, chunk_refs=feeds[tenant.asid],
-                    probe_keys=False)
             source = tenant.workload.stream_chunks(
                 slot, warmup, chunk_refs=feeds[tenant.asid])
+            if replay is None:
+                return source
             record = replay[(tenant.asid, slot)]
 
             def recording():
@@ -495,7 +491,7 @@ class System:
                         if nxt is None:
                             exhausted = True
                             break
-                        addrs = buffers[pair] = nxt[0]
+                        addrs = buffers[pair] = nxt[0].tolist()
                         pos = 0
                     stop = min(pos + quota, len(addrs))
                     pair_seen = None if seen is None else seen[pair]

@@ -53,12 +53,6 @@ class PageTable(ABC):
     #: Ordered level labels, root first (empty for hash-based tables).
     level_names: Tuple[str, ...] = ()
 
-    #: Monotonic counter every implementation bumps on any structural
-    #: change (map/unmap/resize).  Lets walkers memoize ``walk_stages``
-    #: results — the stages for a page are a pure function of the table
-    #: structure — and invalidate the memo when the structure moves.
-    structure_version: int = 0
-
     @abstractmethod
     def lookup(self, page: int) -> Optional[Translation]:
         """Translate 4 KB-granularity VPN ``page``; None if unmapped."""
@@ -132,9 +126,9 @@ class PageTable(ABC):
           None and ``staged`` is a tuple of stages, each a tuple of
           such steps.
 
-        Everything a walker needs per step is resolved once per
-        (page, table version) instead of per walk.  None when the page
-        is unmapped.
+        Walkers call this on every walk, so hot tables override it
+        with a single unrolled descent.  None when the page is
+        unmapped.
         """
         info = self.walk_info(page)
         if info is None:

@@ -140,7 +140,6 @@ class ElasticCuckooPageTable(PageTable):
         self.stats.inserts += 1
         self._insert(page, Translation(pfn, PAGE_SHIFT))
         self._mapped_pages += 1
-        self.structure_version += 1
         if self.load_factor > self._resize_threshold:
             self._resize()
 
@@ -163,7 +162,6 @@ class ElasticCuckooPageTable(PageTable):
 
     def _resize(self) -> None:
         self.stats.resizes += 1
-        self.structure_version += 1
         entries = [
             entry for way in self._ways for entry in way.slots.values()
         ]
@@ -182,7 +180,6 @@ class ElasticCuckooPageTable(PageTable):
             if entry is not None and entry[0] == page:
                 del way.slots[index]
                 self._mapped_pages -= 1
-                self.structure_version += 1
                 return
         raise MappingError(f"page {page:#x} not mapped")
 

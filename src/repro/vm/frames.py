@@ -137,15 +137,13 @@ class FrameAllocator:
     @property
     def free_frames(self) -> int:
         """Total free 4 KB frames, contiguous or not."""
+        # Several sites can carve one block (the opened fragmented
+        # head, a stolen partial); count each block once.  A head with
+        # room left is always some site's partial.
         partial = sum(FRAMES_PER_BLOCK - p.next_offset
-                      for p in self._partials.values())
-        # The opened head counts here *and* in every site carving it
-        # (a known double count that frame_pressure inherits).
+                      for p in set(self._partials.values()))
         fragmented = len(self._fragmented) * (FRAMES_PER_BLOCK
                                               - BOOT_NOISE_FRAMES)
-        head = self._fragmented_head
-        if head is not None:
-            fragmented += FRAMES_PER_BLOCK - head.next_offset
         return (len(self._free_blocks) * FRAMES_PER_BLOCK
                 + partial + fragmented + len(self._free_frames))
 

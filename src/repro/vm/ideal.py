@@ -40,13 +40,11 @@ class IdealPageTable(PageTable):
         if page in self._mappings:
             raise MappingError(f"page {page:#x} already mapped")
         self._mappings[page] = Translation(pfn, PAGE_SHIFT)
-        self.structure_version += 1
 
     def unmap_page(self, page: int) -> None:
         if page not in self._mappings:
             raise MappingError(f"page {page:#x} not mapped")
         del self._mappings[page]
-        self.structure_version += 1
 
     def walk_stages(self, page: int) -> List[List[WalkStage]]:
         if page not in self._mappings:

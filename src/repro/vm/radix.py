@@ -137,7 +137,6 @@ class RadixPageTable(PageTable):
             raise MappingError(f"page {page:#x} already mapped")
         entry.entries[idx1] = Translation(pfn, PAGE_SHIFT)
         self._mapped_pages += 1
-        self.structure_version += 1
 
     def _map_huge(self, page: int, pfn: int) -> None:
         if page % ENTRIES_PER_NODE != 0:
@@ -154,7 +153,6 @@ class RadixPageTable(PageTable):
             pfn >> (HUGE_PAGE_SHIFT - PAGE_SHIFT), HUGE_PAGE_SHIFT)
         self._mapped_pages += ENTRIES_PER_NODE
         self.huge_mappings += 1
-        self.structure_version += 1
 
     def unmap_page(self, page: int) -> None:
         node = self._root
@@ -168,13 +166,11 @@ class RadixPageTable(PageTable):
             del node.entries[idx2]
             self._mapped_pages -= ENTRIES_PER_NODE
             self.huge_mappings -= 1
-            self.structure_version += 1
             return
         if entry is None or level_index(page, 1) not in entry.entries:
             raise MappingError(f"page {page:#x} not mapped")
         del entry.entries[level_index(page, 1)]
         self._mapped_pages -= 1
-        self.structure_version += 1
 
     def walk_stages(self, page: int) -> List[List[WalkStage]]:
         stages: List[List[WalkStage]] = []

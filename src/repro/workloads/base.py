@@ -15,9 +15,10 @@ A workload exposes:
   (datasets are laid out densely in one arena, the way the real apps'
   init phases populate their heaps; this is what fills PL1/PL2);
 * ``stream_chunks(core_id, num_refs)`` — the deterministic per-core
-  reference stream in whole chunks of plain lists, with the probe keys
-  the core model's inlined hit loop consumes; ``stream`` is its
-  per-item ``(vaddr, is_write)`` view;
+  reference stream in whole numpy ``(addresses, writes)`` batches;
+  :func:`core_chunk` turns one into the plain-list chunk the core
+  model's inlined hit loop consumes, and ``stream`` is the per-item
+  ``(vaddr, is_write)`` view;
 * ``gap_cycles`` — non-memory instructions between references.
 """
 
@@ -58,11 +59,23 @@ def chunk_probe_keys(addrs: np.ndarray) -> Tuple[List[int], List[int]]:
     (``addr >> LINE_SHIFT``) of every reference — the two keys the
     inlined TLB/L1 hit probe in :meth:`repro.sim.core_model
     .Core.step_until` consumes.  The single definition of the chunk
-    layout contract: :meth:`Workload.stream_chunks` and every test
-    that builds chunks by hand derive through it.
+    layout contract: :func:`core_chunk` and every test that builds
+    chunks by hand derive through it.
     """
     return (((addrs & VA_MASK) >> PAGE_SHIFT).tolist(),
             (addrs >> LINE_SHIFT).tolist())
+
+
+def core_chunk(addrs: np.ndarray, writes: np.ndarray) -> tuple:
+    """The core's ``(addrs, writes, vpns, vlines)`` chunk of plain
+    lists for one numpy batch of :meth:`Workload.stream_chunks`.
+
+    Cores take their streams through this (``itertools.starmap``), so
+    the lists exist one chunk at a time while a batch waits as 9 bytes
+    of numpy per reference.
+    """
+    vpns, vlines = chunk_probe_keys(addrs)
+    return addrs.tolist(), writes.tolist(), vpns, vlines
 
 
 class Region(NamedTuple):
@@ -172,22 +185,19 @@ class Workload(ABC):
         """
 
     def stream_chunks(self, core_id: int, num_refs: int,
-                      chunk_refs: Optional[int] = None,
-                      probe_keys: bool = True
-                      ) -> Iterator[tuple]:
+                      chunk_refs: Optional[int] = None
+                      ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Deterministic reference stream, handed over in whole chunks.
 
-        Yields ``(addresses, writes, vpns, vlines)`` tuples of
-        equal-length plain Python lists (one per numpy batch), so the
-        simulator's chunked fast path consumes references without
-        per-item generator resumptions or tuple allocations.  The VPN
-        (``(addr & VA_MASK) >> PAGE_SHIFT``) and virtual line address
-        (``addr >> LINE_SHIFT``) arrays are computed here with numpy —
-        one vectorized pass per chunk — so the inlined TLB/L1 hit probe
-        in :meth:`repro.sim.core_model.Core.step_until` does no
-        per-reference shifting.  Cores sharing a workload instance
-        traverse the same dataset with different seeds (the paper's
-        multithreaded execution model).
+        Yields one ``(addresses, writes)`` pair of equal-length numpy
+        arrays (``writes`` as bool) per generation batch.  Consumers that
+        only read addresses call ``addresses.tolist()``; a core takes
+        each pair through :func:`core_chunk`, which adds the VPN and
+        line-address probe keys with one vectorized pass per chunk.  A
+        yielded pair is never written again, so it can be kept and
+        replayed.  Cores sharing a workload instance traverse the same
+        dataset with different seeds (the paper's multithreaded
+        execution model).
 
         ``chunk_refs`` overrides the default batch size: the scheduler
         feeds cores quantum-sized chunks so a time slice is a whole
@@ -195,11 +205,6 @@ class Workload(ABC):
         sequence, so a re-chunked stream is a *different* (equally
         deterministic) reference sequence — single-process runs always
         use the default and are unaffected.
-
-        ``probe_keys=False`` yields plain ``(addresses, writes)``
-        pairs instead — same addresses, no VPN/line materialization —
-        for consumers that only read addresses (the prefault warmup,
-        :meth:`stream`); a core needs the four-field form.
         """
         rng = np.random.default_rng(
             (self.seed * 1_000_003 + core_id) & 0xFFFFFFFF)
@@ -226,23 +231,15 @@ class Workload(ABC):
                 writes = writes.copy()
                 addrs[mask] = private.base + pages * 4096 + offsets
                 writes[mask] = rng.random(count) < 0.5
-            if probe_keys:
-                vpns, vlines = chunk_probe_keys(addrs)
-                yield (addrs.tolist(),
-                       np.asarray(writes, dtype=bool).tolist(),
-                       vpns, vlines)
-            else:
-                yield (addrs.tolist(),
-                       np.asarray(writes, dtype=bool).tolist())
+            yield addrs, np.asarray(writes, dtype=bool)
             remaining -= batch
 
     def stream(self, core_id: int,
                num_refs: int) -> Iterator[Tuple[int, bool]]:
         """Per-item view of :meth:`stream_chunks`: ``(vaddr,
         is_write)`` pairs."""
-        for addrs, writes in self.stream_chunks(core_id, num_refs,
-                                                probe_keys=False):
-            yield from zip(addrs, writes)
+        for addrs, writes in self.stream_chunks(core_id, num_refs):
+            yield from zip(addrs.tolist(), writes.tolist())
 
     # -- introspection --------------------------------------------------------
 

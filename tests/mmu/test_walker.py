@@ -10,6 +10,7 @@ from repro.mem.hierarchy import build_cpu_hierarchy, build_ndp_hierarchy
 from repro.mem.request import KIND_DATA, RequestKind
 from repro.mmu.pwc import PwcSet
 from repro.mmu.walker import PageTableWalker
+from repro.vm.address import asid_tag
 from repro.vm.cuckoo import ElasticCuckooPageTable
 from repro.vm.frames import FrameAllocator
 from repro.vm.ideal import IdealPageTable
@@ -64,9 +65,11 @@ class TestSequentialWalk:
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0)
         walk(walker, 0.0, 0x12345)
-        walk(walker, 1000.0, 0x12345)
+        latency, _ = walk(walker, 1000.0, 0x12345)
         assert walker.stats.walks == 2
-        assert walker.stats.latency.count == 2
+        assert walker.stats.memory_accesses == 8
+        # The first walk left all four PTE lines in the L1.
+        assert latency == 4 * hierarchy.l1ds[0].hit_latency
 
     def test_metadata_kind_used(self, radix_setup):
         table, hierarchy = radix_setup
@@ -115,6 +118,39 @@ class TestPwcSkipping:
         walk(walker, 0.0, 0x12345)
         walk(walker, 10_000.0, 0x12345)
         assert pwcs.hit_rates()["PL1"] == 0.5
+
+
+class TestAsidTaggedPwc:
+    """Tenants sharing one slot's PWCs: the walker tags each key."""
+
+    def tenant_walkers(self, hierarchy):
+        pwcs = PwcSet(("PL4", "PL3", "PL2", "PL1"))
+        walkers = []
+        for asid in (0, 1):
+            table = RadixPageTable(FrameAllocator(64 * MIB))
+            table.map_page(0x12345, pfn=5 + asid)
+            walkers.append(PageTableWalker(table, hierarchy, core_id=0,
+                                           pwcs=pwcs, asid=asid))
+        return pwcs, walkers
+
+    def test_same_prefix_of_another_tenant_misses(self, hierarchy):
+        pwcs, (first, second) = self.tenant_walkers(hierarchy)
+        walk(first, 0.0, 0x12345)
+        _, accesses = walk(second, 10_000.0, 0x12345)
+        assert accesses == 4
+        assert pwc_hits(pwcs) == dict.fromkeys(("PL4", "PL3", "PL2",
+                                                "PL1"), 0)
+        _, again = walk(second, 20_000.0, 0x12345)
+        assert again == 0
+        assert pwc_hits(pwcs)["PL1"] == 1
+
+    def test_keys_tagged_and_tag_zero_is_identity(self, hierarchy):
+        pwcs, (first, second) = self.tenant_walkers(hierarchy)
+        walk(first, 0.0, 0x12345)
+        walk(second, 10_000.0, 0x12345)
+        pl1 = pwcs.cache_for("PL1")
+        keys = {key for pwc_set in pl1._sets for key in pwc_set}
+        assert keys == {0x12345, 0x12345 | asid_tag(1)}
 
 
 class TestBypass:
@@ -191,7 +227,7 @@ OPS = st.lists(
     min_size=60, max_size=200)
 
 
-def walker_world(mechanism, shape, table):
+def walker_world(mechanism, shape, table, asid=0):
     """One walker over ``table`` with ``mechanism``'s PWC levels and
     bypass policy, in front of a small private hierarchy."""
     spec = get_mechanism(mechanism)
@@ -203,7 +239,7 @@ def walker_world(mechanism, shape, table):
             l2_assoc=2, l3_per_core=16384, l3_assoc=2)
     pwcs = PwcSet(spec.pwc_levels, entries=4, associativity=2)
     return PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs,
-                           bypass=spec.build_bypass())
+                           bypass=spec.build_bypass(), asid=asid)
 
 
 def walker_counters(walker):
@@ -213,10 +249,10 @@ def walker_counters(walker):
         caches += [hierarchy.l2s[0], hierarchy.l3]
     stats = walker.stats
     return {
-        "walker": (stats.walks, stats.memory_accesses,
-                   stats.latency.total, stats.latency.count,
-                   stats.latency.maximum),
-        "pwc": {level: (cache.stats.hits, cache.stats.misses)
+        "walker": (stats.walks, stats.memory_accesses),
+        "pwc": {level: ({key for pwc_set in cache._sets
+                         for key in pwc_set},
+                        cache.stats.hits, cache.stats.misses)
                 for level, cache in walker.pwcs.caches().items()},
         "caches": [(cache.stats.data.hits, cache.stats.data.misses,
                     cache.stats.metadata.hits, cache.stats.metadata.misses,
@@ -236,7 +272,8 @@ def walker_counters(walker):
 class TestFlatPlanDifferential:
     """``walk_from_plan``'s flat path (inlined PWC probe and L1
     metadata hit) against the same plan run as single-step stages
-    through ``_walk_staged``."""
+    through ``_walk_staged``: the same latency for every walk, and the
+    same counters and PWC contents at the end."""
 
     @pytest.mark.parametrize("mechanism,shape", [
         ("radix", "ndp"), ("radix", "cpu"), ("ndpage", "ndp"),
@@ -245,12 +282,21 @@ class TestFlatPlanDifferential:
     @given(ops=OPS)
     @settings(max_examples=25, deadline=None)
     def test_flat_matches_single_step_stages(self, mechanism, shape, ops):
+        self.check(mechanism, shape, ops, asid=0)
+
+    @pytest.mark.parametrize("mechanism", ["radix", "ndpage"])
+    @given(ops=OPS)
+    @settings(max_examples=15, deadline=None)
+    def test_tenant_tagged_keys(self, mechanism, ops):
+        self.check(mechanism, "ndp", ops, asid=3)
+
+    def check(self, mechanism, shape, ops, asid):
         table = get_mechanism(mechanism).build_table(
             FrameAllocator(1024 * MIB))
         for pfn, page in enumerate(DIFF_PAGES, start=1):
             table.map_page(page, pfn=pfn)
-        flat_walker = walker_world(mechanism, shape, table)
-        staged_walker = walker_world(mechanism, shape, table)
+        flat_walker = walker_world(mechanism, shape, table, asid)
+        staged_walker = walker_world(mechanism, shape, table, asid)
         now = 0.0
         for gap, is_walk, index in ops:
             now += gap

@@ -1,6 +1,7 @@
 """Tests for system assembly (Table I wiring, prefault warmup)."""
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,13 @@ from repro.sim.system import System
 from repro.vm.os_model import OSMemoryManager, _FrameRecord
 
 FAST = dict(workload="rnd", refs_per_core=300, scale=1 / 64)
+
+MIB = 1 << 20
+
+#: The bfs-radix benchmark cell at a sixth of its length (0.70 walks
+#: per reference).
+BFS_RADIX = ndp_config(workload="bfs", mechanism="radix",
+                       refs_per_core=20_000, scale=0.05)
 
 
 class TestShapes:
@@ -116,3 +124,31 @@ class TestLifetime:
     ], ids=["fig12-cell", "radix-4c", "ndpage-2t-2c"])
     def test_finished_system_freed_by_refcount(self, config):
         assert _leftovers(config) == 0
+
+
+class TestMemory:
+    """Neither the walks nor the warmup replay keep per-item state."""
+
+    def test_run_keeps_no_per_walk_state(self):
+        system = System(BFS_RADIX)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            system.run()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 2 * MIB
+
+    def test_replay_buffer_is_compact(self):
+        tracemalloc.start()
+        try:
+            system = System(BFS_RADIX)
+            held = tracemalloc.get_traced_memory()[0]
+            for core in system.cores:
+                core._chunks = None   # the iterator over its replay
+            system._replay_chunks = None
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < freed <= 16 * BFS_RADIX.refs_per_core

@@ -148,6 +148,36 @@ class TestAccounting:
         allocator.alloc_huge()
         assert allocator.free_frames == before - FRAMES_PER_BLOCK
 
+    def test_carving_a_fragmented_block_counts_it_once(self):
+        alloc = FrameAllocator(GIB, fragmentation=0.5)
+        start = alloc.free_frames
+        alloc.alloc_frame(site=0)   # opens a boot-fragmented block
+        assert alloc.free_frames == start - 1
+        alloc.alloc_frame(site=1)   # carves the same block
+        assert alloc.free_frames == start - 2
+
+    @given(fragmentation=st.floats(0.0, 0.9),
+           ops=st.lists(st.tuples(st.sampled_from(["small", "huge"]),
+                                  st.integers(0, 3)), max_size=60))
+    @settings(max_examples=40, deadline=None)
+    def test_frame_conservation_across_sites(self, fragmentation, ops):
+        """Free frames fall by exactly what each allocation takes, down
+        to zero when memory runs out, while sites share blocks."""
+        alloc = FrameAllocator(4 * MIB, reserved_bytes=0,
+                               fragmentation=fragmentation)
+        free = alloc.free_frames
+        for kind, site in ops:
+            for _ in range(200 if kind == "small" else 1):
+                try:
+                    if kind == "small":
+                        alloc.alloc_frame(site)
+                        free -= 1
+                    elif alloc.alloc_huge(site) is not None:
+                        free -= FRAMES_PER_BLOCK
+                except OutOfMemoryError:
+                    assert free == 0
+                assert alloc.free_frames == free
+
     @given(st.lists(st.sampled_from(["small", "huge"]), max_size=40))
     @settings(max_examples=30, deadline=None)
     def test_frame_conservation(self, ops):
@@ -233,10 +263,10 @@ class TestCompaction:
 #
 # The allocator used to materialize every block at boot: a Python loop
 # over all usable blocks and one _PartialBlock per boot-fragmented one.
-# It is kept here verbatim (docstrings dropped) as the reference model
-# for the lazy allocator, which must return the same frames and report
-# the same capacity after every operation — including the double count
-# of a fragmented block being carved, which frame_pressure inherits.
+# It is kept here (docstrings dropped; free_frames counts each partial
+# block once, as the lazy allocator does) as the reference model for
+# the lazy allocator, which must return the same frames and report the
+# same capacity after every operation.
 
 class _EagerPartialBlock:
     """The old _PartialBlock."""
@@ -300,12 +330,11 @@ class EagerFrameAllocator:
 
     @property
     def free_frames(self) -> int:
-        partial = sum(FRAMES_PER_BLOCK - p.next_offset
-                      for p in self._partials.values())
-        fragmented = sum(FRAMES_PER_BLOCK - p.next_offset
-                         for p in self._fragmented)
+        # Each partial block once, however many sites carve it.
+        blocks = set(self._partials.values()).union(self._fragmented)
+        partial = sum(FRAMES_PER_BLOCK - p.next_offset for p in blocks)
         return (len(self._free_blocks) * FRAMES_PER_BLOCK
-                + partial + fragmented + len(self._free_frames))
+                + partial + len(self._free_frames))
 
     @property
     def scattered_free_frames(self) -> int:
