@@ -41,14 +41,14 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.events import emit
 from repro.sim.config import SystemConfig
-from repro.sim.faults import cell_label, guarded_io, maybe_corrupt_entry
+from repro.sim.faults import atomic_write, cell_label, maybe_corrupt_entry
 from repro.sim.runner import RunResult
 
 #: Code-relevant version of the simulation.  Bump whenever a change
 #: perturbs simulated statistics (i.e. whenever the golden values in
 #: tests/sim/test_golden_stats.py move); cached results from older
 #: tags are then ignored.  Pure speedups keep the tag.
-CODE_VERSION = "sim-v3"
+CODE_VERSION = "sim-v4"
 
 #: On-disk format version of the cache entries themselves.  v2 added
 #: the per-entry payload checksum; entries in any other format are
@@ -247,34 +247,20 @@ class ResultCache:
         # only ever consulted leaves no empty directory behind.
         start = time.perf_counter()
         self.root.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(entry) + "\n"
         label = cell_label(config)
-
-        def write() -> None:
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            try:
-                tmp.write_text(text)
-                os.replace(tmp, path)
-            except BaseException:
-                # Never leave a half-written tmp file behind for
-                # verify/gc to sweep — and never amplify ENOSPC by
-                # stranding orphans on an already-full disk.
-                tmp.unlink(missing_ok=True)
-                raise
-
         # Transient I/O faults (and any injected ioerr/enospc/stall
         # clause matching ``cache/<label>``) retry with bounded
         # backoff; a persistent failure propagates and the sweep
         # supervisor degrades it to a cache hole + manifest entry.
-        guarded_io(write, "cache", label, self.fault_plan)
+        atomic_write(path, json.dumps(entry) + "\n", "cache", label,
+                     self.fault_plan)
         self.stats.stores += 1
         emit("cache.store", key=path.stem,
              wall=round(time.perf_counter() - start, 6))
         # Fault-injection seam (no-op unless a corrupt clause is
         # active): perturbs the entry just written, as a torn write or
         # bad disk would.
-        maybe_corrupt_entry(path, cell_label(config),
-                            plan=self.fault_plan)
+        maybe_corrupt_entry(path, label, plan=self.fault_plan)
         return path
 
     # -- whole-cache maintenance -------------------------------------

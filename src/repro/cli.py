@@ -34,8 +34,9 @@ verify|gc`` audits the result cache.
 
 Resilience: SIGTERM/SIGINT drain sweeps and workers gracefully
 (in-flight work is requeued and the exit is clean); ``--resume``
-continues a killed sweep from its journal with retry budgets intact;
-``repro queue repair`` fscks a queue directory after unclean deaths.
+continues a killed sweep from its journal (the sweep's own event log)
+with retry budgets intact; ``repro queue repair`` fscks a queue
+directory after unclean deaths.
 """
 
 from __future__ import annotations
@@ -136,11 +137,12 @@ def _add_sweep_opts(parser):
     parser.add_argument("--resume", action="store_true",
                         help="resume from the journal a previous "
                              "(killed or drained) run of this exact "
-                             "sweep left beside the cache: completed "
-                             "cells come from the cache, attempt "
-                             "counts / backoff clocks / quarantine "
-                             "decisions from the journal (requires "
-                             "--cache-dir)")
+                             "sweep left beside the cache (its event "
+                             "log, <cache-dir>/journal/*.journal.jsonl): "
+                             "completed cells come from the cache, "
+                             "attempt counts / backoff clocks / "
+                             "quarantine decisions from the journal's "
+                             "cell events (requires --cache-dir)")
     parser.add_argument("--retries", type=int, default=1,
                         help="re-dispatches granted to a failing cell "
                              "before quarantine (default 1)")

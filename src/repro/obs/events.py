@@ -64,6 +64,7 @@ EVENT_TYPES: Dict[str, tuple] = {
     "cell.failed": ("key", "label", "attempt", "kind"),
     "cell.retried": ("key", "label", "attempt", "delay"),
     "cell.timeout": ("key", "label", "attempt"),
+    # optional: error, the last 500 characters of the last traceback
     "cell.quarantined": ("key", "label", "attempts", "kind"),
     # sweep interruption (graceful SIGTERM/SIGINT drain)
     "sweep.interrupted": ("completed", "pending", "requeued"),
@@ -164,40 +165,41 @@ class JsonlSink(EventSink):
     exactly one ``os.write`` of a complete line, so multiple writers
     on the same file — the supervisor and its forked local workers, or
     several processes handed the same path — interleave whole records.
+    This is the one line writer: ``--events-out`` logs and the sweep
+    journal (see :mod:`repro.sim.sweep`) are both JsonlSinks.
 
-    Telemetry must never take the sweep down with it: a failing write
-    (ENOSPC, a yanked filesystem, an injected ``ioerr``) drops that
-    event instead of raising.  Drops are counted (``dropped``; summed
-    into the sweep's metrics snapshot as ``events.dropped``) and the
-    first one prints a single stderr warning.
+    Each write runs under :func:`~repro.sim.faults.guarded_io` at the
+    ``events/<event type>`` site, so a transient ``OSError`` is
+    retried with bounded backoff.  Telemetry must never take the
+    sweep down with it: a persistent failure (ENOSPC, a yanked
+    filesystem, an injected ``ioerr``) drops that event instead of
+    raising.  Drops are counted (``dropped``; summed into the sweep's
+    metrics snapshot as ``events.dropped``) and the first one prints
+    a single stderr warning.
     """
 
     def __init__(self, path: Union[str, Path], fault_plan=None):
+        # Imported here: repro.sim pulls this module in at package
+        # import time.
+        from repro.sim.faults import FaultPlan, guarded_io
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         self.dropped = 0
         self._warned = False
-        # Injection seam (imported lazily: repro.sim pulls this module
-        # in at package import time).  Resolved once here so the
-        # per-event path stays two attribute loads when no plan is
-        # active.
-        self._plan = fault_plan
-        self._io_fault = None
-        if fault_plan is not None or os.environ.get(
-                "REPRO_FAULT_PLAN"):
-            from repro.sim.faults import FaultPlan, maybe_io_fault
-            if self._plan is None:
-                self._plan = FaultPlan.from_env()
-            self._io_fault = maybe_io_fault
+        # Resolved once, so a write with no plan reads no environment
+        # variable.
+        if fault_plan is None:
+            fault_plan = FaultPlan.from_env()
+        self._plan = fault_plan or FaultPlan()
+        self._guarded_io = guarded_io
 
     def emit(self, event: Event) -> None:
         line = (event.to_json() + "\n").encode("utf-8")
         try:
-            if self._io_fault is not None:
-                self._io_fault("events", event.type, self._plan)
-            os.write(self._fd, line)
+            self._guarded_io(lambda: os.write(self._fd, line),
+                             "events", event.type, self._plan)
         except OSError as exc:
             self.dropped += 1
             if not self._warned:

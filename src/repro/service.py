@@ -43,6 +43,7 @@ from repro.sim.backends.base import BACKEND_NAMES, BackendSpec
 from repro.sim.config import SystemConfig
 from repro.sim.runner import RunResult
 from repro.sim.sweep import (
+    JOURNAL_DIR,
     FailureManifest,
     SweepFailure,
     SweepInterrupted,
@@ -158,16 +159,14 @@ class SweepService:
     progress:
         Stream a live progress line to ``progress_stream`` (stderr
         by default) while sweeps execute.
-    journal_dir:
-        Directory for the crash-resume journals (see
-        :mod:`repro.sim.journal`).  Defaults to ``journal/`` inside
-        ``cache_dir`` when one is given; pass explicitly to journal a
-        cache-less sweep, or ``False`` to disable journalling.
     resume:
         Resume from the journal a killed supervisor left behind:
         per-cell attempt counts, backoff clocks, and quarantine
         decisions carry over (completed cells come from the cache
-        as always).
+        as always).  With a ``cache_dir``, every sweep keeps its
+        event log as a journal under ``<cache_dir>/journal/``
+        (see :func:`repro.sim.sweep.journal_path`); a sweep without
+        one has no journal.
     """
 
     def __init__(self, backend: Union[str, BackendSpec] = "auto",
@@ -177,15 +176,12 @@ class SweepService:
                  heartbeat_interval: Optional[float] = None,
                  stale_after: Optional[float] = None,
                  events_out=None, progress: bool = False,
-                 progress_stream=None, journal_dir=None,
-                 resume: bool = False):
+                 progress_stream=None, resume: bool = False):
         if cache is None and cache_dir is not None:
             from repro.analysis.cache import ResultCache
             cache = ResultCache(cache_dir)
-        if journal_dir is None and cache_dir is not None:
-            from repro.sim.journal import JOURNAL_DIR
-            journal_dir = Path(cache_dir) / JOURNAL_DIR
-        self.journal_dir = journal_dir or None
+        self.journal_dir = (Path(cache_dir) / JOURNAL_DIR
+                            if cache_dir is not None else None)
         self.resume = resume
         if isinstance(backend, BackendSpec):
             spec = backend

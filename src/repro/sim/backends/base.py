@@ -43,7 +43,6 @@ BACKEND_NAMES = ("auto", "serial", "pool", "fileq")
 class Attempt:
     """One dispatch of one unique cell."""
 
-    pos: int        # index into the sweep's missing-cell list
     key: str        # cache key / canonical identity
     data: dict      # config.to_dict() — process/host portable
     label: str      # human-readable cell_label()

@@ -69,7 +69,7 @@ from typing import Dict, List, Optional, Union
 from repro.obs.events import JsonlSink, emit, session
 from repro.sim.backends.base import Attempt, Outcome, SweepBackend
 from repro.sim.config import SystemConfig
-from repro.sim.faults import FaultPlan, apply_cell_faults, guarded_io
+from repro.sim.faults import FaultPlan, apply_cell_faults, atomic_write
 from repro.sim.runner import run_once
 
 HEARTBEAT_INTERVAL = 1.0   # seconds between heartbeat touches
@@ -108,27 +108,9 @@ def item_name(key: str, attempt: int) -> str:
 
 def _atomic_write(path: Path, payload: dict,
                   plan: Optional[FaultPlan] = None) -> None:
-    """Write one queue file atomically, hardened for shared storage.
-
-    The tmp file is unlinked when the write or the rename raises, so
-    a faulting writer cannot strew ``*.tmp<pid>`` orphans around the
-    queue; transient ``OSError``\\ s (and any injected ``ioerr`` /
-    ``enospc`` / ``stall`` clause matching ``queue/<name>``) are
-    retried with bounded backoff, persistent ones propagate for the
-    caller to degrade on.
-    """
-    text = json.dumps(payload)
-
-    def write() -> None:
-        tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
-        try:
-            tmp.write_text(text)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    guarded_io(write, "queue", path.name, plan)
+    """Write one queue file as JSON through
+    :func:`~repro.sim.faults.atomic_write` (site ``queue/<name>``)."""
+    atomic_write(path, json.dumps(payload), "queue", path.name, plan)
 
 
 def _read_json(path: Path) -> Optional[dict]:
@@ -617,7 +599,7 @@ def repair_queue(queue_dir: Union[str, Path],
 
     Four categories, returned as a count per key:
 
-    * ``tmp_orphans`` — ``*.tmp<pid>`` files from writers that died
+    * ``tmp_orphans`` — ``*.tmp.<pid>`` files from writers that died
       mid-``_atomic_write`` (removed);
     * ``stale_heartbeats`` — heartbeat files whose worker has been
       silent longer than ``stale_after`` (removed; any claims it

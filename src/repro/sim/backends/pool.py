@@ -25,8 +25,8 @@ from repro.sim.runner import run_once
 
 def _supervised_worker(conn, run_fn: Optional[Callable],
                        plan_text: Optional[str]) -> None:
-    """Worker loop: receive ``(pos, config-dict, attempt)``, simulate,
-    send back ``(pos, ok, result-or-traceback)``.
+    """Worker loop: receive ``(config-dict, attempt)``, simulate,
+    send back ``(ok, result-or-traceback)``.
 
     Every exception is captured and reported per cell, so one bad cell
     cannot poison its worker or any other cell; abrupt process death
@@ -43,14 +43,14 @@ def _supervised_worker(conn, run_fn: Optional[Callable],
             return
         if task is None:
             return
-        pos, data, attempt = task
+        data, attempt = task
         try:
             config = SystemConfig.from_dict(data)
             if plan is not None:
                 apply_cell_faults(plan, cell_label(config), attempt)
-            outcome = (pos, True, fn(config))
+            outcome = (True, fn(config))
         except Exception:
-            outcome = (pos, False, traceback.format_exc())
+            outcome = (False, traceback.format_exc())
         try:
             conn.send(outcome)
         except (BrokenPipeError, OSError):
@@ -148,8 +148,7 @@ class PoolBackend(SweepBackend):
             if worker.attempt is not None:
                 continue
             try:
-                worker.conn.send(
-                    (attempt.pos, attempt.data, attempt.attempt))
+                worker.conn.send((attempt.data, attempt.attempt))
             except (BrokenPipeError, OSError):
                 # Worker died while idle: the attempt never started,
                 # so it must not count against the cell.
@@ -202,7 +201,7 @@ class PoolBackend(SweepBackend):
         recv itself failed (the caller then treats the worker as dead).
         """
         try:
-            _pos, ok, payload = worker.conn.recv()
+            ok, payload = worker.conn.recv()
         except (EOFError, OSError):
             return None
         attempt = worker.attempt

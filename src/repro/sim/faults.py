@@ -33,12 +33,14 @@ stores the entry (:func:`maybe_corrupt_entry`, called by
 so a repaired entry stays repaired.
 
 The I/O actions (``ioerr``/``enospc``/``stall``) fire at *write
-sites* instead of cells: every hardened writer calls
-:func:`maybe_io_fault` (usually via :func:`guarded_io`, which adds
-the bounded-backoff retry contract) with a ``site/detail`` target
-such as ``cache/<cell label>``, ``queue/<item name>``, or
-``events/<event type>``.  The clause's attempt list selects the
-n-th matching write at that target (per process), so
+sites* instead of cells.  There is one writer per kind of file, both
+under :func:`guarded_io` (the bounded-backoff retry contract):
+:func:`atomic_write` replaces whole files (cache entries, queue
+items) and :class:`~repro.obs.events.JsonlSink` appends event lines
+(``--events-out`` logs and the sweep journal).  Each write names a
+``site/detail`` target — ``cache/<cell label>``, ``queue/<item
+name>`` or ``events/<event type>``.  The clause's attempt list
+selects the n-th matching write at that target (per process), so
 ``enospc:cache/:1`` is a transient fault a retry absorbs while
 ``enospc:cache/:*`` is a persistent one the caller must degrade on.
 """
@@ -253,7 +255,7 @@ def maybe_io_fault(site: str, detail: str = "",
     """Fire any ``ioerr``/``enospc``/``stall`` clause for this write.
 
     ``site`` names the writer class (``"cache"``, ``"queue"``,
-    ``"events"``, ``"journal"``); ``detail`` its per-write identity
+    ``"events"``); ``detail`` its per-write identity
     (cell label, item name, event type).  Clauses match the combined
     ``site/detail`` target by substring, and their attempt list picks
     the n-th matching write at that target — so transient
@@ -291,9 +293,9 @@ def guarded_io(fn: Callable[[], object], site: str, detail: str = "",
     (:func:`maybe_io_fault`); an ``OSError`` — injected or real — is
     retried up to ``retries`` times with exponential backoff, and the
     final failure propagates for the caller to degrade on.  This is
-    the shared hardening contract of the cache, queue, and journal
-    writers: transient faults are absorbed here, persistent ones
-    become a hole instead of a crash at the call site.
+    the shared hardening contract of every writer (:func:`atomic_write`
+    and the event sink): transient faults are absorbed here,
+    persistent ones become a hole instead of a crash at the call site.
     """
     for attempt in range(retries + 1):
         try:
@@ -303,6 +305,31 @@ def guarded_io(fn: Callable[[], object], site: str, detail: str = "",
             if attempt >= retries:
                 raise
             sleep(backoff * (2 ** attempt))
+
+
+def atomic_write(path: Union[str, Path], text: str, site: str,
+                 detail: str = "",
+                 plan: Optional[FaultPlan] = None) -> None:
+    """Replace ``path`` with ``text`` atomically, under :func:`guarded_io`.
+
+    The text goes to ``<name>.tmp.<pid>`` beside ``path`` and is
+    ``os.replace``-d into place, so readers see the old file or the
+    new one, never a torn one.  The tmp file is unlinked on any raise:
+    a faulting writer strews no orphans for the cache's or the
+    queue's tmp scans to find, and never amplifies ENOSPC.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+
+    def write() -> None:
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+    guarded_io(write, site, detail, plan)
 
 
 def reset_fired() -> None:

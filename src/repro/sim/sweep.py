@@ -30,7 +30,11 @@ Guarantees the figure drivers rely on:
 * **Resumability.**  Results are persisted to the cache the moment they
   arrive (atomically, one file per cell), so an interrupted sweep —
   Ctrl-C, OOM-killed worker, CI timeout — leaves behind exactly the
-  finished cells and a re-run simulates only the missing ones.
+  finished cells and a re-run simulates only the missing ones.  A
+  sweep with a cache dir also keeps a *journal*: its own event log,
+  written beside the cache (:func:`journal_path`).  ``--resume``
+  folds it back (:func:`fold_journal`), so a killed supervisor's
+  retry budgets, backoff clocks and quarantines carry over.
 * **Fault isolation.**  Executors report per-cell outcomes (result or
   captured traceback), so one raising cell cannot poison its worker
   or the sweep.  A cell that keeps failing is *quarantined*: the
@@ -58,6 +62,7 @@ Fault injection (tests, CI chaos job) threads a
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import pickle
 import signal
@@ -66,9 +71,11 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
+from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -76,18 +83,21 @@ from typing import (
     Union,
 )
 
-from repro.obs.events import dropped_events, emit
+from repro.obs.events import (
+    JsonlSink,
+    dropped_events,
+    emit,
+    read_events,
+    session,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.backends.base import Attempt, BackendSpec, SweepBackend
 from repro.sim.config import SystemConfig, cpu_config, ndp_config
 from repro.sim.faults import FaultPlan, cell_label
-from repro.sim.journal import (
-    JournalState,
-    SweepJournal,
-    journal_path,
-    load_journal,
-)
 from repro.sim.runner import RunResult
+
+#: Subdirectory of the cache dir that holds the sweep journals.
+JOURNAL_DIR = "journal"
 
 
 def derive_seed(base_seed: int, *parts) -> int:
@@ -199,7 +209,7 @@ class SweepFailure(RuntimeError):
 
 class SweepInterrupted(KeyboardInterrupt):
     """Graceful drain: the supervisor caught SIGTERM/SIGINT, cancelled
-    the backend's in-flight work, journalled the interruption, and
+    the backend's in-flight work, emitted ``sweep.interrupted``, and
     unwound.  Every completed cell is already in the cache and the
     journal (if enabled) preserves retry budgets and backoff clocks —
     re-running the same command with ``--resume`` continues where the
@@ -309,17 +319,67 @@ def _ensure_picklable(run_fn: Callable) -> None:
             f"top-level function, or run with jobs=1") from exc
 
 
+# -- the journal --------------------------------------------------------------
+
+def journal_path(root: Union[str, Path], keys: Iterable[str]) -> Path:
+    """The journal of the sweep over ``keys``, under ``root``.
+
+    Named by a digest of the sorted unique keys, so the same grid —
+    however its cells were enumerated — resumes from the same file.
+    """
+    text = "\n".join(sorted(keys))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return Path(root) / f"sweep-{digest}.journal.jsonl"
+
+
+def fold_journal(path: Union[str, Path]
+                 ) -> Tuple[Dict[str, int], Dict[str, float],
+                            Dict[str, Dict[str, object]]]:
+    """Fold a journal into what ``--resume`` restores, per cell key:
+    ``(attempts, gates, quarantined)``.
+
+    * ``attempts`` — the highest attempt a ``cell.failed`` charged.
+      The dispatch in flight when the supervisor died reported
+      nothing, so it stays uncharged and resume re-dispatches it under
+      the same attempt number.
+    * ``gates`` — wall-clock backoff gates, ``t_wall + delay`` of a
+      ``cell.retried``, cleared by ``cell.completed`` or
+      ``cell.quarantined``.
+    * ``quarantined`` — the payload of each ``cell.quarantined``.
+
+    A missing file folds to nothing, and a torn last line is skipped.
+    """
+    attempts: Dict[str, int] = {}
+    gates: Dict[str, float] = {}
+    quarantined: Dict[str, Dict[str, object]] = {}
+    try:
+        events = list(read_events(path, strict=False))
+    except OSError:
+        events = []
+    for event in events:
+        key = event.data.get("key")
+        if event.type == "cell.failed":
+            attempts[key] = max(attempts.get(key, 0),
+                                event.data["attempt"])
+        elif event.type == "cell.retried":
+            gates[key] = event.t_wall + event.data["delay"]
+        elif event.type in ("cell.completed", "cell.quarantined"):
+            gates.pop(key, None)
+            if event.type == "cell.quarantined":
+                quarantined[key] = event.data
+    return attempts, gates, quarantined
+
+
 # -- the backend-agnostic supervisor ------------------------------------------
 
 class _CellWork:
     """One unique cell's dispatch state inside the supervisor."""
 
-    __slots__ = ("pos", "key", "config", "data", "label", "attempt",
+    __slots__ = ("key", "config", "data", "label", "attempt",
                  "not_before", "deadline", "ready_since",
                  "dispatched_at")
 
-    def __init__(self, pos: int, key: str, config: SystemConfig):
-        self.pos = pos
+    def __init__(self, key: str, config: SystemConfig):
         self.key = key
         self.config = config
         self.data = config.to_dict()
@@ -345,12 +405,14 @@ def execute_sweep(configs: Sequence[SystemConfig],
     Returns ``(results-in-input-order, stats)``; quarantined cells
     yield ``None`` slots and appear in ``stats.manifest``.
 
-    ``journal_dir`` enables the crash-resume journal (one JSONL file
-    per sweep identity under that directory — see
-    :mod:`repro.sim.journal`); with ``resume=True`` a journal left by
-    a killed supervisor restores per-cell attempt counts, backoff
-    clocks, and quarantine decisions, while the cache restores the
-    completed cells.
+    ``journal_dir`` enables the crash-resume journal: the sweep's own
+    event log, one JSONL file per sweep identity under that directory
+    (:func:`journal_path`), open from ``sweep.started`` through
+    ``sweep.finished``.  A fresh run starts it anew; with
+    ``resume=True`` the journal a killed supervisor left behind is
+    folded back (:func:`fold_journal`) and appended to, restoring
+    per-cell attempt counts, backoff clocks, and quarantine
+    decisions, while the cache restores the completed cells.
     """
     spec = spec or BackendSpec()
     policy = policy or SweepPolicy()
@@ -377,48 +439,39 @@ def execute_sweep(configs: Sequence[SystemConfig],
                        cache_hits=len(unique) - len(missing),
                        simulated=len(missing),
                        jobs=max(1, spec.jobs))
-    emit("sweep.started", cells=len(configs), unique=len(unique),
-         cached=stats.cache_hits, missing=len(missing),
-         backend=spec.name, jobs=spec.jobs)
 
-    journal: Optional[SweepJournal] = None
-    resume_state: Optional[JournalState] = None
-    if journal_dir is not None:
-        path = journal_path(journal_dir, list(unique))
-        if resume:
-            resume_state = load_journal(path)
-            if not resume_state:
-                resume_state = None
-        journal = SweepJournal(path, resume=resume,
-                               fault_plan=policy.active_plan())
-        journal.record("start", cells=len(configs),
-                       unique=len(unique), cached=stats.cache_hits,
-                       missing=len(missing), backend=spec.name,
-                       resumed=resume_state is not None)
-
-    try:
+    with contextlib.ExitStack() as stack:
+        resumed = None
+        if journal_dir is not None:
+            path = journal_path(journal_dir, unique)
+            if resume:
+                resumed = fold_journal(path)
+            else:
+                path.unlink(missing_ok=True)
+            stack.enter_context(session(JsonlSink(
+                path, fault_plan=policy.active_plan())))
+        emit("sweep.started", cells=len(configs), unique=len(unique),
+             cached=stats.cache_hits, missing=len(missing),
+             backend=spec.name, jobs=spec.jobs)
         if missing:
             backend = spec.resolve(len(missing), policy.cell_timeout)
             registry = MetricsRegistry()
             _execute_missing(backend, missing, results, run_fn, stats,
-                             policy, cache, registry, journal,
-                             resume_state)
+                             policy, cache, registry, resumed)
             dropped = dropped_events()
             if dropped:
                 registry.counter("events.dropped").inc(dropped)
             stats.metrics = registry.snapshot()
-    finally:
-        if journal is not None:
-            journal.close()
 
-    stats.failed = len(stats.manifest)
-    stats.references = sum(
-        results[key].references for key, _ in missing
-        if key in results)
-    stats.wall_seconds = time.perf_counter() - start
-    emit("sweep.finished", cells=stats.cells,
-         completed=len(missing) - stats.failed, failed=stats.failed,
-         retries=stats.retries, wall=round(stats.wall_seconds, 6))
+        stats.failed = len(stats.manifest)
+        stats.references = sum(
+            results[key].references for key, _ in missing
+            if key in results)
+        stats.wall_seconds = time.perf_counter() - start
+        emit("sweep.finished", cells=stats.cells,
+             completed=len(missing) - stats.failed,
+             failed=stats.failed, retries=stats.retries,
+             wall=round(stats.wall_seconds, 6))
     return [results.get(key) for key in keys], stats
 
 
@@ -426,9 +479,7 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
                      stats: SweepStats, policy: SweepPolicy,
                      cache,
                      registry: Optional[MetricsRegistry] = None,
-                     journal: Optional[SweepJournal] = None,
-                     resume_state: Optional[JournalState] = None
-                     ) -> None:
+                     resumed=None) -> None:
     """The supervisor loop: dispatch cells into the backend, collect
     outcomes, and apply the retry/backoff/timeout/quarantine contract
     uniformly — the backend only executes attempts and reports what
@@ -442,12 +493,12 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
     reporting anything.  ``registry`` collects the timing breakdown
     (queue wait, attempt wall, cache-store time).
 
-    Resilience duties (all optional): every dispatch/outcome is also
-    appended to ``journal``; ``resume_state`` (a previous run's
-    journal) restores attempt counts, backoff gates, and quarantine
-    decisions; and SIGTERM/SIGINT (main thread only) triggers a
-    graceful drain — cancel in-flight attempts, journal the
-    interruption, raise :class:`SweepInterrupted`.
+    Resilience duties (all optional): ``resumed`` (a previous run's
+    journal, folded by :func:`fold_journal`) restores attempt counts,
+    backoff gates, and quarantine decisions; and SIGTERM/SIGINT (main
+    thread only) triggers a graceful drain — cancel in-flight
+    attempts, emit ``sweep.interrupted``, raise
+    :class:`SweepInterrupted`.
     """
     plan = policy.active_plan()
     plan_text = plan.to_text() if plan is not None else None
@@ -459,40 +510,34 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
     store_wall = registry.histogram("cache.store_s")
     dispatched = registry.counter("cells.dispatched")
 
-    def journal_record(kind: str, **data) -> None:
-        if journal is not None:
-            journal.record(kind, **data)
-
+    attempts, gates, quarantined = resumed or ({}, {}, {})
     start_mono = time.monotonic()
     start_wall = time.time()
     works: List[_CellWork] = []
-    for pos, (key, config) in enumerate(missing):
-        cell = _CellWork(pos, key, config)
+    for key, config in missing:
+        cell = _CellWork(key, config)
         cell.ready_since = start_mono
-        if resume_state is not None:
-            info = resume_state.quarantined.get(key)
-            if info is not None:
-                # Quarantine decisions survive the supervisor: the
-                # previous run gave up on this cell, so this one does
-                # not silently grant it a fresh retry budget.
-                registry.counter("cells.quarantined").inc()
-                emit("cell.quarantined", key=key,
-                     label=info["label"] or cell.label,
-                     attempts=info["attempts"],
-                     kind=info["fail_kind"])
-                stats.manifest.failures.append(CellFailure(
-                    key=key, label=info["label"] or cell.label,
-                    attempts=int(info["attempts"]),
-                    kind=str(info["fail_kind"]),
-                    error=str(info["error"])
-                    or "quarantined by a previous run (journal)"))
-                stats.simulated -= 1
-                continue
-            cell.attempt = resume_state.attempts.get(key, 0)
-            gate = resume_state.not_before.get(key, 0.0)
-            if gate > start_wall:
-                cell.not_before = start_mono + (gate - start_wall)
-                cell.ready_since = cell.not_before
+        info = quarantined.get(key)
+        if info is not None:
+            # Quarantine decisions survive the supervisor: the
+            # previous run gave up on this cell, so this one does not
+            # silently grant it a fresh retry budget.
+            error = (info.get("error")
+                     or "quarantined by a previous run (journal)")
+            registry.counter("cells.quarantined").inc()
+            emit("cell.quarantined", key=key, label=cell.label,
+                 attempts=info["attempts"], kind=info["kind"],
+                 error=error)
+            stats.manifest.failures.append(CellFailure(
+                key=key, label=cell.label, attempts=info["attempts"],
+                kind=info["kind"], error=error))
+            stats.simulated -= 1
+            continue
+        cell.attempt = attempts.get(key, 0)
+        gate = gates.get(key, 0.0)
+        if gate > start_wall:
+            cell.not_before = start_mono + (gate - start_wall)
+            cell.ready_since = cell.not_before
         works.append(cell)
     ready: deque = deque(c for c in works
                          if c.not_before <= start_mono)
@@ -505,8 +550,6 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
         wall = now - cell.dispatched_at
         attempt_wall.observe(wall)
         results[cell.key] = result
-        journal_record("outcome", key=cell.key,
-                       attempt=cell.attempt, status="ok")
         if cache is not None:
             store_start = time.perf_counter()
             try:
@@ -531,16 +574,11 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
         """Retry or quarantine a failed attempt; returns settled."""
         emit("cell.failed", key=cell.key, label=cell.label,
              attempt=cell.attempt, kind=kind)
-        journal_record("outcome", key=cell.key,
-                       attempt=cell.attempt, status=kind)
         if cell.attempt >= policy.retries + 1:
             registry.counter("cells.quarantined").inc()
             emit("cell.quarantined", key=cell.key, label=cell.label,
-                 attempts=cell.attempt, kind=kind)
-            journal_record("quarantine", key=cell.key,
-                           label=cell.label, attempts=cell.attempt,
-                           fail_kind=kind,
-                           error=error.strip()[-500:])
+                 attempts=cell.attempt, kind=kind,
+                 error=error.strip()[-500:])
             stats.manifest.failures.append(CellFailure(
                 key=cell.key, label=cell.label,
                 attempts=cell.attempt, kind=kind, error=error))
@@ -550,8 +588,6 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
         cell.ready_since = cell.not_before
         emit("cell.retried", key=cell.key, label=cell.label,
              attempt=cell.attempt, delay=round(delay, 6))
-        journal_record("retry", key=cell.key, attempt=cell.attempt,
-                       not_before=time.time() + delay)
         waiting.append(cell)
         return 0
 
@@ -575,8 +611,6 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
             backend.cancel(key, cell.attempt)
         completed = sum(1 for key, _ in missing if key in results)
         pending = len(ready) + len(waiting)
-        journal_record("interrupted", requeued=len(inflight),
-                       completed=completed, pending=pending)
         emit("sweep.interrupted", completed=completed,
              pending=pending, requeued=len(inflight))
         return SweepInterrupted(completed=completed, pending=pending,
@@ -605,7 +639,7 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
                 if counted:
                     stats.retries += 1
                 if not backend.dispatch(Attempt(
-                        pos=cell.pos, key=cell.key, data=cell.data,
+                        key=cell.key, data=cell.data,
                         label=cell.label, attempt=cell.attempt)):
                     # The attempt never started (e.g. the worker died
                     # while idle): it must not count against the cell.
@@ -622,9 +656,6 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
                 dispatched.inc()
                 emit("cell.dispatched", key=cell.key,
                      label=cell.label, attempt=cell.attempt)
-                journal_record("dispatch", key=cell.key,
-                               label=cell.label,
-                               attempt=cell.attempt)
                 inflight[cell.key] = cell
 
             if not inflight:

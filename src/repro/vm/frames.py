@@ -175,10 +175,12 @@ class FrameAllocator:
         """Scattered free frames compaction could actually coalesce.
 
         Free room inside boot-fragmented blocks is pinned by unmovable
-        allocations and excluded.
+        allocations and excluded.  A partial block stolen by a second
+        site counts once, as in :attr:`free_frames`.
         """
         partial = sum(FRAMES_PER_BLOCK - p.next_offset
-                      for p in self._partials.values() if not p.pinned)
+                      for p in set(self._partials.values())
+                      if not p.pinned)
         return partial + len(self._free_frames)
 
     # -- allocation -----------------------------------------------------------

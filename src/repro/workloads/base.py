@@ -168,10 +168,6 @@ class Workload(ABC):
             for region in self.regions()
         ]
 
-    def full_scale_page_ranges(self) -> List[Tuple[int, int]]:
-        """Page ranges at the paper's dataset size (Fig. 8 input)."""
-        return type(self)(scale=1.0, seed=self.seed).page_ranges()
-
     # -- reference stream -----------------------------------------------------
 
     @abstractmethod

@@ -9,7 +9,6 @@ retried elsewhere, zero quarantined cells).
 """
 
 import dataclasses
-import json
 import os
 import signal
 import subprocess
@@ -17,8 +16,6 @@ import sys
 import threading
 import time
 from pathlib import Path
-
-import pytest
 
 import repro
 from repro.core.mechanisms import PAPER_MECHANISMS
@@ -341,7 +338,8 @@ class TestSupervisorResume:
         the journal, and it succeeds on attempt 3 without re-failing —
         the acceptance scenario."""
         from repro.analysis.cache import ResultCache
-        from repro.sim.journal import JOURNAL_DIR, journal_path
+        from repro.obs.events import read_events
+        from repro.sim.sweep import JOURNAL_DIR, journal_path
 
         script = tmp_path / "drive.py"
         script.write_text(SUPERVISOR_DRIVER)
@@ -364,22 +362,15 @@ class TestSupervisorResume:
         victim_key = keys[-1]
         jpath = journal_path(cache_dir / JOURNAL_DIR, keys)
 
-        def journal_records():
+        def victim_outcomes(status_ok: bool):
             if not jpath.exists():
                 return []
-            records = []
-            for line in jpath.read_text().splitlines():
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue   # torn tail mid-append
-            return records
-
-        def victim_outcomes(status_ok: bool):
-            return [r for r in journal_records()
-                    if r.get("kind") == "outcome"
-                    and r.get("key") == victim_key
-                    and (r.get("status") == "ok") is status_ok]
+            wanted = "cell.completed" if status_ok else "cell.failed"
+            # strict=False: skip a torn tail mid-append.
+            return [event.data for event in read_events(jpath,
+                                                        strict=False)
+                    if event.type == wanted
+                    and event.data["key"] == victim_key]
 
         first = launch()
         try:

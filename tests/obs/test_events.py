@@ -161,6 +161,29 @@ class TestDroppedEvents:
         assert stderr.count("dropping events") == 1
         reset_fired()
 
+    def test_transient_fault_is_retried_not_dropped(self, tmp_path):
+        from repro.sim.faults import FaultPlan, reset_fired
+        reset_fired()
+        sink = JsonlSink(tmp_path / "events.jsonl",
+                         fault_plan=FaultPlan.parse("ioerr:events/:1"))
+        with session(sink):
+            first = emit("cache.hit", key="k1")
+            second = emit("cache.hit", key="k2")
+        assert sink.dropped == 0
+        assert list(read_events(tmp_path / "events.jsonl")) \
+            == [first, second]
+        reset_fired()
+
+    def test_plan_is_resolved_when_the_sink_opens(self, tmp_path,
+                                                  monkeypatch):
+        from repro.sim.faults import FAULT_PLAN_ENV
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        sink = JsonlSink(tmp_path / "events.jsonl")
+        monkeypatch.setenv(FAULT_PLAN_ENV, "ioerr:events/:*")
+        with session(sink):
+            emit("cache.hit", key="k")
+        assert sink.dropped == 0
+
     def test_selective_fault_drops_only_matching_events(
             self, tmp_path):
         from repro.sim.faults import FaultPlan, reset_fired

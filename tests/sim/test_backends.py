@@ -255,8 +255,8 @@ class TestFileqBackend:
                                    poll_interval=0.01)
         backend.open(None, None, 1)
         try:
-            attempt = Attempt(pos=0, key="k" * 200, data={},
-                              label="cell", attempt=2)
+            attempt = Attempt(key="k" * 200, data={}, label="cell",
+                              attempt=2)
             assert backend.dispatch(attempt)
             ghost = backend.layout.claims / "ghost"
             ghost.mkdir(parents=True)
@@ -275,8 +275,8 @@ class TestFileqBackend:
         backend = FileQueueBackend(tmp_path / "q", workers=0)
         backend.open(None, None, 1)
         try:
-            attempt = Attempt(pos=0, key="key", data={},
-                              label="cell", attempt=1)
+            attempt = Attempt(key="key", data={}, label="cell",
+                              attempt=1)
             backend.dispatch(attempt)
             backend.cancel("key", 1)
             assert not list(backend.layout.todo.glob("*.json"))
@@ -420,7 +420,7 @@ class TestFileqResilience:
         backend.open(None, "enospc:queue/:*", 1)
         try:
             assert backend.dispatch(Attempt(
-                pos=0, key="k1", data={}, label="cell", attempt=1))
+                key="k1", data={}, label="cell", attempt=1))
             outcomes = backend.poll(timeout=0.2)
         finally:
             backend.close()

@@ -9,6 +9,7 @@ completes every healthy cell bit-identically to a fault-free run.
 
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import signal
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cache import ResultCache
+from repro.obs.events import JsonlSink, emit, read_events, session
 from repro.service import SweepPolicy, SweepService
 from repro.sim.faults import (
     FAULT_PLAN_ENV,
@@ -33,14 +35,15 @@ from repro.sim.faults import (
     maybe_io_fault,
     reset_fired,
 )
-from repro.sim.journal import (
-    SweepJournal,
-    journal_path,
-    load_journal,
-    sweep_digest,
-)
 from repro.sim.runner import run_once
-from repro.sim.sweep import SweepFailure, SweepInterrupted, expand_grid
+from repro.sim.sweep import (
+    JOURNAL_DIR,
+    SweepFailure,
+    SweepInterrupted,
+    expand_grid,
+    fold_journal,
+    journal_path,
+)
 
 TINY = dict(refs_per_core=300, scale=1 / 64, seed=7)
 
@@ -515,90 +518,104 @@ class TestCacheStoreDegrade:
 
 
 class TestSweepJournal:
+    """The journal is the sweep's event log; ``fold_journal`` reads
+    back what ``--resume`` needs from its ``cell.*`` events."""
+
     def test_digest_is_order_independent(self):
-        assert sweep_digest(["b", "a", "c"]) == sweep_digest(
-            ["c", "a", "b"])
-        assert sweep_digest(["a"]) != sweep_digest(["b"])
-        path = journal_path("/tmp/x", ["a", "b"])
-        assert path.name == (f"sweep-{sweep_digest(['a', 'b'])}"
-                             f".journal.jsonl")
+        assert journal_path("/tmp/x", ["b", "a", "c"]) == journal_path(
+            "/tmp/x", ["c", "a", "b"])
+        assert journal_path("/tmp/x", ["a"]) != journal_path(
+            "/tmp/x", ["b"])
+        digest = hashlib.sha256(b"a\nb").hexdigest()[:16]
+        assert journal_path("/tmp/x", ["b", "a"]) == Path(
+            f"/tmp/x/sweep-{digest}.journal.jsonl")
 
     def test_record_load_round_trip(self, tmp_path):
         path = tmp_path / "sweep.journal.jsonl"
-        with SweepJournal(path) as journal:
-            journal.record("start", cells=4)
-            journal.record("dispatch", key="k1", label="l1", attempt=1)
-            journal.record("outcome", key="k1", attempt=1,
-                           status="error")
-            journal.record("retry", key="k1", attempt=1,
-                           not_before=123.0)
-            journal.record("outcome", key="k2", attempt=1, status="ok")
-            journal.record("quarantine", key="k3", label="l3",
-                           attempts=2, fail_kind="timeout",
-                           error="too slow")
-            journal.record("interrupted", completed=1, pending=0,
-                           requeued=1)
-        state = load_journal(path)
-        assert state.attempts == {"k1": 1}
-        assert state.not_before == {"k1": 123.0}
-        assert state.completed == {"k2"}
-        assert state.quarantined["k3"]["fail_kind"] == "timeout"
-        assert state.quarantined["k3"]["attempts"] == 2
-        assert state.interrupted
-        assert bool(state)
+        with session(JsonlSink(path)):
+            emit("sweep.started", cells=4, unique=4, cached=0,
+                 missing=4, backend="serial", jobs=1)
+            emit("cell.dispatched", key="k1", label="l1", attempt=1)
+            emit("cell.failed", key="k1", label="l1", attempt=1,
+                 kind="error")
+            retried = emit("cell.retried", key="k1", label="l1",
+                           attempt=1, delay=0.5)
+            emit("cell.completed", key="k2", label="l2", attempt=1,
+                 wall=0.1)
+            emit("cell.quarantined", key="k3", label="l3", attempts=2,
+                 kind="timeout", error="too slow")
+            emit("sweep.interrupted", completed=1, pending=0,
+                 requeued=1)
+        attempts, gates, quarantined = fold_journal(path)
+        assert attempts == {"k1": 1}
+        assert gates == {"k1": retried.t_wall + 0.5}
+        assert set(quarantined) == {"k3"}
+        assert quarantined["k3"]["kind"] == "timeout"
+        assert quarantined["k3"]["attempts"] == 2
+        assert quarantined["k3"]["error"] == "too slow"
 
     def test_ok_outcome_clears_backoff_gate(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with SweepJournal(path) as journal:
-            journal.record("retry", key="k1", attempt=1,
-                           not_before=99.0)
-            journal.record("outcome", key="k1", attempt=2,
-                           status="ok")
-        state = load_journal(path)
-        assert state.not_before == {}
-        assert state.completed == {"k1"}
+        with session(JsonlSink(path)):
+            emit("cell.retried", key="k1", label="l1", attempt=1,
+                 delay=99.0)
+            emit("cell.completed", key="k1", label="l1", attempt=2,
+                 wall=0.1)
+        assert fold_journal(path) == ({}, {}, {})
 
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with SweepJournal(path) as journal:
-            journal.record("outcome", key="k1", attempt=1,
-                           status="error")
+        with session(JsonlSink(path)):
+            emit("cell.failed", key="k1", label="l1", attempt=1,
+                 kind="error")
         with open(path, "a") as handle:
-            handle.write('{"v": 1, "kind": "outco')   # torn append
-        state = load_journal(path)
-        assert state.attempts == {"k1": 1}
-        assert state.records == 1
+            handle.write('{"v": 1, "type": "cell.fa')   # torn append
+        assert fold_journal(path) == ({"k1": 1}, {}, {})
 
     def test_missing_journal_is_empty_state(self, tmp_path):
-        state = load_journal(tmp_path / "absent.jsonl")
-        assert not state
-        assert state.attempts == {}
+        assert fold_journal(tmp_path / "absent.jsonl") == ({}, {}, {})
 
     def test_fresh_run_truncates_resume_appends(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with SweepJournal(path) as journal:
-            journal.record("outcome", key="old", attempt=1,
-                           status="error")
-        with SweepJournal(path, resume=True) as journal:
-            journal.record("outcome", key="new", attempt=1,
-                           status="error")
-        assert load_journal(path).attempts == {"old": 1, "new": 1}
-        with SweepJournal(path) as journal:       # fresh: truncate
-            journal.record("outcome", key="only", attempt=1,
-                           status="error")
-        assert load_journal(path).attempts == {"only": 1}
+        """A fresh run starts the journal anew, ``--resume`` appends,
+        and warm-cache ``cache.hit`` events stay out of it."""
+        configs = tiny_grid(workloads=("rnd",), mechanisms=("radix",))
+        cache_dir = tmp_path / "cache"
+        keys = [ResultCache(cache_dir).key(c) for c in configs]
+        path = journal_path(cache_dir / JOURNAL_DIR, keys)
+
+        def run(resume):
+            SweepService(backend="serial", cache_dir=cache_dir,
+                         resume=resume).run_grid(configs)
+            return [event.type for event in read_events(path)]
+
+        cold = ["sweep.started", "cell.dispatched", "cache.store",
+                "cell.completed", "sweep.finished"]
+        assert run(False) == cold
+        assert run(True) == cold + ["sweep.started", "sweep.finished"]
+        assert run(False) == ["sweep.started", "sweep.finished"]
 
     def test_persistent_write_fault_degrades_to_counted_drop(
             self, tmp_path):
         path = tmp_path / "j.jsonl"
-        plan = FaultPlan.parse("ioerr:journal/:*")
-        with SweepJournal(path, fault_plan=plan) as journal:
-            journal.record("outcome", key="k1", attempt=1,
-                           status="ok")
-            journal.record("outcome", key="k2", attempt=1,
-                           status="ok")
-            assert journal.dropped == 2
-        assert not load_journal(path)
+        sink = JsonlSink(path,
+                         fault_plan=FaultPlan.parse("ioerr:events/:*"))
+        with session(sink):
+            emit("cell.failed", key="k1", label="l1", attempt=1,
+                 kind="error")
+            emit("cell.failed", key="k2", label="l2", attempt=1,
+                 kind="error")
+            assert sink.dropped == 2
+        assert fold_journal(path) == ({}, {}, {})
+
+    def test_journal_write_faults_never_fail_the_sweep(self, tmp_path):
+        configs = tiny_grid(workloads=("rnd",))
+        service = SweepService(
+            backend="serial", cache_dir=tmp_path / "cache",
+            policy=SweepPolicy(fault_plan="ioerr:events/cell.:*"))
+        results = service.run_grid(configs).results
+        assert all(r is not None for r in results)
+        # Two dispatched + two completed events per cell, all dropped.
+        assert service.last_stats.metrics["events.dropped"] == 4
 
 
 class TestResumeSupervision:
@@ -646,12 +663,11 @@ class TestResumeSupervision:
         bad_index = 2
         bad = cell_label(configs[bad_index])
         keys = self._keys(tmp_path, configs)
-        path = journal_path(tmp_path / "cache" / "journal", keys)
-        with SweepJournal(path) as journal:
-            journal.record("outcome", key=keys[bad_index], attempt=1,
-                           status="error")
-            journal.record("outcome", key=keys[bad_index], attempt=2,
-                           status="error")
+        path = journal_path(tmp_path / "cache" / JOURNAL_DIR, keys)
+        with session(JsonlSink(path)):
+            for attempt in (1, 2):
+                emit("cell.failed", key=keys[bad_index], label=bad,
+                     attempt=attempt, kind="error")
 
         service = SweepService(
             backend="serial", cache_dir=tmp_path / "cache",
@@ -697,12 +713,13 @@ class TestResumeSupervision:
         assert "interrupted" in str(excinfo.value)
 
         keys = self._keys(tmp_path, configs)
-        state = load_journal(
-            journal_path(cache_dir / "journal", keys))
-        assert state.interrupted
-        assert len(state.completed) == 3
+        path = journal_path(cache_dir / JOURNAL_DIR, keys)
+        types = [event.type for event in read_events(path)]
+        assert "sweep.interrupted" in types
+        assert types.count("cell.completed") == 3
         # The in-flight dispatch was never charged an attempt.
-        assert state.attempts.get(keys[3], 0) == 0
+        attempts, _, _ = fold_journal(path)
+        assert attempts.get(keys[3], 0) == 0
 
         resumed = SweepService(backend="serial", cache_dir=cache_dir,
                                resume=True)
@@ -711,6 +728,57 @@ class TestResumeSupervision:
         assert resumed.last_stats.cache_hits == 3
         assert resumed.last_stats.simulated == 1
         assert fields(results[3]) == fields(run_once(configs[3]))
+
+    def test_backoff_gate_carried_on_resume(self, tmp_path):
+        """A cell the killed supervisor put into backoff is not
+        re-dispatched before its wall-clock gate opens."""
+        configs = tiny_grid()
+        keys = self._keys(tmp_path, configs)
+        label = cell_label(configs[0])
+        path = journal_path(tmp_path / "cache" / JOURNAL_DIR, keys)
+        with session(JsonlSink(path)):
+            emit("cell.failed", key=keys[0], label=label, attempt=1,
+                 kind="error")
+            retried = emit("cell.retried", key=keys[0], label=label,
+                           attempt=1, delay=1.0)
+        gate = retried.t_wall + 1.0
+
+        service = SweepService(
+            backend="serial", cache_dir=tmp_path / "cache",
+            resume=True, policy=SweepPolicy(retries=1, strict=False))
+        results = service.run_grid(configs).results
+        assert all(r is not None for r in results)
+        dispatches = [event for event in read_events(path)
+                      if event.type == "cell.dispatched"
+                      and event.data["key"] == keys[0]]
+        assert [e.data["attempt"] for e in dispatches] == [2]
+        assert dispatches[0].t_wall >= gate
+        assert service.last_stats.wall_seconds >= 0.8
+
+    def test_journal_matches_events_out(self, tmp_path):
+        """The journal and an ``--events-out`` log of the same sweep
+        hold the same cell lifecycle."""
+        configs = tiny_grid()
+        bad = cell_label(configs[1])
+        events_out = tmp_path / "events.jsonl"
+        service = SweepService(
+            backend="serial", cache_dir=tmp_path / "cache",
+            events_out=events_out,
+            policy=SweepPolicy(retries=1, backoff=0.0, strict=False,
+                               fault_plan=f"fail:{bad}:1"))
+        assert all(r is not None for r in service.run_grid(configs))
+        keys = self._keys(tmp_path, configs)
+
+        def cell_events(path):
+            return [(e.type, e.data["key"], e.data.get("attempt"))
+                    for e in read_events(path)
+                    if e.type.startswith("cell.")]
+
+        journal = cell_events(
+            journal_path(tmp_path / "cache" / JOURNAL_DIR, keys))
+        assert journal == cell_events(events_out)
+        assert ("cell.failed", keys[1], 1) in journal
+        assert ("cell.completed", keys[1], 2) in journal
 
     def test_interrupted_is_not_swallowed_by_except_exception(self):
         with pytest.raises(KeyboardInterrupt):

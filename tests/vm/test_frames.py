@@ -5,7 +5,7 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.vm.address import HUGE_PAGE_SIZE, PAGE_SIZE
 from repro.vm.frames import (
@@ -156,6 +156,20 @@ class TestAccounting:
         alloc.alloc_frame(site=1)   # carves the same block
         assert alloc.free_frames == start - 2
 
+    def test_stolen_partial_counts_once_as_movable(self):
+        """Site 1 runs out of blocks and steals site 0's partial: its
+        free room is movable once, and compaction cannot coalesce a
+        whole block out of 510 free frames."""
+        alloc = FrameAllocator(4 * MIB, reserved_bytes=0,
+                               compaction_efficiency=1.0)
+        alloc.alloc_frame(site=0)
+        for _ in range(513):
+            alloc.alloc_frame(site=1)
+        assert alloc.free_frames == 510
+        assert alloc.movable_scattered_frames == 510
+        assert alloc.compact() == 0
+        assert alloc.free_frames == 510
+
     @given(fragmentation=st.floats(0.0, 0.9),
            ops=st.lists(st.tuples(st.sampled_from(["small", "huge"]),
                                   st.integers(0, 3)), max_size=60))
@@ -263,10 +277,11 @@ class TestCompaction:
 #
 # The allocator used to materialize every block at boot: a Python loop
 # over all usable blocks and one _PartialBlock per boot-fragmented one.
-# It is kept here (docstrings dropped; free_frames counts each partial
-# block once, as the lazy allocator does) as the reference model for
-# the lazy allocator, which must return the same frames and report the
-# same capacity after every operation.
+# It is kept here (docstrings dropped; free_frames and
+# movable_scattered_frames count each partial block once, as the lazy
+# allocator does) as the reference model for the lazy allocator, which
+# must return the same frames and report the same capacity after every
+# operation.
 
 class _EagerPartialBlock:
     """The old _PartialBlock."""
@@ -353,7 +368,7 @@ class EagerFrameAllocator:
     @property
     def movable_scattered_frames(self) -> int:
         partial = sum(FRAMES_PER_BLOCK - p.next_offset
-                      for site, p in self._partials.items()
+                      for p in set(self._partials.values())
                       if not self._is_fragmented(p))
         return partial + len(self._free_frames)
 
@@ -511,6 +526,9 @@ class TestLazyBootDifferential:
                               st.integers(0, 4 * HUGE_PAGE_SIZE)),
            fragmentation=st.floats(0.0, 0.9),
            ops=st.lists(OPS, max_size=40))
+    # Site 1 exhausts the free blocks and steals site 0's partial.
+    @example(blocks=2, tail_frames=0, reserved=0, fragmentation=0.0,
+             ops=[("alloc", 0, 1), ("alloc", 1, 513), ("compact",)])
     @settings(max_examples=150, deadline=None)
     def test_matches_eager_allocator(self, blocks, tail_frames, reserved,
                                      fragmentation, ops):
