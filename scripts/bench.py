@@ -308,7 +308,7 @@ def run_sweep_bench(refs: int, scale: float, jobs: int,
         "worker_deaths": stats.worker_deaths,
         "quarantined": stats.failed,
         # Per-sweep telemetry snapshot (queue wait / attempt wall /
-        # cache-store histograms) from the supervisor's registry.
+        # cache-store summaries) from the sweep's ledger.
         "metrics": stats.metrics,
     }
     if verbose:

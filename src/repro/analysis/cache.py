@@ -235,6 +235,7 @@ class ResultCache:
         The entry holds only what :meth:`load` reads; the config
         itself travels inside the result (``result.config``).
         """
+        start = time.perf_counter()
         path = self.root / f"{key}.json" if key else self.path(config)
         payload = result_to_dict(result)
         entry = {
@@ -245,7 +246,6 @@ class ResultCache:
         }
         # Created on first write, not in __init__, so a cache that is
         # only ever consulted leaves no empty directory behind.
-        start = time.perf_counter()
         self.root.mkdir(parents=True, exist_ok=True)
         label = cell_label(config)
         # Transient I/O faults (and any injected ioerr/enospc/stall

@@ -156,39 +156,6 @@ class FlattenedPageTable(PageTable):
                                  ("PL2/1", page))])
         return stages
 
-    def walk_plan(self, page: int):
-        """Specialized :meth:`PageTable.walk_plan` (no ``WalkStage``
-        construction; walkers compile a plan per walked page)."""
-        info = self.walk_info(page)
-        if info is None:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        return info[0]
-
-    def walk_info(self, page: int):
-        """Specialized :meth:`PageTable.walk_info`: plan + translation
-        from a single descent."""
-        mask = ENTRIES_PER_NODE - 1
-        node = self._root
-        idx4 = (page >> (3 * LEVEL_BITS)) & mask
-        stage4 = ("PL4", node.base_paddr + idx4 * PTE_SIZE,
-                  page >> (3 * LEVEL_BITS))
-        child = node.entries.get(idx4)
-        if child is None:
-            return None
-        idx3 = (page >> (2 * LEVEL_BITS)) & mask
-        stage3 = ("PL3", child.base_paddr + idx3 * PTE_SIZE,
-                  page >> (2 * LEVEL_BITS))
-        flat = child.entries.get(idx3)
-        if flat is None:
-            return None
-        index = page & (FLAT_ENTRIES - 1)
-        leaf = flat.entries.get(index)
-        if leaf is None:
-            return None
-        return ((stage4,), (stage3,),
-                (("PL2/1", flat.base_paddr + index * PTE_SIZE, page),)
-                ), leaf
-
     def walk_info_decorated(self, page: int, level_info: dict, resolve):
         """Specialized :meth:`PageTable.walk_info_decorated`: one
         descent, flat plan, walker treatment baked in."""

@@ -1,15 +1,19 @@
-"""Observability: structured events, metrics, progress, and traces.
+"""Observability: structured events, one fold over them, progress,
+and traces.
 
-The telemetry spine over the execution stack.  Everything here is
-default-off: with no sink installed, :func:`repro.obs.events.emit` is
-one global load and a compare, so fault-free sweeps stay bit-identical
-with zero hot-path cost.  Instrumentation lives at supervisor /
-backend / cache granularity — never inside ``Core.step_until``.
+The telemetry spine over the execution stack.  File telemetry is
+opt-in (``--events-out``, or the journal of a sweep with a cache
+dir); every sweep still folds its own events in memory into a
+:class:`~repro.obs.ledger.SweepLedger`, about three per simulated
+cell.  The simulator never emits: instrumentation lives at supervisor
+/ backend / cache granularity — never inside ``Core.step_until`` — so
+simulated results are bit-identical with or without a sink.
 
 * :mod:`repro.obs.events` — typed, versioned event records emitted to
-  a pluggable sink (JSONL file with atomic appends; null by default).
-* :mod:`repro.obs.metrics` — a tiny counter/gauge/histogram registry
-  the supervisor updates, snapshotted into ``SweepStats``.
+  a pluggable sink (JSONL file with atomic appends; none by default).
+* :mod:`repro.obs.ledger` — :class:`SweepLedger`, the one reader of
+  sweep events: ``SweepStats`` counts and metrics, ``--progress``,
+  ``--resume`` and ``repro trace`` all read it.
 * :mod:`repro.obs.progress` — a live TTY progress view driven off the
   event stream (``--progress`` on ``repro sweep`` / ``figure``).
 * :mod:`repro.obs.trace` — per-cell spans exported as Chrome-trace
@@ -28,8 +32,8 @@ from repro.obs.events import (
     session,
     set_sink,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.progress import ProgressState, ProgressView
+from repro.obs.ledger import SweepLedger
+from repro.obs.progress import ProgressView
 from repro.obs.trace import build_trace
 
 __all__ = [
@@ -37,11 +41,10 @@ __all__ = [
     "Event",
     "JsonlSink",
     "MemorySink",
-    "MetricsRegistry",
     "MultiSink",
     "NullSink",
-    "ProgressState",
     "ProgressView",
+    "SweepLedger",
     "build_trace",
     "emit",
     "read_events",

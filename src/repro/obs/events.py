@@ -7,12 +7,14 @@ timestamp, a per-process sequence number, and a flat payload dict
 whose required fields are declared per event type in
 :data:`EVENT_TYPES` (the schema; version :data:`SCHEMA_VERSION`).
 
-Emission is *default-off*: the module-level sink starts as ``None``
-and :func:`emit` returns immediately when no sink is installed — one
-global load and an ``is None`` test — so instrumented code paths cost
-nothing in ordinary runs.  Call sites live at supervisor / backend /
+The module-level sink starts as ``None`` and :func:`emit` returns
+immediately when no sink is installed — one global load and an ``is
+None`` test.  Every sweep installs its own
+:class:`~repro.obs.ledger.SweepLedger` for its duration, so a sweep
+builds about three events per simulated cell in memory; writing them
+to a file stays opt-in.  Call sites live at supervisor / backend /
 cache granularity (per cell, per worker), never inside the
-per-reference simulation loop.
+per-reference simulation loop: the simulator itself never emits.
 
 Sinks are tiny: :class:`JsonlSink` appends one JSON object per line
 through a single ``os.write`` on an ``O_APPEND`` descriptor, so
@@ -173,9 +175,9 @@ class JsonlSink(EventSink):
     retried with bounded backoff.  Telemetry must never take the
     sweep down with it: a persistent failure (ENOSPC, a yanked
     filesystem, an injected ``ioerr``) drops that event instead of
-    raising.  Drops are counted (``dropped``; summed into the sweep's
-    metrics snapshot as ``events.dropped``) and the first one prints
-    a single stderr warning.
+    raising.  Drops are counted (``dropped``; :func:`dropped_events`
+    sums them for the ``events.dropped`` counter of the sweep's
+    metrics) and the first one prints a single stderr warning.
     """
 
     def __init__(self, path: Union[str, Path], fault_plan=None):

@@ -1,22 +1,22 @@
 """Live sweep progress driven off the event stream.
 
-:class:`ProgressState` is the pure part: it folds events into
-counters (cells done/total, cache hits, retries, quarantines,
-per-worker state) and computes the ETA from the observed completion
-rate — testable on a synthetic event stream with no terminal
-involved.  :class:`ProgressView` wraps it as an event sink that
-renders a single self-overwriting status line to a TTY (plain
-throttled lines on a non-TTY), which ``--progress`` on ``repro
-sweep`` / ``figure`` chains next to the JSONL sink.
+:class:`ProgressView` is an event sink that folds the sweep's events
+into a :class:`~repro.obs.ledger.SweepLedger` of its own and renders
+a single self-overwriting status line to a TTY (plain throttled lines
+on a non-TTY), which ``--progress`` on ``repro sweep`` / ``figure``
+chains next to the JSONL sink.  :func:`render` and
+:func:`eta_seconds` are the pure part — testable on a ledger folded
+from a synthetic event stream, with no terminal involved.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.obs.events import Event, EventSink
+from repro.obs.ledger import SweepLedger
 
 
 def format_duration(seconds: float) -> str:
@@ -31,118 +31,51 @@ def format_duration(seconds: float) -> str:
     return f"{hours}h{minutes:02d}m"
 
 
-class ProgressState:
-    """Fold sweep events into a progress summary.
+def eta_seconds(ledger: SweepLedger, now_mono: float) -> Optional[float]:
+    """Remaining wall time extrapolated from the simulated-cell
+    completion rate (cache hits are effectively instant and would skew
+    it); ``None`` until the first cell completes."""
+    if ledger.started_mono is None or not ledger.completed:
+        return None
+    elapsed = now_mono - ledger.started_mono
+    if elapsed <= 0:
+        return None
+    rate = ledger.completed / elapsed
+    return max(0, ledger.total - ledger.done) / rate
 
-    ``total`` counts *unique* cells; cache-served cells are done the
-    moment ``sweep.started`` arrives.  The ETA extrapolates from the
-    completion rate of simulated cells only (cache hits are
-    effectively instant and would skew the rate).
-    """
 
-    def __init__(self):
-        self.total = 0
-        self.done = 0
-        self.cached = 0
-        self.completed = 0       # simulated cells finished ok
-        self.failed = 0          # quarantined
-        self.retries = 0
-        self.cache_hits = 0      # cache.hit events (includes preload)
-        self.dispatched = 0
-        self.started_mono: Optional[float] = None
-        self.finished = False
-        self.workers: Dict[str, str] = {}   # worker -> state/key
-
-    # -- event folding -----------------------------------------------
-
-    def observe(self, event: Event) -> None:
-        kind = event.type
-        data = event.data
-        if kind == "sweep.started":
-            self.total = data.get("unique", 0)
-            self.cached = data.get("cached", 0)
-            self.done = self.cached
-            self.started_mono = event.t_mono
-        elif kind == "sweep.finished":
-            self.finished = True
-        elif kind == "cell.completed":
-            self.completed += 1
-            self.done += 1
-        elif kind == "cell.quarantined":
-            self.failed += 1
-            self.done += 1
-        elif kind == "cell.retried":
-            self.retries += 1
-        elif kind == "cell.dispatched":
-            self.dispatched += 1
-        elif kind == "cache.hit":
-            self.cache_hits += 1
-        elif kind == "worker.spawned":
-            self.workers[str(data.get("worker"))] = "idle"
-        elif kind == "worker.died":
-            self.workers[str(data.get("worker"))] = "dead"
-        elif kind == "worker.claim":
-            self.workers[str(data.get("worker"))] = str(
-                data.get("key", ""))[:12]
-
-    # -- derived -----------------------------------------------------
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.total - self.done)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        if not self.total:
-            return 0.0
-        return min(self.cached / self.total, 1.0)
-
-    def eta_seconds(self, now_mono: float) -> Optional[float]:
-        """Remaining wall time extrapolated from the simulated-cell
-        completion rate; ``None`` until the first cell completes."""
-        if self.started_mono is None or not self.completed:
-            return None
-        elapsed = now_mono - self.started_mono
-        if elapsed <= 0:
-            return None
-        rate = self.completed / elapsed
-        if rate <= 0:
-            return None
-        return self.remaining / rate
-
-    def render(self, now_mono: Optional[float] = None,
-               width: int = 20) -> str:
-        """One status line: bar, counts, cache rate, retries, ETA,
-        live worker count."""
-        if now_mono is None:
-            now_mono = time.monotonic()
-        if self.total:
-            filled = int(width * self.done / self.total)
-        else:
-            filled = 0
-        bar = "#" * filled + "-" * (width - filled)
-        parts = [f"[{bar}] {self.done}/{self.total} cells"]
-        if self.cached:
-            parts.append(f"{self.cached} cached "
-                         f"({self.cache_hit_rate:.0%})")
-        if self.retries:
-            parts.append(f"{self.retries} retries")
-        if self.failed:
-            parts.append(f"{self.failed} quarantined")
-        eta = self.eta_seconds(now_mono)
-        if self.finished:
-            parts.append("done")
-        elif eta is not None:
-            parts.append(f"ETA {format_duration(eta)}")
-        live = sum(1 for state in self.workers.values()
+def render(ledger: SweepLedger, now_mono: Optional[float] = None,
+           width: int = 20) -> str:
+    """One status line: bar, counts, cache rate, retries, ETA, live
+    worker count.  ``total`` counts *unique* cells; cache-served cells
+    are done the moment ``sweep.started`` arrives."""
+    if now_mono is None:
+        now_mono = time.monotonic()
+    done, total = ledger.done, ledger.total
+    filled = int(width * done / total) if total else 0
+    bar = "#" * filled + "-" * (width - filled)
+    parts = [f"[{bar}] {done}/{total} cells"]
+    if ledger.cached:
+        rate = min(ledger.cached / total, 1.0) if total else 0.0
+        parts.append(f"{ledger.cached} cached ({rate:.0%})")
+    if ledger.retries:
+        parts.append(f"{ledger.retries} retries")
+    if ledger.failed:
+        parts.append(f"{ledger.failed} quarantined")
+    eta = eta_seconds(ledger, now_mono)
+    if ledger.finished:
+        parts.append("done")
+    elif eta is not None:
+        parts.append(f"ETA {format_duration(eta)}")
+    if ledger.workers:
+        live = sum(1 for state in ledger.workers.values()
                    if state != "dead")
-        if self.workers:
-            parts.append(f"{live} worker(s)")
-        return "  ".join(parts)
+        parts.append(f"{live} worker(s)")
+    return "  ".join(parts)
 
 
 class ProgressView(EventSink):
-    """Event sink rendering :class:`ProgressState` to a terminal.
+    """Event sink rendering its :class:`SweepLedger` to a terminal.
 
     On a TTY the line overwrites itself (``\\r``) at most every
     ``interval`` seconds; on a non-TTY it degrades to occasional plain
@@ -153,7 +86,7 @@ class ProgressView(EventSink):
     def __init__(self, stream=None, interval: float = 0.1):
         self.stream = stream if stream is not None else sys.stderr
         self.interval = interval
-        self.state = ProgressState()
+        self.ledger = SweepLedger()
         self._isatty = bool(getattr(self.stream, "isatty",
                                     lambda: False)())
         self._last_render = 0.0
@@ -161,24 +94,24 @@ class ProgressView(EventSink):
         self._dirty = False
 
     def emit(self, event: Event) -> None:
-        self.state.observe(event)
+        self.ledger.observe(event)
         self._dirty = True
         now = time.monotonic()
         if now - self._last_render < self.interval:
             return
-        if not self._isatty and self.state.done == self._last_done:
+        if not self._isatty and self.ledger.done == self._last_done:
             return   # non-TTY: only when progress actually moved
         self._render(now)
 
     def _render(self, now: float) -> None:
-        line = self.state.render(now)
+        line = render(self.ledger, now)
         if self._isatty:
             self.stream.write("\r\x1b[2K" + line)
         else:
             self.stream.write(line + "\n")
         self.stream.flush()
         self._last_render = now
-        self._last_done = self.state.done
+        self._last_done = self.ledger.done
         self._dirty = False
 
     def close(self) -> None:

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.obs.events import Event, read_events
+from repro.obs.ledger import SweepLedger
 
 #: Synthetic pid for all sweep lanes in the trace.
 TRACE_PID = 1
@@ -32,93 +33,50 @@ def _microseconds(t_wall: float, origin: float) -> float:
     return round((t_wall - origin) * 1e6, 1)
 
 
-def build_trace(events: Iterable[Event]) -> Dict[str, object]:
+def build_trace(events: Iterable[Event],
+                cell: Optional[str] = None) -> Dict[str, object]:
     """Chrome-trace dict (``{"traceEvents": [...]}``) from events.
 
-    Tolerates incomplete lifecycles (a killed sweep leaves dispatched
-    cells with no outcome: their attempt spans are simply omitted) and
-    unknown event types (forward compatibility).
+    Folds every event into a :class:`~repro.obs.ledger.SweepLedger`
+    and formats its spans.  ``cell`` keeps only the lanes whose label
+    or key contains the substring.  Tolerates incomplete lifecycles (a
+    killed sweep leaves dispatched cells with no outcome: their
+    attempt spans are simply omitted) and unknown event types (forward
+    compatibility).
     """
-    events = sorted(events, key=lambda e: (e.t_wall, e.pid, e.seq))
-    if not events:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-    origin = events[0].t_wall
-
+    ledger = SweepLedger.fold(events)
+    origin = ledger.first_wall
     lanes: Dict[str, int] = {}          # cell key -> tid
-    labels: Dict[str, str] = {}         # cell key -> label
-    ready_at: Dict[str, float] = {}     # key -> last became-ready t
-    open_attempt: Dict[tuple, float] = {}   # (key, attempt) -> t
-    claims: Dict[tuple, tuple] = {}     # (key, attempt) -> (worker, t)
-    sweep_start = events[0].t_wall
     trace: List[Dict[str, object]] = []
 
-    def lane(key: str) -> int:
-        tid = lanes.get(key)
-        if tid is None:
-            tid = len(lanes) + 1
-            lanes[key] = tid
-        return tid
+    def label(key: str) -> Optional[str]:
+        record = ledger.cells.get(key)
+        return record.label if record is not None else None
 
-    def span(name: str, key: str, start: float, end: float,
-             **args) -> None:
-        trace.append({
-            "name": name, "cat": "cell", "ph": "X",
-            "ts": _microseconds(start, origin),
-            "dur": round(max(0.0, end - start) * 1e6, 1),
-            "pid": TRACE_PID, "tid": lane(key),
-            "args": args,
-        })
-
-    def instant(name: str, key: str, at: float, **args) -> None:
-        trace.append({
-            "name": name, "cat": "cell", "ph": "i", "s": "t",
-            "ts": _microseconds(at, origin),
-            "pid": TRACE_PID, "tid": lane(key),
-            "args": args,
-        })
-
-    for event in events:
-        kind, data, now = event.type, event.data, event.t_wall
-        key = data.get("key")
-        if kind == "sweep.started":
-            sweep_start = now
-        elif kind == "cell.dispatched" and key:
-            labels.setdefault(key, str(data.get("label", key[:12])))
-            queued_since = ready_at.get(key, sweep_start)
-            span("queued", key, queued_since, now,
-                 attempt=data.get("attempt"))
-            open_attempt[(key, data.get("attempt"))] = now
-        elif kind in ("cell.completed", "cell.failed",
-                      "cell.timeout") and key:
-            attempt = data.get("attempt")
-            started = open_attempt.pop((key, attempt), None)
-            if started is not None:
-                name = ("attempt" if kind == "cell.completed"
-                        else f"attempt ({data.get('kind', 'timeout')})")
-                span(name, key, started, now, attempt=attempt,
-                     status=kind.split(".")[1])
-            claim = claims.pop((key, attempt), None)
-            if claim is not None:
-                worker, claimed_at = claim
-                span("executing", key, claimed_at, now,
-                     attempt=attempt, worker=worker)
-            ready_at[key] = now     # queued again if retried
-        elif kind == "worker.claim" and key:
-            claims[(key, data.get("attempt"))] = (
-                str(data.get("worker")), now)
-        elif kind == "cache.store" and key:
-            instant("cache.store", key, now)
-        elif kind == "cell.quarantined" and key:
-            instant("quarantined", key, now,
-                    kind=data.get("kind"),
-                    attempts=data.get("attempts"))
+    for span in ledger.spans:
+        if cell and cell not in span.key and cell not in (
+                label(span.key) or ""):
+            continue
+        entry: Dict[str, object] = {"name": span.name, "cat": "cell"}
+        if span.end is None:
+            entry.update(ph="i", s="t",
+                         ts=_microseconds(span.start, origin))
+        else:
+            entry.update(ph="X", ts=_microseconds(span.start, origin),
+                         dur=round(max(0.0, span.end - span.start)
+                                   * 1e6, 1))
+        entry.update(pid=TRACE_PID,
+                     tid=lanes.setdefault(span.key, len(lanes) + 1),
+                     args=span.args)
+        trace.append(entry)
 
     # Name the lanes after their cells (metadata events).
     for key, tid in lanes.items():
+        name = label(key)
         trace.append({
             "name": "thread_name", "ph": "M", "pid": TRACE_PID,
             "tid": tid,
-            "args": {"name": labels.get(key, key[:16])},
+            "args": {"name": name if name is not None else key[:16]},
         })
     return {"traceEvents": trace, "displayTimeUnit": "ms"}
 
@@ -126,16 +84,9 @@ def build_trace(events: Iterable[Event]) -> Dict[str, object]:
 def export_trace(events_path: Union[str, Path],
                  out_path: Union[str, Path],
                  cell: Optional[str] = None) -> Dict[str, object]:
-    """Read a JSONL event log, build the trace, write it to
-    ``out_path``; returns the trace dict.  ``cell`` keeps only events
-    whose label or key contains the substring (plus sweep events, so
-    queue anchoring survives the filter)."""
-    events = list(read_events(events_path, strict=False))
-    if cell:
-        events = [e for e in events
-                  if e.type.startswith("sweep.")
-                  or cell in str(e.data.get("label", ""))
-                  or cell in str(e.data.get("key", ""))]
-    trace = build_trace(events)
+    """Read a JSONL event log, build the trace (``cell`` filters lanes,
+    as in :func:`build_trace`), write it to ``out_path``; returns the
+    trace dict."""
+    trace = build_trace(read_events(events_path, strict=False), cell)
     Path(out_path).write_text(json.dumps(trace) + "\n")
     return trace

@@ -1,17 +1,11 @@
-"""The submit-level sweep API: one front door for every execution
-backend.
+"""The sweep API: one front door for every execution backend.
 
 Everything above the simulator — the CLI, the figure drivers,
-``scripts/bench.py``, future services — talks to sweeps through this
-module instead of hand-assembling runner + cache + fault plumbing:
-
-* :meth:`SweepService.submit` — register one config, get a
-  :class:`CellHandle` back immediately.
-* :meth:`SweepService.gather` — execute every pending handle as one
-  batched sweep (dedup, cache, retries) and resolve them.
-* :meth:`SweepService.run_grid` — run a config grid under a
-  :class:`SweepPolicy`, returning a :class:`SweepResult` (results in
-  input order + stats + failure manifest).
+``scripts/bench.py``, perfbench — talks to sweeps through
+:meth:`SweepService.run_grid` instead of hand-assembling runner +
+cache + fault plumbing: it runs a config grid under a
+:class:`SweepPolicy` and returns a :class:`SweepResult` (results in
+input order + stats + failure manifest).
 
 Backend selection (``serial`` / ``pool`` / ``fileq`` / ``auto``) and
 failure policy are explicit objects, so "run this grid on 4 local
@@ -35,7 +29,7 @@ from __future__ import annotations
 
 import contextlib
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.obs.events import JsonlSink, session
 from repro.obs.progress import ProgressView
@@ -55,46 +49,12 @@ from repro.sim.sweep import (
 __all__ = [
     "BACKEND_NAMES",
     "BackendSpec",
-    "CellHandle",
     "SweepFailure",
     "SweepInterrupted",
     "SweepPolicy",
     "SweepResult",
     "SweepService",
-    "gather",
-    "run_grid",
-    "submit",
 ]
-
-
-class CellHandle:
-    """One submitted cell.  ``result()`` executes the service's whole
-    pending batch on first use (so N submits still become one deduped,
-    parallel sweep) and returns this cell's :class:`RunResult` —
-    ``None`` if the cell was quarantined under a non-strict policy."""
-
-    __slots__ = ("config", "key", "state", "error", "_service",
-                 "_result")
-
-    def __init__(self, config: SystemConfig, key: str,
-                 service: "SweepService"):
-        self.config = config
-        self.key = key
-        self.state = "pending"    # "pending" | "done" | "failed"
-        self.error: Optional[str] = None
-        self._service = service
-        self._result: Optional[RunResult] = None
-
-    def done(self) -> bool:
-        return self.state != "pending"
-
-    def result(self) -> Optional[RunResult]:
-        if self.state == "pending":
-            self._service.gather()
-        return self._result
-
-    def __repr__(self) -> str:
-        return (f"CellHandle({self.key[:12]}, state={self.state!r})")
 
 
 class SweepResult:
@@ -154,8 +114,10 @@ class SweepService:
     events_out:
         Path of a JSONL event log; every sweep run through the
         service appends its structured telemetry there (see
-        :mod:`repro.obs.events`).  ``None`` (default) keeps the
-        telemetry spine disabled — a true no-op on the hot path.
+        :mod:`repro.obs.events`).  ``None`` (default) writes no file;
+        each sweep still folds its own events in memory (see
+        :class:`~repro.obs.ledger.SweepLedger`), and the simulator
+        itself never emits.
     progress:
         Stream a live progress line to ``progress_stream`` (stderr
         by default) while sweeps execute.
@@ -203,56 +165,6 @@ class SweepService:
         self.progress = progress
         self.progress_stream = progress_stream
         self.last_stats = SweepStats()
-        self._handles: Dict[str, CellHandle] = {}
-
-    # -- identity ----------------------------------------------------
-
-    def _key(self, config: SystemConfig) -> str:
-        if self.cache is not None:
-            return self.cache.key(config)
-        return config.canonical_json()
-
-    # -- submit / gather ---------------------------------------------
-
-    def submit(self, config: SystemConfig) -> CellHandle:
-        """Register one cell for execution; returns immediately.
-
-        Submitting the same config twice returns the same handle
-        (in-service dedup, on top of the sweep's own)."""
-        key = self._key(config)
-        handle = self._handles.get(key)
-        if handle is None:
-            handle = CellHandle(config, key, self)
-            self._handles[key] = handle
-        return handle
-
-    def gather(self, handles: Optional[Sequence[CellHandle]] = None
-               ) -> List[Optional[RunResult]]:
-        """Execute pending handles as one batched sweep and resolve
-        them; returns their results in the given order.  ``None``
-        gathers everything submitted so far."""
-        if handles is None:
-            handles = list(self._handles.values())
-        handles = list(handles)
-        pending = [h for h in handles if h.state == "pending"]
-        if pending:
-            results, stats = self._execute(
-                [h.config for h in pending], self.policy, None)
-            failed = {f.key: f for f in stats.manifest}
-            for handle, result in zip(pending, results):
-                if result is not None:
-                    handle._result = result
-                    handle.state = "done"
-                else:
-                    handle.state = "failed"
-                    failure = failed.get(handle.key)
-                    handle.error = (failure.error if failure
-                                    else "missing result")
-            if self.policy.strict and stats.manifest:
-                raise SweepFailure(stats.manifest)
-        return [h._result for h in handles]
-
-    # -- grid execution ----------------------------------------------
 
     def run_grid(self, configs: Sequence[SystemConfig],
                  policy: Optional[SweepPolicy] = None,
@@ -263,12 +175,6 @@ class SweepService:
         :class:`SweepFailure` *after* every healthy cell completed
         and persisted (``last_stats`` still reflects the sweep)."""
         policy = policy or self.policy
-        results, stats = self._execute(configs, policy, run_fn)
-        if policy.strict and stats.manifest:
-            raise SweepFailure(stats.manifest)
-        return SweepResult(results, stats)
-
-    def _execute(self, configs, policy, run_fn):
         with contextlib.ExitStack() as stack:
             if self.events_out:
                 stack.enter_context(
@@ -284,43 +190,6 @@ class SweepService:
                                            journal_dir=self.journal_dir,
                                            resume=self.resume)
         self.last_stats = stats
-        return results, stats
-
-
-# -- module-level convenience -------------------------------------------------
-
-_default_service: Optional[SweepService] = None
-
-
-def default_service() -> SweepService:
-    """The process-wide serial, cache-less service behind the
-    module-level :func:`submit`."""
-    global _default_service
-    if _default_service is None:
-        _default_service = SweepService(backend="serial")
-    return _default_service
-
-
-def submit(config: SystemConfig,
-           service: Optional[SweepService] = None) -> CellHandle:
-    return (service or default_service()).submit(config)
-
-
-def gather(handles: Sequence[CellHandle]
-           ) -> List[Optional[RunResult]]:
-    """Resolve handles from any mix of services, preserving order."""
-    handles = list(handles)
-    for service in dict.fromkeys(h._service for h in handles):
-        service.gather([h for h in handles
-                        if h._service is service])
-    return [h._result for h in handles]
-
-
-def run_grid(configs: Sequence[SystemConfig],
-             policy: Optional[SweepPolicy] = None,
-             **service_kwargs) -> SweepResult:
-    """One-shot grid execution: build a :class:`SweepService` from
-    ``service_kwargs`` (``backend=``, ``jobs=``, ``cache_dir=`` ...)
-    and run the grid under ``policy``."""
-    return SweepService(policy=policy,
-                        **service_kwargs).run_grid(configs)
+        if policy.strict and stats.manifest:
+            raise SweepFailure(stats.manifest)
+        return SweepResult(results, stats)

@@ -33,8 +33,9 @@ Guarantees the figure drivers rely on:
   finished cells and a re-run simulates only the missing ones.  A
   sweep with a cache dir also keeps a *journal*: its own event log,
   written beside the cache (:func:`journal_path`).  ``--resume``
-  folds it back (:func:`fold_journal`), so a killed supervisor's
-  retry budgets, backoff clocks and quarantines carry over.
+  folds it back (:meth:`~repro.obs.ledger.SweepLedger.replay`), so a
+  killed supervisor's retry budgets, backoff clocks and quarantines
+  carry over.
 * **Fault isolation.**  Executors report per-cell outcomes (result or
   captured traceback), so one raising cell cannot poison its worker
   or the sweep.  A cell that keeps failing is *quarantined*: the
@@ -83,14 +84,8 @@ from typing import (
     Union,
 )
 
-from repro.obs.events import (
-    JsonlSink,
-    dropped_events,
-    emit,
-    read_events,
-    session,
-)
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.events import JsonlSink, dropped_events, emit, session
+from repro.obs.ledger import CellRecord, SweepLedger
 from repro.sim.backends.base import Attempt, BackendSpec, SweepBackend
 from repro.sim.config import SystemConfig, cpu_config, ndp_config
 from repro.sim.faults import FaultPlan, cell_label
@@ -237,15 +232,15 @@ class SweepStats:
     jobs: int = 1
     wall_seconds: float = 0.0
     references: int = 0       # simulated references (fresh cells only)
-    failed: int = 0           # cells quarantined after exhausting retries
+    failed: int = 0           # manifest entries (quarantined, cache-io)
     retries: int = 0          # re-dispatches (any reason)
     timeouts: int = 0         # cell attempts killed for exceeding timeout
     worker_deaths: int = 0    # workers that died mid-cell (and respawns)
     manifest: FailureManifest = field(default_factory=FailureManifest)
     #: Telemetry snapshot (queue-wait / attempt-wall / cache-store
-    #: histograms and dispatch counters) from the sweep's
-    #: :class:`~repro.obs.metrics.MetricsRegistry`; empty when no
-    #: cell was simulated.
+    #: summaries and dispatch counters) from the sweep's
+    #: :class:`~repro.obs.ledger.SweepLedger`; empty when no cell was
+    #: simulated.
     metrics: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -332,52 +327,13 @@ def journal_path(root: Union[str, Path], keys: Iterable[str]) -> Path:
     return Path(root) / f"sweep-{digest}.journal.jsonl"
 
 
-def fold_journal(path: Union[str, Path]
-                 ) -> Tuple[Dict[str, int], Dict[str, float],
-                            Dict[str, Dict[str, object]]]:
-    """Fold a journal into what ``--resume`` restores, per cell key:
-    ``(attempts, gates, quarantined)``.
-
-    * ``attempts`` — the highest attempt a ``cell.failed`` charged.
-      The dispatch in flight when the supervisor died reported
-      nothing, so it stays uncharged and resume re-dispatches it under
-      the same attempt number.
-    * ``gates`` — wall-clock backoff gates, ``t_wall + delay`` of a
-      ``cell.retried``, cleared by ``cell.completed`` or
-      ``cell.quarantined``.
-    * ``quarantined`` — the payload of each ``cell.quarantined``.
-
-    A missing file folds to nothing, and a torn last line is skipped.
-    """
-    attempts: Dict[str, int] = {}
-    gates: Dict[str, float] = {}
-    quarantined: Dict[str, Dict[str, object]] = {}
-    try:
-        events = list(read_events(path, strict=False))
-    except OSError:
-        events = []
-    for event in events:
-        key = event.data.get("key")
-        if event.type == "cell.failed":
-            attempts[key] = max(attempts.get(key, 0),
-                                event.data["attempt"])
-        elif event.type == "cell.retried":
-            gates[key] = event.t_wall + event.data["delay"]
-        elif event.type in ("cell.completed", "cell.quarantined"):
-            gates.pop(key, None)
-            if event.type == "cell.quarantined":
-                quarantined[key] = event.data
-    return attempts, gates, quarantined
-
-
 # -- the backend-agnostic supervisor ------------------------------------------
 
 class _CellWork:
     """One unique cell's dispatch state inside the supervisor."""
 
     __slots__ = ("key", "config", "data", "label", "attempt",
-                 "not_before", "deadline", "ready_since",
-                 "dispatched_at")
+                 "not_before", "deadline", "dispatched_at")
 
     def __init__(self, key: str, config: SystemConfig):
         self.key = key
@@ -387,8 +343,7 @@ class _CellWork:
         self.attempt = 0                       # dispatches so far
         self.not_before = 0.0                  # backoff gate
         self.deadline: Optional[float] = None  # timeout gate
-        self.ready_since = 0.0                 # telemetry: queue wait
-        self.dispatched_at = 0.0               # telemetry: attempt wall
+        self.dispatched_at = 0.0               # cell.completed's wall
 
 
 def execute_sweep(configs: Sequence[SystemConfig],
@@ -405,13 +360,19 @@ def execute_sweep(configs: Sequence[SystemConfig],
     Returns ``(results-in-input-order, stats)``; quarantined cells
     yield ``None`` slots and appear in ``stats.manifest``.
 
+    Every sweep folds its own events into a
+    :class:`~repro.obs.ledger.SweepLedger`, installed as a sink from
+    ``sweep.started`` through ``sweep.finished``; the stats' retry,
+    timeout and worker-death counts and the metrics snapshot are read
+    from it when the sweep ends.
+
     ``journal_dir`` enables the crash-resume journal: the sweep's own
     event log, one JSONL file per sweep identity under that directory
-    (:func:`journal_path`), open from ``sweep.started`` through
-    ``sweep.finished``.  A fresh run starts it anew; with
-    ``resume=True`` the journal a killed supervisor left behind is
-    folded back (:func:`fold_journal`) and appended to, restoring
-    per-cell attempt counts, backoff clocks, and quarantine
+    (:func:`journal_path`), open over the same span.  A fresh run
+    starts it anew; with ``resume=True`` the journal a killed
+    supervisor left behind is folded back
+    (:meth:`~repro.obs.ledger.SweepLedger.replay`) and appended to,
+    restoring per-cell attempt counts, backoff clocks, and quarantine
     decisions, while the cache restores the completed cells.
     """
     spec = spec or BackendSpec()
@@ -440,30 +401,35 @@ def execute_sweep(configs: Sequence[SystemConfig],
                        simulated=len(missing),
                        jobs=max(1, spec.jobs))
 
+    ledger = SweepLedger()
     with contextlib.ExitStack() as stack:
         resumed = None
         if journal_dir is not None:
             path = journal_path(journal_dir, unique)
             if resume:
-                resumed = fold_journal(path)
+                resumed = SweepLedger.replay(path).cells
             else:
                 path.unlink(missing_ok=True)
             stack.enter_context(session(JsonlSink(
                 path, fault_plan=policy.active_plan())))
+        stack.enter_context(session(ledger))
         emit("sweep.started", cells=len(configs), unique=len(unique),
              cached=stats.cache_hits, missing=len(missing),
              backend=spec.name, jobs=spec.jobs)
         if missing:
             backend = spec.resolve(len(missing), policy.cell_timeout)
-            registry = MetricsRegistry()
             _execute_missing(backend, missing, results, run_fn, stats,
-                             policy, cache, registry, resumed)
-            dropped = dropped_events()
-            if dropped:
-                registry.counter("events.dropped").inc(dropped)
-            stats.metrics = registry.snapshot()
+                             policy, cache, resumed)
+            stats.metrics = ledger.metrics({
+                "cache.store_errors": sum(
+                    1 for failure in stats.manifest
+                    if failure.kind == "cache-io"),
+                "events.dropped": dropped_events()})
 
         stats.failed = len(stats.manifest)
+        stats.retries = ledger.retries
+        stats.timeouts = ledger.timeouts
+        stats.worker_deaths = ledger.worker_deaths
         stats.references = sum(
             results[key].references for key, _ in missing
             if key in results)
@@ -476,55 +442,48 @@ def execute_sweep(configs: Sequence[SystemConfig],
 
 
 def _execute_missing(backend: SweepBackend, missing, results, run_fn,
-                     stats: SweepStats, policy: SweepPolicy,
-                     cache,
-                     registry: Optional[MetricsRegistry] = None,
-                     resumed=None) -> None:
+                     stats: SweepStats, policy: SweepPolicy, cache,
+                     resumed: Optional[Dict[str, CellRecord]] = None
+                     ) -> None:
     """The supervisor loop: dispatch cells into the backend, collect
     outcomes, and apply the retry/backoff/timeout/quarantine contract
     uniformly — the backend only executes attempts and reports what
     became of them.
 
-    This loop also owns the canonical per-cell telemetry: every
+    This loop also emits the canonical per-cell telemetry: every
     attempt's lifecycle (``cell.dispatched`` → ``cell.completed`` /
     ``cell.failed`` → ``cell.retried`` / ``cell.quarantined``) is
     emitted *here*, supervisor-side, so the event log is complete for
     every backend — including attempts whose executor vanished without
-    reporting anything.  ``registry`` collects the timing breakdown
-    (queue wait, attempt wall, cache-store time).
+    reporting anything.  Beyond its control state it records only the
+    failure manifest; counts and timings come from the sweep's ledger.
 
     Resilience duties (all optional): ``resumed`` (a previous run's
-    journal, folded by :func:`fold_journal`) restores attempt counts,
-    backoff gates, and quarantine decisions; and SIGTERM/SIGINT (main
-    thread only) triggers a graceful drain — cancel in-flight
-    attempts, emit ``sweep.interrupted``, raise
+    journal, folded by :meth:`~repro.obs.ledger.SweepLedger.replay`)
+    restores attempt counts, backoff gates, and quarantine decisions;
+    and SIGTERM/SIGINT (main thread only) triggers a graceful drain —
+    cancel in-flight attempts, emit ``sweep.interrupted``, raise
     :class:`SweepInterrupted`.
     """
     plan = policy.active_plan()
     plan_text = plan.to_text() if plan is not None else None
     timeout = (policy.cell_timeout if backend.supports_timeout
                else None)
-    registry = registry if registry is not None else MetricsRegistry()
-    queue_wait = registry.histogram("cell.queue_wait_s")
-    attempt_wall = registry.histogram("cell.attempt_s")
-    store_wall = registry.histogram("cache.store_s")
-    dispatched = registry.counter("cells.dispatched")
 
-    attempts, gates, quarantined = resumed or ({}, {}, {})
+    resumed = resumed or {}
     start_mono = time.monotonic()
     start_wall = time.time()
     works: List[_CellWork] = []
     for key, config in missing:
         cell = _CellWork(key, config)
-        cell.ready_since = start_mono
-        info = quarantined.get(key)
+        past = resumed.get(key) or CellRecord()   # no history
+        info = past.quarantined
         if info is not None:
             # Quarantine decisions survive the supervisor: the
             # previous run gave up on this cell, so this one does not
             # silently grant it a fresh retry budget.
             error = (info.get("error")
                      or "quarantined by a previous run (journal)")
-            registry.counter("cells.quarantined").inc()
             emit("cell.quarantined", key=key, label=cell.label,
                  attempts=info["attempts"], kind=info["kind"],
                  error=error)
@@ -533,11 +492,10 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
                 kind=info["kind"], error=error))
             stats.simulated -= 1
             continue
-        cell.attempt = attempts.get(key, 0)
-        gate = gates.get(key, 0.0)
+        cell.attempt = past.attempts
+        gate = past.gate or 0.0
         if gate > start_wall:
             cell.not_before = start_mono + (gate - start_wall)
-            cell.ready_since = cell.not_before
         works.append(cell)
     ready: deque = deque(c for c in works
                          if c.not_before <= start_mono)
@@ -548,10 +506,8 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
 
     def settle_ok(cell: _CellWork, result, now: float) -> None:
         wall = now - cell.dispatched_at
-        attempt_wall.observe(wall)
         results[cell.key] = result
         if cache is not None:
-            store_start = time.perf_counter()
             try:
                 cache.store(cell.config, result, key=cell.key)
             except OSError as exc:
@@ -559,13 +515,11 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
                 # degrade to a cache hole plus a manifest entry — the
                 # in-memory result is still served, this run
                 # completes, the next one re-simulates the cell.
-                registry.counter("cache.store_errors").inc()
                 stats.manifest.failures.append(CellFailure(
                     key=cell.key, label=cell.label,
                     attempts=cell.attempt, kind="cache-io",
                     error=(f"result computed but cache store "
                            f"failed: {exc}")))
-            store_wall.observe(time.perf_counter() - store_start)
         emit("cell.completed", key=cell.key, label=cell.label,
              attempt=cell.attempt, wall=round(wall, 6))
 
@@ -575,7 +529,6 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
         emit("cell.failed", key=cell.key, label=cell.label,
              attempt=cell.attempt, kind=kind)
         if cell.attempt >= policy.retries + 1:
-            registry.counter("cells.quarantined").inc()
             emit("cell.quarantined", key=cell.key, label=cell.label,
                  attempts=cell.attempt, kind=kind,
                  error=error.strip()[-500:])
@@ -585,7 +538,6 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
             return 1
         delay = policy.backoff * (2 ** (cell.attempt - 1))
         cell.not_before = now + delay
-        cell.ready_since = cell.not_before
         emit("cell.retried", key=cell.key, label=cell.label,
              attempt=cell.attempt, delay=round(delay, 6))
         waiting.append(cell)
@@ -635,25 +587,18 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
                              or len(inflight) < capacity):
                 cell = ready.popleft()
                 cell.attempt += 1
-                counted = cell.attempt > 1
-                if counted:
-                    stats.retries += 1
                 if not backend.dispatch(Attempt(
                         key=cell.key, data=cell.data,
                         label=cell.label, attempt=cell.attempt)):
                     # The attempt never started (e.g. the worker died
                     # while idle): it must not count against the cell.
                     cell.attempt -= 1
-                    if counted:
-                        stats.retries -= 1
                     ready.appendleft(cell)
                     break
                 now = time.monotonic()
                 cell.deadline = ((now + timeout) if timeout
                                  else None)
                 cell.dispatched_at = now
-                queue_wait.observe(max(0.0, now - cell.ready_since))
-                dispatched.inc()
                 emit("cell.dispatched", key=cell.key,
                      label=cell.label, attempt=cell.attempt)
                 inflight[cell.key] = cell
@@ -694,20 +639,14 @@ def _execute_missing(backend: SweepBackend, missing, results, run_fn,
                 if outcome.attempt != cell.attempt:
                     continue   # stale failure from an old attempt
                 del inflight[outcome.key]
-                if outcome.status == "lost":
-                    stats.worker_deaths += 1
-                    registry.counter("workers.lost").inc()
-                    kind = "worker-died"
-                else:
-                    kind = "error"
+                kind = ("worker-died" if outcome.status == "lost"
+                        else "error")
                 outstanding -= failed(cell, kind, outcome.error, now)
 
             if timeout:
                 for key, cell in list(inflight.items()):
                     if cell.deadline is None or now < cell.deadline:
                         continue
-                    stats.timeouts += 1
-                    registry.counter("cells.timeout").inc()
                     backend.cancel(key, cell.attempt)
                     del inflight[key]
                     emit("cell.timeout", key=cell.key,

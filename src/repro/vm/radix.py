@@ -193,52 +193,6 @@ class RadixPageTable(PageTable):
             "PL1", node.pte_paddr(index), _pwc_key(1, page))])
         return stages
 
-    def walk_plan(self, page: int):
-        """Specialized :meth:`PageTable.walk_plan`: same stages as
-        :meth:`walk_stages` without building ``WalkStage`` objects —
-        walkers compile a plan per walked page, which makes this a warm
-        path for low-reuse reference streams."""
-        info = self.walk_info(page)
-        if info is None:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        return info[0]
-
-    def walk_info(self, page: int):
-        """Specialized :meth:`PageTable.walk_info`: plan + translation
-        from a single tree descent."""
-        mask = ENTRIES_PER_NODE - 1
-        node = self._root
-        index = (page >> (3 * LEVEL_BITS)) & mask
-        stage4 = ("PL4", node.base_paddr + index * PTE_SIZE,
-                  page >> (3 * LEVEL_BITS))
-        node = node.entries.get(index)
-        if node is None:
-            return None
-
-        index = (page >> (2 * LEVEL_BITS)) & mask
-        stage3 = ("PL3", node.base_paddr + index * PTE_SIZE,
-                  page >> (2 * LEVEL_BITS))
-        node = node.entries.get(index)
-        if node is None:
-            return None
-
-        index = (page >> LEVEL_BITS) & mask
-        stage2 = ("PL2", node.base_paddr + index * PTE_SIZE,
-                  page >> LEVEL_BITS)
-        entry = node.entries.get(index)
-        if entry is None:
-            return None
-        if type(entry) is Translation:  # 2 MB leaf: 3-stage walk
-            return ((stage4,), (stage3,), (stage2,)), entry
-
-        index = page & mask
-        leaf = entry.entries.get(index)
-        if leaf is None:
-            return None
-        return (((stage4,), (stage3,), (stage2,),
-                 (("PL1", entry.base_paddr + index * PTE_SIZE, page),)),
-                leaf)
-
     def walk_info_decorated(self, page: int, level_info: dict, resolve):
         """Specialized :meth:`PageTable.walk_info_decorated`: one
         descent, flat plan, walker treatment baked in."""

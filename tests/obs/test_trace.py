@@ -102,6 +102,23 @@ class TestExportTrace:
         assert json.loads(out.read_text()) == trace
         assert trace["traceEvents"]
 
+    def test_cell_filter_keeps_a_lane_whole(self, tmp_path):
+        """``worker.claim`` and ``cache.store`` carry only the key, so
+        the filter must apply to folded lanes, not to raw events."""
+        log = self.write_log(tmp_path)
+
+        def radix_spans(trace):
+            lane = next(e["tid"] for e in trace["traceEvents"]
+                        if e["ph"] == "M"
+                        and e["args"]["name"] == "bfs/radix")
+            return [e["name"] for e in trace["traceEvents"]
+                    if e["ph"] != "M" and e["tid"] == lane]
+
+        full = export_trace(log, tmp_path / "full.json")
+        only = export_trace(log, tmp_path / "radix.json", cell="radix")
+        assert radix_spans(only) == radix_spans(full) == [
+            "queued", "attempt", "executing", "cache.store"]
+
     def test_cell_filter_keeps_matching_lanes_only(self, tmp_path):
         log = self.write_log(tmp_path)
         out = tmp_path / "trace.json"

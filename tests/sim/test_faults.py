@@ -10,6 +10,7 @@ completes every healthy cell bit-identically to a fault-free run.
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import os
 import signal
@@ -21,6 +22,7 @@ import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.obs.events import JsonlSink, emit, read_events, session
+from repro.obs.ledger import SweepLedger
 from repro.service import SweepPolicy, SweepService
 from repro.sim.faults import (
     FAULT_PLAN_ENV,
@@ -41,7 +43,6 @@ from repro.sim.sweep import (
     SweepFailure,
     SweepInterrupted,
     expand_grid,
-    fold_journal,
     journal_path,
 )
 
@@ -517,8 +518,20 @@ class TestCacheStoreDegrade:
         assert len(entries) == len(configs)
 
 
+def resume_state(path):
+    """What ``--resume`` restores from a journal, per cell key:
+    ``(attempts, gates, quarantined)``, each leaving out the cells the
+    journal charged nothing of that kind."""
+    cells = SweepLedger.replay(path).cells
+    return ({key: c.attempts for key, c in cells.items() if c.attempts},
+            {key: c.gate for key, c in cells.items()
+             if c.gate is not None},
+            {key: c.quarantined for key, c in cells.items()
+             if c.quarantined is not None})
+
+
 class TestSweepJournal:
-    """The journal is the sweep's event log; ``fold_journal`` reads
+    """The journal is the sweep's event log; a ledger replay reads
     back what ``--resume`` needs from its ``cell.*`` events."""
 
     def test_digest_is_order_independent(self):
@@ -546,7 +559,7 @@ class TestSweepJournal:
                  kind="timeout", error="too slow")
             emit("sweep.interrupted", completed=1, pending=0,
                  requeued=1)
-        attempts, gates, quarantined = fold_journal(path)
+        attempts, gates, quarantined = resume_state(path)
         assert attempts == {"k1": 1}
         assert gates == {"k1": retried.t_wall + 0.5}
         assert set(quarantined) == {"k3"}
@@ -561,7 +574,7 @@ class TestSweepJournal:
                  delay=99.0)
             emit("cell.completed", key="k1", label="l1", attempt=2,
                  wall=0.1)
-        assert fold_journal(path) == ({}, {}, {})
+        assert resume_state(path) == ({}, {}, {})
 
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -570,10 +583,10 @@ class TestSweepJournal:
                  kind="error")
         with open(path, "a") as handle:
             handle.write('{"v": 1, "type": "cell.fa')   # torn append
-        assert fold_journal(path) == ({"k1": 1}, {}, {})
+        assert resume_state(path) == ({"k1": 1}, {}, {})
 
     def test_missing_journal_is_empty_state(self, tmp_path):
-        assert fold_journal(tmp_path / "absent.jsonl") == ({}, {}, {})
+        assert resume_state(tmp_path / "absent.jsonl") == ({}, {}, {})
 
     def test_fresh_run_truncates_resume_appends(self, tmp_path):
         """A fresh run starts the journal anew, ``--resume`` appends,
@@ -605,7 +618,7 @@ class TestSweepJournal:
             emit("cell.failed", key="k2", label="l2", attempt=1,
                  kind="error")
             assert sink.dropped == 2
-        assert fold_journal(path) == ({}, {}, {})
+        assert resume_state(path) == ({}, {}, {})
 
     def test_journal_write_faults_never_fail_the_sweep(self, tmp_path):
         configs = tiny_grid(workloads=("rnd",))
@@ -616,6 +629,46 @@ class TestSweepJournal:
         assert all(r is not None for r in results)
         # Two dispatched + two completed events per cell, all dropped.
         assert service.last_stats.metrics["events.dropped"] == 4
+
+
+class TestStatsAreTheJournalsFold:
+    """``SweepStats`` counts are the fold of the sweep's own journal:
+    replaying it after the fact gives the same numbers."""
+
+    @pytest.mark.parametrize("backend,plan", [
+        ("serial", "fail:{0}:1;fail:{1}:*"),
+        ("pool", "kill:{2}:1"),
+    ])
+    def test_stats_equal_the_replayed_journal(self, tmp_path, backend,
+                                              plan):
+        configs = tiny_grid()
+        labels = [cell_label(config) for config in configs]
+        cache_dir = tmp_path / "cache"
+        # One cell is served from the cache.
+        SweepService(backend="serial",
+                     cache_dir=cache_dir).run_grid(configs[3:])
+        service = SweepService(
+            backend=backend, jobs=2, cache_dir=cache_dir,
+            policy=SweepPolicy(retries=1, backoff=0.0, strict=False,
+                               fault_plan=plan.format(*labels)))
+        service.run_grid(configs)
+        stats = service.last_stats
+        keys = [ResultCache(cache_dir).key(config) for config in configs]
+        journal = journal_path(cache_dir / JOURNAL_DIR, keys)
+        ledger = SweepLedger.replay(journal)
+
+        started = [event for event in read_events(journal)
+                   if event.type == "sweep.started"]
+        assert started[0].data["cached"] == stats.cache_hits == 1
+        assert ledger.cached == stats.cache_hits
+        counts = ("retries", "failed", "timeouts", "worker_deaths")
+        assert ({name: getattr(ledger, name) for name in counts}
+                == {name: getattr(stats, name) for name in counts})
+        assert ledger.dispatched == stats.metrics["cells.dispatched"]
+        if backend == "serial":
+            assert (stats.retries, stats.failed) == (2, 1)
+        else:
+            assert (stats.retries, stats.worker_deaths) == (1, 1)
 
 
 class TestResumeSupervision:
@@ -683,6 +736,29 @@ class TestResumeSupervision:
         # journal the cell would have burned attempts 1..3 again.
         assert stats.retries == 1
 
+    def test_progress_line_agrees_with_stats_on_resume(self, tmp_path):
+        """The live line and the final summary read one fold, so a
+        resumed cell's re-dispatch is a retry on both."""
+        configs = tiny_grid()
+        bad = cell_label(configs[2])
+        keys = self._keys(tmp_path, configs)
+        path = journal_path(tmp_path / "cache" / JOURNAL_DIR, keys)
+        with session(JsonlSink(path)):
+            for attempt in (1, 2):
+                emit("cell.failed", key=keys[2], label=bad,
+                     attempt=attempt, kind="error")
+
+        stream = io.StringIO()
+        service = SweepService(
+            backend="serial", cache_dir=tmp_path / "cache",
+            resume=True, progress=True, progress_stream=stream,
+            policy=SweepPolicy(retries=2, backoff=0.0, strict=False,
+                               fault_plan=f"fail:{bad}:*"))
+        service.run_grid(configs)
+        assert service.last_stats.retries == 1
+        last = stream.getvalue().splitlines()[-1]
+        assert "4/4 cells  1 retries  1 quarantined  done" in last
+
     def test_sigterm_drains_and_resume_completes(self, tmp_path):
         """SIGTERM mid-sweep: in-flight work is cancelled, the journal
         records the interruption, SweepInterrupted propagates — and a
@@ -718,7 +794,7 @@ class TestResumeSupervision:
         assert "sweep.interrupted" in types
         assert types.count("cell.completed") == 3
         # The in-flight dispatch was never charged an attempt.
-        attempts, _, _ = fold_journal(path)
+        attempts, _, _ = resume_state(path)
         assert attempts.get(keys[3], 0) == 0
 
         resumed = SweepService(backend="serial", cache_dir=cache_dir,

@@ -1,8 +1,8 @@
-"""Tests for the submit-level sweep API (:mod:`repro.service`).
+"""Tests for the sweep API (:mod:`repro.service`).
 
 Everything above the simulator talks to sweeps through this surface:
-``submit``/``gather`` handle resolution and ``run_grid`` grids under
-an explicit :class:`SweepPolicy`.
+``SweepService.run_grid`` grids under an explicit
+:class:`SweepPolicy`.
 """
 
 import dataclasses
@@ -10,16 +10,11 @@ import warnings
 
 import pytest
 
-import repro.service as service_mod
 from repro.service import (
-    CellHandle,
     SweepFailure,
     SweepPolicy,
     SweepResult,
     SweepService,
-    gather,
-    run_grid,
-    submit,
 )
 from repro.sim.faults import FAULT_PLAN_ENV, cell_label, reset_fired
 from repro.sim.runner import run_once
@@ -32,7 +27,6 @@ TINY = dict(refs_per_core=300, scale=1 / 64, seed=7)
 def _fresh_state(monkeypatch):
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
     reset_fired()
-    monkeypatch.setattr(service_mod, "_default_service", None)
     yield
     reset_fired()
 
@@ -44,92 +38,6 @@ def tiny_grid(workloads=("rnd", "bfs"), mechanisms=("radix", "ndpage")):
 
 def fields(result) -> dict:
     return dataclasses.asdict(result)
-
-
-class TestSubmitGather:
-    def test_submit_returns_pending_handle(self):
-        service = SweepService(backend="serial")
-        handle = service.submit(tiny_grid()[0])
-        assert isinstance(handle, CellHandle)
-        assert handle.state == "pending"
-        assert not handle.done()
-
-    def test_gather_resolves_batch_bit_identically(self):
-        configs = tiny_grid()
-        service = SweepService(backend="serial")
-        handles = [service.submit(c) for c in configs]
-        results = service.gather(handles)
-        assert all(h.done() and h.state == "done" for h in handles)
-        assert [fields(r) for r in results] \
-            == [fields(run_once(c)) for c in configs]
-
-    def test_result_triggers_lazy_gather(self):
-        configs = tiny_grid()
-        service = SweepService(backend="serial")
-        handles = [service.submit(c) for c in configs]
-        # Asking one handle executes the whole pending batch at once.
-        assert fields(handles[0].result()) == fields(run_once(configs[0]))
-        assert all(h.done() for h in handles)
-        assert service.last_stats.simulated == len(configs)
-
-    def test_duplicate_submit_returns_same_handle(self):
-        service = SweepService(backend="serial")
-        config = tiny_grid()[0]
-        assert service.submit(config) is service.submit(config)
-
-    def test_gather_none_gathers_everything(self):
-        configs = tiny_grid()
-        service = SweepService(backend="serial")
-        handles = [service.submit(c) for c in configs]
-        results = service.gather()
-        assert len(results) == len(configs)
-        assert all(h.done() for h in handles)
-
-    def test_gather_marks_failed_handles(self):
-        configs = tiny_grid()
-        bad = cell_label(configs[1])
-        service = SweepService(
-            backend="serial",
-            policy=SweepPolicy(retries=0, backoff=0.0, strict=False,
-                               fault_plan=f"fail:{bad}:*"))
-        handles = [service.submit(c) for c in configs]
-        results = service.gather(handles)
-        assert results[1] is None
-        assert handles[1].state == "failed"
-        assert "InjectedFault" in handles[1].error
-        assert handles[0].state == "done"
-
-    def test_gather_strict_raises_after_marking_handles(self):
-        configs = tiny_grid()
-        bad = cell_label(configs[0])
-        service = SweepService(
-            backend="serial",
-            policy=SweepPolicy(retries=0, backoff=0.0,
-                               fault_plan=f"fail:{bad}:*"))
-        handles = [service.submit(c) for c in configs]
-        with pytest.raises(SweepFailure):
-            service.gather(handles)
-        assert handles[0].state == "failed"
-        assert all(h.state == "done" for h in handles[1:])
-
-    def test_module_level_submit_uses_default_service(self):
-        config = tiny_grid()[0]
-        handle = submit(config)
-        assert submit(config) is handle
-        assert gather([handle]) == [handle.result()]
-        assert fields(handle.result()) == fields(run_once(config))
-
-    def test_module_gather_mixes_services(self):
-        configs = tiny_grid()
-        a, b = SweepService(backend="serial"), \
-            SweepService(backend="serial")
-        handles = [a.submit(configs[0]), b.submit(configs[1]),
-                   a.submit(configs[2])]
-        results = gather(handles)
-        assert all(h.done() for h in handles)
-        assert [fields(r) for r in results] \
-            == [fields(run_once(c)) for c in
-                (configs[0], configs[1], configs[2])]
 
 
 class TestRunGrid:
@@ -181,17 +89,6 @@ class TestRunGrid:
             service.run_grid(configs)
         assert service.last_stats.failed == 1
         assert len(cache) == len(configs) - 1
-
-    def test_module_level_run_grid(self, tmp_path):
-        configs = tiny_grid()
-        grid = run_grid(configs, backend="serial",
-                        cache_dir=tmp_path / "cache")
-        assert grid.ok and len(grid) == len(configs)
-        # Second call is served from the cache it just populated.
-        again = run_grid(configs, backend="serial",
-                         cache_dir=tmp_path / "cache")
-        assert again.stats.cache_hits == len(configs)
-        assert [fields(r) for r in again] == [fields(r) for r in grid]
 
     def test_experiments_drivers_accept_a_service(self):
         from repro.analysis import experiments
