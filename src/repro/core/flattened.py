@@ -31,6 +31,12 @@ from repro.vm.base import MappingError, PageTable, Translation, WalkStage
 from repro.vm.frames import FRAMES_PER_BLOCK, FrameAllocator, OutOfMemoryError
 from repro.vm.radix import PT_ALLOC_SITE
 
+# Index masks and PL4/PL3 prefix shifts, folded for the walk path.
+_INDEX_MASK = ENTRIES_PER_NODE - 1
+_FLAT_MASK = FLAT_ENTRIES - 1
+_SHIFT4 = 3 * LEVEL_BITS
+_SHIFT3 = 2 * LEVEL_BITS
+
 
 class _InteriorNode:
     """A conventional 4 KB node (used at PL4 and PL3)."""
@@ -158,38 +164,35 @@ class FlattenedPageTable(PageTable):
 
     def walk_info_decorated(self, page: int, level_info: dict, resolve):
         """Specialized :meth:`PageTable.walk_info_decorated`: one
-        descent, flat plan, walker treatment baked in."""
-        info4 = level_info.get("PL4")
-        if info4 is None:
-            info4 = resolve("PL4")
-        info3 = level_info.get("PL3")
-        if info3 is None:
-            info3 = resolve("PL3")
-        info21 = level_info.get("PL2/1")
-        if info21 is None:
-            info21 = resolve("PL2/1")
-
-        mask = ENTRIES_PER_NODE - 1
+        descent, flat plan, walker treatment baked in.  ``level_info``
+        must already hold every level in :attr:`level_names` (the
+        walker resolves them at construction), so it is indexed, not
+        resolved."""
         node = self._root
-        idx4 = (page >> (3 * LEVEL_BITS)) & mask
-        stage4 = (node.base_paddr + idx4 * PTE_SIZE, info4[0], info4[1],
-                  page >> (3 * LEVEL_BITS), "PL4")
+        prefix = page >> _SHIFT4
+        idx4 = prefix & _INDEX_MASK
+        info = level_info["PL4"]
+        stage4 = (node.base_paddr + idx4 * PTE_SIZE, info[0], info[1],
+                  prefix, "PL4")
         child = node.entries.get(idx4)
         if child is None:
             return None
-        idx3 = (page >> (2 * LEVEL_BITS)) & mask
-        stage3 = (child.base_paddr + idx3 * PTE_SIZE, info3[0], info3[1],
-                  page >> (2 * LEVEL_BITS), "PL3")
+        prefix = page >> _SHIFT3
+        idx3 = prefix & _INDEX_MASK
+        info = level_info["PL3"]
+        stage3 = (child.base_paddr + idx3 * PTE_SIZE, info[0], info[1],
+                  prefix, "PL3")
         flat = child.entries.get(idx3)
         if flat is None:
             return None
-        index = page & (FLAT_ENTRIES - 1)
+        index = page & _FLAT_MASK
         leaf = flat.entries.get(index)
         if leaf is None:
             return None
+        info = level_info["PL2/1"]
         return ((stage4, stage3,
-                 (flat.base_paddr + index * PTE_SIZE, info21[0],
-                  info21[1], page, "PL2/1")),
+                 (flat.base_paddr + index * PTE_SIZE, info[0], info[1],
+                  page, "PL2/1")),
                 None, leaf)
 
     def occupancy(self) -> Dict[str, float]:

@@ -84,20 +84,26 @@ HBM2 = DramTiming(
 class DramStats:
     """Aggregate DRAM statistics, split by request kind.
 
-    Per-kind access counters live in a plain list indexed by kind code
-    (enum hashing is measurable on the per-access path); the
-    :attr:`accesses_by_kind` mapping view is materialized on read.
+    Each access is counted once, in ``kind_counts`` (a plain list
+    indexed by kind code: enum hashing is measurable on the per-access
+    path).  A posted write-back is also counted in ``writebacks``, a
+    demand write in ``demand_writes`` and an open-row access in
+    ``row_hits``; row misses, writes and the queue-delay sample count
+    follow from those and are read-only.  Queue delay is summed over
+    demand accesses, and only a request that waited changes the sum or
+    the maximum.
     """
 
-    __slots__ = ("kind_counts", "writes", "row_hits", "row_misses",
-                 "queue_delay")
+    __slots__ = ("kind_counts", "demand_writes", "writebacks", "row_hits",
+                 "queue_total", "queue_max")
 
     def __init__(self):
         self.kind_counts: List[int] = [0] * len(KIND_BY_INDEX)
-        self.writes = 0
+        self.demand_writes = 0
+        self.writebacks = 0
         self.row_hits = 0
-        self.row_misses = 0
-        self.queue_delay = LatencyStats()
+        self.queue_total = 0.0
+        self.queue_max = 0.0
 
     @property
     def accesses_by_kind(self) -> Dict[RequestKind, int]:
@@ -109,25 +115,47 @@ class DramStats:
         return sum(self.kind_counts)
 
     @property
+    def demand_accesses(self) -> int:
+        """Accesses a requester waited on (all but posted write-backs)."""
+        return self.accesses - self.writebacks
+
+    @property
+    def writes(self) -> int:
+        return self.demand_writes + self.writebacks
+
+    @property
+    def row_misses(self) -> int:
+        return self.accesses - self.row_hits
+
+    @property
     def row_hit_rate(self) -> float:
-        return ratio(self.row_hits, self.row_hits + self.row_misses)
+        return ratio(self.row_hits, self.accesses)
+
+    @property
+    def queue_delay(self) -> LatencyStats:
+        """Queueing delay distribution over demand accesses."""
+        return LatencyStats(self.queue_total, self.demand_accesses,
+                            self.queue_max)
 
     def reset(self) -> None:
         self.kind_counts = [0] * len(KIND_BY_INDEX)
-        self.writes = 0
+        self.demand_writes = 0
+        self.writebacks = 0
         self.row_hits = 0
-        self.row_misses = 0
-        self.queue_delay.reset()
+        self.queue_total = 0.0
+        self.queue_max = 0.0
 
     def merge(self, other: "DramStats") -> None:
         """Fold another device's counters in (per-node NUMA DRAMs are
         reported as one machine-wide distribution)."""
         for index, count in enumerate(other.kind_counts):
             self.kind_counts[index] += count
-        self.writes += other.writes
+        self.demand_writes += other.demand_writes
+        self.writebacks += other.writebacks
         self.row_hits += other.row_hits
-        self.row_misses += other.row_misses
-        self.queue_delay.merge(other.queue_delay)
+        self.queue_total += other.queue_total
+        if other.queue_max > self.queue_max:
+            self.queue_max = other.queue_max
 
 
 class _Bank:
@@ -138,6 +166,10 @@ class _Bank:
         self.open_row = -1
 
 
+def _is_pow2(value: int) -> bool:
+    return value > 0 and value & (value - 1) == 0
+
+
 class DramModel:
     """Bank-queueing DRAM model.
 
@@ -145,142 +177,103 @@ class DramModel:
     a request reaches the memory controller, it returns the total
     latency (queueing + service) and advances the target bank's busy
     window.  ``drain_write_fast`` accounts a posted write-back.
+
+    Address decode: lines interleave across channels, then fill a
+    row's columns before moving to the next bank (open-page friendly:
+    sequential streams get row-buffer hits).  The bank index is
+    permuted with row bits (permutation-based page interleaving, as in
+    real controllers), which keeps aligned hot addresses — page-table
+    roots, search-tree midpoints — from all landing in one bank.
+    Every geometry is a power of two, so the decode is shifts and
+    masks.
     """
 
     LINE_SIZE = 64
 
-    __slots__ = ("timing", "stats", "_banks", "_lines_per_row",
-                 "_pow2", "_line_shift", "_ch_mask", "_ch_shift",
-                 "_row_shift", "_bank_mask", "_bank_shift", "_hot")
+    __slots__ = ("timing", "stats", "_banks", "_hot")
 
     def __init__(self, timing: DramTiming):
+        lines_per_row = timing.row_bytes // self.LINE_SIZE
+        if not all(_is_pow2(value) for value in (
+                timing.channels, timing.banks_per_channel, lines_per_row)):
+            raise ValueError(
+                f"{timing.name}: channels ({timing.channels}), banks per "
+                f"channel ({timing.banks_per_channel}) and lines per row "
+                f"({lines_per_row}) must be powers of two")
         self.timing = timing
         self.stats = DramStats()
         self._banks: List[_Bank] = [
             _Bank()
             for _ in range(timing.channels * timing.banks_per_channel)
         ]
-        self._lines_per_row = timing.row_bytes // self.LINE_SIZE
-        # Every shipped geometry is power-of-two; precompute shift/mask
-        # forms of the _decode arithmetic for the hot path (identical
-        # results, cheaper ops).  Non-power-of-two geometries fall back
-        # to the divmod path.
-        self._pow2 = all(
-            value & (value - 1) == 0 and value > 0
-            for value in (self.LINE_SIZE, timing.channels,
-                          timing.banks_per_channel, self._lines_per_row))
-        if self._pow2:
-            self._line_shift = self.LINE_SIZE.bit_length() - 1
-            self._ch_mask = timing.channels - 1
-            self._ch_shift = timing.channels.bit_length() - 1
-            self._row_shift = self._lines_per_row.bit_length() - 1
-            self._bank_mask = timing.banks_per_channel - 1
-            self._bank_shift = timing.banks_per_channel.bit_length() - 1
-        else:
-            self._line_shift = self._ch_mask = self._ch_shift = 0
-            self._row_shift = self._bank_mask = self._bank_shift = 0
+        line_shift = self.LINE_SIZE.bit_length() - 1
+        ch_shift = timing.channels.bit_length() - 1
+        # One shift takes a paddr to its bank-and-row bits.
+        within_shift = line_shift + ch_shift + lines_per_row.bit_length() - 1
         # One-tuple unpack replaces ~10 attribute loads on the
         # per-access path; every value is immutable for the device's
         # lifetime.
-        self._hot = (self._pow2, self._line_shift, self._ch_mask,
-                     self._ch_shift, self._row_shift, self._bank_mask,
-                     self._bank_shift, self._banks,
+        self._hot = (line_shift, timing.channels - 1, within_shift,
+                     timing.banks_per_channel.bit_length() - 1,
+                     timing.banks_per_channel - 1, self._banks,
                      timing.row_hit_cycles, timing.burst_cycles,
                      timing.row_miss_cycles, timing.row_cycle_cycles)
-
-    def _decode(self, paddr: int):
-        """Map a physical address to (bank object, row number).
-
-        Lines interleave across channels, then fill a row's columns
-        before moving to the next bank (open-page friendly: sequential
-        streams get row-buffer hits).  The bank index is permuted with
-        row bits (permutation-based page interleaving, as in real
-        controllers), which prevents aligned hot addresses — page-table
-        roots, search-tree midpoints — from all landing in one bank.
-        """
-        line = paddr // self.LINE_SIZE
-        channel = line % self.timing.channels
-        rest = line // self.timing.channels
-        banks = self.timing.banks_per_channel
-        within = rest // self._lines_per_row
-        bank_raw = within % banks
-        row = within // banks
-        bank_idx = (bank_raw ^ (row % banks) ^ ((row >> 5) % banks)) % banks
-        bank = self._banks[channel * banks + bank_idx]
-        return bank, row
 
     def access_fast(self, now: float, paddr: int, kind: int,
                     is_write: int) -> float:
         """Service a request arriving at cycle ``now``; return latency.
 
         Allocation-free entry point: ``kind`` is a kind code, and the
-        decode / latency-distribution updates are inlined (no method
-        dispatch on the per-access path).
+        decode / statistics updates are inlined (no method dispatch on
+        the per-access path).
         """
-        # Inline _decode (hot): line -> channel, then permuted bank.
-        (pow2, line_shift, ch_mask, ch_shift, row_shift, bank_mask,
-         bank_shift, banks, row_hit_cycles, burst_cycles,
-         row_miss_cycles, row_cycle_cycles) = self._hot
-        if pow2:
-            line = paddr >> line_shift
-            channel = line & ch_mask
-            within = (line >> ch_shift) >> row_shift
-            row = within >> bank_shift
-            bank_idx = ((within ^ row ^ (row >> 5)) & bank_mask)
-            bank = banks[(channel << bank_shift) + bank_idx]
-        else:
-            bank, row = self._decode(paddr)
-
-        start = bank.free_at if bank.free_at > now else now
-        queue_delay = start - now
+        (line_shift, ch_mask, within_shift, bank_shift, bank_mask, banks,
+         row_hit_cycles, burst_cycles, row_miss_cycles,
+         row_cycle_cycles) = self._hot
+        within = paddr >> within_shift
+        row = within >> bank_shift
+        bank = banks[(((paddr >> line_shift) & ch_mask) << bank_shift)
+                     + ((within ^ row ^ (row >> 5)) & bank_mask)]
 
         stats = self.stats
-        if bank.open_row == row:
-            service = row_hit_cycles
-            occupancy = burst_cycles
-            stats.row_hits += 1
+        start = bank.free_at
+        if start > now:
+            queue_delay = start - now
+            stats.queue_total += queue_delay
+            if queue_delay > stats.queue_max:
+                stats.queue_max = queue_delay
         else:
-            service = row_miss_cycles
-            occupancy = row_cycle_cycles
-            stats.row_misses += 1
-            bank.open_row = row
+            start = now
+            queue_delay = 0.0
 
-        bank.free_at = start + occupancy
+        if bank.open_row == row:
+            stats.row_hits += 1
+            bank.free_at = start + burst_cycles
+            service = row_hit_cycles
+        else:
+            bank.open_row = row
+            bank.free_at = start + row_cycle_cycles
+            service = row_miss_cycles
         stats.kind_counts[kind] += 1
         if is_write:
-            stats.writes += 1
-        queue_stats = stats.queue_delay
-        queue_stats.total += queue_delay
-        queue_stats.count += 1
-        if queue_delay > queue_stats.maximum:
-            queue_stats.maximum = queue_delay
+            stats.demand_writes += 1
         return queue_delay + service
 
     def drain_write_fast(self, now: float, paddr: int, kind: int) -> None:
         """Account a write-back: occupies the bank but nobody waits on it."""
-        if self._pow2:
-            line = paddr >> self._line_shift
-            channel = line & self._ch_mask
-            within = (line >> self._ch_shift) >> self._row_shift
-            row = within >> self._bank_shift
-            bank_idx = ((within ^ row ^ (row >> 5)) & self._bank_mask)
-            bank = self._banks[(channel << self._bank_shift) + bank_idx]
-        else:
-            bank, row = self._decode(paddr)
+        (line_shift, ch_mask, within_shift, bank_shift, bank_mask, banks,
+         _, burst_cycles, _, row_cycle_cycles) = self._hot
+        within = paddr >> within_shift
+        row = within >> bank_shift
+        bank = banks[(((paddr >> line_shift) & ch_mask) << bank_shift)
+                     + ((within ^ row ^ (row >> 5)) & bank_mask)]
         start = bank.free_at if bank.free_at > now else now
-        if bank.open_row != row:
-            bank.open_row = row
-            self.stats.row_misses += 1
-            occupancy = self.timing.row_cycle_cycles
+        stats = self.stats
+        if bank.open_row == row:
+            stats.row_hits += 1
+            bank.free_at = start + burst_cycles
         else:
-            self.stats.row_hits += 1
-            occupancy = self.timing.burst_cycles
-        bank.free_at = start + occupancy
-        self.stats.kind_counts[kind] += 1
-        self.stats.writes += 1
-
-    def reset_state(self) -> None:
-        """Clear bank occupancy and open rows (statistics preserved)."""
-        for bank in self._banks:
-            bank.free_at = 0.0
-            bank.open_row = -1
+            bank.open_row = row
+            bank.free_at = start + row_cycle_cycles
+        stats.kind_counts[kind] += 1
+        stats.writebacks += 1

@@ -16,7 +16,6 @@ nothing.  NDPage's metadata bypass is expressed per request
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.mem.cache import (
@@ -30,20 +29,38 @@ from repro.mem.request import RequestKind
 from repro.vm.address import NODE_PADDR_MASK, NODE_PADDR_SHIFT
 
 
-@dataclass(slots=True)
 class HierarchyStats:
-    """Counters the caches/DRAM do not already track."""
+    """Counters the caches/DRAM do not already track, plus two totals
+    derived from theirs.
 
-    accesses: int = 0
-    l1_bypasses: int = 0
-    dram_reads: int = 0
-    remote_reads: int = 0            # DRAM reads that paid node distance
-    remote_penalty_cycles: float = 0.0
+    ``accesses`` (requests into the hierarchy) is every L1 lookup plus
+    every L1 bypass, and ``dram_reads`` (requests that missed every
+    level) is the devices' demand accesses, so neither is counted on
+    the request path.
+    """
+
+    __slots__ = ("l1_bypasses", "remote_reads", "remote_penalty_cycles",
+                 "_l1ds", "_drams")
+
+    def __init__(self, l1ds: Sequence[Cache], drams: Sequence[DramModel]):
+        self._l1ds = l1ds
+        self._drams = drams
+        self.l1_bypasses = 0
+        self.remote_reads = 0            # DRAM reads that paid node distance
+        self.remote_penalty_cycles = 0.0
+
+    @property
+    def accesses(self) -> int:
+        return self.l1_bypasses + sum(
+            kind_stats.accesses
+            for cache in self._l1ds for kind_stats in cache._kind_stats)
+
+    @property
+    def dram_reads(self) -> int:
+        return sum(device.stats.demand_accesses for device in self._drams)
 
     def reset(self) -> None:
-        self.accesses = 0
         self.l1_bypasses = 0
-        self.dram_reads = 0
         self.remote_reads = 0
         self.remote_penalty_cycles = 0.0
 
@@ -98,15 +115,15 @@ class MemoryHierarchy:
             tuple(tuple(float(p) for p in row) for row in numa_penalty)
             if numa_penalty is not None else None)
         self.noc = noc
-        self.stats = HierarchyStats()
+        self.stats = HierarchyStats(
+            l1ds, node_drams if node_drams is not None else (dram,))
         # Per-core cache-level tuples, precomputed once: the hierarchy's
         # shape is fixed after construction, so the hot path never
         # rebuilds level lists.
         self._levels = tuple(
             tuple(self._core_caches(core)) for core in range(len(l1ds)))
         self._levels_no_l1 = tuple(lv[1:] for lv in self._levels)
-        # The mesh latency is a pure function of the core id; cache it
-        # and bump the traversal counter in bulk on the fast path.
+        # The mesh latency is a pure function of the core id; cache it.
         self._noc_latency = tuple(
             noc.hops(core) * noc.config.hop_latency
             + noc.serialization_cycles()
@@ -138,8 +155,6 @@ class MemoryHierarchy:
         writes (they occupy banks but nobody waits on them), matching a
         write-back hierarchy.
         """
-        self.stats.accesses += 1
-        dram = self.dram
         if self._single_level:
             # NDP: one private L1 over DRAM — no level loop, and the
             # cache transition inlined (this is the hottest call chain
@@ -154,31 +169,27 @@ class MemoryHierarchy:
                 latency = 0.0 + cache.hit_latency
                 line = paddr >> cache._line_shift
                 cache_set = cache._sets[line % cache.num_sets]
-                resident = cache_set.get(line)
-                kind_stats = cache._kind_stats[kind]
-                if resident is not None:
-                    kind_stats.hits += 1
+                if line in cache_set:
+                    cache._kind_stats[kind].hits += 1
                     cache_set[line] = cache_set.pop(line) | is_write
                     return latency
-                kind_stats.misses += 1
-                if len(cache_set) < cache.associativity:
-                    cache_set[line] = (kind << 1) | is_write
-                else:
+                cache._kind_stats[kind].misses += 1
+                if len(cache_set) >= cache.associativity:
                     victim_tag = next(iter(cache_set))
                     packed = cache_set.pop(victim_tag)
                     victim_kind = packed >> 1
-                    cache_stats = cache.stats
-                    if kind == 1:  # METADATA evicting ...
-                        if victim_kind == 0:  # ... DATA
-                            cache_stats.data_evicted_by_metadata += 1
-                    elif kind == 0 and victim_kind == 1:
-                        cache_stats.metadata_evicted_by_data += 1
-                    cache_set[line] = (kind << 1) | is_write
+                    if victim_kind != kind:
+                        if kind == 1:  # METADATA evicting ...
+                            if victim_kind == 0:  # ... DATA
+                                cache.stats.data_evicted_by_metadata += 1
+                        elif kind == 0 and victim_kind == 1:
+                            cache.stats.metadata_evicted_by_data += 1
                     if packed & 1:  # dirty victim
-                        cache_stats.writebacks += 1
+                        cache.stats.writebacks += 1
                         self._drain_writeback(
                             now + latency,
                             victim_tag * self._line_size, victim_kind)
+                cache_set[line] = (kind << 1) | is_write
         else:
             if bypass_l1:
                 self.stats.l1_bypasses += 1
@@ -199,12 +210,11 @@ class MemoryHierarchy:
 
         # Full miss: traverse the mesh, access DRAM, come back.
         noc_latency = self._noc_latency[core_id]
-        self.noc.traversals += 2
         latency += noc_latency
         penalty_rows = self._numa_penalty
         if penalty_rows is None:
-            latency += dram.access_fast(now + latency, paddr, kind,
-                                        is_write)
+            latency += self.dram.access_fast(now + latency, paddr, kind,
+                                             is_write)
         else:
             # One table lookup on the miss path: decode the frame's
             # node from the paddr tag, charge the interconnect
@@ -223,9 +233,7 @@ class MemoryHierarchy:
             latency += self.drams[node].access_fast(
                 now + latency, paddr & NODE_PADDR_MASK, kind,
                 is_write)
-        latency += noc_latency
-        self.stats.dram_reads += 1
-        return latency
+        return latency + noc_latency
 
     def _drain_writeback(self, now: float, victim_paddr: int,
                          kind: int) -> None:

@@ -40,7 +40,6 @@ class MeshInterconnect:
         self.config = config
         self.near_memory = near_memory
         self._side = max(1, math.isqrt(num_cores - 1) + 1)
-        self.traversals = 0
 
     def hops(self, core_id: int) -> int:
         """Mesh hops from ``core_id``'s tile to the memory controller."""
@@ -58,6 +57,5 @@ class MeshInterconnect:
 
     def latency(self, core_id: int) -> int:
         """One-way latency from core to memory controller, in cycles."""
-        self.traversals += 1
         return (self.hops(core_id) * self.config.hop_latency
                 + self.serialization_cycles())

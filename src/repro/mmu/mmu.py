@@ -32,12 +32,18 @@ from repro.vm.os_model import OSMemoryManager
 
 @dataclass(slots=True)
 class MmuStats:
+    """Translation counts; cycles are the core's (``CoreStats``).
+
+    A walk is one ``walk_latency`` sample, so ``walks`` is read off it.
+    """
+
     translations: int = 0
     tlb_hits: int = 0
-    walks: int = 0
-    translation_cycles: float = 0.0
-    fault_cycles: float = 0.0
     walk_latency: LatencyStats = field(default_factory=LatencyStats)
+
+    @property
+    def walks(self) -> int:
+        return self.walk_latency.count
 
     @property
     def tlb_miss_rate(self) -> float:
@@ -48,9 +54,6 @@ class MmuStats:
     def reset(self) -> None:
         self.translations = 0
         self.tlb_hits = 0
-        self.walks = 0
-        self.translation_cycles = 0.0
-        self.fault_cycles = 0.0
         self.walk_latency.reset()
 
 
@@ -106,28 +109,23 @@ class Mmu:
             translation, fault_cycles = self.os.ensure_translated(
                 vaddr, site=self.core_id)
             stats.tlb_hits += 1
-            stats.fault_cycles += fault_cycles
             shift = translation.page_shift
             return ((translation.pfn << shift)
                     | (vaddr & ((1 << shift) - 1)),
                     0.0, fault_cycles, True, False)
 
         # Inlined L1-DTLB probe (the common case: one dict round-trip).
-        tlbs = self.tlbs
-        tlbs.lookups += 1
-        l1 = tlbs.l1_small
+        l1 = self.tlbs.l1_small
         tlb_set = l1._sets[page % l1.num_sets]
         translation = tlb_set.get(page)
         if translation is not None:
             l1.stats.hits += 1
             tlb_set[page] = tlb_set.pop(page)  # refresh LRU position
-            latency = l1.latency
             stats.tlb_hits += 1
-            stats.translation_cycles += latency
             shift = translation[1]  # Translation fields by index (hot)
             return ((translation[0] << shift)
                     | (vaddr & ((1 << shift) - 1)),
-                    latency, 0.0, True, False)
+                    l1.latency, 0.0, True, False)
         l1.stats.misses += 1
         return self._translate_slow(now, vaddr, page)
 
@@ -138,12 +136,10 @@ class Mmu:
         page table works on the untagged VPN (each tenant has its own
         table) and the walker tags PWC keys itself.
         """
-        stats = self.stats
         translation, latency = \
             self.tlbs.lookup_after_l1_small_miss(page)
         if translation is not None:
-            stats.tlb_hits += 1
-            stats.translation_cycles += latency
+            self.stats.tlb_hits += 1
             shift = translation[1]
             return ((translation[0] << shift)
                     | (vaddr & ((1 << shift) - 1)),
@@ -165,13 +161,9 @@ class Mmu:
         flat, staged, translation = plan
         walk_latency = walker.walk_from_plan(
             now + latency + fault_cycles, flat, staged)
-        latency += walk_latency
         self.tlbs.insert(page, translation)
 
-        stats.walks += 1
-        stats.translation_cycles += latency
-        stats.fault_cycles += fault_cycles
-        walk_stats = stats.walk_latency
+        walk_stats = self.stats.walk_latency
         walk_stats.total += walk_latency
         walk_stats.count += 1
         if walk_latency > walk_stats.maximum:
@@ -179,4 +171,4 @@ class Mmu:
         shift = translation[1]
         return ((translation[0] << shift)
                 | (vaddr & ((1 << shift) - 1)),
-                latency, fault_cycles, False, True)
+                latency + walk_latency, fault_cycles, False, True)

@@ -98,9 +98,14 @@ class Tlb:
 
 
 class TlbHierarchy:
-    """L1 (4 KB + 2 MB) and L2 TLBs for one core."""
+    """L1 (4 KB + 2 MB) and L2 TLBs for one core.
 
-    __slots__ = ("l1_small", "l1_huge", "l2", "lookups", "full_misses")
+    Every lookup starts at the L1 4 KB TLB, and a lookup misses every
+    level exactly when it misses the L2, so ``lookups`` and
+    ``full_misses`` are read off those two structures' counters.
+    """
+
+    __slots__ = ("l1_small", "l1_huge", "l2")
 
     def __init__(self, l1_small: Tlb, l1_huge: Tlb, l2: Tlb):
         if l1_small.page_shift != PAGE_SHIFT:
@@ -110,12 +115,14 @@ class TlbHierarchy:
         self.l1_small = l1_small
         self.l1_huge = l1_huge
         self.l2 = l2
-        self.lookups = 0
-        self.full_misses = 0
 
-    @staticmethod
-    def _huge_key(page: int) -> int:
-        return page >> (HUGE_PAGE_SHIFT - PAGE_SHIFT)
+    @property
+    def lookups(self) -> int:
+        return self.l1_small.stats.accesses
+
+    @property
+    def full_misses(self) -> int:
+        return self.l2.stats.misses
 
     def lookup(self, page: int):
         """Translate 4 KB-granularity VPN ``page``.
@@ -131,7 +138,6 @@ class TlbHierarchy:
         so fast-path callers that probe the L1 themselves can continue
         from the miss without double counting.
         """
-        self.lookups += 1
         l1 = self.l1_small
         tlb_set = l1._sets[page % l1.num_sets]
         translation = tlb_set.get(page)
@@ -145,9 +151,9 @@ class TlbHierarchy:
     def lookup_after_l1_small_miss(self, page: int):
         """Continue a lookup whose L1-small probe already missed.
 
-        The caller must have recorded the L1-small miss (and the
-        ``lookups`` increment); this probes the 2 MB L1 and the L2,
-        refilling the L1 on an L2 hit, exactly like :meth:`lookup`.
+        The caller must have recorded the L1-small miss; this probes
+        the 2 MB L1 and the L2, refilling the L1 on an L2 hit, exactly
+        like :meth:`lookup`.
         Probes are inlined (one dict round-trip each) — this runs on
         every L1-DTLB miss.
         """
@@ -172,7 +178,6 @@ class TlbHierarchy:
             self.l1_small.insert(page, translation)
             return translation, latency
         l2.stats.misses += 1
-        self.full_misses += 1
         return None, latency
 
     def insert(self, page: int, translation: Translation) -> None:
@@ -180,9 +185,10 @@ class TlbHierarchy:
 
         The two 4 KB inserts are inlined (this runs once per page walk;
         semantics match :meth:`Tlb.insert`, including the LRU refresh
-        on reinsert of a resident key).
+        on reinsert of a resident key).  The translation's page shift is
+        read by index, like every hot-path Translation field.
         """
-        if translation.page_shift == PAGE_SHIFT:
+        if translation[1] == PAGE_SHIFT:
             tlb = self.l1_small
             tlb_set = tlb._sets[page % tlb.num_sets]
             if page in tlb_set:
@@ -198,7 +204,8 @@ class TlbHierarchy:
                 del tlb_set[next(iter(tlb_set))]
             tlb_set[page] = translation
         else:
-            self.l1_huge.insert(self._huge_key(page), translation)
+            self.l1_huge.insert(page >> (HUGE_PAGE_SHIFT - PAGE_SHIFT),
+                                translation)
 
     @property
     def miss_rate(self) -> float:

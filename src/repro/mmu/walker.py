@@ -62,7 +62,7 @@ class PageTableWalker:
     """One core's PTW engine."""
 
     __slots__ = ("table", "hierarchy", "core_id", "pwcs", "bypass",
-                 "asid_tag", "stats", "_level_info", "_l1")
+                 "asid_tag", "stats", "_level_info", "_l1_probe")
 
     def __init__(self, table: PageTable, hierarchy: MemoryHierarchy,
                  core_id: int, pwcs: Optional[PwcSet] = None,
@@ -79,25 +79,29 @@ class PageTableWalker:
         # num_sets``) is unchanged; tag 0 leaves keys as they are.
         self.asid_tag = asid_tag(asid)
         self.stats = WalkerStats()
-        # level -> (bypass_flag, pwc_cache_or_None): bypass policies are
-        # pure per level name and the PWC set is fixed, so both halves
-        # of a stage's treatment are memoized.
+        # level -> (bypass_flag, pwc_or_None): bypass policies are pure
+        # per level name and the PWC set is fixed, so both halves of a
+        # stage's treatment are resolved once.  Every level the table
+        # names is resolved here, so tables with fixed levels index
+        # this dict directly; other levels resolve on first use.
         self._level_info: Dict[str, tuple] = {}
-        # This core's L1, for the inlined metadata-hit fast path.
-        self._l1 = hierarchy.l1ds[core_id]
+        for level in table.level_names:
+            self._level_info_for(level)
+        # This core's L1, for the inlined metadata-hit fast path:
+        # (sets, num_sets, line_shift, hit_latency, metadata stats),
+        # all stable for the cache's lifetime (flush and stats reset
+        # mutate them in place).
+        l1 = hierarchy.l1ds[core_id]
+        self._l1_probe = (l1._sets, l1.num_sets, l1._line_shift,
+                          l1.hit_latency, l1._kind_stats[KIND_METADATA])
 
     def _level_info_for(self, level: str) -> tuple:
-        caches = self.pwcs._caches if self.pwcs is not None else {}
-        pwc = caches.get(level)
-        if pwc is not None:
-            # Pre-resolve everything a probe touches: (sets, num_sets,
-            # associativity, stats).  All four bindings are stable for
-            # the cache's lifetime (flush mutates the sets in place).
-            probe = (pwc._sets, pwc.num_sets, pwc.associativity,
-                     pwc.stats)
-        else:
-            probe = None
-        info = (1 if self.bypass.should_bypass(level) else 0, probe)
+        # The level's PageWalkCache itself is the probe: its sets,
+        # geometry and stats are slots, stable for its lifetime (flush
+        # mutates the sets in place).
+        pwc = (self.pwcs._caches.get(level) if self.pwcs is not None
+               else None)
+        info = (1 if self.bypass.should_bypass(level) else 0, pwc)
         self._level_info[level] = info
         return info
 
@@ -139,61 +143,46 @@ class PageTableWalker:
         if pwcs is not None:
             tag = self.asid_tag
             index = 0
-            for step in flat:
-                pwc = step[2]  # (sets, num_sets, assoc, stats)
-                if pwc is not None:
-                    key = step[3]
-                    if key is not None:
-                        if tag:
-                            key |= tag
-                        pwc_set = pwc[0][key % pwc[1]]
-                        if key in pwc_set:
-                            pwc[3].hits += 1
-                            pwc_set[key] = pwc_set.pop(key)
-                            start = index + 1
-                        else:
-                            pwc[3].misses += 1
-                            if len(pwc_set) >= pwc[2]:
-                                del pwc_set[next(iter(pwc_set))]
-                            pwc_set[key] = None
+            for _, _, pwc, key, _ in flat:
                 index += 1
-            latency = float(pwcs.latency)
+                if pwc is not None and key is not None:
+                    if tag:
+                        key |= tag
+                    pwc_set = pwc._sets[key % pwc.num_sets]
+                    if key in pwc_set:
+                        pwc.stats.hits += 1
+                        pwc_set[key] = pwc_set.pop(key)
+                        start = index
+                    else:
+                        pwc.stats.misses += 1
+                        if len(pwc_set) >= pwc.associativity:
+                            del pwc_set[next(iter(pwc_set))]
+                        pwc_set[key] = None
+            clock = now + float(pwcs.latency)
         else:
-            latency = 0.0
+            clock = now + 0.0
 
-        accesses = 0
-        clock = now + latency
+        # Every step from ``start`` on reads its PTE.  Inlined L1 hit
+        # for cacheable PTE reads; misses and bypassed reads take the
+        # shared fast path, which re-probes the set.
+        l1_sets, l1_num_sets, l1_shift, l1_latency, l1_meta_stats = \
+            self._l1_probe
         hierarchy = self.hierarchy
-        hier_stats = hierarchy.stats
-        core_id = self.core_id
-        l1 = self._l1
-        l1_sets = l1._sets
-        l1_num_sets = l1.num_sets
-        l1_shift = l1._line_shift
-        l1_latency = l1.hit_latency
-        l1_meta_stats = l1._kind_stats[KIND_METADATA]
-        for i in range(start, len(flat)):
-            step = flat[i]
-            pte_paddr = step[0]
-            bypass_l1 = step[1]
+        for pte_paddr, bypass_l1, _, _, _ in (flat[start:] if start
+                                              else flat):
             if not bypass_l1:
-                # Inlined L1 hit for cacheable PTE reads; misses and
-                # bypassed reads take the shared fast path, which
-                # re-probes the set.
                 line = pte_paddr >> l1_shift
                 cache_set = l1_sets[line % l1_num_sets]
-                if cache_set.get(line) is not None:
-                    hier_stats.accesses += 1
+                if line in cache_set:
                     l1_meta_stats.hits += 1
                     cache_set[line] = cache_set.pop(line)
                     clock += l1_latency
-                    accesses += 1
                     continue
             clock += hierarchy.access_fast(
-                clock, pte_paddr, KIND_METADATA, 0, core_id, bypass_l1)
-            accesses += 1
+                clock, pte_paddr, KIND_METADATA, 0, self.core_id,
+                bypass_l1)
 
-        stats.memory_accesses += accesses
+        stats.memory_accesses += len(flat) - start
         return clock - now
 
     def _probe_single_step(self, step: tuple) -> bool:
@@ -203,7 +192,7 @@ class PageTableWalker:
         :meth:`walk_from_plan` keeps inlined for speed — change both
         together.
         """
-        pwc = step[2]  # (sets, num_sets, assoc, stats)
+        pwc = step[2]
         if pwc is None:
             return False
         key = step[3]
@@ -211,13 +200,13 @@ class PageTableWalker:
             return False
         if self.asid_tag:
             key |= self.asid_tag
-        pwc_set = pwc[0][key % pwc[1]]
+        pwc_set = pwc._sets[key % pwc.num_sets]
         if key in pwc_set:
-            pwc[3].hits += 1
+            pwc.stats.hits += 1
             pwc_set[key] = pwc_set.pop(key)  # LRU refresh
             return True
-        pwc[3].misses += 1
-        if len(pwc_set) >= pwc[2]:
+        pwc.stats.misses += 1
+        if len(pwc_set) >= pwc.associativity:
             del pwc_set[next(iter(pwc_set))]
         pwc_set[key] = None
         return False

@@ -48,14 +48,22 @@ from repro.vm.address import LINE_SHIFT, PAGE_SHIFT
 
 @dataclass(slots=True)
 class CoreStats:
-    """Cycle and instruction accounting for one core."""
+    """Cycle and instruction accounting for one core.
+
+    Each reference is one memory instruction plus ``gap_cycles``
+    non-memory ones, so ``instructions`` is read off ``references``.
+    """
 
     references: int = 0
-    instructions: int = 0
     cycles: float = 0.0
     translation_cycles: float = 0.0
     fault_cycles: float = 0.0
     data_stall_cycles: float = 0.0
+    gap_cycles: int = 0
+
+    @property
+    def instructions(self) -> int:
+        return self.references * (1 + self.gap_cycles)
 
     @property
     def translation_fraction(self) -> float:
@@ -96,7 +104,7 @@ class Core:
         self.gap_cycles = gap_cycles
         self.mlp = mlp
         self.issue_cycles = issue_cycles
-        self.stats = CoreStats()
+        self.stats = CoreStats(gap_cycles=gap_cycles)
         self._chunks = chunks
         self._buf_addrs: List[int] = []
         self._buf_writes: List[bool] = []
@@ -167,7 +175,6 @@ class Core:
         self._outstanding.append(completion)
 
         self.stats.references += 1
-        self.stats.instructions += 1 + self.gap_cycles
         next_ready = clock + self.issue_cycles + self.gap_cycles
         self.stats.cycles = next_ready
         return next_ready
@@ -223,19 +230,15 @@ class Core:
         mmu = self.mmu
         mmu_stats = mmu.stats
         hierarchy = self.hierarchy
-        hier_stats = hierarchy.stats
         outstanding = self._outstanding
         mlp = self.mlp
         core_id = self.core_id
-        gap_cycles = self.gap_cycles
-        post_cycles = self.issue_cycles + gap_cycles
-        per_ref_instr = 1 + gap_cycles
+        post_cycles = self.issue_cycles + self.gap_cycles
 
         ideal = mmu.ideal
         asid_key = mmu.asid_tag  # 0 single-process: the OR is a no-op
         if not ideal:
-            tlbs = mmu.tlbs
-            l1t = tlbs.l1_small
+            l1t = mmu.tlbs.l1_small
             l1t_sets = l1t._sets
             l1t_num_sets = l1t.num_sets
             l1t_latency = l1t.latency
@@ -250,26 +253,43 @@ class Core:
         # VPNs and virtual line addresses (``vaddr >> LINE_SHIFT``), so
         # a 4 KB TLB hit forms its L1 line tag with two cheap int ops —
         # the physical address materializes only on an L1 miss.
+        # ``fast_shift`` is the page shift that takes that path: 4 KB
+        # when the L1 line is LINE_SHIFT wide, otherwise none.
         line_fast = l1c_shift == LINE_SHIFT
+        fast_shift = PAGE_SHIFT if line_fast else -1
         pfn_line_shift = PAGE_SHIFT - l1c_shift if line_fast else 0
         vline_mask = (1 << pfn_line_shift) - 1
         page_mask = (1 << PAGE_SHIFT) - 1
 
-        # Int counters are batched (exact); float cycle accounting goes
-        # straight into the stats fields per reference so the summation
-        # order — and with it every reported value — is bit-identical
-        # to the one-reference step() path.
+        def flush(references, tlb_misses, l1_misses):
+            """Turn a batch's local counts into the shared counters:
+            every reference not counted as a miss hit the L1-DTLB and
+            the L1 (an Ideal MMU counts its own translations)."""
+            stats.references += references
+            l1c_data_stats.hits += references - l1_misses
+            if not ideal:
+                tlb_hits = references - tlb_misses
+                mmu_stats.translations += references
+                mmu_stats.tlb_hits += tlb_hits
+                l1t_stats.hits += tlb_hits
+                l1t_stats.misses += tlb_misses
+
+        # The hit arms count nothing: a batch counts its references (by
+        # cursor distance) and its L1-DTLB and L1 misses in locals (int
+        # sums are exact in any order) and flushes them before every
+        # yield.  Float cycle accounting goes straight into the stats
+        # fields per reference so the summation order — and with it
+        # every reported value — is bit-identical to the one-reference
+        # step() path.
         now, bound, max_refs = yield
-        references = 0
-        instructions = 0
+        references = tlb_misses = l1_misses = 0
 
         while True:
             pos = self._buf_pos
             addrs = self._buf_addrs
             if pos >= len(addrs):
                 if not self._refill():
-                    stats.references += references
-                    stats.instructions += instructions
+                    flush(references, tlb_misses, l1_misses)
                     self._drain(now)
                     # Stream exhausted: every further call behaves like
                     # step() on a finished core — drain (a no-op) and
@@ -295,12 +315,11 @@ class Core:
             while pos < end:
                 if now >= bound:
                     self._buf_pos = pos
-                    stats.references += references
-                    stats.instructions += instructions
+                    references += pos - seg_start
+                    flush(references, tlb_misses, l1_misses)
                     stats.cycles = now
                     now, bound, max_refs = yield now
-                    references = 0
-                    instructions = 0
+                    references = tlb_misses = l1_misses = 0
                     pos = self._buf_pos
                     addrs = self._buf_addrs
                     writes = self._buf_writes
@@ -311,14 +330,15 @@ class Core:
                         end = pos + max_refs
                     seg_start = pos
                     continue
-                vaddr = addrs[pos]
+                # The virtual address itself (``addrs[pos]``) is read
+                # only where a physical address must be formed.
                 is_write = writes[pos]
                 clock = now
 
                 # -- translation: inlined L1-DTLB hit, slow path ------
                 if ideal:
                     paddr, t_latency, fault_cycles, _, _ = \
-                        mmu.translate_parts(clock, vaddr)
+                        mmu.translate_parts(clock, addrs[pos])
                     clock += t_latency + fault_cycles
                     stats.translation_cycles += t_latency
                     stats.fault_cycles += fault_cycles
@@ -328,17 +348,10 @@ class Core:
                     tlb_set = l1t_sets[page % l1t_num_sets]
                     translation = tlb_set.get(page)
                     if translation is not None:
-                        # Bookkeeping mirror of translate_parts's hit
-                        # arm.
-                        mmu_stats.translations += 1
-                        tlbs.lookups += 1
-                        l1t_stats.hits += 1
-                        tlb_set[page] = tlb_set.pop(page)
-                        mmu_stats.tlb_hits += 1
-                        mmu_stats.translation_cycles += l1t_latency
+                        tlb_set[page] = tlb_set.pop(page)  # LRU refresh
                         stats.translation_cycles += l1t_latency
                         clock += l1t_latency
-                        if line_fast and translation[1] == PAGE_SHIFT:
+                        if translation[1] == fast_shift:
                             # L1 line tag straight from the precomputed
                             # virtual line address (C-speed on the
                             # hottest line of the simulator).
@@ -348,22 +361,21 @@ class Core:
                         else:
                             shift = translation[1]
                             paddr = ((translation[0] << shift)
-                                     | (vaddr & ((1 << shift) - 1)))
+                                     | (addrs[pos] & ((1 << shift) - 1)))
                             line = paddr >> l1c_shift
                     else:
-                        # Bookkeeping mirror of translate_parts's miss
-                        # arm, then straight to the shared slow path
-                        # (avoids re-probing the set just probed).
-                        mmu_stats.translations += 1
-                        tlbs.lookups += 1
-                        l1t_stats.misses += 1
+                        # Straight to the shared slow path (avoids
+                        # re-probing the set just probed).  A zero
+                        # fault charge leaves the float sum unchanged,
+                        # so it is skipped.
+                        tlb_misses += 1
                         paddr, t_latency, fault_cycles, _, _ = \
-                            mmu._translate_slow(clock, vaddr, page)
+                            mmu._translate_slow(clock, addrs[pos], page)
                         clock += t_latency + fault_cycles
                         stats.translation_cycles += t_latency
-                        stats.fault_cycles += fault_cycles
+                        if fault_cycles:
+                            stats.fault_cycles += fault_cycles
                         line = paddr >> l1c_shift
-                pos += 1
 
                 # -- data access through the bounded miss window ------
                 if len(outstanding) >= mlp:
@@ -375,35 +387,32 @@ class Core:
                 # Inlined L1 hit; misses take the shared hierarchy
                 # fast path, which re-probes the set.
                 cache_set = l1c_sets[line % l1c_num_sets]
-                if cache_set.get(line) is not None:
-                    hier_stats.accesses += 1
-                    l1c_data_stats.hits += 1
+                if line in cache_set:
                     cache_set[line] = cache_set.pop(line) | is_write
                     completion = clock + l1c_latency
                 else:
+                    l1_misses += 1
                     if paddr < 0:
                         # Deferred from the fast TLB-hit arm (4 KB
                         # translation, so the shift is PAGE_SHIFT).
                         paddr = ((translation[0] << PAGE_SHIFT)
-                                 | (vaddr & page_mask))
+                                 | (addrs[pos] & page_mask))
                     completion = clock + hierarchy.access_fast(
                         clock, paddr, KIND_DATA, is_write, core_id, 0)
                 outstanding.append(completion)
-
-                references += 1
-                instructions += per_ref_instr
                 now = clock + post_cycles
+                pos += 1
 
             self._buf_pos = pos
+            consumed = pos - seg_start
+            references += consumed
             if max_refs is not None:
-                max_refs -= pos - seg_start
+                max_refs -= consumed
                 if max_refs <= 0:
-                    stats.references += references
-                    stats.instructions += instructions
+                    flush(references, tlb_misses, l1_misses)
                     stats.cycles = now
                     now, bound, max_refs = yield now
-                    references = 0
-                    instructions = 0
+                    references = tlb_misses = l1_misses = 0
 
     def _drain(self, now: float) -> None:
         """Wait for in-flight accesses once the stream ends."""

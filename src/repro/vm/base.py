@@ -115,12 +115,14 @@ class PageTable(ABC):
         into each step.
 
         ``level_info`` maps a level name to ``(bypass_flag,
-        pwc_probe_or_None)`` and ``resolve(level)`` computes-and-caches
-        a missing entry.  Returns ``(flat, staged, translation)``:
+        pwc_or_None)``.  It holds every name in :attr:`level_names`
+        before the first walk, so overrides may index it directly;
+        ``resolve(level)`` computes-and-caches any other level (e.g.
+        cuckoo ways).  Returns ``(flat, staged, translation)``:
 
         * when every stage is a single step (radix-family tables) the
           plan is *flat*: ``flat`` is a tuple of ``(pte_paddr,
-          bypass_flag, pwc_probe, pwc_prefix, level)`` steps — one per
+          bypass_flag, pwc, pwc_prefix, level)`` steps — one per
           sequential stage — and ``staged`` is None;
         * otherwise (parallel probes, e.g. cuckoo ways) ``flat`` is
           None and ``staged`` is a tuple of stages, each a tuple of

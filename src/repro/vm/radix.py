@@ -36,6 +36,12 @@ PT_ALLOC_SITE = 1 << 20
 
 _LEVEL_NAMES = {4: "PL4", 3: "PL3", 2: "PL2", 1: "PL1"}
 
+# Per-level index mask and PL4/PL3 prefix shifts, folded for the walk
+# path.
+_INDEX_MASK = ENTRIES_PER_NODE - 1
+_SHIFT4 = 3 * LEVEL_BITS
+_SHIFT3 = 2 * LEVEL_BITS
+
 
 class _Node:
     """One 4 KB page-table page."""
@@ -195,52 +201,48 @@ class RadixPageTable(PageTable):
 
     def walk_info_decorated(self, page: int, level_info: dict, resolve):
         """Specialized :meth:`PageTable.walk_info_decorated`: one
-        descent, flat plan, walker treatment baked in."""
-        info4 = level_info.get("PL4")
-        if info4 is None:
-            info4 = resolve("PL4")
-        info3 = level_info.get("PL3")
-        if info3 is None:
-            info3 = resolve("PL3")
-        info2 = level_info.get("PL2")
-        if info2 is None:
-            info2 = resolve("PL2")
-
-        mask = ENTRIES_PER_NODE - 1
+        descent, flat plan, walker treatment baked in.  ``level_info``
+        must already hold every level in :attr:`level_names` (the
+        walker resolves them at construction), so it is indexed, not
+        resolved."""
         node = self._root
-        index = (page >> (3 * LEVEL_BITS)) & mask
-        stage4 = (node.base_paddr + index * PTE_SIZE, info4[0],
-                  info4[1], page >> (3 * LEVEL_BITS), "PL4")
+        prefix = page >> _SHIFT4
+        index = prefix & _INDEX_MASK
+        info = level_info["PL4"]
+        stage4 = (node.base_paddr + index * PTE_SIZE, info[0], info[1],
+                  prefix, "PL4")
         node = node.entries.get(index)
         if node is None:
             return None
 
-        index = (page >> (2 * LEVEL_BITS)) & mask
-        stage3 = (node.base_paddr + index * PTE_SIZE, info3[0],
-                  info3[1], page >> (2 * LEVEL_BITS), "PL3")
+        prefix = page >> _SHIFT3
+        index = prefix & _INDEX_MASK
+        info = level_info["PL3"]
+        stage3 = (node.base_paddr + index * PTE_SIZE, info[0], info[1],
+                  prefix, "PL3")
         node = node.entries.get(index)
         if node is None:
             return None
 
-        index = (page >> LEVEL_BITS) & mask
-        stage2 = (node.base_paddr + index * PTE_SIZE, info2[0],
-                  info2[1], page >> LEVEL_BITS, "PL2")
+        prefix = page >> LEVEL_BITS
+        index = prefix & _INDEX_MASK
+        info = level_info["PL2"]
+        stage2 = (node.base_paddr + index * PTE_SIZE, info[0], info[1],
+                  prefix, "PL2")
         entry = node.entries.get(index)
         if entry is None:
             return None
         if type(entry) is Translation:  # 2 MB leaf: 3-stage walk
             return (stage4, stage3, stage2), None, entry
 
-        index = page & mask
+        index = page & _INDEX_MASK
         leaf = entry.entries.get(index)
         if leaf is None:
             return None
-        info1 = level_info.get("PL1")
-        if info1 is None:
-            info1 = resolve("PL1")
+        info = level_info["PL1"]
         return ((stage4, stage3, stage2,
-                 (entry.base_paddr + index * PTE_SIZE, info1[0],
-                  info1[1], page, "PL1")),
+                 (entry.base_paddr + index * PTE_SIZE, info[0], info[1],
+                  page, "PL1")),
                 None, leaf)
 
     def occupancy(self) -> Dict[str, float]:

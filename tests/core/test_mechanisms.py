@@ -130,14 +130,18 @@ class TestLiveWalkPlan:
                                page_shift=HUGE_PAGE_SHIFT)
                 walked += [page + offset for offset in offsets]
 
-        # A distinct treatment per level, resolved on first use and
-        # memoized in ``level_info`` as the walker does.
+        # A distinct treatment per level, memoized in ``level_info`` as
+        # the walker does: every level the table names up front, any
+        # other on first use.
         level_info = {}
 
         def resolve(level):
             info = (len(level_info) % 2, f"probe-{level}")
             level_info[level] = info
             return info
+
+        for level in table.level_names:
+            resolve(level)
 
         for page in walked:
             live = table.walk_info_decorated(page, level_info, resolve)

@@ -1,6 +1,9 @@
 """Tests for the banked DRAM timing model."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mem.dram import DDR4_2400, HBM2, DramModel, DramTiming
 from repro.mem.request import KIND_DATA, KIND_METADATA, RequestKind
@@ -8,6 +11,42 @@ from repro.mem.request import KIND_DATA, KIND_METADATA, RequestKind
 
 def read(dram, now, paddr, kind=KIND_DATA):
     return dram.access_fast(now, paddr, kind, 0)
+
+
+def reference_decode(timing, paddr):
+    """``(bank index, row)`` of ``paddr`` by the address map in division
+    form, valid for any geometry: lines interleave across channels,
+    fill a row's columns, then move to the next bank, whose index is
+    permuted with row bits.  The oracle for ``DramModel``'s
+    shift-and-mask decode."""
+    line = paddr // DramModel.LINE_SIZE
+    channel = line % timing.channels
+    rest = line // timing.channels
+    banks = timing.banks_per_channel
+    within = rest // (timing.row_bytes // DramModel.LINE_SIZE)
+    bank_raw = within % banks
+    row = within // banks
+    bank_idx = (bank_raw ^ (row % banks) ^ ((row >> 5) % banks)) % banks
+    return channel * banks + bank_idx, row
+
+
+def reset_state(dram):
+    """Close every row and free every bank (statistics preserved)."""
+    for bank in dram._banks:
+        bank.free_at = 0.0
+        bank.open_row = -1
+
+
+def bank_states(dram):
+    return [(bank.free_at, bank.open_row) for bank in dram._banks]
+
+
+def changed_bank(dram, before):
+    """Index of the one bank whose state differs from ``before``."""
+    changed = [index for index, state in enumerate(bank_states(dram))
+               if state != before[index]]
+    assert len(changed) == 1, changed
+    return changed[0]
 
 
 @pytest.fixture
@@ -116,18 +155,55 @@ class TestInterleaving:
         dram = DramModel(HBM2)
         banks = set()
         for i in range(64):
-            bank, _ = dram._decode(i * 4096 * 507 + 4032)
-            banks.add(id(bank))
+            before = bank_states(dram)
+            read(dram, 0.0, i * 4096 * 507 + 4032)
+            banks.add(changed_bank(dram, before))
         assert len(banks) >= 6
 
     def test_reset_state_clears_busy_banks(self, dram):
         read(dram, 0.0, 0)
-        dram.reset_state()
+        reset_state(dram)
         latency = read(dram, 0.0, 0)
         assert latency == HBM2.row_miss_cycles  # row closed again
 
 
+#: One request: (cycles since the previous one, physical address,
+#: posted write-back or demand read).
+DRAM_REQUESTS = st.lists(
+    st.tuples(st.integers(0, 200), st.integers(0, (1 << 40) - 1),
+              st.booleans()),
+    min_size=1, max_size=60)
+
+
+class TestDecodeDifferential:
+    """The bank and row ``access_fast`` and ``drain_write_fast`` open
+    against the division-form address map."""
+
+    @pytest.mark.parametrize("timing", [HBM2, DDR4_2400],
+                             ids=lambda timing: timing.name)
+    @given(requests=DRAM_REQUESTS)
+    @settings(max_examples=80, deadline=None)
+    def test_opened_bank_and_row_match_reference(self, timing, requests):
+        dram = DramModel(timing)
+        now = 0.0
+        for gap, paddr, posted in requests:
+            now += gap
+            before = bank_states(dram)
+            if posted:
+                dram.drain_write_fast(now, paddr, KIND_DATA)
+            else:
+                read(dram, now, paddr)
+            index = changed_bank(dram, before)
+            assert (index, dram._banks[index].open_row) \
+                == reference_decode(timing, paddr)
+
+
 class TestCustomTiming:
+    def test_non_power_of_two_geometry_rejected(self):
+        three_channels = dataclasses.replace(HBM2, name="3ch", channels=3)
+        with pytest.raises(ValueError, match="powers of two"):
+            DramModel(three_channels)
+
     def test_custom_geometry_respected(self):
         timing = DramTiming("toy", channels=1, banks_per_channel=2,
                             row_bytes=128, row_hit_cycles=10,

@@ -41,9 +41,3 @@ class TestConfig:
         wide = MeshInterconnect(
             1, MeshConfig(link_bytes=64), near_memory=True)
         assert narrow.latency(0) > wide.latency(0)
-
-    def test_traversals_counted(self):
-        noc = MeshInterconnect(2, near_memory=True)
-        noc.latency(0)
-        noc.latency(1)
-        assert noc.traversals == 2
