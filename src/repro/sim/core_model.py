@@ -27,11 +27,11 @@ boundaries — inlining the L1-DTLB-hit + L1-cache-hit fast path and
 falling back to the shared slow paths (``Mmu._translate_slow``,
 ``MemoryHierarchy.access_fast``) only on misses, so the common
 reference allocates nothing and crosses no function-call boundary.
-Single-core engines call it once with an infinite bound; the
-multi-core run-ahead engines call it with the next other-core event
-time as the bound (see :mod:`repro.sim.engine`).  :meth:`Core.step`
-remains the one-reference entry point (the debug reference engine) and
-produces bit-identical statistics.
+The run-ahead driver (see :mod:`repro.sim.engine`) resumes the same
+coroutine directly with a bare bound: infinite for a lone core, the
+next other-core event key otherwise.  :meth:`Core.step` remains the
+one-reference entry point (the debug reference engine) and produces
+bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -183,30 +183,33 @@ class Core:
                    max_refs: Optional[int] = None) -> Optional[float]:
         """Run references back to back while ``now < bound``.
 
-        The run-ahead entry point: executes every reference whose issue
-        time falls strictly before ``bound`` (callers fold the event
-        order's tie-break into the bound, see :mod:`repro.sim.engine`),
-        and at most ``max_refs`` of them, resuming mid-chunk via the
-        persistent cursor and refilling across chunk boundaries.
+        Executes every reference whose issue time falls strictly before
+        ``bound`` (callers fold the event order's tie-break into the
+        bound, see :mod:`repro.sim.engine`), and at most ``max_refs``
+        of them, resuming mid-chunk via the persistent cursor and
+        refilling across chunk boundaries.
 
         Returns the cycle at which the core is ready for its next
         reference — its new event key — or None when the stream is
-        exhausted (after draining outstanding accesses).  Identical
-        simulation to issuing :meth:`step` once per reference: the
-        L1-DTLB-hit + L1-cache-hit case is fully inlined, anything
-        rarer takes the same shared slow paths, and float cycle
-        accounting is applied per reference in the same order so every
-        reported value is bit-identical.
+        exhausted (after draining outstanding accesses).  Every counter
+        is exact on return.  Identical simulation to issuing
+        :meth:`step` once per reference: the L1-DTLB-hit + L1-cache-hit
+        case is fully inlined, anything rarer takes the same shared
+        slow paths, and float cycle accounting is applied per reference
+        in the same order so every reported value is bit-identical.
         """
-        return self.runner_send()((now, bound, max_refs))
+        nxt = self.runner_send()((now, bound, max_refs))
+        if nxt is None and not self._finished:
+            return self.stats.cycles  # the budget ran out
+        return nxt
 
     def runner_send(self):
-        """One-call-per-batch entry point for the run-ahead engines.
+        """The ``send`` of the core's persistent chunk coroutine.
 
-        Returns a callable taking a single ``(now, bound, max_refs)``
-        tuple — the bound ``send`` of the persistent chunk coroutine,
+        The run-ahead driver and the scheduler's slots call it directly,
         so a batch costs one C-level generator resume with no Python
-        wrapper frame.
+        wrapper frame.  See :meth:`_chunk_runner` for what it takes and
+        answers.
         """
         runner = self._runner
         if runner is None:
@@ -219,11 +222,32 @@ class Core:
 
         Generator form of the chunk loop: every binding below survives
         across yields, so resuming costs one ``send`` instead of
-        re-deriving ~30 locals per call.  Only the buffer cursor is
-        re-read after each yield (``step`` may interleave in tests).
-        All bound objects are identity-stable for the core's lifetime —
-        TLB/cache flushes clear their set dicts in place — which is
-        what makes the long-lived bindings safe.
+        re-deriving ~30 locals per call.  All bound objects are
+        identity-stable for the core's lifetime — TLB/cache flushes
+        clear their set dicts in place — which is what makes the
+        long-lived bindings safe.
+
+        The core owns its clock, which starts at ``stats.cycles``.  A
+        ``(now, bound, max_refs)`` tuple *arms* the coroutine: it sets
+        the clock and the reference budget and re-reads the buffer
+        cursor (``step`` may have moved it).  A bare float is just a new
+        bound, which must lie above the clock: the batch goes on where
+        the last stop left it, and an unspent budget carries over.  A
+        send answers with the clock at a bound stop, or None once the
+        budget or the stream ends (``finished`` tells which; the clock
+        is then ``stats.cycles``).
+
+        The hit arms count nothing: a batch counts its references (by
+        cursor distance) and its L1-DTLB and L1 misses in locals (int
+        sums are exact in any order).  They reach the shared counters,
+        with the cursor and ``stats.cycles``, at the stop that answers
+        an arm and at the end of a budget or of the stream.  A stop
+        that answers a bare bound skips that, so between such stops the
+        counters lag; they are exact whenever :meth:`step_until` or a
+        whole run returns.  Float cycle accounting goes straight into
+        the stats fields per reference so the summation order — and
+        with it every reported value — is bit-identical to the
+        one-reference :meth:`step` path.
         """
         # Local bindings for everything the per-reference loop touches.
         stats = self.stats
@@ -274,14 +298,12 @@ class Core:
                 l1t_stats.hits += tlb_hits
                 l1t_stats.misses += tlb_misses
 
-        # The hit arms count nothing: a batch counts its references (by
-        # cursor distance) and its L1-DTLB and L1 misses in locals (int
-        # sums are exact in any order) and flushes them before every
-        # yield.  Float cycle accounting goes straight into the stats
-        # fields per reference so the summation order — and with it
-        # every reported value — is bit-identical to the one-reference
-        # step() path.
-        now, bound, max_refs = yield
+        now = stats.cycles
+        max_refs = None
+        bound = yield
+        exact = bound.__class__ is tuple
+        if exact:
+            now, bound, max_refs = bound
         references = tlb_misses = l1_misses = 0
 
         while True:
@@ -314,22 +336,41 @@ class Core:
 
             while pos < end:
                 if now >= bound:
-                    self._buf_pos = pos
-                    references += pos - seg_start
-                    flush(references, tlb_misses, l1_misses)
-                    stats.cycles = now
-                    now, bound, max_refs = yield now
-                    references = tlb_misses = l1_misses = 0
-                    pos = self._buf_pos
-                    addrs = self._buf_addrs
-                    writes = self._buf_writes
-                    vpns = self._buf_vpns
-                    vlines = self._buf_vlines
-                    end = len(addrs)
-                    if max_refs is not None and end - pos > max_refs:
-                        end = pos + max_refs
-                    seg_start = pos
-                    continue
+                    if exact:
+                        # This stop answers an arm: publish the cursor,
+                        # the counts and the clock.
+                        exact = False
+                        consumed = pos - seg_start
+                        seg_start = pos
+                        if max_refs is not None:
+                            max_refs -= consumed
+                        self._buf_pos = pos
+                        flush(references + consumed, tlb_misses,
+                              l1_misses)
+                        references = tlb_misses = l1_misses = 0
+                        stats.cycles = now
+                    bound = yield now
+                    if bound.__class__ is tuple:
+                        # Armed.  Unless the stop published the cursor
+                        # (no reference ran since), bring it up to date
+                        # first.
+                        if pos != seg_start:
+                            self._buf_pos = pos
+                            references += pos - seg_start
+                        now, bound, max_refs = bound
+                        exact = True
+                        pos = self._buf_pos
+                        addrs = self._buf_addrs
+                        writes = self._buf_writes
+                        vpns = self._buf_vpns
+                        vlines = self._buf_vlines
+                        end = len(addrs)
+                        if max_refs is not None and end - pos > max_refs:
+                            end = pos + max_refs
+                        seg_start = pos
+                        continue
+                    # A bare bound lies above the clock: the reference
+                    # the batch stopped at runs now.
                 # The virtual address itself (``addrs[pos]``) is read
                 # only where a physical address must be formed.
                 is_write = writes[pos]
@@ -410,9 +451,12 @@ class Core:
                 max_refs -= consumed
                 if max_refs <= 0:
                     flush(references, tlb_misses, l1_misses)
-                    stats.cycles = now
-                    now, bound, max_refs = yield now
                     references = tlb_misses = l1_misses = 0
+                    stats.cycles = now
+                    bound = yield None
+                    exact = bound.__class__ is tuple
+                    if exact:
+                        now, bound, max_refs = bound
 
     def _drain(self, now: float) -> None:
         """Wait for in-flight accesses once the stream ends."""

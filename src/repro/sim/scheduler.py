@@ -35,6 +35,16 @@ the core whose fault forced the eviction), and when a tenant has
 nothing left to evict it reclaims from the most resident co-tenant
 instead of dying on OOM.
 
+How slots run
+-------------
+Each slot is one entity of the run-ahead driver
+(:func:`repro.sim.engine.run_ahead`): a coroutine that owns the slot's
+clock, its active context, that context's time slice and the switches.
+The driver sends it a bound; the slot passes the bound on to the
+active context's chunk coroutine and answers with the slot's next
+event key, switching contexts by itself whenever a slice or a stream
+ends.  So a batch costs two generator resumes and no scheduler call.
+
 Determinism: scheduling is driven entirely by reference counts and
 simulated time — no host state — so multi-tenant runs are bit-identical
 across processes and sweep worker counts, like everything else in the
@@ -47,20 +57,17 @@ import dataclasses
 import heapq
 import weakref
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional
-
-from math import inf
 
 from repro.mmu.pwc import PwcSet
 from repro.mmu.tlb import TlbHierarchy
 from repro.sim.config import SchedulerParams
 from repro.sim.core_model import Core
 from repro.sim.engine import (
-    LINEAR_SCAN_MAX,
     SimulationEngine,
-    drive_heap,
-    drive_linear,
     reference_engine_enabled,
+    run_ahead,
 )
 from repro.vm.address import asid_tag
 from repro.vm.frames import OutOfMemoryError
@@ -223,23 +230,20 @@ class SlotSchedule:
         self.pwcs = pwcs
         self.alive = list(self.cores)   # round-robin run queue
         self.active = 0                 # index into ``alive``
-        self.quantum_refs = 0           # refs consumed in this slice
+        self.quantum_refs = 0           # reference engine's slice count
 
 
 class ScheduledEngine(SimulationEngine):
     """Quantum-based round-robin of tenant contexts over core slots.
 
-    Single-slot runs drive the chunked fast path — one
-    ``step_until(now, inf, quantum)`` call is one time slice.
-    Multi-slot runs interleave slots in global time (shared-DRAM
-    ordering) through the same run-ahead scheme as the plain engine: a
-    linear-scan array of next-ready slots up to ``LINEAR_SCAN_MAX``, a
-    heap above it, and the per-reference heap loop retained as the
-    debug reference engine behind ``REPRO_REFERENCE_ENGINE=1``.  The
-    run-ahead deadline composes with the quantum: the active context
-    runs to the next other-slot event or the end of its slice,
-    whichever comes first.  All paths charge switches and model ASID
-    behaviour identically, reference for reference.
+    Slots interleave in global time (shared-DRAM ordering) exactly as
+    the plain engine's cores do, each driven by a :meth:`_slot_runner`
+    coroutine; the per-reference heap loop is retained as the debug
+    reference engine behind ``REPRO_REFERENCE_ENGINE=1``.  The
+    run-ahead bound composes with the quantum: the active context runs
+    to the next other-slot event or the end of its slice, whichever
+    comes first.  Both paths charge switches and model ASID behaviour
+    identically, reference for reference.
     """
 
     def __init__(self, slots: List[SlotSchedule],
@@ -264,8 +268,6 @@ class ScheduledEngine(SimulationEngine):
         }
         self._uniform_quantum = (params.quantum_refs
                                  if not params.tenant_weights else None)
-        # Per-context coroutine senders, built at run time (see _run).
-        self._senders = {}
 
     # -- switching ---------------------------------------------------
 
@@ -303,104 +305,61 @@ class ScheduledEngine(SimulationEngine):
     def _run(self) -> None:
         if reference_engine_enabled():
             # Debug: reference-granular heap scheduling — also for a
-            # single slot (bit-identical to the chunked slicing, so
-            # the env var always bypasses the fast path).
+            # single slot, so the env var always bypasses the fast
+            # path.
             self._run_heap_sched()
-        elif len(self.slots) == 1:
-            self._run_single_slot(self.slots[0])
-        else:
-            # Direct coroutine senders, one per context: a run-ahead
-            # batch costs one C-level generator resume.
-            self._senders = {
-                id(core): core.runner_send()
-                for slot in self.slots for core in slot.cores
-            }
-            if len(self.slots) <= LINEAR_SCAN_MAX:
-                self._run_linear_sched()
-            else:
-                self._run_heap_sched_runahead()
+            return
+        # The coroutines live only in this call: none is stored on the
+        # engine, so a finished System is still freed by refcounting.
+        entities = []
+        for slot in sorted(self.slots, key=attrgetter("slot_id")):
+            runner = self._slot_runner(slot)
+            next(runner)  # park at the first yield
+            entities.append(runner.send)
+        run_ahead(entities)
 
-    def _run_single_slot(self, slot: SlotSchedule) -> None:
-        """Quantum-granular slicing on the heap-free fast path."""
-        quanta = self._quanta
-        now = 0.0
-        while slot.alive:
-            core = slot.alive[slot.active]
-            if len(slot.alive) == 1:
-                # Last context standing: no more switches, run it out.
-                next_ready = core.step_until(now, inf)
-            else:
-                next_ready = core.step_until(now, inf,
-                                             quanta[id(core)])
-            if next_ready is None:
-                now = max(now, core.stats.cycles)
-                resumed = self._retire(slot, now)
-                if resumed is None:
-                    return
-                now = resumed
-            else:
-                slot.active = (slot.active + 1) % len(slot.alive)
-                now = self._switch(slot, next_ready)
+    def _slot_runner(self, slot: SlotSchedule):
+        """Run-ahead coroutine of one slot (see :func:`run_ahead`).
 
-    def _advance_slot(self, slot: SlotSchedule, now: float,
-                      bound: float) -> Optional[float]:
-        """Run ``slot``'s active context ahead to ``bound`` or the end
-        of its quantum; return the slot's next event key (None when
-        the slot's run queue emptied).
-
-        Exactly replicates the reference engine's per-reference
-        accounting: partial slices accumulate ``quantum_refs`` across
-        activations, a filled quantum switches immediately (the switch
-        only touches slot-local state, so its placement relative to
-        other slots' references is immaterial), and a context's end of
-        stream retires it at its drained ready time.
+        A time slice arms the active context's chunk coroutine with
+        ``(now, bound, quantum)``; later batches of the slice send it
+        the bare bound, and the quantum's unspent budget carries over
+        across those stops.  Exactly replicates the reference engine's
+        per-reference accounting: a filled quantum switches at once
+        (the switch only touches slot-local state, so its placement
+        relative to other slots' references is immaterial), and a
+        context's end of stream retires it at its drained ready time.
+        A slice that starts below the bound runs in the same batch, as
+        the driver would have resumed the slot next anyway.
         """
-        core = slot.alive[slot.active]
-        if len(slot.alive) > 1:
-            uniform = self._uniform_quantum
-            quantum = uniform if uniform is not None \
-                else self._quanta[id(core)]
-            limit = quantum - slot.quantum_refs
-            start_refs = core.stats.references
-            next_ready = self._senders[id(core)]((now, bound, limit))
-        else:
-            limit = None
-            next_ready = self._senders[id(core)]((now, bound, None))
-        if next_ready is None:
-            return self._retire(slot, max(now, core.stats.cycles))
-        if limit is not None:
-            consumed = core.stats.references - start_refs
-            slot.quantum_refs += consumed
-            if consumed >= limit:
-                slot.quantum_refs = 0
-                slot.active = (slot.active + 1) % len(slot.alive)
-                next_ready = self._switch(slot, next_ready)
-        return next_ready
-
-    def _run_linear_sched(self) -> None:
-        """Run-ahead over a linear-scan array of next-ready slots."""
-        slots = sorted(self.slots, key=lambda slot: slot.slot_id)
-        advance_slot = self._advance_slot
-
-        def advance(i, now, bound):
-            return advance_slot(slots[i], now, bound)
-
-        drive_linear(len(slots), advance)
-
-    def _run_heap_sched_runahead(self) -> None:
-        """Run-ahead under a heap (slot counts past the scan window)."""
-        by_id = {slot.slot_id: slot for slot in self.slots}
-        advance_slot = self._advance_slot
-
-        def advance(slot_id, now, bound):
-            return advance_slot(by_id[slot_id], now, bound)
-
-        drive_heap(sorted(by_id), advance)
+        quanta = self._quanta
+        alive = slot.alive
+        now = 0.0
+        bound = yield
+        while True:
+            core = alive[slot.active]
+            send = core.runner_send()
+            nxt = send((now, bound,
+                        quanta[id(core)] if len(alive) > 1 else None))
+            while nxt is not None:
+                bound = yield nxt
+                nxt = send(bound)
+            now = core.stats.cycles
+            if core.finished:
+                now = self._retire(slot, now)
+                if now is None:
+                    break
+            else:
+                slot.active = (slot.active + 1) % len(alive)
+                now = self._switch(slot, now)
+            if now >= bound:
+                bound = yield now
+        yield None
 
     def _run_heap_sched(self) -> None:
         """Debug reference engine: one heap pop per reference
-        (``REPRO_REFERENCE_ENGINE=1``); the run-ahead loops must match
-        it bit for bit."""
+        (``REPRO_REFERENCE_ENGINE=1``); the run-ahead driver must
+        match it bit for bit."""
         quanta = self._quanta
         uniform = self._uniform_quantum  # int, or None when weighted
         heap = [(0.0, slot.slot_id) for slot in self.slots]

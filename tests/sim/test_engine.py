@@ -1,22 +1,22 @@
 """Tests for the multi-core run-ahead event engine.
 
-The run-ahead loops (linear scan at small core counts, heap above)
-must be bit-identical to the per-reference heap engine kept behind
-``REPRO_REFERENCE_ENGINE=1`` — pinned here over core counts, engines
-and mechanisms, plus mid-chunk ``step_until`` resume units.
+The run-ahead driver must be bit-identical to the per-reference heap
+engine kept behind ``REPRO_REFERENCE_ENGINE=1`` — pinned here over
+core counts, engines and mechanisms — plus the driver's bound protocol
+on scripted entities and mid-chunk ``step_until`` resume units.
 """
 
 import dataclasses
-from math import inf
+from math import inf, nextafter
 
 import pytest
 
+from repro.mem.request import KIND_DATA
 from repro.sim.config import ndp_config
 from repro.sim.engine import (
-    LINEAR_SCAN_MAX,
     REFERENCE_ENGINE_ENV,
     SimulationEngine,
-    runahead_bound,
+    run_ahead,
 )
 from repro.sim.runner import collect, run_once
 from repro.sim.system import System
@@ -101,9 +101,9 @@ class TestRunAheadEquivalence:
         assert fast == reference
 
     def test_heap_runahead_matches_reference(self, monkeypatch):
-        """Core counts past LINEAR_SCAN_MAX take the heap run-ahead."""
+        """Nine cores: the driver's scan past eight entities."""
         config = ndp_config(workload="rnd", mechanism="radix",
-                            num_cores=LINEAR_SCAN_MAX + 1,
+                            num_cores=9,
                             refs_per_core=250, scale=1 / 64, seed=7)
         fast = result_fields(run_once(config))
         monkeypatch.setenv(REFERENCE_ENGINE_ENV, "1")
@@ -121,14 +121,73 @@ class TestRunAheadEquivalence:
         assert reference_engine_enabled()
 
 
+def scripted(entity_id, answers, log):
+    """A run-ahead entity that logs ``(entity_id, bound)`` for every
+    bound it is sent and answers the next of ``answers``."""
+    answers = iter(answers)
+
+    def send(bound):
+        log.append((entity_id, bound))
+        return next(answers)
+
+    return send
+
+
 class TestRunaheadBound:
+    """The id tie-break :func:`run_ahead` folds into the bound it sends
+    the min entity when the runner-up's key is 100."""
+
     def test_winning_tiebreak_is_inclusive(self):
-        bound = runahead_bound(100.0, 0, 1)
+        log = []
+        # Entity 0 waits at 50 while entity 1 runs to 100, then 0 is
+        # the min and wins any tie at 100 against entity 1.
+        run_ahead([scripted(0, [50.0, None], log),
+                   scripted(1, [100.0, None], log)])
+        entity_id, bound = log[2]
+        assert entity_id == 0
         assert bound > 100.0          # may run *at* the deadline
         assert not bound > 100.0 + 1e-9   # but not beyond it
 
     def test_losing_tiebreak_is_exclusive(self):
-        assert runahead_bound(100.0, 2, 1) == 100.0
+        log = []
+        # Entity 0 moves to 100, leaving entity 1 the min; 1 loses a
+        # tie at 100 against entity 0.
+        run_ahead([scripted(0, [100.0, None], log),
+                   scripted(1, [None], log)])
+        assert log[1] == (1, 100.0)
+
+
+class TestRunAheadDriver:
+    """The bounds :func:`run_ahead` sends to scripted entities."""
+
+    def test_tied_deadline_goes_to_the_lower_id(self):
+        log = []
+        run_ahead([scripted(0, [10.0, None], log),
+                   scripted(1, [10.0, None], log)])
+        assert log == [
+            (0, nextafter(0.0, inf)),   # wins the tie at 0: may run at 0
+            (1, 10.0),                  # loses the tie at 10: stops before
+            (0, nextafter(10.0, inf)),  # wins the tie at 10
+            (1, inf),                   # last survivor
+        ]
+
+    def test_finished_entity_leaves_the_scan(self):
+        log = []
+        run_ahead([scripted(0, [None], log),
+                   scripted(1, [5.0, None], log),
+                   scripted(2, [3.0, None], log)])
+        assert log == [
+            (0, nextafter(0.0, inf)),
+            (1, nextafter(0.0, inf)),   # entity 0 parked, not a rival
+            (2, 5.0),
+            (2, 5.0),
+            (1, inf),
+        ]
+
+    def test_lone_entity_gets_one_infinite_bound(self):
+        log = []
+        run_ahead([scripted(0, [None], log)])
+        assert log == [(0, inf)]
 
 
 class TestStepUntil:
@@ -158,6 +217,38 @@ class TestStepUntil:
         paused = collect(
             system, max(c.stats.cycles for c in system.cores))
         assert result_fields(one_shot) == result_fields(paused)
+
+    def test_counters_exact_after_bounded_stop(self):
+        """Every bound stop leaves the counters exact: they equal a
+        twin core's after step() ran the same references (one step
+        per reference, so its clock meets the stop's exactly)."""
+        def counters(core):
+            data = core.hierarchy.l1ds[core.core_id]._kind_stats[KIND_DATA]
+            dtlb = core.mmu.tlbs.l1_small.stats
+            return {
+                "references": core.stats.references,
+                "l1_data": (data.hits, data.misses),
+                "mmu": (core.mmu.stats.translations,
+                        core.mmu.stats.tlb_hits),
+                "l1_dtlb": (dtlb.hits, dtlb.misses),
+            }
+
+        system, twin_system = (System(self.small_config()),
+                               System(self.small_config()))
+        core, twin = system.cores[0], twin_system.cores[0]
+        now = twin_now = 0.0
+        stops = 0
+        while True:
+            nxt = core.step_until(now, now + 64.0)
+            if nxt is None:
+                break
+            while twin_now < nxt:
+                twin_now = twin.step(twin_now)
+            assert twin_now == nxt
+            assert counters(core) == counters(twin), f"stop {stops}"
+            stops += 1
+            now = nxt
+        assert stops > 100
 
     def test_budget_resume_matches_one_shot(self):
         """Same, slicing by reference budget instead of deadline."""

@@ -31,11 +31,14 @@ pytestmark = pytest.mark.skipif(
 
 _PACKAGE = str(Path(repro.__file__).resolve().parent) + "/"
 
-#: Slices traced by the budget tests, by perfbench workload name.
+#: Slices traced by the budget tests: the single-core and the
+#: multi-tenant perfbench workloads, and ``bfs-radix-4c`` (the
+#: ``scripts/bench.py`` row) for the plain multi-core engine.
 WORKLOADS = {
     "bfs-radix": dict(workload="bfs", mechanism="radix", num_cores=1),
     "xs-ndpage-2t-2c": dict(workload="xs", mechanism="ndpage",
                             num_cores=2, tenants=2),
+    "bfs-radix-4c": dict(workload="bfs", mechanism="radix", num_cores=4),
 }
 
 #: Measured bytecodes per reference on a 2,000-reference slice per
@@ -43,7 +46,8 @@ WORKLOADS = {
 #: fails the test; one that removes work should lower the figure.
 BUDGETS = {
     "bfs-radix": 1006.1,
-    "xs-ndpage-2t-2c": 490.2,
+    "xs-ndpage-2t-2c": 416.5,
+    "bfs-radix-4c": 1095.1,
 }
 
 #: Slack over the measured figure before the test fails.

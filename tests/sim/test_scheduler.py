@@ -127,6 +127,28 @@ class TestSchedulerRunAhead:
         reference = result_fields(run_once(config))
         assert fast == reference
 
+    @pytest.mark.parametrize("slots,tenants,max_asids", [
+        (1, 2, 16),   # one entity: a single infinite bound
+        (2, 3, 16),   # uneven retire order
+        (4, 2, 16),
+        (2, 2, 1),    # a flush on every switch
+        (9, 2, 16),   # the scan past eight entities
+    ])
+    def test_slot_shapes_match_reference_engine(self, slots, tenants,
+                                                max_asids, monkeypatch):
+        """Every field, extras included, across slot and tenant counts,
+        with a quantum short enough that every slot switches often."""
+        from repro.sim.engine import REFERENCE_ENGINE_ENV
+        config = mt_config("ndpage", num_cores=slots, tenants=tenants,
+                           refs_per_core=1200,
+                           scheduler=SchedulerParams(
+                               quantum_refs=256, max_asids=max_asids))
+        fast = result_fields(run_once(config))
+        assert fast["extras"]["context_switches"] >= 4 * slots
+        monkeypatch.setenv(REFERENCE_ENGINE_ENV, "1")
+        reference = result_fields(run_once(config))
+        assert fast == reference
+
     def test_pressure_run_matches_reference_engine(self, monkeypatch):
         """Shootdowns from one slot's faults invalidate other slots'
         TLBs — their order relative to every reference is pinned."""
