@@ -69,7 +69,9 @@ def test_bench_report_shape(tmp_path):
     assert len(report["results"]) == len(bench.SUITE)
     for row in report["results"]:
         assert {"name", "workload", "mechanism", "references",
-                "wall_seconds", "refs_per_sec", "cycles"} <= set(row)
+                "wall_seconds", "setup_seconds", "refs_per_sec",
+                "cycles"} <= set(row)
+        assert 0 < row["setup_seconds"] <= row["wall_seconds"]
     assert report["aggregate"]["refs_per_sec"] > 0
     sweep = report["sweep"]
     assert {"jobs", "cells", "references", "wall_seconds",

@@ -1,12 +1,15 @@
 #!/usr/bin/env python
 """Simulator throughput benchmark: refs/sec on representative workloads.
 
-Runs :func:`repro.sim.runner.run_once` on a small suite of configurations
-that exercise the hot path from different angles — a walker-heavy random
-stream under the Radix baseline, a graph traversal, and the paper's
-NDPage mechanism — and reports wall-clock seconds and simulated
-references per second for each, plus two aggregates (total refs / total
-wall and the geometric mean of per-config refs/sec).
+Builds, runs and collects (what :func:`repro.sim.runner.run_once`
+does) a small suite of configurations that exercise the hot path from
+different angles — a walker-heavy random stream under the Radix
+baseline, a graph traversal, and the paper's NDPage mechanism — and
+reports wall-clock seconds and simulated references per second for
+each, plus two aggregates (total refs / total wall and the geometric
+mean of per-config refs/sec).  ``wall_seconds`` covers the whole cell;
+``setup_seconds`` is its ``System(config)`` part alone (build plus the
+untimed prefault warmup), each the best of ``--repeats``.
 
 Results are written as JSON (default: the untracked ``bench.json`` at
 the repo root, labelled ``dev``); committed ``BENCH_*.json`` files are
@@ -52,8 +55,8 @@ JSON format (``BENCH_*.json``)::
       "results": [
         {"name": "...", "workload": "...", "mechanism": "...",
          "num_cores": 1, "references": 120000,
-         "wall_seconds": 1.23, "refs_per_sec": 97561.0,
-         "cycles": 1234567.0}
+         "wall_seconds": 1.23, "setup_seconds": 0.21,
+         "refs_per_sec": 97561.0, "cycles": 1234567.0}
       ],
       "aggregate": {"total_references": ..., "total_wall_seconds": ...,
                     "refs_per_sec": ..., "geomean_refs_per_sec": ...},
@@ -79,8 +82,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.service import SweepService  # noqa: E402
 from repro.sim.config import NumaParams, ndp_config  # noqa: E402
-from repro.sim.runner import run_once  # noqa: E402
+from repro.sim.runner import collect, run_once  # noqa: E402
 from repro.sim.sweep import expand_grid  # noqa: E402
+from repro.sim.system import System  # noqa: E402
 
 #: The benchmark suite: walker-heavy baseline, graph traversal, the
 #: paper's mechanism, a two-tenant schedule (the multi-process
@@ -152,11 +156,13 @@ def host_info() -> dict:
 
 def run_suite(refs: int, scale: float, seed: int = 42,
               verbose: bool = True, repeats: int = 1) -> dict:
-    """Time ``run_once`` on every suite entry; return the report dict.
+    """Time every suite entry end to end; return the report dict.
 
+    Each cell is built, run and collected as ``run_once`` does, with
+    the build (``System(config)``, warmup included) timed on its own.
     With ``repeats > 1`` each configuration is run that many times and
-    the best (minimum) wall time is reported — the standard way to
-    estimate throughput on a machine with noisy neighbours.
+    the best (minimum) wall and setup times are reported — the standard
+    way to estimate throughput on a machine with noisy neighbours.
     """
     results = []
     total_refs = 0
@@ -164,13 +170,16 @@ def run_suite(refs: int, scale: float, seed: int = 42,
     product = 1.0
     for entry in SUITE:
         config = bench_config(entry, refs, scale, seed)
-        wall = float("inf")
+        wall = setup = float("inf")
         for _ in range(max(1, repeats)):
             start = time.perf_counter()
-            result = run_once(config)
-            elapsed = time.perf_counter() - start
-            if elapsed < wall:
-                wall = elapsed
+            system = System(config)
+            built = time.perf_counter()
+            result = collect(system, system.run())
+            del system  # freed inside the cell's time, as run_once does
+            end = time.perf_counter()
+            wall = min(wall, end - start)
+            setup = min(setup, built - start)
         refs_per_sec = result.references / wall if wall > 0 else 0.0
         row = {
             "name": entry["name"],
@@ -181,6 +190,7 @@ def run_suite(refs: int, scale: float, seed: int = 42,
             "nodes": config.numa.nodes,
             "references": result.references,
             "wall_seconds": round(wall, 4),
+            "setup_seconds": round(setup, 4),
             "refs_per_sec": round(refs_per_sec, 1),
             "cycles": result.cycles,
         }
@@ -190,7 +200,8 @@ def run_suite(refs: int, scale: float, seed: int = 42,
         product *= refs_per_sec
         if verbose:
             print(f"  {entry['name']:<12} {result.references:>9,} refs  "
-                  f"{wall:7.2f} s  {refs_per_sec:>12,.0f} refs/s")
+                  f"{wall:7.2f} s  (setup {setup:5.2f} s)  "
+                  f"{refs_per_sec:>12,.0f} refs/s")
     aggregate = {
         "total_references": total_refs,
         "total_wall_seconds": round(total_wall, 4),

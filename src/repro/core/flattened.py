@@ -90,22 +90,12 @@ class FlattenedPageTable(PageTable):
         self._flat_nodes.append(node)
         return node
 
-    def _flat_node_for(self, page: int, create: bool) -> Optional[_FlatNode]:
-        node = self._root
-        idx4 = level_index(page, 4)
-        child = node.entries.get(idx4)
+    def _flat_node_for(self, page: int) -> Optional[_FlatNode]:
+        """The flattened node covering ``page``, or None."""
+        child = self._root.entries.get((page >> _SHIFT4) & _INDEX_MASK)
         if child is None:
-            if not create:
-                return None
-            child = self._new_interior()
-            self._interior_nodes += 1
-            node.entries[idx4] = child
-        idx3 = level_index(page, 3)
-        flat = child.entries.get(idx3)
-        if flat is None and create:
-            flat = self._new_flat()
-            child.entries[idx3] = flat
-        return flat
+            return None
+        return child.entries.get((page >> _SHIFT3) & _INDEX_MASK)
 
     # -- PageTable interface --------------------------------------------------
 
@@ -127,15 +117,28 @@ class FlattenedPageTable(PageTable):
                 "flattened table keeps 4 KB flexibility; 2 MB mappings "
                 "are intentionally unsupported"
             )
-        flat = self._flat_node_for(page, create=True)
-        index = flat_index(page)
-        if index in flat.entries:
+        # Inlined descent, creating missing nodes root first: this runs
+        # on every demand-paging fault.
+        entries = self._root.entries
+        index = (page >> _SHIFT4) & _INDEX_MASK
+        child = entries.get(index)
+        if child is None:
+            child = entries[index] = self._new_interior()
+            self._interior_nodes += 1
+        entries = child.entries
+        index = (page >> _SHIFT3) & _INDEX_MASK
+        flat = entries.get(index)
+        if flat is None:
+            flat = entries[index] = self._new_flat()
+        entries = flat.entries
+        index = page & _FLAT_MASK
+        if index in entries:
             raise MappingError(f"page {page:#x} already mapped")
-        flat.entries[index] = Translation(pfn, PAGE_SHIFT)
+        entries[index] = tuple.__new__(Translation, (pfn, PAGE_SHIFT))
         self._mapped_pages += 1
 
     def unmap_page(self, page: int) -> None:
-        flat = self._flat_node_for(page, create=False)
+        flat = self._flat_node_for(page)
         if flat is None or flat_index(page) not in flat.entries:
             raise MappingError(f"page {page:#x} not mapped")
         del flat.entries[flat_index(page)]

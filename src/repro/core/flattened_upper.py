@@ -108,7 +108,8 @@ class UpperFlattenedPageTable(PageTable):
         idx1 = level_index(page, 1)
         if idx1 in pl1.entries:
             raise MappingError(f"page {page:#x} already mapped")
-        pl1.entries[idx1] = Translation(pfn, PAGE_SHIFT)
+        pl1.entries[idx1] = tuple.__new__(Translation,
+                                          (pfn, PAGE_SHIFT))
         self._mapped += 1
 
     def unmap_page(self, page: int) -> None:

@@ -162,14 +162,12 @@ class System:
             ]
         buffers: List[List[int]] = [[] for _ in range(cfg.num_cores)]
         positions = [0] * cfg.num_cores
+        # The OS's resident index filters repeat touches; a touch it
+        # lets through (a page inside a huge-mapped region, say) still
+        # goes to ensure_mapped, which decides.  The index stays exact
+        # under reclaim, so memory pressure needs no special case.
         ensure_mapped = self.os.ensure_mapped
-        os_stats = self.os.stats
-        # Repeat touches of an already-faulted page are no-ops, so they
-        # can be skipped via a seen-set — *until* the first reclaim:
-        # once the OS starts evicting, a previously mapped page may need
-        # re-faulting and every touch must go through the full path
-        # again (seed-identical behaviour under memory pressure).
-        seen: Optional[set] = set()
+        resident = self.os.resident
         active = list(range(cfg.num_cores))
         while active:
             still_active = []
@@ -189,25 +187,9 @@ class System:
                     stop = pos + quota
                     if stop > len(addrs):
                         stop = len(addrs)
-                    if seen is not None:
-                        index = pos
-                        while index < stop:
-                            vaddr = addrs[index]
-                            index += 1
-                            page = vaddr >> PAGE_SHIFT
-                            if page in seen:
-                                continue
-                            ensure_mapped(vaddr, site=core_id)
-                            seen.add(page)
-                            if os_stats.reclaims:
-                                seen = None  # pressure: exact from here
-                                break
-                        if seen is None:
-                            for vaddr in addrs[index:stop]:
-                                ensure_mapped(vaddr, site=core_id)
-                    else:
-                        for vaddr in addrs[pos:stop]:
-                            ensure_mapped(vaddr, site=core_id)
+                    for vaddr in addrs[pos:stop]:
+                        if vaddr >> PAGE_SHIFT not in resident:
+                            ensure_mapped(vaddr, core_id)
                     quota -= stop - pos
                     pos = stop
                 positions[core_id] = pos
@@ -469,18 +451,15 @@ class System:
         buffers: Dict[Tuple[int, int], List[int]] = {
             (t.asid, s): [] for t, s in pairs}
         positions = {(t.asid, s): 0 for t, s in pairs}
-        # Repeat touches of a mapped page are no-ops until the first
-        # reclaim anywhere: once any tenant starts evicting (its own
-        # pages or a peer's), previously seen pages may need re-faulting
-        # and every touch goes through the full path again.
-        seen: Optional[Dict[Tuple[int, int], set]] = {
-            (t.asid, s): set() for t, s in pairs}
         active = list(pairs)
         while active:
             still_active = []
             for tenant, slot in active:
                 pair = (tenant.asid, slot)
+                # Filter on the tenant's resident index, exact under
+                # its own and cross-tenant reclaim alike.
                 ensure_mapped = tenant.os.ensure_mapped
+                resident = tenant.os.resident
                 addrs = buffers[pair]
                 pos = positions[pair]
                 quota = 256
@@ -494,19 +473,9 @@ class System:
                         addrs = buffers[pair] = nxt[0].tolist()
                         pos = 0
                     stop = min(pos + quota, len(addrs))
-                    pair_seen = None if seen is None else seen[pair]
                     for vaddr in addrs[pos:stop]:
-                        if pair_seen is not None:
-                            page = vaddr >> PAGE_SHIFT
-                            if page in pair_seen:
-                                continue
-                            pair_seen.add(page)
-                        cost = ensure_mapped(vaddr, site=slot)
-                        if (cost and seen is not None
-                                and any(t.os.stats.reclaims
-                                        for t in tenants)):
-                            seen = None
-                            pair_seen = None
+                        if vaddr >> PAGE_SHIFT not in resident:
+                            ensure_mapped(vaddr, slot)
                     quota -= stop - pos
                     pos = stop
                 positions[pair] = pos

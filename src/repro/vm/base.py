@@ -23,7 +23,11 @@ from repro.vm.address import PAGE_SHIFT
 
 
 class Translation(NamedTuple):
-    """Result of a successful lookup."""
+    """Result of a successful lookup.
+
+    Map sites build it as ``tuple.__new__(Translation, (pfn, shift))``,
+    which skips the NamedTuple's Python-level ``__new__`` frame.
+    """
 
     pfn: int         # physical frame number at ``page_shift`` granularity
     page_shift: int  # 12 for 4 KB mappings, 21 for 2 MB mappings

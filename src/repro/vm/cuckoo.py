@@ -122,8 +122,15 @@ class ElasticCuckooPageTable(PageTable):
         return self._mapped_pages / capacity if capacity else 0.0
 
     def lookup(self, page: int) -> Optional[Translation]:
+        # _splitmix64 inlined: this runs on every TLB miss.
         for way in self._ways:
-            entry = way.slots.get(way.index_of(page))
+            value = ((page ^ way.salt) + 0x9E3779B97F4A7C15) \
+                & 0xFFFFFFFFFFFFFFFF
+            value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) \
+                & 0xFFFFFFFFFFFFFFFF
+            value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) \
+                & 0xFFFFFFFFFFFFFFFF
+            entry = way.slots.get((value ^ (value >> 31)) % way.size)
             if entry is not None and entry[0] == page:
                 return entry[1]
         return None
@@ -135,10 +142,24 @@ class ElasticCuckooPageTable(PageTable):
                 "this ECH instance holds the 4 KB table; huge pages would"
                 " live in a separate table per the ECH design"
             )
-        if self.lookup(page) is not None:
-            raise MappingError(f"page {page:#x} already mapped")
+        # One probe pass over every way both rejects a double map and
+        # finds the first free candidate slot (the first pass _insert
+        # would make); only a full set of candidates goes on to kick.
+        free_way = free_index = None
+        for way in self._ways:
+            index = _splitmix64(page ^ way.salt) % way.size
+            entry = way.slots.get(index)
+            if entry is None:
+                if free_way is None:
+                    free_way, free_index = way, index
+            elif entry[0] == page:
+                raise MappingError(f"page {page:#x} already mapped")
         self.stats.inserts += 1
-        self._insert(page, Translation(pfn, PAGE_SHIFT))
+        translation = tuple.__new__(Translation, (pfn, PAGE_SHIFT))
+        if free_way is not None:
+            free_way.slots[free_index] = (page, translation)
+        else:
+            self._insert(page, translation)
         self._mapped_pages += 1
         if self.load_factor > self._resize_threshold:
             self._resize()

@@ -63,11 +63,6 @@ class _PartialBlock:
     def exhausted(self) -> bool:
         return self.next_offset >= FRAMES_PER_BLOCK
 
-    def take(self) -> int:
-        frame = self.first_frame + self.next_offset
-        self.next_offset += 1
-        return frame
-
 
 class FrameAllocator:
     """Block-aware physical memory allocator.
@@ -196,11 +191,15 @@ class FrameAllocator:
         if self._free_frames:
             self.stats.small_allocs += 1
             return self._free_frames.popleft()
+        # Bump the site's partial block in place (every demand fault
+        # and page-table node comes through here).
         partial = self._partials.get(site)
-        if partial is None or partial.exhausted:
-            partial = self._open_block(site)
+        if partial is None or partial.next_offset >= FRAMES_PER_BLOCK:
+            partial = self._open_block(site)  # raises when memory is out
+        offset = partial.next_offset
+        partial.next_offset = offset + 1
         self.stats.small_allocs += 1
-        return partial.take()
+        return partial.first_frame + offset
 
     def _open_block(self, site: int) -> _PartialBlock:
         # Prefer boot-fragmented blocks for small allocations: their

@@ -39,7 +39,8 @@ class IdealPageTable(PageTable):
             raise MappingError("ideal table tracks 4 KB mappings only")
         if page in self._mappings:
             raise MappingError(f"page {page:#x} already mapped")
-        self._mappings[page] = Translation(pfn, PAGE_SHIFT)
+        self._mappings[page] = tuple.__new__(Translation,
+                                             (pfn, PAGE_SHIFT))
 
     def unmap_page(self, page: int) -> None:
         if page not in self._mappings:

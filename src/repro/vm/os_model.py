@@ -11,9 +11,7 @@ evaluation depends on:
   region once contiguity is gone (Section VII-B);
 * elastic-cuckoo rehash costs charged when the hash table grows;
 * FIFO page reclaim under memory pressure, so long runs degrade
-  gracefully instead of aborting;
-* marking of PTE regions so the hardware can issue cache-bypassing
-  accesses for metadata (Section V-A).
+  gracefully instead of aborting.
 """
 
 from __future__ import annotations
@@ -21,17 +19,15 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Tuple
+from typing import Deque, Set, Tuple
 
-from repro.vm.address import (
-    ENTRIES_PER_NODE,
-    HUGE_PAGE_SHIFT,
-    PAGE_SHIFT,
-    VA_MASK,
-)
+from repro.vm.address import HUGE_PAGE_SHIFT, PAGE_SHIFT, VA_MASK
 from repro.vm.base import PageTable
 from repro.vm.cuckoo import ElasticCuckooPageTable
 from repro.vm.frames import FrameAllocator, OutOfMemoryError
+
+#: 4 KB VPN -> 2 MB region index shift.
+_REGION_SHIFT = HUGE_PAGE_SHIFT - PAGE_SHIFT
 
 
 class PagingPolicy(enum.Enum):
@@ -70,13 +66,6 @@ class OsStats:
     regions_fallen_back: int = 0
 
 
-@dataclass
-class _FrameRecord:
-    page: int
-    frame: int
-    huge: bool
-
-
 class OSMemoryManager:
     """Demand paging + huge-page policy over one page table.
 
@@ -94,6 +83,13 @@ class OSMemoryManager:
     * ``extra_fault_cycles()`` — drained into the cycles returned by
       :meth:`ensure_translated`, charging shootdown costs to the core
       whose fault triggered the reclaim.
+
+    The manager keeps an exact index of what it has mapped:
+    :attr:`resident` holds every 4 KB VPN it mapped and has not
+    reclaimed, and, under the HUGE policy, a private set holds the
+    2 MB regions it mapped huge.  The fault paths and reclaim are the
+    only places that map or unmap, and each updates the index, so
+    :meth:`ensure_mapped` answers from it without a table descent.
     """
 
     def __init__(self, allocator: FrameAllocator, page_table: PageTable,
@@ -124,29 +120,22 @@ class OSMemoryManager:
         #: insensitive to touch order.
         self.thp_promotion_fraction = thp_promotion_fraction
         self.stats = OsStats()
+        #: 4 KB VPNs mapped and not reclaimed (read-only to callers;
+        #: the warmup filters its touches on it).
+        self.resident: Set[int] = set()
+        # 2 MB regions mapped huge; read only under the HUGE policy.
+        self._huge_regions: Set[int] = set()
         self._fallback_regions: set = set()
-        self._lru_frames: Deque[_FrameRecord] = deque()
+        # Reclaim FIFO of (page, frame, huge) records; a huge record's
+        # page is its region's first 4 KB VPN.
+        self._lru_frames: Deque[Tuple[int, int, bool]] = deque()
         # Only the radix tree stores 2 MB leaves; other mechanisms run
         # with the SMALL policy in the paper's configuration.
         self._huge = (policy is PagingPolicy.HUGE
                       and hasattr(page_table, "huge_mappings"))
         self._is_ech = isinstance(page_table, ElasticCuckooPageTable)
-        self._last_rehashed = self._rehashed_entries()
-
-    # -- helpers -------------------------------------------------------------
-
-    def _rehashed_entries(self) -> int:
-        if self._is_ech:
-            return self.page_table.stats.rehashed_entries
-        return 0
-
-    def _charge_rehash(self) -> int:
-        """Cycles for ECH growth work done since the last fault (ECH
-        tables only)."""
-        current = self.page_table.stats.rehashed_entries
-        delta = current - self._last_rehashed
-        self._last_rehashed = current
-        return delta * self.costs.ech_rehash_cycles_per_entry
+        self._last_rehashed = (page_table.stats.rehashed_entries
+                               if self._is_ech else 0)
 
     # -- fault handling -------------------------------------------------------
 
@@ -169,11 +158,14 @@ class OSMemoryManager:
     def ensure_mapped(self, vaddr: int, site: int = 0) -> float:
         """Map the page backing ``vaddr`` if needed; return fault cycles.
 
-        The prefault's entry point: one table lookup per touch, since
-        the caller never needs the resulting translation.
+        The warmup's entry point.  It answers from the resident index,
+        never from the page table, since the caller never needs the
+        resulting translation.
         """
         page = (vaddr & VA_MASK) >> PAGE_SHIFT
-        if self.page_table.lookup(page) is not None:
+        if page in self.resident or (
+                self._huge
+                and page >> _REGION_SHIFT in self._huge_regions):
             return 0.0
         return self._fault(page, site)
 
@@ -182,32 +174,38 @@ class OSMemoryManager:
         if self._note_fault_site is not None:
             self._note_fault_site(site)
         if self._huge:
-            cycles = self._fault_huge(page, site)
+            cycles, mapped = self._fault_huge(page, site)
         else:
-            cycles = self._fault_small(page, site)
+            cycles, mapped = 0, False
+        if not mapped:
+            # A 4 KB fault: the data frame first, then the mapping,
+            # which may itself allocate page-table nodes.
+            allocator = self.allocator
+            try:
+                frame = allocator.alloc_frame(site)
+            except OutOfMemoryError:
+                frame = self._retrying(allocator.alloc_frame, site)
+            try:
+                self.page_table.map_page(page, frame, PAGE_SHIFT)
+            except OutOfMemoryError:
+                self._retrying(self.page_table.map_page, page, frame,
+                               PAGE_SHIFT)
+            self._lru_frames.append((page, frame, False))
+            self.resident.add(page)
+            self.stats.minor_faults += 1
+            cycles += self.costs.minor_fault_cycles
         if self._is_ech:
-            cycles += self._charge_rehash()
+            # Charge the ECH growth work done since the last fault.
+            rehashed = self.page_table.stats.rehashed_entries
+            cycles += ((rehashed - self._last_rehashed)
+                       * self.costs.ech_rehash_cycles_per_entry)
+            self._last_rehashed = rehashed
         if self._extra_fault_cycles is not None:
             # Shootdown IPIs etc. raised by reclaim during this fault,
             # charged to the faulting core (multi-tenant only).
             cycles += self._extra_fault_cycles()
         self.stats.fault_cycles += cycles
         return cycles
-
-    def _fault_small(self, page: int, site: int) -> float:
-        try:
-            frame = self.allocator.alloc_frame(site)
-        except OutOfMemoryError:
-            frame = self._retrying(self.allocator.alloc_frame, site)
-        # Installing the mapping may itself allocate page-table nodes.
-        try:
-            self.page_table.map_page(page, frame, PAGE_SHIFT)
-        except OutOfMemoryError:
-            self._retrying(self.page_table.map_page, page, frame,
-                           PAGE_SHIFT)
-        self._lru_frames.append(_FrameRecord(page, frame, huge=False))
-        self.stats.minor_faults += 1
-        return self.costs.minor_fault_cycles
 
     def _retrying(self, operation, *args):
         """Retry an allocating operation that just ran out of memory,
@@ -247,32 +245,38 @@ class OSMemoryManager:
         far more expensive — part of the huge-page churn the paper
         blames for the 8-core Huge Page slowdown.
         """
+        lru = self._lru_frames
+        table = self.page_table
         huge_skipped = []
         try:
-            while self._lru_frames:
-                record = self._lru_frames.popleft()
-                if record.huge:
+            while lru:
+                record = lru.popleft()
+                page, frame, huge = record
+                if huge:
                     huge_skipped.append(record)
                     continue
-                if self.page_table.lookup(record.page) is None:
-                    continue
-                self.page_table.unmap_page(record.page)
-                self.allocator.free_frame(record.frame)
+                if table.lookup(page) is None:
+                    continue  # stale: unmapped behind the OS's back
+                table.unmap_page(page)
+                self.resident.discard(page)
+                self.allocator.free_frame(frame)
                 self.stats.reclaims += 1
                 self.stats.fault_cycles += self.costs.reclaim_cycles
                 if self._on_unmap is not None:
-                    self._on_unmap(record.page, False)
+                    self._on_unmap(page, False)
                 return
             for record in huge_skipped:
-                if self.page_table.lookup(record.page) is None:
+                page, frame, _ = record
+                if table.lookup(page) is None:
                     continue
                 huge_skipped.remove(record)
-                self.page_table.unmap_page(record.page)
-                self.allocator.free_block(record.frame)
+                table.unmap_page(page)
+                self._huge_regions.discard(page >> _REGION_SHIFT)
+                self.allocator.free_block(frame)
                 self.stats.reclaims += 1
                 self.stats.fault_cycles += 4 * self.costs.reclaim_cycles
                 if self._on_unmap is not None:
-                    self._on_unmap(record.page, True)
+                    self._on_unmap(page, True)
                 return
             # Own address space exhausted: under multiprogramming, lean
             # on a co-tenant before declaring the machine out of memory.
@@ -293,15 +297,22 @@ class OSMemoryManager:
         h = (region * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         return (h >> 40) % 1024 < int(fraction * 1024)
 
-    def _fault_huge(self, page: int, site: int) -> float:
-        region = page >> (HUGE_PAGE_SHIFT - PAGE_SHIFT)
+    def _fault_huge(self, page: int, site: int) -> Tuple[float, bool]:
+        """Try to back ``page``'s 2 MB region with one huge page.
+
+        Returns ``(cycles, mapped)``.  When the region falls back to
+        4 KB pages ``mapped`` is False, ``cycles`` holds only the
+        compaction work spent first, and :meth:`_fault` maps the page
+        small.
+        """
+        region = page >> _REGION_SHIFT
         if region in self._fallback_regions:
             self.stats.huge_fallbacks += 1
-            return self._fault_small(page, site)
+            return 0, False
         if not self._promotable(region):
             self._fallback_regions.add(region)
             self.stats.huge_fallbacks += 1
-            return self._fault_small(page, site)
+            return 0, False
 
         first_frame = self.allocator.alloc_huge(site=site)
         cycles = 0.0
@@ -316,57 +327,16 @@ class OSMemoryManager:
                 self._fallback_regions.add(region)
                 self.stats.regions_fallen_back += 1
                 self.stats.huge_fallbacks += 1
-                return cycles + self._fault_small(page, site)
+                return cycles, False
 
-        base_page = region << (HUGE_PAGE_SHIFT - PAGE_SHIFT)
+        base_page = region << _REGION_SHIFT
         try:
             self.page_table.map_page(base_page, first_frame,
                                      HUGE_PAGE_SHIFT)
         except OutOfMemoryError:
             self._retrying(self.page_table.map_page, base_page,
                            first_frame, HUGE_PAGE_SHIFT)
-        self._lru_frames.append(
-            _FrameRecord(base_page, first_frame, huge=True))
+        self._lru_frames.append((base_page, first_frame, True))
+        self._huge_regions.add(region)
         self.stats.huge_faults += 1
-        return cycles + self.costs.huge_fault_cycles
-
-    # -- metadata marking (Section V-A) ---------------------------------------
-
-    def metadata_bytes(self) -> int:
-        """Physical memory currently holding page-table structures."""
-        return self.page_table.table_bytes()
-
-    def prefault_range(self, base_vaddr: int, length: int,
-                       site: int = 0) -> Tuple[int, float]:
-        """Populate mappings for a VA range (dataset initialization).
-
-        Returns (pages mapped, total fault cycles).  Used by workloads
-        whose setup phase writes the whole dataset, which is what makes
-        the paper's PL1/PL2 levels nearly fully occupied.
-        """
-        pages = 0
-        cycles = 0.0
-        step = 1 << PAGE_SHIFT
-        addr = base_vaddr
-        end = base_vaddr + length
-        while addr < end:
-            cost = self.ensure_mapped(addr, site=site)
-            if cost:
-                pages += 1
-                cycles += cost
-            addr += step
-        return pages, cycles
-
-
-def huge_region_of(page: int) -> int:
-    """2 MB region index containing 4 KB-granularity VPN ``page``."""
-    return page >> (HUGE_PAGE_SHIFT - PAGE_SHIFT)
-
-
-def region_base_page(region: int) -> int:
-    """First 4 KB VPN of 2 MB region ``region``."""
-    return region << (HUGE_PAGE_SHIFT - PAGE_SHIFT)
-
-
-def pages_per_huge_region() -> int:
-    return ENTRIES_PER_NODE
+        return cycles + self.costs.huge_fault_cycles, True

@@ -113,35 +113,35 @@ class RadixPageTable(PageTable):
 
     def map_page(self, page: int, pfn: int,
                  page_shift: int = PAGE_SHIFT) -> None:
-        if page_shift == PAGE_SHIFT:
-            self._map_small(page, pfn)
-        elif page_shift == HUGE_PAGE_SHIFT:
+        if page_shift != PAGE_SHIFT:
+            if page_shift != HUGE_PAGE_SHIFT:
+                raise MappingError(f"unsupported page_shift {page_shift}")
             self._map_huge(page, pfn)
-        else:
-            raise MappingError(f"unsupported page_shift {page_shift}")
-
-    def _map_small(self, page: int, pfn: int) -> None:
-        # Inlined descent (this runs on every demand-paging fault).
-        mask = ENTRIES_PER_NODE - 1
-        node = self._root
-        for level, shift in ((3, 3 * LEVEL_BITS), (2, 2 * LEVEL_BITS)):
-            index = (page >> shift) & mask
-            child = node.entries.get(index)
-            if child is None:
-                child = self._new_node(level)
-                node.entries[index] = child
-            node = child
-        idx2 = (page >> LEVEL_BITS) & mask
-        entry = node.entries.get(idx2)
-        if type(entry) is Translation:
+            return
+        # A 4 KB leaf, with the descent unrolled: this runs on every
+        # demand-paging fault.  Missing nodes are created root first.
+        entries = self._root.entries
+        index = (page >> _SHIFT4) & _INDEX_MASK
+        node = entries.get(index)
+        if node is None:
+            node = entries[index] = self._new_node(3)
+        entries = node.entries
+        index = (page >> _SHIFT3) & _INDEX_MASK
+        node = entries.get(index)
+        if node is None:
+            node = entries[index] = self._new_node(2)
+        entries = node.entries
+        index = (page >> LEVEL_BITS) & _INDEX_MASK
+        node = entries.get(index)
+        if node is None:
+            node = entries[index] = self._new_node(1)
+        elif type(node) is Translation:
             raise MappingError(f"page {page:#x} lies inside a 2 MB mapping")
-        if entry is None:
-            entry = self._new_node(1)
-            node.entries[idx2] = entry
-        idx1 = page & mask
-        if idx1 in entry.entries:
+        entries = node.entries
+        index = page & _INDEX_MASK
+        if index in entries:
             raise MappingError(f"page {page:#x} already mapped")
-        entry.entries[idx1] = Translation(pfn, PAGE_SHIFT)
+        entries[index] = tuple.__new__(Translation, (pfn, PAGE_SHIFT))
         self._mapped_pages += 1
 
     def _map_huge(self, page: int, pfn: int) -> None:
@@ -155,8 +155,8 @@ class RadixPageTable(PageTable):
         idx2 = level_index(page, 2)
         if idx2 in node.entries:
             raise MappingError(f"PL2 slot for page {page:#x} already in use")
-        node.entries[idx2] = Translation(
-            pfn >> (HUGE_PAGE_SHIFT - PAGE_SHIFT), HUGE_PAGE_SHIFT)
+        node.entries[idx2] = tuple.__new__(Translation, (
+            pfn >> (HUGE_PAGE_SHIFT - PAGE_SHIFT), HUGE_PAGE_SHIFT))
         self._mapped_pages += ENTRIES_PER_NODE
         self.huge_mappings += 1
 

@@ -9,8 +9,10 @@ from repro.mem.dram import DDR4_2400, HBM2
 from repro.sim import runner
 from repro.sim.config import cpu_config, ndp_config
 from repro.sim.core_model import Core
+from repro.core.flattened import _FlatNode, _InteriorNode
 from repro.sim.system import System
-from repro.vm.os_model import OSMemoryManager, _FrameRecord
+from repro.vm.os_model import OSMemoryManager
+from repro.vm.radix import _Node
 
 FAST = dict(workload="rnd", refs_per_core=300, scale=1 / 64)
 
@@ -91,9 +93,9 @@ class TestPrefault:
 
 
 def _leftovers(config):
-    """Cores, OS managers and frame records still alive after a
+    """Cores, OS managers and page-table nodes still alive after a
     finished System is dropped, with the cyclic collector paused."""
-    tracked = (Core, OSMemoryManager, _FrameRecord)
+    tracked = (Core, OSMemoryManager, _Node, _InteriorNode, _FlatNode)
 
     def live():
         return sum(type(obj) in tracked for obj in gc.get_objects())

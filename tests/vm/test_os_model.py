@@ -3,20 +3,49 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.vm.address import HUGE_PAGE_SHIFT, PAGE_SIZE
-from repro.vm.cuckoo import ElasticCuckooPageTable
-from repro.vm.frames import FrameAllocator, OutOfMemoryError
-from repro.vm.os_model import (
-    OSMemoryManager,
-    PagingPolicy,
-    huge_region_of,
-    pages_per_huge_region,
-    region_base_page,
+from repro.core.flattened import FlattenedPageTable
+from repro.vm.address import (
+    ENTRIES_PER_NODE,
+    HUGE_PAGE_SHIFT,
+    PAGE_SHIFT,
+    PAGE_SIZE,
 )
+from repro.vm.cuckoo import ElasticCuckooPageTable
+from repro.vm.frames import FRAMES_PER_BLOCK, FrameAllocator, OutOfMemoryError
+from repro.vm.ideal import IdealPageTable
+from repro.vm.os_model import OSMemoryManager, PagingPolicy
 from repro.vm.radix import RadixPageTable
 
 MIB = 1024 ** 2
+
+
+def huge_region_of(page):
+    """2 MB region index containing 4 KB-granularity VPN ``page``."""
+    return page >> (HUGE_PAGE_SHIFT - PAGE_SHIFT)
+
+
+def region_base_page(region):
+    """First 4 KB VPN of 2 MB region ``region``."""
+    return region << (HUGE_PAGE_SHIFT - PAGE_SHIFT)
+
+
+def pages_per_huge_region():
+    return 1 << (HUGE_PAGE_SHIFT - PAGE_SHIFT)
+
+
+def prefault_range(os, base_vaddr, length, site=0):
+    """Touch every page of a VA range through ``os.ensure_mapped``;
+    return (pages that faulted, their total fault cycles)."""
+    pages = 0
+    cycles = 0.0
+    for addr in range(base_vaddr, base_vaddr + length, PAGE_SIZE):
+        cost = os.ensure_mapped(addr, site=site)
+        if cost:
+            pages += 1
+            cycles += cost
+    return pages, cycles
 
 
 def make_os(phys=64 * MIB, policy=PagingPolicy.SMALL, frag=0.0,
@@ -59,15 +88,15 @@ class TestDemandPaging:
 
     def test_prefault_range(self):
         os = make_os()
-        pages, cycles = os.prefault_range(0, 10 * PAGE_SIZE)
+        pages, cycles = prefault_range(os, 0, 10 * PAGE_SIZE)
         assert pages == 10
         assert cycles == 10 * os.costs.minor_fault_cycles
 
     def test_metadata_bytes_tracks_page_table(self):
         os = make_os()
-        before = os.metadata_bytes()
+        before = os.page_table.table_bytes()
         os.ensure_mapped(1 << 40)  # new subtree
-        assert os.metadata_bytes() > before
+        assert os.page_table.table_bytes() > before
 
 
 class TestHugePolicy:
@@ -246,7 +275,7 @@ class TestReclaimUnderSustainedPressure:
         # Drop the small-page records so only huge mappings remain,
         # then force a reclaim: a whole 2 MB block must come back.
         os._lru_frames = type(os._lru_frames)(
-            r for r in os._lru_frames if r.huge)
+            r for r in os._lru_frames if r[2])   # (page, frame, huge)
         fault_cycles_before = os.stats.fault_cycles
         os._reclaim_one()
         assert os.allocator.free_block_count >= 1
@@ -363,7 +392,7 @@ class TestFaultEntryPoints:
         assert (mapped.allocator.free_frames
                 == translated.allocator.free_frames)
 
-    def test_first_touch_mapped_does_one_lookup(self):
+    def test_ensure_mapped_does_no_lookup(self):
         os = make_os()
         table = os.page_table
         lookup = table.lookup
@@ -375,9 +404,160 @@ class TestFaultEntryPoints:
 
         table.lookup = counting
         assert os.ensure_mapped(0x1000_0000) > 0
-        assert calls == [0x1000_0000 // PAGE_SIZE]
         assert os.ensure_mapped(0x1000_0008) == 0.0
-        assert len(calls) == 2
+        assert calls == []
+
+
+class _WouldFault(Exception):
+    pass
+
+
+def would_fault(os, page):
+    """Whether ``os.ensure_mapped`` would take a fault for ``page``,
+    asked without taking it."""
+    def probe(page, site):
+        raise _WouldFault
+
+    os._fault = probe
+    try:
+        os.ensure_mapped(page << PAGE_SHIFT)
+    except _WouldFault:
+        return True
+    finally:
+        del os._fault
+    return False
+
+
+def squeeze(allocator, spare_frames, whole_blocks):
+    """Leave ``allocator`` exactly ``whole_blocks`` whole free blocks
+    and ``spare_frames`` scattered free frames: drain every frame, then
+    hand those back."""
+    held = set()
+    while allocator.free_frames:
+        held.add(allocator.alloc_frame(site=99))
+    for frame in sorted(held)[:spare_frames]:
+        held.remove(frame)
+        allocator.free_frame(frame)
+    full_blocks = [block for block in range(allocator.num_blocks)
+                   if all(block * FRAMES_PER_BLOCK + i in held
+                          for i in range(FRAMES_PER_BLOCK))]
+    assert len(full_blocks) >= whole_blocks
+    for block in full_blocks[len(full_blocks) - whole_blocks:]:
+        allocator.free_block(block * FRAMES_PER_BLOCK)
+    assert allocator.free_block_count == whole_blocks
+    assert allocator.scattered_free_frames == spare_frames
+
+
+#: The differential test's pages: 12 per 2 MB region, over two regions
+#: a 0.5 THP fraction promotes (0, 4) and two it does not (1, 2).
+UNIVERSE = [region * ENTRIES_PER_NODE + offset
+            for region in (0, 1, 2, 4) for offset in range(12)]
+
+TABLES = {
+    "radix": RadixPageTable,
+    "flattened": FlattenedPageTable,
+    "ech": ElasticCuckooPageTable,
+    "ideal": IdealPageTable,
+}
+
+POLICIES = {
+    "small": (PagingPolicy.SMALL, 1.0),
+    "thp-1.0": (PagingPolicy.HUGE, 1.0),
+    "thp-0.5": (PagingPolicy.HUGE, 0.5),
+}
+
+OPERATIONS = st.lists(
+    st.tuples(st.sampled_from(["mapped", "translated", "reclaim", "peer"]),
+              st.integers(0, 1), st.sampled_from(UNIVERSE)),
+    min_size=1, max_size=60)
+
+
+def run_against_tables(table_name, policy_name, operations):
+    """Replay ``operations`` on two managers over one allocator and,
+    after each, check every touched page on both: ``ensure_mapped``
+    would not fault iff the page table translates the page.
+
+    Memory is squeezed so reclaim runs inside faults: 24 spare frames,
+    plus two whole blocks where flattened nodes or huge pages need
+    them.  Returns the two managers."""
+    policy, fraction = POLICIES[policy_name]
+    allocator = FrameAllocator(12 * MIB, reserved_bytes=0)  # 6 blocks
+    managers = []
+
+    def peer_of(index):
+        busy = []
+
+        def peer_reclaim():
+            if busy:
+                return False
+            busy.append(True)
+            try:
+                managers[1 - index].reclaim_one()
+            except OutOfMemoryError:
+                return False
+            finally:
+                busy.pop()
+            return True
+        return peer_reclaim
+
+    for index in range(2):
+        managers.append(OSMemoryManager(
+            allocator, TABLES[table_name](allocator), policy=policy,
+            thp_promotion_fraction=fraction,
+            peer_reclaim=peer_of(index)))
+    huge = managers[0]._huge
+    squeeze(allocator, spare_frames=24,
+            whole_blocks=2 if huge or table_name == "flattened" else 0)
+    touched = set()
+    for operation, index, page in operations:
+        os = managers[index]
+        try:
+            if operation == "mapped":
+                touched.add(page)
+                os.ensure_mapped(page << PAGE_SHIFT, site=index)
+            elif operation == "translated":
+                touched.add(page)
+                os.ensure_translated(page << PAGE_SHIFT, site=index)
+            elif operation == "reclaim":
+                os.reclaim_one()
+            else:
+                os._peer_reclaim()
+        except OutOfMemoryError:
+            pass  # nothing left anywhere; the index must still hold
+        for other in managers:
+            for touched_page in touched:
+                assert would_fault(other, touched_page) == (
+                    other.page_table.lookup(touched_page) is None), (
+                    f"page {touched_page:#x} after {operation}")
+    return managers
+
+
+class TestResidentIndex:
+    """Differential test: the OS's resident index against the page
+    table it shadows, under faults, reclaim, huge break-up and peer
+    reclaim."""
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    @given(operations=OPERATIONS)
+    @settings(max_examples=25, deadline=None)
+    def test_index_matches_table(self, table, policy, operations):
+        run_against_tables(table, policy, operations)
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_sizing_reclaims_inside_faults(self, table):
+        a, b = run_against_tables(
+            table, "small",
+            [("mapped", index, page) for page in UNIVERSE
+             for index in (0, 1)])
+        assert a.stats.reclaims > 0 and b.stats.reclaims > 0
+
+    @pytest.mark.parametrize("policy", ["thp-1.0", "thp-0.5"])
+    def test_sizing_breaks_up_huge_pages(self, policy):
+        a, _ = run_against_tables(
+            "radix", policy,
+            [("mapped", 0, 0), ("reclaim", 0, 0), ("mapped", 0, 1)])
+        assert a.stats.huge_faults == 2 and a.stats.reclaims == 1
 
 
 class TestHelpers:
@@ -386,7 +566,8 @@ class TestHelpers:
         assert huge_region_of(region_base_page(77)) == 77
 
     def test_pages_per_region(self):
-        assert pages_per_huge_region() == 512
+        # A 2 MB leaf at PL2 covers exactly one PL1 node's entries.
+        assert pages_per_huge_region() == ENTRIES_PER_NODE == 512
 
     def test_invalid_promotion_fraction(self):
         allocator = FrameAllocator(64 * MIB)
