@@ -18,11 +18,7 @@ from repro.sim.config import (
 from repro.sim.core_model import Core, CoreStats
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import RunResult, run_mechanisms, run_once
-from repro.sim.scheduler import (
-    ScheduledEngine,
-    SchedulerStats,
-    TenantCoordinator,
-)
+from repro.sim.scheduler import SchedulerStats, TenantCoordinator
 from repro.sim.sweep import SweepStats, expand_grid
 from repro.sim.system import System
 from repro.sim.topology import NumaFrameAllocator, NumaTopology
@@ -41,7 +37,6 @@ __all__ = [
     "RunResult",
     "SYSTEM_CPU",
     "SYSTEM_NDP",
-    "ScheduledEngine",
     "SchedulerParams",
     "SchedulerStats",
     "SimulationEngine",

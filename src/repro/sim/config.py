@@ -298,12 +298,6 @@ class SystemConfig:
     def with_mechanism(self, mechanism: str) -> "SystemConfig":
         return replace(self, mechanism=mechanism)
 
-    def with_cores(self, num_cores: int) -> "SystemConfig":
-        return replace(self, num_cores=num_cores)
-
-    def with_workload(self, workload: str) -> "SystemConfig":
-        return replace(self, workload=workload)
-
     # -- canonical serialization ------------------------------------
     #
     # The sweep orchestrator needs two properties from configs: a

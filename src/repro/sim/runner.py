@@ -110,20 +110,14 @@ def collect(system: System, cycles: float) -> RunResult:
     # Machine-wide DRAM view: the flat machine's single device, or the
     # merged per-node devices of a NUMA machine.
     dram = hierarchy.dram_stats()
-    if system.tenants:
-        # Multiprogrammed run: OS behaviour is the sum over tenant
-        # address spaces; occupancy is reported for tenant 0's table
-        # (co-runners of one workload are statistically alike), while
-        # table_bytes counts every tenant's structures — the real
-        # metadata footprint in the shared frame pool.
-        os_stats = _merged_os_stats(system.tenants)
-        table_bytes = sum(t.page_table.table_bytes()
-                          for t in system.tenants)
-        occupancy = system.tenants[0].page_table.occupancy()
-    else:
-        os_stats = system.os.stats
-        table_bytes = system.page_table.table_bytes()
-        occupancy = system.page_table.occupancy()
+    # OS behaviour is the sum over tenant address spaces (a lone
+    # process's own stats, types included); occupancy is reported for
+    # tenant 0's table (co-runners of one workload are statistically
+    # alike), while table_bytes counts every tenant's structures — the
+    # real metadata footprint in the shared frame pool.
+    os_stats = _merged_os_stats(system.tenants)
+    table_bytes = sum(t.page_table.table_bytes() for t in system.tenants)
+    occupancy = system.tenants[0].page_table.occupancy()
 
     extras: Dict[str, float] = {}
     sched = system.scheduler_stats
@@ -144,7 +138,7 @@ def collect(system: System, cycles: float) -> RunResult:
             # including every pre-batching golden — keep their exact
             # extras shape.
             extras["shootdown_ipis"] = float(sched.shootdown_ipis)
-    topology = getattr(system, "topology", None)
+    topology = system.topology
     if topology is not None:
         hs = hierarchy.stats
         extras["numa_nodes"] = float(topology.nodes)

@@ -9,7 +9,7 @@ on the simulator hot path and so ratios are computed in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def ratio(numerator: float, denominator: float) -> float:
@@ -75,37 +75,6 @@ class LatencyStats:
         self.count += other.count
         if other.maximum > self.maximum:
             self.maximum = other.maximum
-
-
-@dataclass(slots=True)
-class CounterBag:
-    """A free-form bag of named integer counters."""
-
-    counters: dict = field(default_factory=dict)
-
-    def add(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
-    def as_dict(self) -> dict:
-        return dict(self.counters)
-
-    def reset(self) -> None:
-        self.counters.clear()
-
-    def merge(self, other: "CounterBag") -> None:
-        for name, value in other.counters.items():
-            self.add(name, value)
-
-
-def weighted_mean(values, weights) -> float:
-    """Weighted arithmetic mean, 0.0 when weights sum to zero."""
-    total_weight = sum(weights)
-    if total_weight == 0:
-        return 0.0
-    return sum(v * w for v, w in zip(values, weights)) / total_weight
 
 
 def geometric_mean(values) -> float:

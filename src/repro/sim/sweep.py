@@ -244,10 +244,6 @@ class SweepStats:
     metrics: Dict[str, object] = field(default_factory=dict)
 
     @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.unique if self.unique else 0.0
-
-    @property
     def refs_per_sec(self) -> float:
         if self.wall_seconds <= 0:
             return 0.0

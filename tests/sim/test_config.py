@@ -84,12 +84,6 @@ class TestBuilders:
         assert cfg.mechanism == "ndpage"
         assert cfg.system == "ndp"
 
-    def test_with_cores(self):
-        assert ndp_config().with_cores(8).num_cores == 8
-
-    def test_with_workload(self):
-        assert ndp_config().with_workload("xs").workload == "xs"
-
     def test_configs_are_frozen(self):
         cfg = ndp_config()
         with pytest.raises(Exception):

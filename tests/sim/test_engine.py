@@ -12,7 +12,7 @@ from math import inf, nextafter
 import pytest
 
 from repro.mem.request import KIND_DATA
-from repro.sim.config import ndp_config
+from repro.sim.config import SchedulerParams, ndp_config
 from repro.sim.engine import (
     REFERENCE_ENGINE_ENV,
     SimulationEngine,
@@ -31,7 +31,7 @@ def result_fields(result) -> dict:
 class TestEngine:
     def test_needs_cores(self):
         with pytest.raises(ValueError):
-            SimulationEngine([])
+            SimulationEngine([], SchedulerParams())
 
     def test_all_cores_run_to_completion(self):
         system = System(ndp_config(workload="rnd", num_cores=2,

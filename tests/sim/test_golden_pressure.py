@@ -416,8 +416,7 @@ def test_pressure_warmup_matches_golden(name):
     allocator = dataclasses.asdict(system.allocator.stats)
     assert allocator["frees"] > 0, "the warmup never reclaimed"
     assert allocator == golden["allocator"]
-    tables = ([tenant.page_table for tenant in system.tenants]
-              or [system.page_table])
+    tables = [tenant.page_table for tenant in system.tenants]
     assert [table.mapped_pages for table in tables] \
         == golden["mapped_pages"]
     fields = dataclasses.asdict(collect(system, system.run()))

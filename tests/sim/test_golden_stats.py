@@ -141,7 +141,8 @@ class TestPathEquivalence:
     def test_multi_core_heap_unchanged(self):
         """Two-core runs (heap engine + step()) stay deterministic and
         aggregate the same references."""
-        config = small_config("radix", refs_per_core=1500).with_cores(2)
+        config = dataclasses.replace(
+            small_config("radix", refs_per_core=1500), num_cores=2)
         first = run_once(config)
         second = run_once(config)
         assert first.references == 3000

@@ -337,8 +337,24 @@ class TestTenantStreams:
         assert len(set(seeds)) == 8
 
     def test_single_tenant_config_bypasses_scheduler(self):
+        """A lone tenant has no co-runner to yield to or to shoot down
+        for, so no scheduler setting moves its run — not its stream
+        batches, not its reclaims' cost — even when its ROI reclaims."""
         result = run_once(mt_config(tenants=1))
         assert result.extras == {}
+        config = mt_config(tenants=1, refs_per_core=4000,
+                           warmup_refs=1000, phys_bytes=6 * MIB)
+        default = run_once(config)
+        assert default.os_stats["reclaims"] > 0
+        assert default.extras == {}
+        for params in (SchedulerParams(quantum_refs=100),
+                       SchedulerParams(tenant_weights=(2.0,)),
+                       SchedulerParams(max_asids=1, flush_on_switch=True),
+                       SchedulerParams(shootdown_batch=4),
+                       SchedulerParams(shootdown_cycles=9999)):
+            custom = run_once(dataclasses.replace(config, scheduler=params))
+            assert custom.extras == {}, params
+            assert result_fields(custom) == result_fields(default), params
 
     def test_tenant_workloads_honored_at_one_tenant(self):
         """A 1-tenant cell with tenant_workloads must run the tenant

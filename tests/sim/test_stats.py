@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.stats import (
-    CounterBag,
     HitMissStats,
     LatencyStats,
     geometric_mean,
     ratio,
-    weighted_mean,
 )
 
 
@@ -73,32 +71,7 @@ class TestLatency:
         assert min(values) - slack <= stats.mean <= max(values) + slack
 
 
-class TestCounterBag:
-    def test_add_get(self):
-        bag = CounterBag()
-        bag.add("x")
-        bag.add("x", 4)
-        assert bag.get("x") == 5
-        assert bag.get("y") == 0
-
-    def test_merge(self):
-        a = CounterBag()
-        a.add("x")
-        b = CounterBag()
-        b.add("x", 2)
-        b.add("y")
-        a.merge(b)
-        assert a.as_dict() == {"x": 3, "y": 1}
-
-
 class TestAggregates:
-    def test_weighted_mean(self):
-        assert weighted_mean([1, 3], [1, 1]) == 2
-        assert weighted_mean([1, 3], [3, 1]) == 1.5
-
-    def test_weighted_mean_empty(self):
-        assert weighted_mean([], []) == 0.0
-
     def test_geometric_mean(self):
         assert geometric_mean([1, 4]) == pytest.approx(2.0)
 

@@ -140,7 +140,6 @@ class TestCachedSweep:
         stats = runner.last_stats
         assert stats.simulated == 0
         assert stats.cache_hits == stats.unique == len(configs)
-        assert stats.cache_hit_rate == 1.0
         assert [fields(r) for r in second] == \
             [fields(r) for r in first]
 

@@ -59,37 +59,39 @@ class TestShapes:
 class TestPrefault:
     def test_warmup_maps_stream_footprint(self):
         system = System(ndp_config(**FAST))
-        assert system.page_table.mapped_pages > 0
+        assert system.tenants[0].page_table.mapped_pages > 0
 
     def test_warmup_fault_stats_reset(self):
         system = System(ndp_config(**FAST))
-        assert system.os.stats.minor_faults == 0
-        assert system.os.stats.fault_cycles == 0.0
+        assert system.tenants[0].os.stats.minor_faults == 0
+        assert system.tenants[0].os.stats.fault_cycles == 0.0
 
     def test_roi_sees_no_faults_after_full_warmup(self):
         system = System(ndp_config(**FAST))
         system.run()
-        assert system.os.stats.minor_faults == 0
+        assert system.tenants[0].os.stats.minor_faults == 0
 
     def test_cold_start_when_disabled(self):
         system = System(ndp_config(warmup_refs=0, **FAST))
-        assert system.page_table.mapped_pages == 0
+        assert system.tenants[0].page_table.mapped_pages == 0
         system.run()
-        assert system.os.stats.minor_faults > 0
+        assert system.tenants[0].os.stats.minor_faults > 0
 
     def test_partial_warmup(self):
         cfg = ndp_config(workload="rnd", refs_per_core=400,
                          warmup_refs=100, scale=1 / 64)
         system = System(cfg)
-        mapped_after_warmup = system.page_table.mapped_pages
+        table = system.tenants[0].page_table
+        mapped_after_warmup = table.mapped_pages
         system.run()
-        assert system.os.stats.minor_faults > 0  # second half faults
-        assert system.page_table.mapped_pages > mapped_after_warmup
+        # The second half faults.
+        assert system.tenants[0].os.stats.minor_faults > 0
+        assert table.mapped_pages > mapped_after_warmup
 
     def test_hugepage_contiguity_consumed_in_warmup(self):
         system = System(ndp_config(mechanism="hugepage",
                                    thp_promotion_fraction=1.0, **FAST))
-        assert system.page_table.huge_mappings > 0
+        assert system.tenants[0].page_table.huge_mappings > 0
 
 
 def _leftovers(config):
@@ -149,7 +151,6 @@ class TestMemory:
             held = tracemalloc.get_traced_memory()[0]
             for core in system.cores:
                 core._chunks = None   # the iterator over its replay
-            system._replay_chunks = None
             freed = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
