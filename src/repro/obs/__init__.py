@@ -6,7 +6,7 @@ opt-in (``--events-out``, or the journal of a sweep with a cache
 dir); every sweep still folds its own events in memory into a
 :class:`~repro.obs.ledger.SweepLedger`, about three per simulated
 cell.  The simulator never emits: instrumentation lives at supervisor
-/ backend / cache granularity — never inside ``Core.step_until`` — so
+/ backend / cache granularity — never inside a core's chunk loop — so
 simulated results are bit-identical with or without a sink.
 
 * :mod:`repro.obs.events` — typed, versioned event records emitted to

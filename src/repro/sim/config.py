@@ -286,6 +286,13 @@ class SystemConfig:
             raise ValueError(
                 f"tenant_weights has {len(weights)} entries for "
                 f"{self.tenants} tenants")
+        if self.tenants == 1:
+            # A lone tenant has no co-runner to yield to or to shoot
+            # down for, so no scheduler knob moves its run: normalize
+            # them to the defaults, as NumaParams does at one node, so
+            # bit-identical runs share one canonical_json (and cache
+            # cell).
+            object.__setattr__(self, "scheduler", SchedulerParams())
         get_mechanism(self.mechanism)  # validate early
 
     @property

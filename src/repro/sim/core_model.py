@@ -19,19 +19,18 @@ and only the translation path differs.
 Hot-path design: a core is fed whole reference chunks of plain lists
 with precomputed VPN and line-address arrays, each made from one numpy
 batch of :meth:`repro.workloads.base.Workload.stream_chunks` by
-:func:`repro.workloads.base.core_chunk` as the core reaches it.
-:meth:`Core.step_until` advances through as many references as its
-caller's time bound (and optional reference budget) allows — resuming
-mid-chunk via a persistent cursor and refilling across chunk
-boundaries — inlining the L1-DTLB-hit + L1-cache-hit fast path and
-falling back to the shared slow paths (``Mmu._translate_slow``,
-``MemoryHierarchy.access_fast``) only on misses, so the common
-reference allocates nothing and crosses no function-call boundary.
-The run-ahead driver (see :mod:`repro.sim.engine`) resumes the same
-coroutine directly with a bare bound: infinite for a lone core, the
-next other-core event key otherwise.  :meth:`Core.step` remains the
-one-reference entry point (the debug reference engine) and produces
-bit-identical statistics.
+:func:`repro.workloads.base.core_chunk` as the core reaches it.  The
+run-ahead engine (:mod:`repro.sim.engine`) drives each core through a
+chunk coroutine (:meth:`Core._chunk_runner`) that runs as many
+references as the engine's time bound (and a time slice's reference
+budget) allows — resuming mid-chunk via a persistent cursor and
+refilling across chunk boundaries — inlining the L1-DTLB-hit +
+L1-cache-hit fast path and falling back to the shared slow paths
+(``Mmu._translate_slow``, ``MemoryHierarchy.access_fast``) only on
+misses, so the common reference allocates nothing and crosses no
+function-call boundary.  :meth:`Core.step` remains the one-reference
+entry point (the debug reference engine) and produces bit-identical
+statistics.
 """
 
 from __future__ import annotations
@@ -91,6 +90,9 @@ class Core:
     :func:`repro.workloads.base.core_chunk` over the workload's numpy
     batches, so a core holds the lists of one chunk, not of its whole
     stream.
+
+    A core is driven by :meth:`step` or by its chunk coroutine in one
+    run, never both.
     """
 
     def __init__(self, core_id: int, mmu: Mmu, hierarchy: MemoryHierarchy,
@@ -113,12 +115,6 @@ class Core:
         self._buf_pos = 0
         self._outstanding: Deque[float] = deque()
         self._finished = False
-        # Persistent chunk-loop coroutine (created on first use,
-        # dropped when the stream ends): keeps the hot loop's ~30
-        # local bindings alive across step_until calls, so a run-ahead
-        # batch of one reference costs a generator resume, not a full
-        # prologue.
-        self._runner = None
 
     @property
     def finished(self) -> bool:
@@ -179,75 +175,51 @@ class Core:
         self.stats.cycles = next_ready
         return next_ready
 
-    def step_until(self, now: float, bound: float,
-                   max_refs: Optional[int] = None) -> Optional[float]:
-        """Run references back to back while ``now < bound``.
-
-        Executes every reference whose issue time falls strictly before
-        ``bound`` (callers fold the event order's tie-break into the
-        bound, see :mod:`repro.sim.engine`), and at most ``max_refs``
-        of them, resuming mid-chunk via the persistent cursor and
-        refilling across chunk boundaries.
-
-        Returns the cycle at which the core is ready for its next
-        reference — its new event key — or None when the stream is
-        exhausted (after draining outstanding accesses).  Every counter
-        is exact on return.  Identical simulation to issuing
-        :meth:`step` once per reference: the L1-DTLB-hit + L1-cache-hit
-        case is fully inlined, anything rarer takes the same shared
-        slow paths, and float cycle accounting is applied per reference
-        in the same order so every reported value is bit-identical.
-        """
-        nxt = self.runner_send()((now, bound, max_refs))
-        if nxt is None and not self._finished:
-            return self.stats.cycles  # the budget ran out
-        return nxt
-
     def runner_send(self):
-        """The ``send`` of the core's persistent chunk coroutine.
+        """Start a chunk coroutine for one run; return its ``send``.
 
-        The run-ahead driver and the scheduler's slots call it directly,
-        so a batch costs one C-level generator resume with no Python
-        wrapper frame.  See :meth:`_chunk_runner` for what it takes and
-        answers.
+        The engine calls it once per core per run and holds the
+        coroutine for that call alone: nothing on the core refers to
+        it, so a System whose run returned or raised is freed by
+        refcounting.  The engine calls the ``send`` directly, so a
+        batch costs one C-level generator resume with no Python
+        wrapper frame.  See :meth:`_chunk_runner` for what it takes
+        and answers.
         """
-        runner = self._runner
-        if runner is None:
-            runner = self._runner = self._chunk_runner()
-            next(runner)  # run the prologue, park at the first yield
+        runner = self._chunk_runner()
+        next(runner)  # run the prologue, park at the first yield
         return runner.send
 
     def _chunk_runner(self):
-        """Persistent coroutine behind :meth:`step_until`.
+        """The chunk loop as a coroutine (see :meth:`runner_send`).
 
-        Generator form of the chunk loop: every binding below survives
-        across yields, so resuming costs one ``send`` instead of
-        re-deriving ~30 locals per call.  All bound objects are
-        identity-stable for the core's lifetime — TLB/cache flushes
-        clear their set dicts in place — which is what makes the
-        long-lived bindings safe.
+        Every binding below survives across yields, so resuming costs
+        one ``send`` instead of re-deriving ~30 locals per batch.  All
+        bound objects are identity-stable for the core's lifetime —
+        TLB/cache flushes clear their set dicts in place — which is
+        what makes the long-lived bindings safe.
 
-        The core owns its clock, which starts at ``stats.cycles``.  A
-        ``(now, bound, max_refs)`` tuple *arms* the coroutine: it sets
-        the clock and the reference budget and re-reads the buffer
-        cursor (``step`` may have moved it).  A bare float is just a new
-        bound, which must lie above the clock: the batch goes on where
-        the last stop left it, and an unspent budget carries over.  A
-        send answers with the clock at a bound stop, or None once the
-        budget or the stream ends (``finished`` tells which; the clock
-        is then ``stats.cycles``).
+        The core owns its clock, which starts at ``stats.cycles``.  The
+        first send is a ``(now, bound, max_refs)`` tuple that *arms* a
+        shared slot's context with its slice's start time and
+        reference budget, or a bare float, a one-context slot's first
+        bound.  After a None that ends a budget the next send is the
+        next slice's tuple; every other send is a bare float bound
+        above the clock, and the batch goes on where the last stop
+        left it.  A send answers with the clock at a bound stop, or
+        None once the budget or the stream ends (``finished`` tells
+        which; the clock is then ``stats.cycles``).  The coroutine
+        returns after the stream's None.
 
         The hit arms count nothing: a batch counts its references (by
         cursor distance) and its L1-DTLB and L1 misses in locals (int
         sums are exact in any order).  They reach the shared counters,
-        with the cursor and ``stats.cycles``, at the stop that answers
-        an arm and at the end of a budget or of the stream.  A stop
-        that answers a bare bound skips that, so between such stops the
-        counters lag; they are exact whenever :meth:`step_until` or a
-        whole run returns.  Float cycle accounting goes straight into
-        the stats fields per reference so the summation order — and
-        with it every reported value — is bit-identical to the
-        one-reference :meth:`step` path.
+        with the cursor and ``stats.cycles``, at the end of a budget or
+        of the stream; between bound stops the counters lag, and they
+        are exact whenever a whole run returns.  Float cycle accounting
+        goes straight into the stats fields per reference so the
+        summation order — and with it every reported value — is
+        bit-identical to the one-reference :meth:`step` path.
         """
         # Local bindings for everything the per-reference loop touches.
         stats = self.stats
@@ -301,8 +273,7 @@ class Core:
         now = stats.cycles
         max_refs = None
         bound = yield
-        exact = bound.__class__ is tuple
-        if exact:
+        if bound.__class__ is tuple:
             now, bound, max_refs = bound
         references = tlb_misses = l1_misses = 0
 
@@ -313,17 +284,8 @@ class Core:
                 if not self._refill():
                     flush(references, tlb_misses, l1_misses)
                     self._drain(now)
-                    # Stream exhausted: every further call behaves like
-                    # step() on a finished core — drain (a no-op) and
-                    # report None.  Dropping the core's handle breaks
-                    # the core -> coroutine -> frame -> core cycle, so
-                    # a finished System is freed by refcounting; a
-                    # later call starts a fresh coroutine, which finds
-                    # the same exhausted stream.
-                    self._runner = None
-                    while True:
-                        now, bound, max_refs = yield None
-                        self._drain(now)
+                    yield None
+                    return
                 pos = 0
                 addrs = self._buf_addrs
             writes = self._buf_writes
@@ -336,41 +298,9 @@ class Core:
 
             while pos < end:
                 if now >= bound:
-                    if exact:
-                        # This stop answers an arm: publish the cursor,
-                        # the counts and the clock.
-                        exact = False
-                        consumed = pos - seg_start
-                        seg_start = pos
-                        if max_refs is not None:
-                            max_refs -= consumed
-                        self._buf_pos = pos
-                        flush(references + consumed, tlb_misses,
-                              l1_misses)
-                        references = tlb_misses = l1_misses = 0
-                        stats.cycles = now
+                    # The next bound lies above the clock: the
+                    # reference the batch stopped at runs then.
                     bound = yield now
-                    if bound.__class__ is tuple:
-                        # Armed.  Unless the stop published the cursor
-                        # (no reference ran since), bring it up to date
-                        # first.
-                        if pos != seg_start:
-                            self._buf_pos = pos
-                            references += pos - seg_start
-                        now, bound, max_refs = bound
-                        exact = True
-                        pos = self._buf_pos
-                        addrs = self._buf_addrs
-                        writes = self._buf_writes
-                        vpns = self._buf_vpns
-                        vlines = self._buf_vlines
-                        end = len(addrs)
-                        if max_refs is not None and end - pos > max_refs:
-                            end = pos + max_refs
-                        seg_start = pos
-                        continue
-                    # A bare bound lies above the clock: the reference
-                    # the batch stopped at runs now.
                 # The virtual address itself (``addrs[pos]``) is read
                 # only where a physical address must be formed.
                 is_write = writes[pos]
@@ -453,10 +383,7 @@ class Core:
                     flush(references, tlb_misses, l1_misses)
                     references = tlb_misses = l1_misses = 0
                     stats.cycles = now
-                    bound = yield None
-                    exact = bound.__class__ is tuple
-                    if exact:
-                        now, bound, max_refs = bound
+                    now, bound, max_refs = yield None
 
     def _drain(self, now: float) -> None:
         """Wait for in-flight accesses once the stream ends."""

@@ -18,16 +18,18 @@ at the shared DRAM banks is bit-identical by construction.
 
 An *entity* is a coroutine that owns its clock.  A slot with one
 context (every slot of a single-process machine) is its core's chunk
-coroutine (:meth:`repro.sim.core_model.Core.runner_send`) itself; a
+coroutine (:meth:`repro.sim.core_model.Core._chunk_runner`) itself; a
 slot shared by co-running tenants is a :meth:`SimulationEngine
 ._slot_runner` that owns the active context, its time slice and the
-switches.  One driver, :func:`run_ahead`, serves both.  Each turn it
-scans a next-ready array for the minimum and the runner-up, folds the
-id tie-break into the bound, and sends the winner that bound alone; the
-entity answers with its next event key.  So a batch costs the inline
-scan and one generator resume (two on a shared slot), and the common
-reference runs in the core's inlined chunk loop.  A single entity gets
-one infinite bound and runs to completion.
+switches.  Every entity, chunk coroutines included, is started by
+:meth:`SimulationEngine.run` and lives only in that call.  One driver,
+:func:`run_ahead`, serves both kinds.  Each turn it scans a next-ready
+array for the minimum and the runner-up, folds the id tie-break into
+the bound, and sends the winner that bound alone; the entity answers
+with its next event key.  So a batch costs the inline scan and one
+generator resume (two on a shared slot), and the common reference runs
+in the core's inlined chunk loop.  A single entity gets one infinite
+bound and runs to completion.
 
 The original reference-at-a-time heap loop is retained as a *debug
 reference engine*: set ``REPRO_REFERENCE_ENGINE=1`` to force it for
@@ -166,11 +168,11 @@ class SimulationEngine:
         # The simulation loop allocates short-lived tuples at a rate
         # that makes the cyclic collector's gen-0 sweeps a measurable
         # tax, while producing no reference cycles of its own.  Nor
-        # does the machine around it: a core drops its chunk coroutine
-        # once its stream ends, the run-ahead entities live only in
-        # this call, and the tenant coordinator holds its OS managers
-        # weakly, so a finished System is reclaimed by refcounting
-        # alone (tests/sim/test_system.py::TestLifetime).  Pause the
+        # does the machine around it: the run-ahead entities, chunk
+        # coroutines included, live only in this call, and the tenant
+        # coordinator holds its OS managers weakly, so a System whose
+        # run returned or raised is reclaimed by refcounting alone
+        # (tests/sim/test_system.py::TestLifetime).  Pause the
         # collector for the loop, restoring the caller's setting
         # afterwards.
         gc_was_enabled = gc.isenabled()
@@ -240,7 +242,8 @@ class SimulationEngine:
     def _slot_runner(self, slot: SlotSchedule):
         """Run-ahead coroutine of one shared slot (see :func:`run_ahead`).
 
-        A time slice arms the active context's chunk coroutine with
+        It starts one chunk coroutine per context before its first
+        yield.  A time slice arms the active context's coroutine with
         ``(now, bound, quantum)``; later batches of the slice send it
         the bare bound, and the quantum's unspent budget carries over
         across those stops.  Exactly replicates the reference engine's
@@ -253,11 +256,12 @@ class SimulationEngine:
         """
         quanta = self._quanta
         alive = slot.alive
+        sends = {id(core): core.runner_send() for core in slot.cores}
         now = 0.0
         bound = yield
         while True:
             core = alive[slot.active]
-            send = core.runner_send()
+            send = sends[id(core)]
             nxt = send((now, bound,
                         quanta[id(core)] if len(alive) > 1 else None))
             while nxt is not None:

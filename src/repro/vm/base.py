@@ -80,43 +80,9 @@ class PageTable(ABC):
         accesses within the stage.
         """
 
-    def walk_plan(self, page: int) -> Tuple[Tuple[Tuple[str, int,
-                                                        Optional[int]],
-                                                  ...], ...]:
-        """Allocation-lean equivalent of :meth:`walk_stages`.
-
-        Returns a tuple of sequential stages, each a tuple of parallel
-        ``(level, pte_paddr, pwc_prefix_or_None)`` triples, where
-        ``pwc_prefix`` is the integer half of ``WalkStage.pwc_key``
-        (each page-table level has its own walk cache, so the level
-        string in the key is redundant).  The default derives the plan
-        from :meth:`walk_stages`; hot tables override it to skip the
-        ``WalkStage`` construction entirely.
-        """
-        return tuple(
-            tuple((step.level, step.pte_paddr,
-                   step.pwc_key[-1] if step.pwc_key is not None else None)
-                  for step in stage)
-            for stage in self.walk_stages(page))
-
-    def walk_info(self, page: int):
-        """``(walk_plan, translation)`` in one descent, or None.
-
-        A walker needs both the PTE access plan and the resulting
-        translation of a walk; resolving them separately costs two
-        table descents.  Returns None when the page is unmapped (the
-        caller faults and retries).  The default composes
-        :meth:`lookup` and :meth:`walk_plan`; hot tables override it to
-        share a single descent.
-        """
-        translation = self.lookup(page)
-        if translation is None:
-            return None
-        return self.walk_plan(page), translation
-
     def walk_info_decorated(self, page: int, level_info: dict, resolve):
-        """:meth:`walk_info` with the walker's per-level treatment baked
-        into each step.
+        """The walker's plan and translation for ``page``, with the
+        walker's per-level treatment baked into each step.
 
         ``level_info`` maps a level name to ``(bypass_flag,
         pwc_or_None)``.  It holds every name in :attr:`level_names`
@@ -132,23 +98,28 @@ class PageTable(ABC):
           None and ``staged`` is a tuple of stages, each a tuple of
           such steps.
 
-        Walkers call this on every walk, so hot tables override it
-        with a single unrolled descent.  None when the page is
-        unmapped.
+        ``pwc_prefix`` is the integer half of ``WalkStage.pwc_key``
+        (each level has its own walk cache, so the level string in the
+        key is redundant).  The default derives the plan from
+        :meth:`lookup` and :meth:`walk_stages`; walkers call this on
+        every walk, so hot tables override it with a single descent.
+        None when the page is unmapped.
         """
-        info = self.walk_info(page)
-        if info is None:
+        translation = self.lookup(page)
+        if translation is None:
             return None
-        raw, translation = info
         staged = []
         flat = True
-        for stage in raw:
+        for stage in self.walk_stages(page):
             steps = []
-            for level, pte_paddr, key in stage:
-                deco = level_info.get(level)
+            for step in stage:
+                deco = level_info.get(step.level)
                 if deco is None:
-                    deco = resolve(level)
-                steps.append((pte_paddr, deco[0], deco[1], key, level))
+                    deco = resolve(step.level)
+                key = step.pwc_key
+                steps.append((step.pte_paddr, deco[0], deco[1],
+                              key[-1] if key is not None else None,
+                              step.level))
             if len(steps) != 1:
                 flat = False
             staged.append(tuple(steps))

@@ -217,22 +217,27 @@ class ElasticCuckooPageTable(PageTable):
         ]
         return [probes]
 
-    def walk_info(self, page: int):
-        """Specialized :meth:`PageTable.walk_info`: the way probes also
-        resolve the translation, so one pass yields both."""
+    def walk_info_decorated(self, page: int, level_info: dict, resolve):
+        """Specialized :meth:`PageTable.walk_info_decorated`: the way
+        probes also resolve the translation, so one pass yields both.
+        A walk is one stage of parallel probes, so the plan is always
+        staged."""
         translation = None
         probes = []
         for i, way in enumerate(self._ways):
             index = _splitmix64(page ^ way.salt) % way.size
-            probes.append((f"ECH-way{i}",
-                           way.base_paddr + index * ECH_ENTRY_BYTES,
-                           None))
+            level = f"ECH-way{i}"
+            deco = level_info.get(level)
+            if deco is None:
+                deco = resolve(level)
+            probes.append((way.base_paddr + index * ECH_ENTRY_BYTES,
+                           deco[0], deco[1], None, level))
             entry = way.slots.get(index)
             if entry is not None and entry[0] == page:
                 translation = entry[1]
         if translation is None:
             return None
-        return (tuple(probes),), translation
+        return None, (tuple(probes),), translation
 
     def occupancy(self) -> Dict[str, float]:
         return {

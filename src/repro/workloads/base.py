@@ -58,7 +58,7 @@ def chunk_probe_keys(addrs: np.ndarray) -> Tuple[List[int], List[int]]:
     (``(addr & VA_MASK) >> PAGE_SHIFT``) and the virtual line address
     (``addr >> LINE_SHIFT``) of every reference — the two keys the
     inlined TLB/L1 hit probe in :meth:`repro.sim.core_model
-    .Core.step_until` consumes.  The single definition of the chunk
+    .Core._chunk_runner` consumes.  The single definition of the chunk
     layout contract: :func:`core_chunk` and every test that builds
     chunks by hand derive through it.
     """

@@ -292,6 +292,31 @@ class TestVersionedFields:
         assert base.canonical_json() \
             != ndp_config(tenants=2).canonical_json()
 
+    def test_single_tenant_scheduler_normalizes(self):
+        """No scheduler knob moves a lone tenant's run (pinned by
+        ``test_single_tenant_config_bypasses_scheduler``, whose five
+        settings these are), so at one tenant each normalizes to the
+        default cache key, as a lone node's NUMA knobs do; at two
+        tenants each keeps its own."""
+        def settings(tenants):
+            return (SchedulerParams(quantum_refs=100),
+                    SchedulerParams(tenant_weights=(2.0,)
+                                    + (1.0,) * (tenants - 1)),
+                    SchedulerParams(max_asids=1, flush_on_switch=True),
+                    SchedulerParams(shootdown_batch=4),
+                    SchedulerParams(shootdown_cycles=9999))
+
+        default = ndp_config().canonical_json()
+        for params in settings(1):
+            config = ndp_config(scheduler=params)
+            assert config.scheduler == SchedulerParams(), params
+            assert config.canonical_json() == default, params
+        default = ndp_config(tenants=2).canonical_json()
+        for params in settings(2):
+            config = ndp_config(tenants=2, scheduler=params)
+            assert config.scheduler == params, params
+            assert config.canonical_json() != default, params
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ndp_config(tenants=0)

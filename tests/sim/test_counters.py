@@ -2,11 +2,11 @@
 
 The chunked core loop counts nothing on its hit paths: a core keeps
 its references and its L1-DTLB and L1 misses in locals and flushes
-them into the TLB, MMU and L1 counters when a ``step_until`` call, a
-time slice or its stream ends.  Most of
-those counters are not ``RunResult`` fields, so the engine-equivalence
-tests in test_engine.py cannot see a lost flush; the tests here compare
-the counters themselves against the per-reference engine behind
+them into the TLB, MMU and L1 counters when a time slice or its
+stream ends.  Most of those counters are not ``RunResult`` fields, so
+the engine-equivalence tests in test_engine.py cannot see a lost
+flush; the tests here compare the counters themselves, after whole
+runs, against the per-reference engine behind
 ``REPRO_REFERENCE_ENGINE=1``.  The invariants pin what every finished
 run conserves, on every golden config.
 """

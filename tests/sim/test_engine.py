@@ -3,7 +3,7 @@
 The run-ahead driver must be bit-identical to the per-reference heap
 engine kept behind ``REPRO_REFERENCE_ENGINE=1`` — pinned here over
 core counts, engines and mechanisms — plus the driver's bound protocol
-on scripted entities and mid-chunk ``step_until`` resume units.
+on scripted entities.
 """
 
 import dataclasses
@@ -11,14 +11,13 @@ from math import inf, nextafter
 
 import pytest
 
-from repro.mem.request import KIND_DATA
 from repro.sim.config import SchedulerParams, ndp_config
 from repro.sim.engine import (
     REFERENCE_ENGINE_ENV,
     SimulationEngine,
     run_ahead,
 )
-from repro.sim.runner import collect, run_once
+from repro.sim.runner import run_once
 from repro.sim.system import System
 
 
@@ -188,113 +187,3 @@ class TestRunAheadDriver:
         log = []
         run_ahead([scripted(0, [None], log)])
         assert log == [(0, inf)]
-
-
-class TestStepUntil:
-    """Mid-chunk resume and budget semantics of Core.step_until."""
-
-    def small_config(self, **overrides):
-        overrides.setdefault("workload", "bfs")
-        overrides.setdefault("mechanism", "radix")
-        overrides.setdefault("refs_per_core", 3000)
-        overrides.setdefault("scale", 1 / 64)
-        overrides.setdefault("seed", 7)
-        return ndp_config(**overrides)
-
-    def test_bounded_resume_matches_one_shot(self):
-        """Driving a core in many small deadline windows — pausing and
-        resuming mid-chunk — must reproduce the one-shot run."""
-        one_shot = run_once(self.small_config())
-
-        system = System(self.small_config())
-        core = system.cores[0]
-        now = 0.0
-        while True:
-            nxt = core.step_until(now, now + 64.0)
-            if nxt is None:
-                break
-            now = nxt
-        paused = collect(
-            system, max(c.stats.cycles for c in system.cores))
-        assert result_fields(one_shot) == result_fields(paused)
-
-    def test_counters_exact_after_bounded_stop(self):
-        """Every bound stop leaves the counters exact: they equal a
-        twin core's after step() ran the same references (one step
-        per reference, so its clock meets the stop's exactly)."""
-        def counters(core):
-            data = core.hierarchy.l1ds[core.core_id]._kind_stats[KIND_DATA]
-            dtlb = core.mmu.tlbs.l1_small.stats
-            return {
-                "references": core.stats.references,
-                "l1_data": (data.hits, data.misses),
-                "mmu": (core.mmu.stats.translations,
-                        core.mmu.stats.tlb_hits),
-                "l1_dtlb": (dtlb.hits, dtlb.misses),
-            }
-
-        system, twin_system = (System(self.small_config()),
-                               System(self.small_config()))
-        core, twin = system.cores[0], twin_system.cores[0]
-        now = twin_now = 0.0
-        stops = 0
-        while True:
-            nxt = core.step_until(now, now + 64.0)
-            if nxt is None:
-                break
-            while twin_now < nxt:
-                twin_now = twin.step(twin_now)
-            assert twin_now == nxt
-            assert counters(core) == counters(twin), f"stop {stops}"
-            stops += 1
-            now = nxt
-        assert stops > 100
-
-    def test_budget_resume_matches_one_shot(self):
-        """Same, slicing by reference budget instead of deadline."""
-        one_shot = run_once(self.small_config())
-
-        system = System(self.small_config())
-        core = system.cores[0]
-        now = 0.0
-        while True:
-            nxt = core.step_until(now, inf, 37)
-            if nxt is None:
-                break
-            now = nxt
-        paused = collect(
-            system, max(c.stats.cycles for c in system.cores))
-        assert result_fields(one_shot) == result_fields(paused)
-
-    def test_budget_consumes_exactly_max_refs(self):
-        system = System(self.small_config())
-        core = system.cores[0]
-        nxt = core.step_until(0.0, inf, 123)
-        assert nxt is not None
-        assert core.stats.references == 123
-
-    def test_mixes_with_step(self):
-        """step() and step_until() share the persistent cursor."""
-        one_shot = run_once(self.small_config())
-
-        system = System(self.small_config())
-        core = system.cores[0]
-        now = 0.0
-        while True:
-            nxt = core.step_until(now, inf, 10)
-            if nxt is None:
-                break
-            nxt = core.step(nxt)  # one reference the per-item way
-            if nxt is None:
-                break
-            now = nxt
-        paused = collect(
-            system, max(c.stats.cycles for c in system.cores))
-        assert result_fields(one_shot) == result_fields(paused)
-
-    def test_exhausted_core_keeps_reporting_none(self):
-        system = System(self.small_config(refs_per_core=50))
-        core = system.cores[0]
-        assert core.step_until(0.0, inf) is None
-        assert core.finished
-        assert core.step_until(core.stats.cycles, inf) is None

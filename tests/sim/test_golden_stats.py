@@ -8,9 +8,9 @@ numbers — only wall-clock time.  Two lines of defense:
    / ideal) with every headline ``RunResult`` metric pinned exactly, so
    a hot-path refactor that silently perturbs the simulation fails
    loudly;
-2. path equivalence: the single-core chunked fast path
-   (``Core.step_until`` via the heap-free engine) must produce results
-   bit-identical to stepping one reference at a time through
+2. path equivalence: the single-core chunked fast path (the core's
+   chunk coroutine, driven by the run-ahead engine) must produce
+   results bit-identical to stepping one reference at a time through
    ``Core.step`` — the code path the debug reference engine uses.
 
 These rely on the simulator being fully deterministic across processes

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.core.flattened import _FlatNode, _InteriorNode
 from repro.sim.system import System
 from repro.vm.os_model import OSMemoryManager
 from repro.vm.radix import _Node
+from repro.workloads.base import CHUNK_REFS
+from repro.workloads.gups import GupsWorkload
 
 FAST = dict(workload="rnd", refs_per_core=300, scale=1 / 64)
 
@@ -94,9 +97,14 @@ class TestPrefault:
         assert system.tenants[0].page_table.huge_mappings > 0
 
 
-def _leftovers(config):
+def _collected(system):
+    runner.collect(system, system.run())
+
+
+def _leftovers(config, finish=_collected):
     """Cores, OS managers and page-table nodes still alive after a
-    finished System is dropped, with the cyclic collector paused."""
+    System is built, ``finish``-ed (by default run and collected) and
+    dropped, with the cyclic collector paused."""
     tracked = (Core, OSMemoryManager, _Node, _InteriorNode, _FlatNode)
 
     def live():
@@ -108,7 +116,7 @@ def _leftovers(config):
     try:
         before = live()
         system = System(config)
-        runner.collect(system, system.run())
+        finish(system)
         del system
         return live() - before
     finally:
@@ -116,8 +124,23 @@ def _leftovers(config):
             gc.enable()
 
 
+class _StreamFault(Exception):
+    """Raised by a patched workload in the middle of a run."""
+
+
+def _run_until_fault(system):
+    # try/except, not pytest.raises: the exception's traceback holds
+    # the run's frames, and with them the System, until it is cleared.
+    try:
+        system.run()
+    except _StreamFault:
+        return
+    raise AssertionError("the run did not raise")
+
+
 class TestLifetime:
-    """The cyclic GC never frees a finished System: refcounting does."""
+    """The cyclic GC never frees a System whose run returned or raised:
+    refcounting does."""
 
     @pytest.mark.parametrize("config", [
         ndp_config(workload="bc", mechanism="radix", refs_per_core=3000),
@@ -128,6 +151,31 @@ class TestLifetime:
     ], ids=["fig12-cell", "radix-4c", "ndpage-2t-2c"])
     def test_finished_system_freed_by_refcount(self, config):
         assert _leftovers(config) == 0
+
+    @pytest.mark.parametrize("tenants,cores", [(1, 2), (2, 1), (2, 2)],
+                             ids=["1t-2c", "2t-1c", "2t-2c"])
+    def test_raised_run_freed_by_refcount(self, tenants, cores,
+                                          monkeypatch):
+        """A run whose stream raises leaves no cycle behind either: no
+        warmup, so core 0's stream is generated during the run and
+        raises on its second batch (a lone tenant's batches hold
+        CHUNK_REFS references, a co-runner's a quantum)."""
+        chunk = GupsWorkload._chunk
+        batches = Counter()
+
+        def faulty(self, rng, num_refs, state):
+            if state["core_id"] == 0:
+                batches[id(state)] += 1
+                if batches[id(state)] == 2:
+                    raise _StreamFault
+            return chunk(self, rng, num_refs, state)
+
+        monkeypatch.setattr(GupsWorkload, "_chunk", faulty)
+        config = ndp_config(workload="rnd", mechanism="radix",
+                            num_cores=cores, tenants=tenants,
+                            refs_per_core=CHUNK_REFS + 1000,
+                            warmup_refs=0, scale=1 / 64)
+        assert _leftovers(config, _run_until_fault) == 0
 
 
 class TestMemory:
