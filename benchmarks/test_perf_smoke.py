@@ -105,7 +105,9 @@ def test_bench_profile_report(tmp_path):
 
 def test_bench_regression_gate(tmp_path, capsys):
     """--fail-below trips on a too-fast baseline and passes otherwise;
-    one regressed row fails the gate even when the aggregate passes."""
+    one regressed row fails the gate even when the aggregate passes;
+    a row that simulated other cycles fails it, but only against a
+    baseline of the same refs, scale and seed."""
     import json
     bench = load_bench_module()
     baseline = tmp_path / "baseline.json"
@@ -143,3 +145,36 @@ def test_bench_regression_gate(tmp_path, capsys):
                if line.startswith("FAIL: row")]
     assert len(failing) == 1
     assert inflated["name"] in failing[0]
+
+    # One row's cycles tampered, in a baseline that records no seed
+    # (it counts as 42, this run's): the throughput floor passes, the
+    # cycles check names that row.
+    report = json.loads(baseline.read_text())
+    del report["seed"]
+    tampered = report["results"][2]
+    tampered["cycles"] += 1
+    mismatched = tmp_path / "mismatched.json"
+    mismatched.write_text(json.dumps(report))
+    capsys.readouterr()
+    rc = bench.main(args + ["--out", str(tmp_path / "cycles.json"),
+                            "--baseline", str(mismatched),
+                            "--fail-below", "0.000001"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    flagged = [line for line in out.splitlines()
+               if line.startswith("MISMATCH: row")]
+    assert flagged == [f"MISMATCH: row {tampered['name']} cycles "
+                       f"{tampered['cycles']} -> {tampered['cycles'] - 1}"]
+
+    # The same tamper in a baseline taken at other --refs simulated
+    # other streams: no check, no failure.
+    report["refs_per_core"] = 2000
+    other_refs = tmp_path / "other_refs.json"
+    other_refs.write_text(json.dumps(report))
+    capsys.readouterr()
+    rc = bench.main(args + ["--out", str(tmp_path / "other.json"),
+                            "--baseline", str(other_refs),
+                            "--fail-below", "0.000001"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "MISMATCH" not in out

@@ -22,14 +22,20 @@ one::
     PYTHONPATH=src python scripts/bench.py --baseline BENCH_PR1.json
 
 ``--baseline`` compares the current run against a previous JSON and
-prints per-config and aggregate speedups; adding ``--fail-below R``
-turns the comparison into a regression gate that exits non-zero when
-the aggregate refs/s, or any suite row's refs/s, falls below ``R x``
-the baseline's (CI runs this with ``R = 0.8``), so one regressed row
-cannot hide inside a healthy aggregate.  ``--profile`` adds one
-instrumented pass per config after the timed suite and embeds each
-config's top-25 functions by cumulative time in the report (a
-``profile`` block), so future perf PRs can cite where the time goes.
+prints per-config and aggregate speedups, with each row's setup time
+beside its refs/s.  When both reports simulated the same streams (same
+``refs_per_core``, ``scale`` and ``seed``; a baseline without a seed
+ran at 42) it also checks that every row simulated the same thing,
+printing ``MISMATCH: row <name> cycles A -> B`` for each row whose
+``cycles`` differ.  Adding ``--fail-below R`` turns the comparison
+into a regression gate that exits non-zero on any such mismatch or
+when the aggregate refs/s, or any suite row's refs/s, falls below
+``R x`` the baseline's (CI runs this with ``R = 0.8``), so one
+regressed row cannot hide inside a healthy aggregate.
+``--profile`` adds one instrumented pass per config after the timed
+suite and embeds each config's top-25 functions by cumulative time in
+the report (a ``profile`` block), so future perf PRs can cite where
+the time goes.
 
 Alongside the single-run rows the harness times one *parallel sweep*
 per execution backend (the QUICK workload grid through
@@ -52,6 +58,7 @@ JSON format (``BENCH_*.json``)::
                "platform": "..."},
       "refs_per_core": 120000,
       "scale": 0.05,
+      "seed": 42,
       "results": [
         {"name": "...", "workload": "...", "mechanism": "...",
          "num_cores": 1, "references": 120000,
@@ -64,7 +71,8 @@ JSON format (``BENCH_*.json``)::
     }
 
 ``cycles`` is recorded so a throughput win can be cross-checked against
-statistics preservation (same simulated cycles, less wall time).
+statistics preservation (same simulated cycles, less wall time); the
+baseline comparison does that check itself.
 """
 
 from __future__ import annotations
@@ -108,6 +116,11 @@ SUITE = (
     {"name": "xs-ndpage-2t-2c", "workload": "xs",
      "mechanism": "ndpage", "tenants": 2, "num_cores": 2},
 )
+
+
+#: The harness's default seed; a baseline that records no seed ran at
+#: it, since every report written before the seed was recorded did.
+DEFAULT_SEED = 42
 
 
 def bench_config(entry: dict, refs: int, scale: float, seed: int = 42):
@@ -215,6 +228,7 @@ def run_suite(refs: int, scale: float, seed: int = 42,
         "host": host_info(),
         "refs_per_core": refs,
         "scale": scale,
+        "seed": seed,
         "results": results,
         "aggregate": aggregate,
     }
@@ -340,13 +354,38 @@ def paired_rows(report: dict, baseline: dict):
             yield row, base, row["refs_per_sec"] / base["refs_per_sec"]
 
 
+def cycle_mismatches(report: dict, baseline: dict):
+    """``(name, baseline cycles, cycles)`` for each suite row whose
+    simulated cycles differ from its baseline row's.
+
+    Empty unless both reports simulated the same streams: the same
+    ``refs_per_core``, ``scale`` and ``seed``.
+    """
+    if (report["refs_per_core"] != baseline.get("refs_per_core")
+            or report["scale"] != baseline.get("scale")
+            or report["seed"] != baseline.get("seed", DEFAULT_SEED)):
+        return []
+    base_cycles = {row["name"]: row.get("cycles")
+                   for row in baseline.get("results", ())}
+    return [(row["name"], base_cycles[row["name"]], row["cycles"])
+            for row in report["results"]
+            if row["name"] in base_cycles
+            and base_cycles[row["name"]] != row["cycles"]]
+
+
 def compare(report: dict, baseline: dict) -> None:
-    """Print per-config and aggregate speedups against ``baseline``."""
+    """Print per-config and aggregate speedups against ``baseline``,
+    then every row that simulated different cycles."""
     print("\nSpeedup vs baseline:")
     for row, base, ratio in paired_rows(report, baseline):
+        setup = ""
+        if base.get("setup_seconds"):
+            before, after = base["setup_seconds"], row["setup_seconds"]
+            setup = (f"  setup {after / before:5.2f}x "
+                     f"({before:.3f} -> {after:.3f} s)")
         print(f"  {row['name']:<12} {ratio:5.2f}x "
               f"({base['refs_per_sec']:,.0f} -> "
-              f"{row['refs_per_sec']:,.0f} refs/s)")
+              f"{row['refs_per_sec']:,.0f} refs/s){setup}")
     base_agg = baseline.get("aggregate", {}).get("refs_per_sec")
     if base_agg:
         agg = report["aggregate"]["refs_per_sec"] / base_agg
@@ -355,6 +394,8 @@ def compare(report: dict, baseline: dict) -> None:
     if base_sweep and report.get("sweep"):
         ratio = report["sweep"]["refs_per_sec"] / base_sweep
         print(f"  {'sweep':<12} {ratio:5.2f}x")
+    for name, base_cycles, cycles in cycle_mismatches(report, baseline):
+        print(f"MISMATCH: row {name} cycles {base_cycles} -> {cycles}")
 
 
 def aggregate_ratio(report: dict, baseline: dict) -> float | None:
@@ -376,7 +417,7 @@ def main(argv=None) -> int:
                         help="references per core (default 120000)")
     parser.add_argument("--scale", type=float, default=0.05,
                         help="workload footprint scale (default 0.05)")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--repeats", type=int, default=1,
                         help="runs per config; best wall time is kept")
     parser.add_argument("--label", default="dev",
@@ -391,8 +432,10 @@ def main(argv=None) -> int:
     parser.add_argument("--fail-below", type=float, default=None,
                         metavar="RATIO",
                         help="with --baseline: exit 1 if aggregate "
-                             "or any row's refs/s < RATIO x baseline "
-                             "(CI gate)")
+                             "or any row's refs/s < RATIO x baseline, "
+                             "or any row's cycles differ from a "
+                             "baseline of the same refs, scale and "
+                             "seed (CI gate)")
     parser.add_argument("--sweep-jobs", type=int, default=None,
                         help="workers for the parallel sweep bench "
                              "(default: min(4, cpu_count); 0 skips)")
@@ -469,6 +512,12 @@ def main(argv=None) -> int:
                     print(f"FAIL: row {row['name']} is {row_ratio:.2f}x "
                           f"its baseline row (floor {floor:.2f}x)")
                     failed = True
+            # A row that simulated something else is no comparison.
+            mismatched = cycle_mismatches(report, baseline)
+            if mismatched:
+                print(f"FAIL: {len(mismatched)} row(s) simulated "
+                      f"different cycles than the baseline")
+                failed = True
             if not failed:
                 print(f"\nregression gate: aggregate {ratio:.2f}x "
                       f"baseline, every row >= {floor:.2f}x floor — ok")

@@ -164,7 +164,11 @@ class SimulationEngine:
 
         Global cycles is the finish time of the slowest core, i.e. the
         parallel-region execution time used for multi-core speedups.
+        Once every stream is exhausted a further run does nothing and
+        returns the same cycles.
         """
+        if all(map(attrgetter("_finished"), self.cores)):
+            return self.global_cycles
         # The simulation loop allocates short-lived tuples at a rate
         # that makes the cyclic collector's gen-0 sweeps a measurable
         # tax, while producing no reference cycles of its own.  Nor

@@ -1,9 +1,9 @@
 """Reusable access-pattern building blocks (numpy, chunk-vectorized).
 
-These primitives compose into the Table II workload generators: uniform
-and Zipf-skewed index selection, sequential windows, binary-search probe
-sequences, and interleaving of several sub-streams with fixed per-item
-structure.
+These primitives compose into the Table II workload generators:
+Zipf-skewed index selection, uniform and Zipf-headed selection inside
+a drifting window, sequential windows, and interleaving of several
+sub-streams with fixed per-item structure.
 """
 
 from __future__ import annotations
@@ -11,14 +11,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-
-
-def uniform_indices(rng: np.random.Generator, population: int,
-                    size: int) -> np.ndarray:
-    """``size`` uniform indices in [0, population)."""
-    if population <= 0:
-        raise ValueError("population must be positive")
-    return rng.integers(0, population, size=size, dtype=np.int64)
 
 
 def zipf_indices(rng: np.random.Generator, population: int, size: int,
@@ -45,27 +37,6 @@ def scattered_zipf_indices(rng: np.random.Generator, population: int,
     """
     skewed = zipf_indices(rng, population, size, exponent)
     return (skewed * 0x9E3779B1) % population
-
-
-def mixed_indices(rng: np.random.Generator, population: int, size: int,
-                  hot_fraction: float = 0.25,
-                  exponent: float = 1.3) -> np.ndarray:
-    """Hot Zipf head over a dominant uniform tail.
-
-    Power-law graph traversals and embedding gathers reference a few
-    hub items often, but the *bulk* of references spread uniformly over
-    the huge structure — which is what defeats 2 MB-granularity TLB
-    reach as well as 4 KB reach.  ``hot_fraction`` of the indices come
-    from the Zipf head, the rest are uniform.
-    """
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError("hot_fraction must be in [0, 1]")
-    uniform = uniform_indices(rng, population, size)
-    if hot_fraction == 0.0:
-        return uniform
-    hot = scattered_zipf_indices(rng, population, size, exponent)
-    choose_hot = rng.random(size) < hot_fraction
-    return np.where(choose_hot, hot, uniform)
 
 
 #: Large prime used as a multiplicative permutation over index spaces.
@@ -131,10 +102,12 @@ def windowed_mixed(rng: np.random.Generator, population: int, size: int,
                    cluster_items: int = 1) -> np.ndarray:
     """Hot Zipf head over a *windowed* uniform tail.
 
-    Combines the popularity skew of :func:`mixed_indices` with the
-    phase behaviour of :func:`windowed_uniform`: hub items stay hot
-    globally while the bulk of references sweep a drifting scattered
-    working set.
+    Power-law graph traversals and embedding gathers reference a few
+    hub items often, but the bulk of their references spread over the
+    huge structure.  ``hot_fraction`` of the indices come from a
+    scattered Zipf head (:func:`scattered_zipf_indices`), so hub items
+    stay hot globally; the rest sweep the drifting scattered working
+    set of :func:`windowed_uniform`.
     """
     if not 0.0 <= hot_fraction <= 1.0:
         raise ValueError("hot_fraction must be in [0, 1]")
@@ -151,28 +124,6 @@ def windowed_mixed(rng: np.random.Generator, population: int, size: int,
 def sequential_window(start: int, size: int, stride: int = 1) -> np.ndarray:
     """Indices start, start+stride, ... (a streaming scan window)."""
     return start + stride * np.arange(size, dtype=np.int64)
-
-
-def binary_search_probes(target: int, population: int) -> List[int]:
-    """Index sequence a binary search for ``target`` touches.
-
-    This is the XSBench energy-grid lookup pattern: ~log2(n) reads with
-    geometrically shrinking stride — highly TLB-unfriendly.
-    """
-    if not 0 <= target < population:
-        raise ValueError("target outside population")
-    probes = []
-    lo, hi = 0, population - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        probes.append(mid)
-        if mid == target:
-            break
-        if mid < target:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return probes
 
 
 def interleave(parts: List[Tuple[np.ndarray, bool]]
@@ -196,17 +147,3 @@ def interleave(parts: List[Tuple[np.ndarray, bool]]
         addresses[i::len(parts)] = addrs
         writes[i::len(parts)] = is_write
     return addresses, writes
-
-
-def concat(parts: List[Tuple[np.ndarray, np.ndarray]]
-           ) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate (addresses, writes) chunks."""
-    addresses = np.concatenate([p[0] for p in parts])
-    writes = np.concatenate([p[1] for p in parts])
-    return addresses, writes
-
-
-def take(addresses: np.ndarray, writes: np.ndarray,
-         count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """First ``count`` items of a chunk (trim to the requested size)."""
-    return addresses[:count], writes[:count]

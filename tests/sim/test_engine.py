@@ -17,7 +17,7 @@ from repro.sim.engine import (
     SimulationEngine,
     run_ahead,
 )
-from repro.sim.runner import run_once
+from repro.sim.runner import collect, run_once
 from repro.sim.system import System
 
 
@@ -54,6 +54,25 @@ class TestEngine:
                                        seed=7))
             results.append(system.run())
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("reference", [False, True],
+                             ids=["run-ahead", "reference"])
+    @pytest.mark.parametrize("tenants,cores",
+                             [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_second_run_is_a_no_op(self, tenants, cores, reference,
+                                   monkeypatch):
+        """Every machine shape, under both engines, answers a second
+        run with the first run's cycles and leaves its stats alone."""
+        if reference:
+            monkeypatch.setenv(REFERENCE_ENGINE_ENV, "1")
+        system = System(ndp_config(workload="rnd", num_cores=cores,
+                                   tenants=tenants, refs_per_core=300,
+                                   scale=1 / 64))
+        cycles = system.run()
+        first = collect(system, cycles)
+        again = system.run()
+        assert again == cycles
+        assert collect(system, again) == first
 
     def test_cores_interleave_on_shared_dram(self):
         """Two cores must finish later per-core than one core alone

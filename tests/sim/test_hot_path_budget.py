@@ -60,7 +60,7 @@ BUDGETS = {
 #: per-fault work to the build fails the test.
 SETUP_BUDGETS = {
     "bfs-radix": 273.9,
-    "xs-ndpage-2t-2c": 464.4,
+    "xs-ndpage-2t-2c": 295.6,
     "bfs-radix-4c": 265.1,
     "fig12-bc": 298.5,
 }

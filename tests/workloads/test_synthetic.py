@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from repro.workloads.synthetic import (
-    binary_search_probes,
-    concat,
     interleave,
-    mixed_indices,
     scattered_zipf_indices,
     sequential_window,
-    take,
-    uniform_indices,
     zipf_indices,
 )
 
@@ -22,15 +17,6 @@ def rng():
 
 
 class TestSelectors:
-    def test_uniform_in_range(self, rng):
-        idx = uniform_indices(rng, 1000, 5000)
-        assert idx.min() >= 0
-        assert idx.max() < 1000
-
-    def test_uniform_covers_population(self, rng):
-        idx = uniform_indices(rng, 10, 1000)
-        assert set(idx.tolist()) == set(range(10))
-
     def test_zipf_in_range(self, rng):
         idx = zipf_indices(rng, 1000, 5000)
         assert idx.min() >= 0
@@ -49,18 +35,7 @@ class TestSelectors:
         assert plain.min() < 100
         assert scattered.max() > 1 << 19
 
-    def test_mixed_mostly_uniform(self, rng):
-        idx = mixed_indices(rng, 1 << 20, 50_000, hot_fraction=0.2)
-        # At least ~60% of samples unique-ish => dominated by uniform.
-        assert len(np.unique(idx)) > 30_000
-
-    def test_mixed_validates_fraction(self, rng):
-        with pytest.raises(ValueError):
-            mixed_indices(rng, 10, 10, hot_fraction=1.5)
-
     def test_population_validated(self, rng):
-        with pytest.raises(ValueError):
-            uniform_indices(rng, 0, 10)
         with pytest.raises(ValueError):
             zipf_indices(rng, 0, 10)
 
@@ -71,21 +46,6 @@ class TestSequences:
 
     def test_sequential_stride(self):
         assert sequential_window(0, 3, stride=4).tolist() == [0, 4, 8]
-
-    def test_binary_search_finds_target(self):
-        probes = binary_search_probes(37, 100)
-        assert probes[-1] == 37
-
-    def test_binary_search_log_length(self):
-        probes = binary_search_probes(123_456, 1 << 20)
-        assert len(probes) <= 21
-
-    def test_binary_search_first_probe_is_middle(self):
-        assert binary_search_probes(0, 101)[0] == 50
-
-    def test_binary_search_validates(self):
-        with pytest.raises(ValueError):
-            binary_search_probes(100, 100)
 
 
 class TestCombinators:
@@ -103,14 +63,3 @@ class TestCombinators:
     def test_interleave_empty_rejected(self):
         with pytest.raises(ValueError):
             interleave([])
-
-    def test_concat(self):
-        a = np.array([1]), np.array([True])
-        b = np.array([2]), np.array([False])
-        addrs, writes = concat([a, b])
-        assert addrs.tolist() == [1, 2]
-        assert writes.tolist() == [True, False]
-
-    def test_take(self):
-        addrs, writes = take(np.arange(10), np.zeros(10, bool), 4)
-        assert len(addrs) == len(writes) == 4
