@@ -55,16 +55,3 @@ def average_speedups(table: Mapping[str, Mapping[str, float]],
         averages[mechanism] = (
             geometric_mean(values) if geo else mean(values))
     return averages
-
-
-def improvement_over(table: Mapping[str, Mapping[str, float]],
-                     subject: str, reference: str) -> float:
-    """Average relative improvement of ``subject`` over ``reference``.
-
-    The paper's headline numbers ("NDPage outperforms ECH by 14.3%")
-    compare average speedups of the two mechanisms.
-    """
-    averages = average_speedups(table)
-    if averages.get(reference, 0.0) == 0.0:
-        return 0.0
-    return averages[subject] / averages[reference] - 1.0

@@ -26,10 +26,6 @@ class RequestKind(enum.Enum):
     METADATA = "metadata"  # page-table entries touched by a walk
     INSTRUCTION = "instruction"
 
-    @property
-    def is_metadata(self) -> bool:
-        return self is RequestKind.METADATA
-
 
 #: Integer kind codes taken by the memory entry points.
 KIND_DATA = 0

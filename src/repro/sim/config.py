@@ -20,7 +20,7 @@ import dataclasses
 import json
 import typing
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.core.mechanisms import get_mechanism
 from repro.vm.os_model import FaultCosts
@@ -84,13 +84,9 @@ class SchedulerParams:
     TLB and PWC contents (entries are ASID-tagged); once processes
     outnumber ASIDs the OS must recycle them and every switch costs a
     full flush — ``flush_on_switch`` forces that behaviour regardless.
-    ``shootdown_cycles`` is the IPI + invalidation cost charged when
-    reclaim unmaps a page that remote TLBs may still cache;
-    ``shootdown_batch`` coalesces that cost Linux-style — one IPI per
-    ``shootdown_batch`` unmapped pages in a reclaim pass instead of one
-    per page (1, the default, is the unbatched PR 3 behaviour).
-    ``tenant_weights`` scales each tenant's quantum (weight 2.0 runs
-    twice as long per slice); None means equal weights.
+    ``shootdown_cycles`` is the IPI + invalidation cost charged for
+    every page reclaim unmaps, since remote TLBs may still cache it.
+    Every context on a slot gets the same ``quantum_refs``.
     """
 
     quantum_refs: int = 2048
@@ -98,24 +94,12 @@ class SchedulerParams:
     max_asids: int = 16
     shootdown_cycles: int = 4_000
     flush_on_switch: bool = False
-    shootdown_batch: int = 1
-    tenant_weights: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
         if self.quantum_refs < 1:
             raise ValueError("quantum_refs must be >= 1")
         if self.max_asids < 1:
             raise ValueError("max_asids must be >= 1")
-        if self.shootdown_batch < 1:
-            raise ValueError("shootdown_batch must be >= 1")
-        if self.tenant_weights is not None:
-            # JSON round-trips tuples as lists; normalize for stable
-            # equality/hashing across from_dict.
-            if not isinstance(self.tenant_weights, tuple):
-                object.__setattr__(self, "tenant_weights",
-                                   tuple(self.tenant_weights))
-            if any(w <= 0 for w in self.tenant_weights):
-                raise ValueError("tenant_weights must be positive")
 
 
 #: Placement policies for the NUMA frame pools (``NumaParams``).
@@ -134,24 +118,19 @@ class NumaParams:
     """NUMA topology knobs (the placement-policy axis).
 
     ``nodes`` splits physical memory into that many per-node frame
-    pools; ``remote_cycles`` is the uniform extra DRAM latency for an
-    access that crosses nodes (~58 ns of socket interconnect at the
-    2.6 GHz clock); ``placement`` picks the allocation policy (see
-    :data:`PLACEMENT_POLICIES`) and ``preferred_node`` parameterizes
-    the ``preferred-node`` policy.  ``distance_matrix`` replaces the
-    uniform off-diagonal distance with an explicit ``nodes`` x
-    ``nodes`` matrix of extra cycles (asymmetric interconnects:
-    mesh hops, sub-NUMA clusters, CXL-attached far memory); the
-    diagonal must be zero and None (the default) keeps the uniform
-    ``remote_cycles`` derivation.  The default single-node topology is
-    exactly the flat machine of earlier releases, bit for bit.
+    pools; ``remote_cycles`` is the extra DRAM latency of every access
+    that crosses nodes, the same between any two of them (~58 ns of
+    socket interconnect at the 2.6 GHz clock); ``placement`` picks the
+    allocation policy (see :data:`PLACEMENT_POLICIES`) and
+    ``preferred_node`` parameterizes the ``preferred-node`` policy.
+    The default single-node topology is exactly the flat machine of
+    earlier releases, bit for bit.
     """
 
     nodes: int = 1
     placement: str = "local"
     remote_cycles: int = 150
     preferred_node: int = 0
-    distance_matrix: Optional[Tuple[Tuple[float, ...], ...]] = None
 
     def __post_init__(self):
         if self.nodes < 1:
@@ -164,24 +143,6 @@ class NumaParams:
             raise ValueError("remote_cycles must be >= 0")
         if not 0 <= self.preferred_node < self.nodes:
             raise ValueError("preferred_node must name a node")
-        if self.distance_matrix is not None:
-            # JSON round-trips tuples as lists and ints for whole
-            # floats; normalize to nested float tuples so equality and
-            # hashing are stable across from_dict.
-            matrix = tuple(tuple(float(cycles) for cycles in row)
-                           for row in self.distance_matrix)
-            object.__setattr__(self, "distance_matrix", matrix)
-            if len(matrix) != self.nodes or any(
-                    len(row) != self.nodes for row in matrix):
-                raise ValueError(
-                    f"distance_matrix must be {self.nodes}x"
-                    f"{self.nodes}")
-            for i, row in enumerate(matrix):
-                if row[i] != 0:
-                    raise ValueError(
-                        "distance_matrix diagonal must be zero")
-                if any(cycles < 0 for cycles in row):
-                    raise ValueError("distances must be non-negative")
         if self.nodes == 1:
             # A flat machine has no placement decisions or distances:
             # normalize the moot knobs to their defaults so every
@@ -192,7 +153,6 @@ class NumaParams:
             object.__setattr__(self, "placement", cls.placement)
             object.__setattr__(self, "remote_cycles",
                                cls.remote_cycles)
-            object.__setattr__(self, "distance_matrix", None)
 
 
 @dataclass(frozen=True)
@@ -248,10 +208,8 @@ class SystemConfig:
     #: gets its own page table and OS view over the *shared* physical
     #: frame pool; the scheduler time-slices them onto the cores.
     #: 1 (the default) is exactly the single-address-space simulation.
+    #: Every tenant runs ``workload``, each from its own seed.
     tenants: int = 1
-    #: Per-tenant workload keys; None means every tenant runs
-    #: ``workload``.  Length must equal ``tenants`` when given.
-    tenant_workloads: Optional[Tuple[str, ...]] = None
     scheduler: SchedulerParams = field(default_factory=SchedulerParams)
     #: NUMA topology: per-node frame pools with distance-dependent DRAM
     #: latency and a placement policy.  The default single-node
@@ -270,22 +228,6 @@ class SystemConfig:
             raise ValueError("refs_per_core must be >= 1")
         if self.tenants < 1:
             raise ValueError("tenants must be >= 1")
-        if self.tenant_workloads is not None:
-            # JSON round-trips tuples as lists; normalize so equality
-            # and hashing are stable across from_dict.
-            if not isinstance(self.tenant_workloads, tuple):
-                object.__setattr__(self, "tenant_workloads",
-                                   tuple(self.tenant_workloads))
-            if len(self.tenant_workloads) != self.tenants:
-                raise ValueError(
-                    f"tenant_workloads has "
-                    f"{len(self.tenant_workloads)} entries for "
-                    f"{self.tenants} tenants")
-        weights = self.scheduler.tenant_weights
-        if weights is not None and len(weights) != self.tenants:
-            raise ValueError(
-                f"tenant_weights has {len(weights)} entries for "
-                f"{self.tenants} tenants")
         if self.tenants == 1:
             # A lone tenant has no co-runner to yield to or to shoot
             # down for, so no scheduler knob moves its run: normalize
@@ -325,22 +267,13 @@ class SystemConfig:
         ``_VERSIONED_FIELDS``) are omitted while they hold their
         defaults: a default-valued new axis must not perturb
         ``canonical_json`` — and with it every existing cache key —
-        for configs that do not use it.  The same applies one level
-        down (``_VERSIONED_SUBFIELDS``): a field added to an existing
-        nested dataclass is omitted from *that* dict at its default,
-        so e.g. a custom-quantum scheduler config keeps its PR 3 key.
+        for configs that do not use it.  A non-default scheduler or
+        multi-node topology serializes every one of its fields.
         """
         data = dataclasses.asdict(self)
         for name, default in _VERSIONED_FIELDS.items():
             if getattr(self, name) == default:
                 del data[name]
-        for name, subdefaults in _VERSIONED_SUBFIELDS.items():
-            if name not in data:
-                continue
-            nested = getattr(self, name)
-            for subname, default in subdefaults.items():
-                if getattr(nested, subname) == default:
-                    del data[name][subname]
         return data
 
     @classmethod
@@ -384,19 +317,8 @@ _NESTED_FIELDS = _nested_field_types()
 #: it — byte-identical for configs that predate the field.
 _VERSIONED_FIELDS: Dict[str, Any] = {
     "tenants": 1,
-    "tenant_workloads": None,
     "scheduler": SchedulerParams(),
     "numa": NumaParams(),
-}
-
-#: Fields added to an already-shipped *nested* dataclass, mapped to the
-#: defaults under which they are omitted from that sub-dict.  Keeps the
-#: canonical JSON of configs that customized the nested object before
-#: the field existed (e.g. a non-default scheduler quantum from PR 3)
-#: byte-identical; ``from_dict`` restores the defaults on the way back.
-_VERSIONED_SUBFIELDS: Dict[str, Dict[str, Any]] = {
-    "scheduler": {"shootdown_batch": 1, "tenant_weights": None},
-    "numa": {"distance_matrix": None},
 }
 
 

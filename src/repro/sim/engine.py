@@ -51,7 +51,7 @@ from repro.mmu.pwc import PwcSet
 from repro.mmu.tlb import TlbHierarchy
 from repro.sim.config import SchedulerParams
 from repro.sim.core_model import Core
-from repro.sim.scheduler import SchedulerStats, tenant_quantum
+from repro.sim.scheduler import SchedulerStats
 
 #: Environment switch forcing the reference-at-a-time heap engine.
 REFERENCE_ENGINE_ENV = "REPRO_REFERENCE_ENGINE"
@@ -132,9 +132,9 @@ class SimulationEngine:
     """Runs every slot's contexts to completion of their streams.
 
     A slot with several contexts round-robins them with the quantum
-    (:func:`repro.sim.scheduler.tenant_quantum`): the run-ahead bound
-    composes with the slice, so the active context runs to the next
-    other-slot event or the end of its slice, whichever comes first.
+    ``quantum_refs``: the run-ahead bound composes with the slice, so
+    the active context runs to the next other-slot event or the end of
+    its slice, whichever comes first.
     Every switch charges ``context_switch_cycles`` to the slot and, once
     the slot's contexts outnumber ``max_asids`` (or ``flush_on_switch``
     is set), flushes its TLBs and PWCs.  ``stats`` takes that accounting;
@@ -153,10 +153,6 @@ class SimulationEngine:
                                   for core in slot.cores]
         self.params = params
         self.stats = stats
-        # Per-context quantum: each context's slice length scales with
-        # its tenant's weight (weighted quanta).
-        self._quanta = {id(core): tenant_quantum(params, core.mmu.asid)
-                        for core in self.cores}
         self.global_cycles = 0.0
 
     def run(self) -> float:
@@ -258,7 +254,7 @@ class SimulationEngine:
         A slice that starts below the bound runs in the same batch, as
         the driver would have resumed the slot next anyway.
         """
-        quanta = self._quanta
+        quantum = self.params.quantum_refs
         alive = slot.alive
         sends = {id(core): core.runner_send() for core in slot.cores}
         now = 0.0
@@ -266,8 +262,7 @@ class SimulationEngine:
         while True:
             core = alive[slot.active]
             send = sends[id(core)]
-            nxt = send((now, bound,
-                        quanta[id(core)] if len(alive) > 1 else None))
+            nxt = send((now, bound, quantum if len(alive) > 1 else None))
             while nxt is not None:
                 bound = yield nxt
                 nxt = send(bound)
@@ -292,7 +287,7 @@ class SimulationEngine:
         checkable.  A slot with one context never fills a slice, so it
         pops exactly as a lone core would.
         """
-        quanta = self._quanta
+        quantum = self.params.quantum_refs
         heap = [(0.0, slot.slot_id) for slot in self.slots]
         heapq.heapify(heap)
         by_id = {slot.slot_id: slot for slot in self.slots}
@@ -307,8 +302,7 @@ class SimulationEngine:
                     heapq.heappush(heap, (resumed, slot_id))
                 continue
             slot.quantum_refs += 1
-            if (slot.quantum_refs >= quanta[id(core)]
-                    and len(slot.alive) > 1):
+            if slot.quantum_refs >= quantum and len(slot.alive) > 1:
                 slot.quantum_refs = 0
                 slot.active = (slot.active + 1) % len(slot.alive)
                 next_ready = self._switch(slot, next_ready)

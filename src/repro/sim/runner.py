@@ -133,11 +133,6 @@ def collect(system: System, cycles: float) -> RunResult:
             "cross_tenant_reclaims": float(sched.cross_tenant_reclaims),
             "frame_pressure": system.allocator.pressure,
         }
-        if system.config.scheduler.shootdown_batch > 1:
-            # Reported only when batching is on, so unbatched runs —
-            # including every pre-batching golden — keep their exact
-            # extras shape.
-            extras["shootdown_ipis"] = float(sched.shootdown_ipis)
     topology = system.topology
     if topology is not None:
         hs = hierarchy.stats

@@ -8,8 +8,8 @@ slot instead carries one context per tenant — a
 and :class:`~repro.sim.engine.SimulationEngine` round-robins the
 contexts on each slot with a configurable quantum, the way an OS
 scheduler time-slices runnable processes.  This module holds what the
-OS contributes: the quantum and per-tenant stream helpers, the
-scheduler's accounting, and the cross-tenant glue.
+OS contributes: the per-tenant stream helpers, the scheduler's
+accounting, and the cross-tenant glue.
 
 What a context switch costs and preserves
 -----------------------------------------
@@ -68,7 +68,6 @@ class SchedulerStats:
     flush_switches: int = 0       # ASID recycle forced a full flush
     switch_cycles: float = 0.0
     shootdowns: int = 0           # pages invalidated by reclaim unmaps
-    shootdown_ipis: int = 0       # IPIs charged (== shootdowns unbatched)
     shootdown_cycles: float = 0.0
     cross_tenant_reclaims: int = 0
 
@@ -97,14 +96,6 @@ class TenantCoordinator:
         self._tenants = weakref.WeakValueDictionary()
         self._pending_cycles = 0.0
         self._reclaiming = False
-        # Shootdown batching (Linux's arch_tlbbatch model): unmapped
-        # pages are invalidated immediately for correctness, but the
-        # IPI bill accrues once per ``shootdown_batch`` pages — the
-        # pending set accumulates across reclaim passes and the core
-        # that fills a batch pays its IPI.  A final partial batch never
-        # bills (bounded undercharge of one IPI per run).
-        self._shootdown_cost = float(params.shootdown_cycles)
-        self._batch_fill = 0
 
     def register_slot(self, tlbs: TlbHierarchy) -> None:
         self._slots.append(tlbs)
@@ -121,42 +112,25 @@ class TenantCoordinator:
         The IPI goes to every slot (the tenant may have run anywhere);
         its cost accrues to :meth:`drain_cycles`, which the faulting
         tenant's OS folds into the fault it is handling — the initiator
-        pays, as with Linux's direct-reclaim shootdowns.  With
-        ``shootdown_batch > 1`` the invalidations still land
-        immediately (TLB correctness) but one IPI covers each batch of
-        unmaps, the flush coalescing Linux applies to reclaim.
+        pays, as with Linux's direct-reclaim shootdowns.  Every unmap
+        bills one IPI of ``shootdown_cycles``.
         """
         tag = asid_tag(asid)
         stats = self.stats
-        cost = self._shootdown_cost
-        batch = self.params.shootdown_batch
+        cost = float(self.params.shootdown_cycles)
 
         def on_unmap(page: int, huge: bool) -> None:
             stats.shootdowns += 1
             key = page | tag
             for tlbs in self._slots:
                 tlbs.invalidate_page(key, huge)
-            if batch <= 1:
-                stats.shootdown_ipis += 1
-                stats.shootdown_cycles += cost
-                self._pending_cycles += cost
-                return
-            self._batch_fill += 1
-            if self._batch_fill >= batch:
-                self._batch_fill = 0
-                stats.shootdown_ipis += 1
-                stats.shootdown_cycles += cost
-                self._pending_cycles += cost
+            stats.shootdown_cycles += cost
+            self._pending_cycles += cost
 
         return on_unmap
 
     def drain_cycles(self) -> float:
-        """``extra_fault_cycles`` hook: uncharged shootdown cycles.
-
-        A partially filled shootdown batch stays pending across
-        faults (deferred flush batching); only full batches have
-        billed by the time this drains.
-        """
+        """``extra_fault_cycles`` hook: uncharged shootdown cycles."""
         pending = self._pending_cycles
         self._pending_cycles = 0.0
         return pending
@@ -198,21 +172,6 @@ class TenantCoordinator:
         """Forget warmup-phase accounting before the timed region."""
         self.stats.reset()
         self._pending_cycles = 0.0
-        self._batch_fill = 0
-
-
-def tenant_quantum(params: SchedulerParams, asid: int) -> int:
-    """Effective time slice for tenant ``asid`` in references.
-
-    ``tenant_weights`` scales the base quantum per tenant (priority
-    scheduling: weight 2.0 runs twice as long per slice); absent
-    weights every tenant gets ``quantum_refs`` — the original equal
-    round-robin, bit for bit.
-    """
-    weights = params.tenant_weights
-    if not weights:
-        return params.quantum_refs
-    return max(1, int(round(params.quantum_refs * weights[asid])))
 
 
 def quantum_chunks(chunks, quantum: int):

@@ -40,12 +40,7 @@ from repro.mmu.walker import PageTableWalker
 from repro.sim.config import SYSTEM_NDP, SystemConfig
 from repro.sim.core_model import Core
 from repro.sim.engine import SimulationEngine, SlotSchedule
-from repro.sim.scheduler import (
-    TenantCoordinator,
-    quantum_chunks,
-    tenant_quantum,
-    tenant_seed,
-)
+from repro.sim.scheduler import TenantCoordinator, quantum_chunks, tenant_seed
 from repro.sim.topology import NumaFrameAllocator, NumaTopology
 from repro.vm.address import HUGE_PAGE_SHIFT, PAGE_SHIFT
 from repro.vm.base import PageTable
@@ -83,16 +78,10 @@ class System:
         coordinator = TenantCoordinator(params) if shared else None
         self.scheduler_stats = coordinator.stats if shared else None
         self.allocator = self._build_allocator()
-        # tenant_workloads overrides ``workload`` for every tenant —
-        # including a lone one, so a config runs the workload it
-        # serializes as (grids sweep tenant counts without
-        # special-casing the 1-tenant cell).
-        workload_keys = (config.tenant_workloads
-                         or (config.workload,) * config.tenants)
         self.tenants: List[Tenant] = []
-        for asid, key in enumerate(workload_keys):
+        for asid in range(config.tenants):
             workload = make_workload(
-                key, scale=config.scale,
+                config.workload, scale=config.scale,
                 seed=tenant_seed(config.seed, asid))
             table = self.spec.build_table(self.allocator)
             hooks = {} if coordinator is None else dict(
@@ -109,12 +98,9 @@ class System:
             self.tenants.append(Tenant(asid, workload, table, os_model))
         self.hierarchy = self._build_hierarchy()
 
-        # Co-runners' streams come in quantum-sized batches (per tenant
-        # once weights are configured); a lone process keeps the
-        # default batch, which shapes its RNG draws.
-        feeds = {tenant.asid: (min(tenant_quantum(params, tenant.asid),
-                                   CHUNK_REFS) if shared else None)
-                 for tenant in self.tenants}
+        # Co-runners' streams come in quantum-sized batches; a lone
+        # process keeps the default batch, which shapes its RNG draws.
+        feed = min(params.quantum_refs, CHUNK_REFS) if shared else None
         # When the warmup replays the exact ROI stream (the default),
         # the numpy batches generated for prefaulting are kept (9 bytes
         # per reference) and handed to the cores afterwards, so each
@@ -131,7 +117,7 @@ class System:
                       for slot in range(config.num_cores)
                       for tenant in self.tenants}
         if warmup > 0:
-            self._prefault(warmup, feeds, replay)
+            self._prefault(warmup, feed, replay)
             # Warmup fault work is setup, not ROI: reset the counters.
             for tenant in self.tenants:
                 tenant.os.stats = type(tenant.os.stats)()
@@ -166,14 +152,12 @@ class System:
                     source = replay[(tenant.asid, slot_id)]
                 else:
                     source = tenant.workload.stream_chunks(
-                        slot_id, config.refs_per_core,
-                        chunk_refs=feeds[tenant.asid])
+                        slot_id, config.refs_per_core, chunk_refs=feed)
                 if shared:
                     # Align chunk boundaries to quantum multiples so
                     # chunk handover matches slice boundaries even when
                     # the quantum exceeds the generation batch.
-                    source = quantum_chunks(
-                        source, tenant_quantum(params, tenant.asid))
+                    source = quantum_chunks(source, params.quantum_refs)
                 core = Core(slot_id, mmu, self.hierarchy,
                             starmap(core_chunk, source),
                             gap_cycles=tenant.workload.gap_cycles,
@@ -187,7 +171,7 @@ class System:
         self.engine = SimulationEngine(slots, params,
                                        self.scheduler_stats)
 
-    def _prefault(self, warmup: int, feeds: Dict[int, Optional[int]],
+    def _prefault(self, warmup: int, feed: Optional[int],
                   replay) -> None:
         """Untimed warmup: demand-page every context's early footprint.
 
@@ -216,7 +200,7 @@ class System:
         for slot in range(self.config.num_cores):
             for tenant in self.tenants:
                 source = tenant.workload.stream_chunks(
-                    slot, warmup, chunk_refs=feeds[tenant.asid])
+                    slot, warmup, chunk_refs=feed)
                 if replay is not None:
                     source = recording(source,
                                        replay[(tenant.asid, slot)])

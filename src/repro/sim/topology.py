@@ -103,15 +103,7 @@ class NumaTopology:
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "NumaTopology":
-        """Derive the topology a :class:`SystemConfig` describes.
-
-        Cores spread over the nodes in contiguous blocks (cores 0..k
-        on node 0, like socket enumeration on real machines); tenants
-        round-robin so consecutive ASIDs land on different nodes.  The
-        distance matrix is ``numa.distance_matrix`` when configured
-        (asymmetric studies), else uniform at ``numa.remote_cycles``
-        off the diagonal.
-        """
+        """Derive the topology a :class:`SystemConfig` describes."""
         params = config.numa
         return cls.from_params(params, num_cores=config.num_cores,
                                tenants=config.tenants,
@@ -120,17 +112,18 @@ class NumaTopology:
     @classmethod
     def from_params(cls, params: NumaParams, num_cores: int,
                     tenants: int, phys_bytes: int) -> "NumaTopology":
+        """Topology of ``params`` over ``num_cores`` slots, ``tenants``
+        processes and ``phys_bytes`` of DRAM split evenly by node.
+
+        Cores spread over the nodes in contiguous blocks (cores 0..k
+        on node 0, like socket enumeration on real machines); tenants
+        round-robin so consecutive ASIDs land on different nodes.  Every
+        distance off the diagonal is ``params.remote_cycles``.
+        """
         nodes = params.nodes
-        if params.distance_matrix is not None:
-            # Asymmetric-interconnect study: the config carries the
-            # full matrix (validated square/zero-diagonal by
-            # NumaParams) and remote_cycles is ignored.
-            distance = [list(row) for row in params.distance_matrix]
-        else:
-            remote = float(params.remote_cycles)
-            distance = [[0.0 if i == j else remote
-                         for j in range(nodes)]
-                        for i in range(nodes)]
+        remote = float(params.remote_cycles)
+        distance = [[0.0 if i == j else remote for j in range(nodes)]
+                    for i in range(nodes)]
         core_nodes = [core * nodes // num_cores
                       for core in range(num_cores)]
         tenant_nodes = [asid % nodes for asid in range(tenants)]
@@ -368,23 +361,7 @@ class NumaFrameAllocator:
         """Occupied fraction of all physical memory (0 idle .. 1 full)."""
         return 1.0 - self.free_fraction
 
-    def node_pressure(self, node: int) -> float:
-        """Occupied fraction of one node's memory."""
-        return self.pools[node].pressure
-
     @property
     def total_spills(self) -> int:
         """4 KB and 2 MB allocations that fell back off-node."""
         return self.numa_stats.spills + self.numa_stats.huge_spills
-
-    @property
-    def spill_fraction(self) -> float:
-        """Fraction of allocations (4 KB and 2 MB alike) that fell
-        back off the policy's chosen node because its pool was
-        exhausted.  (Deliberate off-node placement — interleave,
-        preferred-node — shows up in the DRAM-side remote counters
-        instead.)"""
-        total = sum(self.numa_stats.node_allocs)
-        if total == 0:
-            return 0.0
-        return self.total_spills / total

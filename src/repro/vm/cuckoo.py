@@ -71,7 +71,10 @@ class ElasticCuckooPageTable(PageTable):
 
     Args:
         allocator: physical memory source for the way arrays.
-        ways: number of hash ways (d); ECH uses 3.
+        ways: number of hash ways (d).  The ``ech`` mechanism builds
+            the default of 2, so every ECH result comes from 2 ways;
+            3 ways read lower everywhere, and ECH's inverted trend
+            across core counts stays (ROADMAP Open item 5).
         initial_entries: starting slots per way.
         resize_threshold: grow when occupied/capacity exceeds this.
         growth_factor: multiplicative resize step (k in the ECH paper).

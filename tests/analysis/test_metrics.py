@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.metrics import (
     average_speedups,
-    improvement_over,
     mean,
     speedup_table,
 )
@@ -61,10 +60,3 @@ class TestAverages:
     def test_geometric(self):
         averages = average_speedups(self.TABLE, geo=True)
         assert averages["ndpage"] == pytest.approx(2 ** 0.5)
-
-    def test_improvement_over(self):
-        assert improvement_over(self.TABLE, "ndpage", "radix") \
-            == pytest.approx(0.5)
-
-    def test_improvement_of_self_is_zero(self):
-        assert improvement_over(self.TABLE, "radix", "radix") == 0.0

@@ -10,11 +10,6 @@ from repro.mem.request import (
 
 
 class TestRequestKind:
-    def test_metadata_flag(self):
-        assert RequestKind.METADATA.is_metadata
-        assert not RequestKind.DATA.is_metadata
-        assert not RequestKind.INSTRUCTION.is_metadata
-
     def test_kind_codes_index_kinds(self):
         assert KIND_BY_INDEX[KIND_DATA] is RequestKind.DATA
         assert KIND_BY_INDEX[KIND_METADATA] is RequestKind.METADATA

@@ -140,6 +140,16 @@ class TestVersionedFields:
         "ndp_default": "793ac0269636cdc2c58136bc269297bee4dc6a2a",
         "cpu_bfs": "afa774d1667a7ad5aa169d1d0e1fef7aee3bc44d",
     }
+    #: Cache keys of configs with a non-default nested scheduler or
+    #: topology, which serialize every field of that dataclass.  If
+    #: adding or removing a SchedulerParams or NumaParams field moves
+    #: these, every cached multi-tenant or multi-node result silently
+    #: invalidates.
+    NESTED_KEYS = {
+        "xs_2t_q256": "870e1d93a3c2b1313e8b9bbae3eddf8f4b7c71ec",
+        "xs_4t_q1024_asids2": "e826c03a9c5a9368a1a083146843679aba748a1f",
+        "rnd_2c_2n_pte_local": "6f8f6e0817e52d4d1c3b81ab0c75ae6fdf77bcc6",
+    }
     #: The CODE_VERSION those keys were computed under.  Every version
     #: bump moves every key on purpose, so the keys are checked at this
     #: tag: what they pin is the serialized config.
@@ -156,10 +166,28 @@ class TestVersionedFields:
             refs_per_core=3000, scale=1 / 64, seed=7,
         )) == self.PR2_KEYS["cpu_bfs"]
 
+    def test_non_default_nested_configs_keep_their_cache_keys(self):
+        from repro.analysis.cache import config_key
+        configs = {
+            "xs_2t_q256": ndp_config(
+                workload="xs", tenants=2,
+                scheduler=SchedulerParams(quantum_refs=256)),
+            "xs_4t_q1024_asids2": ndp_config(
+                workload="xs", tenants=4,
+                scheduler=SchedulerParams(quantum_refs=1024,
+                                          max_asids=2)),
+            "rnd_2c_2n_pte_local": ndp_config(
+                workload="rnd", num_cores=2,
+                numa=NumaParams(nodes=2, placement="pte-local")),
+        }
+        keys = {name: config_key(config,
+                                 code_version=self.KEYS_CODE_VERSION)
+                for name, config in configs.items()}
+        assert keys == self.NESTED_KEYS
+
     def test_default_valued_new_fields_omitted_from_to_dict(self):
         data = ndp_config().to_dict()
         assert "tenants" not in data
-        assert "tenant_workloads" not in data
         assert "scheduler" not in data
         assert "numa" not in data
 
@@ -171,30 +199,17 @@ class TestVersionedFields:
         assert data["scheduler"]["quantum_refs"] == 512
 
     def test_new_scheduler_subfields_omitted_at_defaults(self):
-        """A non-default scheduler serialized today must be byte-equal
-        to its PR 3 form: fields added to SchedulerParams later
-        (shootdown_batch, tenant_weights) disappear at their
-        defaults, so PR 3-era cache keys for custom-quantum configs
-        survive."""
+        """A non-default scheduler serializes every SchedulerParams
+        field, so its field set must not change: a field added or
+        removed there would move the cache key of every
+        custom-scheduler config."""
         cfg = ndp_config(tenants=2,
                          scheduler=SchedulerParams(quantum_refs=512))
         data = cfg.to_dict()
-        assert "shootdown_batch" not in data["scheduler"]
-        assert "tenant_weights" not in data["scheduler"]
         # Exactly the PR 3 field set, nothing more.
         assert sorted(data["scheduler"]) == [
             "context_switch_cycles", "flush_on_switch", "max_asids",
             "quantum_refs", "shootdown_cycles"]
-
-    def test_non_default_scheduler_subfields_serialized(self):
-        cfg = ndp_config(
-            tenants=2,
-            scheduler=SchedulerParams(shootdown_batch=8,
-                                      tenant_weights=(2.0, 1.0)))
-        data = cfg.to_dict()
-        assert data["scheduler"]["shootdown_batch"] == 8
-        assert data["scheduler"]["tenant_weights"] == (2.0, 1.0)
-        assert SystemConfig.from_dict(data) == cfg
 
     def test_numa_axis_round_trips_and_keys_differ(self):
         import json
@@ -210,67 +225,8 @@ class TestVersionedFields:
         assert cfg.canonical_json() != ndp_config(
             numa=NumaParams(nodes=2)).canonical_json()
 
-    def test_distance_matrix_round_trips_and_is_versioned(self):
-        """The asymmetric-distance axis: omitted from the numa
-        sub-dict at its default (None) so every PR 4-era NUMA cache
-        key survives, serialized and round-tripped otherwise."""
-        import json
-        plain = ndp_config(numa=NumaParams(nodes=2))
-        assert "distance_matrix" not in plain.to_dict()["numa"]
-
-        cfg = ndp_config(numa=NumaParams(
-            nodes=2, distance_matrix=((0, 300), (150, 0))))
-        data = cfg.to_dict()
-        assert data["numa"]["distance_matrix"] == \
-            ((0.0, 300.0), (150.0, 0.0))
-        rebuilt = SystemConfig.from_dict(
-            json.loads(json.dumps(data)))
-        assert rebuilt == cfg
-        assert hash(rebuilt) == hash(cfg)
-        assert isinstance(rebuilt.numa.distance_matrix[0], tuple)
-        assert cfg.canonical_json() != plain.canonical_json()
-
-    def test_distance_matrix_validation(self):
-        with pytest.raises(ValueError):  # not square
-            NumaParams(nodes=2, distance_matrix=((0, 1),))
-        with pytest.raises(ValueError):  # wrong width
-            NumaParams(nodes=2, distance_matrix=((0,), (0,)))
-        with pytest.raises(ValueError):  # non-zero diagonal
-            NumaParams(nodes=2, distance_matrix=((5, 1), (1, 0)))
-        with pytest.raises(ValueError):  # negative distance
-            NumaParams(nodes=2, distance_matrix=((0, -1), (1, 0)))
-
-    def test_single_node_normalizes_distance_matrix(self):
-        """A 1x1 matrix is moot on a flat machine and must not split
-        cache keys."""
-        assert NumaParams(nodes=1, distance_matrix=((0,),)) \
-            == NumaParams()
-
-    def test_weights_round_trip_through_json(self):
-        import json
-        cfg = ndp_config(
-            tenants=2,
-            scheduler=SchedulerParams(tenant_weights=(1.5, 1.0)))
-        rebuilt = SystemConfig.from_dict(
-            json.loads(json.dumps(cfg.to_dict())))
-        assert rebuilt == cfg
-        assert rebuilt.scheduler.tenant_weights == (1.5, 1.0)
-        assert isinstance(rebuilt.scheduler.tenant_weights, tuple)
-
-    def test_new_fields_validation(self):
-        with pytest.raises(ValueError):
-            SchedulerParams(shootdown_batch=0)
-        with pytest.raises(ValueError):
-            SchedulerParams(tenant_weights=(1.0, -1.0))
-        with pytest.raises(ValueError):
-            # weights must match the tenant count
-            ndp_config(tenants=2,
-                       scheduler=SchedulerParams(
-                           tenant_weights=(1.0, 2.0, 3.0)))
-
     def test_new_fields_round_trip_exact(self):
-        cfg = ndp_config(tenants=3, tenant_workloads=("bfs", "xs",
-                                                      "rnd"),
+        cfg = ndp_config(tenants=3,
                          scheduler=SchedulerParams(
                              quantum_refs=512, max_asids=2,
                              context_switch_cycles=9000,
@@ -280,11 +236,12 @@ class TestVersionedFields:
 
     def test_new_fields_round_trip_through_json(self):
         import json
-        cfg = ndp_config(tenants=2, tenant_workloads=("bfs", "xs"))
+        cfg = ndp_config(tenants=2,
+                         scheduler=SchedulerParams(quantum_refs=512,
+                                                   max_asids=2))
         rebuilt = SystemConfig.from_dict(
             json.loads(json.dumps(cfg.to_dict())))
         assert rebuilt == cfg
-        assert rebuilt.tenant_workloads == ("bfs", "xs")  # tuple again
         assert hash(rebuilt) == hash(cfg)
 
     def test_canonical_json_distinguishes_tenant_counts(self):
@@ -294,25 +251,21 @@ class TestVersionedFields:
 
     def test_single_tenant_scheduler_normalizes(self):
         """No scheduler knob moves a lone tenant's run (pinned by
-        ``test_single_tenant_config_bypasses_scheduler``, whose five
+        ``test_single_tenant_config_bypasses_scheduler``, whose three
         settings these are), so at one tenant each normalizes to the
         default cache key, as a lone node's NUMA knobs do; at two
         tenants each keeps its own."""
-        def settings(tenants):
-            return (SchedulerParams(quantum_refs=100),
-                    SchedulerParams(tenant_weights=(2.0,)
-                                    + (1.0,) * (tenants - 1)),
+        settings = (SchedulerParams(quantum_refs=100),
                     SchedulerParams(max_asids=1, flush_on_switch=True),
-                    SchedulerParams(shootdown_batch=4),
                     SchedulerParams(shootdown_cycles=9999))
 
         default = ndp_config().canonical_json()
-        for params in settings(1):
+        for params in settings:
             config = ndp_config(scheduler=params)
             assert config.scheduler == SchedulerParams(), params
             assert config.canonical_json() == default, params
         default = ndp_config(tenants=2).canonical_json()
-        for params in settings(2):
+        for params in settings:
             config = ndp_config(tenants=2, scheduler=params)
             assert config.scheduler == params, params
             assert config.canonical_json() != default, params
@@ -320,8 +273,6 @@ class TestVersionedFields:
     def test_validation(self):
         with pytest.raises(ValueError):
             ndp_config(tenants=0)
-        with pytest.raises(ValueError):
-            ndp_config(tenants=2, tenant_workloads=("bfs",))
         with pytest.raises(ValueError):
             SchedulerParams(quantum_refs=0)
         with pytest.raises(ValueError):

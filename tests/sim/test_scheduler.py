@@ -162,16 +162,6 @@ class TestSchedulerRunAhead:
         reference = result_fields(run_once(config))
         assert fast == reference
 
-    def test_weighted_quanta_match_reference_engine(self, monkeypatch):
-        from repro.sim.engine import REFERENCE_ENGINE_ENV
-        config = mt_config(num_cores=2, refs_per_core=900,
-                           scheduler=SchedulerParams(
-                               tenant_weights=(2.0, 1.0)))
-        fast = result_fields(run_once(config))
-        monkeypatch.setenv(REFERENCE_ENGINE_ENV, "1")
-        reference = result_fields(run_once(config))
-        assert fast == reference
-
     def test_multislot_deterministic_across_worker_counts(self):
         """Multi-slot scheduled cells through the pool = serial."""
         configs = [mt_config(m, num_cores=2, refs_per_core=1000)
@@ -261,6 +251,16 @@ class TestShootdowns:
             == SchedulerParams().shootdown_cycles
         assert coordinator.drain_cycles() == 0.0  # drained once
 
+    def test_charges_shootdown_cycles_per_page(self):
+        coordinator = TenantCoordinator(SchedulerParams())
+        coordinator.register_slot(build_table1_tlbs(0))
+        hook = coordinator.unmap_hook(asid=1)
+        for page in range(10):
+            hook(page, False)
+        cost = SchedulerParams().shootdown_cycles
+        assert coordinator.stats.shootdowns == 10
+        assert coordinator.stats.shootdown_cycles == 10 * cost
+
     def test_unmap_hook_invalidates_huge_mapping(self):
         coordinator = TenantCoordinator(SchedulerParams())
         tlbs = build_table1_tlbs()
@@ -348,27 +348,11 @@ class TestTenantStreams:
         assert default.os_stats["reclaims"] > 0
         assert default.extras == {}
         for params in (SchedulerParams(quantum_refs=100),
-                       SchedulerParams(tenant_weights=(2.0,)),
                        SchedulerParams(max_asids=1, flush_on_switch=True),
-                       SchedulerParams(shootdown_batch=4),
                        SchedulerParams(shootdown_cycles=9999)):
             custom = run_once(dataclasses.replace(config, scheduler=params))
             assert custom.extras == {}, params
             assert result_fields(custom) == result_fields(default), params
-
-    def test_tenant_workloads_honored_at_one_tenant(self):
-        """A 1-tenant cell with tenant_workloads must run the tenant
-        workload (what the config serializes as), not ``workload`` —
-        grids sweeping tenant counts rely on it."""
-        override = run_once(mt_config(
-            tenants=1, workload="rnd", tenant_workloads=("bfs",)))
-        plain = run_once(mt_config(tenants=1, workload="bfs"))
-        assert result_fields(override) == result_fields(plain)
-
-    def test_mixed_tenant_workloads(self):
-        result = run_once(mt_config(
-            tenant_workloads=("bfs", "rnd"), refs_per_core=1500))
-        assert result.references == 3000
 
 
 class TestQuantumGranularity:
@@ -399,114 +383,3 @@ class TestQuantumGranularity:
         out = list(quantum_chunks(iter(chunks), 2048))
         assert [len(a) for a, _ in out] == [2048, 2048, 2048]
         assert out[0][0] is chunks[0][0]  # no copy on the fast path
-
-
-class TestWeightedQuanta:
-    def test_equal_weights_identical_to_no_weights(self):
-        """Explicit 1.0 weights must reproduce the unweighted schedule
-        bit for bit (only the serialized config differs)."""
-        plain = run_once(mt_config())
-        weighted = run_once(mt_config(
-            scheduler=SchedulerParams(tenant_weights=(1.0, 1.0))))
-        assert result_fields(plain) == result_fields(weighted)
-
-    def test_tenant_quantum_scaling(self):
-        from repro.sim.scheduler import tenant_quantum
-        params = SchedulerParams(quantum_refs=1000,
-                                 tenant_weights=(2.0, 1.0, 0.5))
-        assert tenant_quantum(params, 0) == 2000
-        assert tenant_quantum(params, 1) == 1000
-        assert tenant_quantum(params, 2) == 500
-        assert tenant_quantum(SchedulerParams(quantum_refs=1000), 5) \
-            == 1000
-
-    def test_heavier_tenant_switches_less(self):
-        """Doubling tenant 0's weight halves its slice count: fewer
-        context switches than the equal-weight schedule."""
-        equal = run_once(mt_config(
-            scheduler=SchedulerParams(quantum_refs=500)))
-        weighted = run_once(mt_config(
-            scheduler=SchedulerParams(quantum_refs=500,
-                                      tenant_weights=(4.0, 1.0))))
-        assert weighted.extras["context_switches"] \
-            < equal.extras["context_switches"]
-        assert weighted.references == equal.references == 6000
-
-    def test_weights_exact_on_single_slot_and_heap(self):
-        """Chunk-granular (1 slot) and heap (2 slots) engines count
-        weighted quanta identically: per-slot switch totals match."""
-        scheduler = SchedulerParams(quantum_refs=750,
-                                    tenant_weights=(2.0, 1.0))
-        one = run_once(mt_config(num_cores=1, scheduler=scheduler))
-        two = run_once(mt_config(num_cores=2, scheduler=scheduler))
-        assert two.extras["context_switches"] \
-            == 2 * one.extras["context_switches"]
-
-
-class TestShootdownBatching:
-    def _coordinator(self, batch, slots=1):
-        coordinator = TenantCoordinator(
-            SchedulerParams(shootdown_batch=batch))
-        for slot in range(slots):
-            coordinator.register_slot(build_table1_tlbs(slot))
-        return coordinator
-
-    def test_batching_charges_one_ipi_per_batch(self):
-        coordinator = self._coordinator(batch=4)
-        hook = coordinator.unmap_hook(asid=1)
-        for page in range(10):
-            hook(page, False)
-        # 10 unmaps at batch 4: two full batches billed; the partial
-        # batch stays pending across faults (deferred flush batching).
-        cost = SchedulerParams().shootdown_cycles
-        assert coordinator.stats.shootdowns == 10
-        assert coordinator.stats.shootdown_ipis == 2
-        assert coordinator.stats.shootdown_cycles == 2 * cost
-        assert coordinator.drain_cycles() == 2 * cost
-        assert coordinator.drain_cycles() == 0.0
-        # Two more unmaps complete the third batch.
-        hook(10, False)
-        hook(11, False)
-        assert coordinator.stats.shootdown_ipis == 3
-        assert coordinator.drain_cycles() == cost
-
-    def test_unbatched_default_charges_per_page(self):
-        coordinator = self._coordinator(batch=1)
-        hook = coordinator.unmap_hook(asid=1)
-        for page in range(10):
-            hook(page, False)
-        cost = SchedulerParams().shootdown_cycles
-        assert coordinator.stats.shootdowns == 10
-        assert coordinator.stats.shootdown_ipis == 10
-        assert coordinator.stats.shootdown_cycles == 10 * cost
-
-    def test_batched_invalidations_still_land_immediately(self):
-        coordinator = self._coordinator(batch=8)
-        tlbs = coordinator._slots[0]
-        key = 0x99 | asid_tag(1)
-        tlbs.l1_small.insert(key, Translation(7, 12))
-        coordinator.unmap_hook(asid=1)(0x99, False)
-        assert tlbs.l1_small.lookup(key) is None  # before any IPI bill
-
-    def test_pressure_run_batching_cuts_shootdown_cycles(self):
-        pressure = dict(workload="rnd", refs_per_core=4000, tenants=3,
-                        phys_bytes=24 * MIB)
-        unbatched = run_once(mt_config(**pressure))
-        batched = run_once(mt_config(
-            scheduler=SchedulerParams(shootdown_batch=8), **pressure))
-        assert unbatched.extras["shootdowns"] > 0
-        # Same invalidations, roughly an eighth of the IPI bill.
-        assert batched.extras["shootdowns"] > 0
-        assert batched.extras["shootdown_ipis"] \
-            == batched.extras["shootdowns"] // 8
-        assert batched.extras["shootdown_cycles"] \
-            <= unbatched.extras["shootdown_cycles"] / 4
-        assert "shootdown_ipis" not in unbatched.extras
-
-    def test_reset_clears_partial_batch(self):
-        coordinator = self._coordinator(batch=4)
-        hook = coordinator.unmap_hook(asid=1)
-        hook(1, False)
-        coordinator.reset()
-        assert coordinator.drain_cycles() == 0.0
-        assert coordinator.stats.shootdown_ipis == 0
