@@ -92,24 +92,6 @@ def payload_checksum(result_data: Dict[str, Any]) -> str:
 
 
 @dataclasses.dataclass
-class CacheStats:
-    """Counters for one cache's lifetime in this process."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0   # entries quarantined on load (subset of misses)
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-@dataclasses.dataclass
 class CacheReport:
     """What one :meth:`ResultCache.verify` pass found."""
 
@@ -139,7 +121,6 @@ class ResultCache:
                  fault_plan=None):
         self.root = Path(root)
         self.code_version = code_version
-        self.stats = CacheStats()
         #: Optional FaultPlan for deterministic corruption injection
         #: (tests / CI chaos job); None falls back to the
         #: ``REPRO_FAULT_PLAN`` environment variable.
@@ -207,7 +188,6 @@ class ResultCache:
         try:
             text = path.read_text()
         except OSError:
-            self.stats.misses += 1
             return None
         status, payload = self._decode(text)
         if status == "ok":
@@ -218,12 +198,9 @@ class ResultCache:
                 # a RunResult/SystemConfig field change.
                 status = "corrupt"
             else:
-                self.stats.hits += 1
                 emit("cache.hit", key=path.stem)
                 return result
-        self.stats.misses += 1
         if status == "corrupt":
-            self.stats.corrupt += 1
             emit("cache.corrupt", key=path.stem)
             self._quarantine(path)
         return None
@@ -254,7 +231,6 @@ class ResultCache:
         # supervisor degrades it to a cache hole + manifest entry.
         atomic_write(path, json.dumps(entry) + "\n", "cache", label,
                      self.fault_plan)
-        self.stats.stores += 1
         emit("cache.store", key=path.stem,
              wall=round(time.perf_counter() - start, 6))
         # Fault-injection seam (no-op unless a corrupt clause is
@@ -297,7 +273,6 @@ class ResultCache:
             elif status == "stale":
                 report.stale += 1
             else:
-                self.stats.corrupt += 1
                 self._quarantine(path)
                 report.corrupt += 1
         report.tmp_orphans = sum(

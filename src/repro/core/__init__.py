@@ -1,7 +1,7 @@
 """NDPage's contribution: flattened page table, metadata bypass, specs."""
 
 from repro.core.bypass import BypassPolicy, MetadataBypass, NoBypass
-from repro.core.flattened import FlattenedPageTable, flattened_coverage_bytes
+from repro.core.flattened import FlattenedPageTable
 from repro.core.mechanisms import (
     MECHANISMS,
     PAPER_MECHANISMS,
@@ -17,6 +17,5 @@ __all__ = [
     "MetadataBypass",
     "NoBypass",
     "PAPER_MECHANISMS",
-    "flattened_coverage_bytes",
     "get_mechanism",
 ]

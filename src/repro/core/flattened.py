@@ -19,7 +19,6 @@ from typing import Dict, List, Optional
 from repro.vm.address import (
     ENTRIES_PER_NODE,
     FLAT_ENTRIES,
-    FLAT_LEVEL_BITS,
     LEVEL_BITS,
     PAGE_SHIFT,
     PAGE_SIZE,
@@ -218,15 +217,6 @@ class FlattenedPageTable(PageTable):
         return self._interior_nodes * PAGE_SIZE + flat_bytes
 
     @property
-    def flat_node_count(self) -> int:
-        """Allocated flattened nodes (each covers 1 GB of VA)."""
-        return len(self._flat_nodes)
-
-    @property
     def mapped_pages(self) -> int:
         return self._mapped_pages
 
-
-def flattened_coverage_bytes() -> int:
-    """Virtual address span covered by one flattened node (1 GB)."""
-    return (1 << FLAT_LEVEL_BITS) * PAGE_SIZE

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.mem.request import KIND_BY_INDEX, RequestKind
+from repro.mem.request import RequestKind
 from repro.sim.stats import HitMissStats
 
 #: Return codes of :meth:`Cache.access_fast`.
@@ -36,9 +36,8 @@ class CacheStats:
     data: HitMissStats = field(default_factory=HitMissStats)
     metadata: HitMissStats = field(default_factory=HitMissStats)
     instruction: HitMissStats = field(default_factory=HitMissStats)
-    # evictions_by[evictor_kind][victim_kind] -> count
+    # Pollution: data lines evicted by metadata fills.
     data_evicted_by_metadata: int = 0
-    metadata_evicted_by_data: int = 0
     writebacks: int = 0
 
     def for_kind(self, kind: RequestKind) -> HitMissStats:
@@ -47,14 +46,6 @@ class CacheStats:
         if kind is RequestKind.METADATA:
             return self.metadata
         return self.instruction
-
-    def reset(self) -> None:
-        self.data.reset()
-        self.metadata.reset()
-        self.instruction.reset()
-        self.data_evicted_by_metadata = 0
-        self.metadata_evicted_by_data = 0
-        self.writebacks = 0
 
 
 class Cache:
@@ -89,8 +80,8 @@ class Cache:
         self.num_sets = size_bytes // (line_size * associativity)
         self.stats = CacheStats()
         # The per-kind stat objects are bound once and indexed by kind
-        # code on the fast path; CacheStats.reset() mutates them in
-        # place, so the binding stays valid for a cache's lifetime.
+        # code on the fast path; nothing replaces them during a cache's
+        # lifetime.
         self._kind_stats = (self.stats.data, self.stats.metadata,
                             self.stats.instruction)
         # tag -> packed line state: (kind_index << 1) | dirty, oldest
@@ -103,23 +94,6 @@ class Cache:
         # MISS_CLEAN_EVICT or MISS_DIRTY_EVICT (valid until next fill).
         self.evict_tag = 0
         self.evict_kind = 0
-
-    # -- geometry helpers ---------------------------------------------------
-
-    def _locate(self, paddr: int):
-        line = paddr >> self._line_shift
-        return self._sets[line % self.num_sets], line
-
-    def line_addr(self, paddr: int) -> int:
-        """Line number containing physical byte address ``paddr``."""
-        return paddr >> self._line_shift
-
-    # -- operations ----------------------------------------------------------
-
-    def contains(self, paddr: int) -> bool:
-        """Presence check with no side effects (for tests/inspection)."""
-        cache_set, line = self._locate(paddr)
-        return line in cache_set
 
     def access_fast(self, paddr: int, kind: int, is_write: int) -> int:
         """Look up ``paddr``; on miss, allocate the line.
@@ -151,38 +125,9 @@ class Cache:
         dirty = packed & 1
         if dirty:
             self.stats.writebacks += 1
-        if kind == 1:  # METADATA evicting ...
-            if victim_kind == 0:  # ... DATA
-                self.stats.data_evicted_by_metadata += 1
-        elif kind == 0 and victim_kind == 1:
-            self.stats.metadata_evicted_by_data += 1
+        if kind == 1 and victim_kind == 0:  # METADATA evicting DATA
+            self.stats.data_evicted_by_metadata += 1
         cache_set[line] = (kind << 1) | is_write
         self.evict_tag = victim_tag
         self.evict_kind = victim_kind
         return MISS_DIRTY_EVICT if dirty else MISS_CLEAN_EVICT
-
-    def invalidate(self, paddr: int) -> bool:
-        """Drop the line holding ``paddr``; True if it was resident."""
-        cache_set, line = self._locate(paddr)
-        if line in cache_set:
-            del cache_set[line]
-            return True
-        return False
-
-    def flush(self) -> None:
-        """Empty the cache (statistics are preserved)."""
-        for cache_set in self._sets:
-            cache_set.clear()
-
-    @property
-    def resident_lines(self) -> int:
-        """Number of lines currently resident (for occupancy tests)."""
-        return sum(len(s) for s in self._sets)
-
-    def resident_kind_counts(self) -> Dict[RequestKind, int]:
-        """How many resident lines hold each request kind."""
-        counts = {kind: 0 for kind in RequestKind}
-        for cache_set in self._sets:
-            for packed in cache_set.values():
-                counts[KIND_BY_INDEX[packed >> 1]] += 1
-        return counts

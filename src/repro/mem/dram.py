@@ -88,8 +88,8 @@ class DramStats:
     indexed by kind code: enum hashing is measurable on the per-access
     path).  A posted write-back is also counted in ``writebacks``, a
     demand write in ``demand_writes`` and an open-row access in
-    ``row_hits``; row misses, writes and the queue-delay sample count
-    follow from those and are read-only.  Queue delay is summed over
+    ``row_hits``; row misses and the queue-delay sample count follow
+    from those and are read-only.  Queue delay is summed over
     demand accesses, and only a request that waited changes the sum or
     the maximum.
     """
@@ -120,10 +120,6 @@ class DramStats:
         return self.accesses - self.writebacks
 
     @property
-    def writes(self) -> int:
-        return self.demand_writes + self.writebacks
-
-    @property
     def row_misses(self) -> int:
         return self.accesses - self.row_hits
 
@@ -136,14 +132,6 @@ class DramStats:
         """Queueing delay distribution over demand accesses."""
         return LatencyStats(self.queue_total, self.demand_accesses,
                             self.queue_max)
-
-    def reset(self) -> None:
-        self.kind_counts = [0] * len(KIND_BY_INDEX)
-        self.demand_writes = 0
-        self.writebacks = 0
-        self.row_hits = 0
-        self.queue_total = 0.0
-        self.queue_max = 0.0
 
     def merge(self, other: "DramStats") -> None:
         """Fold another device's counters in (per-node NUMA DRAMs are

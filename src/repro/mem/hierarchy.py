@@ -59,11 +59,6 @@ class HierarchyStats:
     def dram_reads(self) -> int:
         return sum(device.stats.demand_accesses for device in self._drams)
 
-    def reset(self) -> None:
-        self.l1_bypasses = 0
-        self.remote_reads = 0
-        self.remote_penalty_cycles = 0.0
-
 
 class MemoryHierarchy:
     """A configurable 1-3 level cache hierarchy over banked DRAM.
@@ -132,10 +127,6 @@ class MemoryHierarchy:
         # NDP shape: exactly one cache level -> skip the level loop.
         self._single_level = l2s is None and l3 is None
 
-    @property
-    def num_cores(self) -> int:
-        return len(self.l1ds)
-
     def _core_caches(self, core_id: int):
         levels = [self.l1ds[core_id]]
         if self.l2s is not None:
@@ -178,12 +169,9 @@ class MemoryHierarchy:
                     victim_tag = next(iter(cache_set))
                     packed = cache_set.pop(victim_tag)
                     victim_kind = packed >> 1
-                    if victim_kind != kind:
-                        if kind == 1:  # METADATA evicting ...
-                            if victim_kind == 0:  # ... DATA
-                                cache.stats.data_evicted_by_metadata += 1
-                        elif kind == 0 and victim_kind == 1:
-                            cache.stats.metadata_evicted_by_data += 1
+                    # Pollution: METADATA evicting DATA.
+                    if kind == 1 and victim_kind == 0:
+                        cache.stats.data_evicted_by_metadata += 1
                     if packed & 1:  # dirty victim
                         cache.stats.writebacks += 1
                         self._drain_writeback(
@@ -220,9 +208,8 @@ class MemoryHierarchy:
             # node from the paddr tag, charge the interconnect
             # distance for distance-penalized nodes, and let that
             # node's banked DRAM service the (untagged) address.
-            # ``remote_reads`` counts *penalized* accesses — a
-            # zero-distance matrix makes every node local by
-            # definition.
+            # ``remote_reads`` counts *penalized* accesses — at
+            # ``remote_cycles`` 0 every node is local by definition.
             node = paddr >> NODE_PADDR_SHIFT
             penalty = penalty_rows[core_id][node]
             if penalty:
@@ -270,21 +257,6 @@ class MemoryHierarchy:
         for device in self.drams:
             merged.merge(device.stats)
         return merged
-
-    def reset_stats(self) -> None:
-        self.stats.reset()
-        if self.drams is not None:
-            for device in self.drams:
-                device.stats.reset()
-        else:
-            self.dram.stats.reset()
-        for cache in self.l1ds:
-            cache.stats.reset()
-        if self.l2s is not None:
-            for cache in self.l2s:
-                cache.stats.reset()
-        if self.l3 is not None:
-            self.l3.stats.reset()
 
 
 def _node_drams(dram_timing: DramTiming, numa_nodes: int,

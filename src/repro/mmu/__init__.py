@@ -2,7 +2,7 @@
 
 from repro.mmu.mmu import Mmu, MmuStats
 from repro.mmu.pwc import PageWalkCache, PwcSet
-from repro.mmu.tlb import Tlb, TlbHierarchy, build_table1_tlbs
+from repro.mmu.tlb import Tlb, TlbHierarchy, build_tlbs
 from repro.mmu.walker import PageTableWalker, WalkerStats
 
 __all__ = [
@@ -14,5 +14,5 @@ __all__ = [
     "Tlb",
     "TlbHierarchy",
     "WalkerStats",
-    "build_table1_tlbs",
+    "build_tlbs",
 ]

@@ -45,17 +45,6 @@ class MmuStats:
     def walks(self) -> int:
         return self.walk_latency.count
 
-    @property
-    def tlb_miss_rate(self) -> float:
-        if self.translations == 0:
-            return 0.0
-        return 1.0 - self.tlb_hits / self.translations
-
-    def reset(self) -> None:
-        self.translations = 0
-        self.tlb_hits = 0
-        self.walk_latency.reset()
-
 
 class Mmu:
     """Per-core MMU sharing a page table and OS with its siblings.

@@ -14,12 +14,17 @@ address space's ASID (packed above the prefix bits, see
 :data:`repro.vm.address.ASID_SHIFT`), so co-runners' entries coexist;
 when the scheduler must recycle ASIDs it calls :meth:`PwcSet.flush`,
 which clears every level in place (the walker's memoized set bindings
-stay valid) and counts the flush for the scheduler's accounting.
+stay valid).
+
+A level's cache is probed and filled only by the walker
+(:meth:`repro.mmu.walker.PageTableWalker.walk_from_plan` fuses the two
+into one pass over the sets), so this module holds the geometry, the
+sets and the counters, not a probe of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List
 
 from repro.sim.stats import HitMissStats
 
@@ -40,38 +45,11 @@ class PageWalkCache:
         self.latency = latency
         self.num_sets = entries // associativity
         self.stats = HitMissStats()
-        self._sets: List[Dict[Hashable, None]] = [
+        # Integer key -> None, oldest (least recently used) first; the
+        # walker indexes a set by ``key % num_sets``.
+        self._sets: List[Dict[int, None]] = [
             {} for _ in range(self.num_sets)
         ]
-
-    def _set_for(self, key: Hashable) -> Dict[Hashable, None]:
-        # Walker keys are ('LEVEL', prefix) tuples; indexing by the
-        # integer prefix matches how a real MMU cache selects its set
-        # (low prefix bits) and — unlike hash() of a tuple containing a
-        # str — is stable across processes, which keeps whole-run
-        # statistics reproducible (str hashing is randomized per
-        # process).  Non-tuple keys fall back to hash() for API
-        # compatibility.
-        if type(key) is tuple and type(key[-1]) is int:
-            return self._sets[key[-1] % self.num_sets]
-        return self._sets[hash(key) % self.num_sets]
-
-    def lookup(self, key: Hashable) -> bool:
-        pwc_set = self._set_for(key)
-        if key in pwc_set:
-            self.stats.hits += 1
-            pwc_set[key] = pwc_set.pop(key)  # LRU refresh
-            return True
-        self.stats.misses += 1
-        return False
-
-    def insert(self, key: Hashable) -> None:
-        pwc_set = self._set_for(key)
-        if key in pwc_set:
-            return
-        if len(pwc_set) >= self.associativity:
-            del pwc_set[next(iter(pwc_set))]
-        pwc_set[key] = None
 
     def flush(self) -> None:
         for pwc_set in self._sets:
@@ -84,40 +62,16 @@ class PwcSet:
     def __init__(self, levels, entries: int = 32, associativity: int = 4,
                  latency: int = 1):
         self.latency = latency
-        self.flushes = 0
         self._caches: Dict[str, PageWalkCache] = {
             level: PageWalkCache(level, entries, associativity, latency)
             for level in levels
         }
 
-    def __contains__(self, level: str) -> bool:
-        return level in self._caches
-
-    def cache_for(self, level: str) -> Optional[PageWalkCache]:
-        return self._caches.get(level)
-
     def caches(self) -> Dict[str, PageWalkCache]:
         """All level caches, keyed by level name."""
         return dict(self._caches)
 
-    def hit_rates(self) -> Dict[str, float]:
-        return {
-            level: cache.stats.hit_rate
-            for level, cache in self._caches.items()
-        }
-
-    def merged_hit_rate(self, levels) -> float:
-        hits = misses = 0
-        for level in levels:
-            cache = self._caches.get(level)
-            if cache is not None:
-                hits += cache.stats.hits
-                misses += cache.stats.misses
-        total = hits + misses
-        return hits / total if total else 0.0
-
     def flush(self) -> None:
         """Clear every level in place (ASID recycle / full shootdown)."""
-        self.flushes += 1
         for cache in self._caches.values():
             cache.flush()

@@ -25,7 +25,7 @@ inlined fast-path probes built on them) are untouched.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.vm.address import HUGE_PAGE_SHIFT, PAGE_SHIFT
 from repro.vm.base import Translation
@@ -36,7 +36,7 @@ class Tlb:
     """One set-associative TLB with LRU replacement."""
 
     __slots__ = ("name", "entries", "associativity", "latency",
-                 "page_shift", "num_sets", "stats", "flushes", "_sets")
+                 "page_shift", "num_sets", "stats", "_sets")
 
     def __init__(self, name: str, entries: int, associativity: int,
                  latency: int, page_shift: int = PAGE_SHIFT):
@@ -51,27 +51,15 @@ class Tlb:
         self.page_shift = page_shift
         self.num_sets = entries // associativity
         self.stats = HitMissStats()
-        self.flushes = 0
         self._sets: List[Dict[int, Translation]] = [
             {} for _ in range(self.num_sets)
         ]
-
-    def lookup(self, key: int) -> Optional[Translation]:
-        """Probe for ``key`` (a VPN at this TLB's page granularity)."""
-        tlb_set = self._sets[key % self.num_sets]
-        translation = tlb_set.get(key)
-        if translation is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        tlb_set[key] = tlb_set.pop(key)  # refresh LRU position
-        return translation
 
     def insert(self, key: int, translation: Translation) -> None:
         tlb_set = self._sets[key % self.num_sets]
         if key in tlb_set:
             # Reinsert behaves like a touch: refresh LRU recency (the
-            # same movement ``lookup`` performs), don't just overwrite.
+            # same movement a probe hit performs), don't just overwrite.
             del tlb_set[key]
             tlb_set[key] = translation
             return
@@ -88,13 +76,8 @@ class Tlb:
         return False
 
     def flush(self) -> None:
-        self.flushes += 1
         for tlb_set in self._sets:
             tlb_set.clear()
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
 
 
 class TlbHierarchy:
@@ -124,38 +107,17 @@ class TlbHierarchy:
     def full_misses(self) -> int:
         return self.l2.stats.misses
 
-    def lookup(self, page: int):
-        """Translate 4 KB-granularity VPN ``page``.
-
-        Returns ``(translation_or_None, latency_cycles)``.  Both L1
-        structures are probed in parallel (one L1 latency); the L2 is
-        probed only on an L1 miss, adding its latency, and refills the
-        L1 on a hit.
-
-        The L1-small probe is inlined (one dict round-trip) because it
-        is the overwhelmingly common outcome on the simulated hot path;
-        the remaining levels live in :meth:`lookup_after_l1_small_miss`
-        so fast-path callers that probe the L1 themselves can continue
-        from the miss without double counting.
-        """
-        l1 = self.l1_small
-        tlb_set = l1._sets[page % l1.num_sets]
-        translation = tlb_set.get(page)
-        if translation is not None:
-            l1.stats.hits += 1
-            tlb_set[page] = tlb_set.pop(page)  # refresh LRU position
-            return translation, l1.latency
-        l1.stats.misses += 1
-        return self.lookup_after_l1_small_miss(page)
-
     def lookup_after_l1_small_miss(self, page: int):
         """Continue a lookup whose L1-small probe already missed.
 
-        The caller must have recorded the L1-small miss; this probes
-        the 2 MB L1 and the L2, refilling the L1 on an L2 hit, exactly
-        like :meth:`lookup`.
-        Probes are inlined (one dict round-trip each) — this runs on
-        every L1-DTLB miss.
+        Returns ``(translation_or_None, latency_cycles)``.  The caller
+        probes the L1 4 KB TLB itself (:meth:`repro.mmu.mmu.Mmu
+        .translate_parts` and the core's hit loop inline it) and must
+        have recorded that miss; this probes the 2 MB L1 (in parallel
+        with the 4 KB one, so one L1 latency) and then the L2, adding
+        its latency and refilling the L1 4 KB TLB on a hit.  Probes
+        are inlined (one dict round-trip each) — this runs on every
+        L1-DTLB miss.
         """
         latency = self.l1_small.latency
         huge = self.l1_huge
@@ -207,13 +169,6 @@ class TlbHierarchy:
             self.l1_huge.insert(page >> (HUGE_PAGE_SHIFT - PAGE_SHIFT),
                                 translation)
 
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of translations that needed a page walk."""
-        if self.lookups == 0:
-            return 0.0
-        return self.full_misses / self.lookups
-
     def flush(self) -> None:
         self.l1_small.flush()
         self.l1_huge.flush()
@@ -236,13 +191,19 @@ class TlbHierarchy:
         return small or l2
 
 
-def build_table1_tlbs(core_id: int = 0) -> TlbHierarchy:
-    """The paper's MMU TLB configuration (Table I) for one core."""
+def build_tlbs(params, core_id: int = 0) -> TlbHierarchy:
+    """One core's TLB hierarchy from a ``TlbParams`` (Table I row).
+
+    The 2 MB L1 TLB is probed alongside the 4 KB one, so it takes the
+    4 KB L1's latency.
+    """
     return TlbHierarchy(
-        l1_small=Tlb(f"L1-DTLB{core_id}", entries=64, associativity=4,
-                     latency=1, page_shift=PAGE_SHIFT),
-        l1_huge=Tlb(f"L1-2M-TLB{core_id}", entries=32, associativity=4,
-                    latency=1, page_shift=HUGE_PAGE_SHIFT),
-        l2=Tlb(f"L2-TLB{core_id}", entries=1536, associativity=12,
-               latency=12, page_shift=PAGE_SHIFT),
+        l1_small=Tlb(f"L1-DTLB{core_id}", params.l1_small_entries,
+                     params.l1_small_assoc, params.l1_small_latency,
+                     page_shift=PAGE_SHIFT),
+        l1_huge=Tlb(f"L1-2M-TLB{core_id}", params.l1_huge_entries,
+                    params.l1_huge_assoc, params.l1_small_latency,
+                    page_shift=HUGE_PAGE_SHIFT),
+        l2=Tlb(f"L2-TLB{core_id}", params.l2_entries, params.l2_assoc,
+               params.l2_latency, page_shift=PAGE_SHIFT),
     )

@@ -53,10 +53,6 @@ class WalkerStats:
     walks: int = 0
     memory_accesses: int = 0
 
-    def reset(self) -> None:
-        self.walks = 0
-        self.memory_accesses = 0
-
 
 class PageTableWalker:
     """One core's PTW engine."""
@@ -89,8 +85,8 @@ class PageTableWalker:
             self._level_info_for(level)
         # This core's L1, for the inlined metadata-hit fast path:
         # (sets, num_sets, line_shift, hit_latency, metadata stats),
-        # all stable for the cache's lifetime (flush and stats reset
-        # mutate them in place).
+        # all bound once: nothing replaces them during a cache's
+        # lifetime.
         l1 = hierarchy.l1ds[core_id]
         self._l1_probe = (l1._sets, l1.num_sets, l1._line_shift,
                           l1.hit_latency, l1._kind_stats[KIND_METADATA])

@@ -24,9 +24,7 @@ from repro.obs.events import (
     SCHEMA_VERSION,
     Event,
     JsonlSink,
-    MemorySink,
     MultiSink,
-    NullSink,
     emit,
     read_events,
     session,
@@ -40,9 +38,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "Event",
     "JsonlSink",
-    "MemorySink",
     "MultiSink",
-    "NullSink",
     "ProgressView",
     "SweepLedger",
     "build_trace",

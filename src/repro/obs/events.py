@@ -21,10 +21,8 @@ through a single ``os.write`` on an ``O_APPEND`` descriptor, so
 concurrent writers (the supervisor and forked local workers sharing
 the inherited descriptor, or external workers given the same path on
 one host) interleave whole lines, never partial ones.
-:class:`MemorySink` collects events for tests and in-process
-consumers; :class:`MultiSink` fans one emission out to several sinks
-(e.g. a JSONL file plus a live progress view); :class:`NullSink`
-swallows everything (useful to force the enabled-path without I/O).
+:class:`MultiSink` fans one emission out to several sinks (e.g. a
+JSONL file plus a live progress view).
 
 Ordering guarantees: within one process, ``seq`` is strictly
 increasing and ``t_mono`` is non-decreasing across emitted events, so
@@ -43,7 +41,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
 #: Version of the event record schema, carried by every event (``v``).
 #: Bump when a field is renamed/removed or an event type changes
@@ -141,23 +139,6 @@ class EventSink:
 
     def close(self) -> None:
         pass
-
-
-class NullSink(EventSink):
-    """Accept and discard — the enabled-path without I/O."""
-
-    def emit(self, event: Event) -> None:
-        pass
-
-
-class MemorySink(EventSink):
-    """Collect events in a list (tests, in-process consumers)."""
-
-    def __init__(self):
-        self.events: List[Event] = []
-
-    def emit(self, event: Event) -> None:
-        self.events.append(event)
 
 
 class JsonlSink(EventSink):

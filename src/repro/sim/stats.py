@@ -30,22 +30,6 @@ class HitMissStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return ratio(self.hits, self.accesses)
-
-    @property
-    def miss_rate(self) -> float:
-        return ratio(self.misses, self.accesses)
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def merge(self, other: "HitMissStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-
 
 @dataclass(slots=True)
 class LatencyStats:
@@ -55,20 +39,9 @@ class LatencyStats:
     count: int = 0
     maximum: float = 0.0
 
-    def record(self, value: float) -> None:
-        self.total += value
-        self.count += 1
-        if value > self.maximum:
-            self.maximum = value
-
     @property
     def mean(self) -> float:
         return ratio(self.total, self.count)
-
-    def reset(self) -> None:
-        self.total = 0.0
-        self.count = 0
-        self.maximum = 0.0
 
     def merge(self, other: "LatencyStats") -> None:
         self.total += other.total

@@ -170,9 +170,6 @@ class FailureManifest:
     def __iter__(self):
         return iter(self.failures)
 
-    def labels(self) -> List[str]:
-        return [failure.label for failure in self.failures]
-
     def format(self) -> str:
         """Readable multi-line report (what the CLI prints)."""
         if not self.failures:

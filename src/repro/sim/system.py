@@ -35,14 +35,14 @@ from repro.mem.hierarchy import (
 )
 from repro.mmu.mmu import Mmu
 from repro.mmu.pwc import PwcSet
-from repro.mmu.tlb import Tlb, TlbHierarchy
+from repro.mmu.tlb import build_tlbs
 from repro.mmu.walker import PageTableWalker
 from repro.sim.config import SYSTEM_NDP, SystemConfig
 from repro.sim.core_model import Core
 from repro.sim.engine import SimulationEngine, SlotSchedule
 from repro.sim.scheduler import TenantCoordinator, quantum_chunks, tenant_seed
 from repro.sim.topology import NumaFrameAllocator, NumaTopology
-from repro.vm.address import HUGE_PAGE_SHIFT, PAGE_SHIFT
+from repro.vm.address import PAGE_SHIFT
 from repro.vm.base import PageTable
 from repro.vm.frames import FrameAllocator
 from repro.vm.os_model import OSMemoryManager
@@ -129,7 +129,7 @@ class System:
         self.cores: List[Core] = []
         slots: List[SlotSchedule] = []
         for slot_id in range(config.num_cores):
-            tlbs = self._build_tlbs(slot_id)
+            tlbs = build_tlbs(config.tlb, slot_id)
             if coordinator is not None:
                 coordinator.register_slot(tlbs)
             pwcs: Optional[PwcSet] = None
@@ -278,19 +278,6 @@ class System:
             l3_latency=cfg.l3_per_core.latency,
             numa_nodes=numa_nodes, numa_penalty=numa_penalty)
 
-    def _build_tlbs(self, core_id: int) -> TlbHierarchy:
-        t = self.config.tlb
-        return TlbHierarchy(
-            l1_small=Tlb(f"L1-DTLB{core_id}", t.l1_small_entries,
-                         t.l1_small_assoc, t.l1_small_latency,
-                         page_shift=PAGE_SHIFT),
-            l1_huge=Tlb(f"L1-2M-TLB{core_id}", t.l1_huge_entries,
-                        t.l1_huge_assoc, t.l1_small_latency,
-                        page_shift=HUGE_PAGE_SHIFT),
-            l2=Tlb(f"L2-TLB{core_id}", t.l2_entries, t.l2_assoc,
-                   t.l2_latency, page_shift=PAGE_SHIFT),
-        )
-
     def run(self) -> float:
         """Execute all cores to completion; return global cycles."""
         return self.engine.run()
@@ -298,19 +285,20 @@ class System:
     def _slot_tenant_order(self, slot_id: int) -> List[Tenant]:
         """Tenant contexts of one slot, node-affine first.
 
-        On a NUMA machine each slot's round-robin queue starts with
-        the tenants whose home node matches the slot's node (nearest
-        first, ASID as the deterministic tiebreak), so the scheduler
-        favours node-local contexts the way an affinity-aware OS
-        balances run queues.  Single-node machines keep ASID order —
-        the PR 3 schedule, bit for bit.
+        On a NUMA machine each slot's round-robin queue is sorted by
+        the penalty from the slot's node to each tenant's home node,
+        ASID as the deterministic tiebreak: the tenants homed on the
+        slot's node come first, so the scheduler favours node-local
+        contexts the way an affinity-aware OS balances run queues.  At
+        ``remote_cycles`` 0 every penalty is 0, and single-node
+        machines skip the sort: both keep plain ASID order.
         """
         if self.topology is None:
             return list(self.tenants)
         topo = self.topology
         slot_node = topo.node_of_core(slot_id)
-        distance = topo.distance[slot_node]
         return sorted(
             self.tenants,
-            key=lambda t: (distance[topo.node_of_tenant(t.asid)],
+            key=lambda t: (topo.penalty(slot_node,
+                                        topo.node_of_tenant(t.asid)),
                            t.asid))

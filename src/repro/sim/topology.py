@@ -6,8 +6,9 @@ page walk and data access costs the same wherever its frame lives.
 This module splits the physical side into *nodes*:
 
 * :class:`NumaTopology` describes the machine shape — node count,
-  per-node DRAM capacity, a node distance matrix in extra cycles, and
-  the core→node / tenant→node affinity maps;
+  per-node DRAM capacity, one remote distance in extra cycles (every
+  pair of distinct nodes is that far apart), and the core→node /
+  tenant→node affinity maps;
 * :class:`NumaFrameAllocator` is a facade over one private
   :class:`~repro.vm.frames.FrameAllocator` per node.  Frame numbers
   returned by the facade encode their node at bit
@@ -58,45 +59,34 @@ __all__ = [
 
 
 class NumaTopology:
-    """Shape of a NUMA machine: nodes, distances, affinity maps.
+    """Shape of a NUMA machine: nodes, distance, affinity maps.
 
     Args:
         nodes: node count (>= 1).
-        distance: square matrix of *extra cycles* charged on a DRAM
-            access from a core on node ``i`` to memory on node ``j``;
-            the diagonal must be zero (local accesses pay nothing
-            extra).
+        remote_cycles: *extra cycles* charged on a DRAM access from a
+            core on one node to memory on another; local accesses pay
+            nothing extra.
         core_nodes: home node of each core slot.
         tenant_nodes: home node of each tenant (address space) — the
             scheduler's affinity axis.
         node_bytes: DRAM capacity per node.
     """
 
-    __slots__ = ("nodes", "distance", "core_nodes", "tenant_nodes",
+    __slots__ = ("nodes", "remote_cycles", "core_nodes", "tenant_nodes",
                  "node_bytes")
 
-    def __init__(self, nodes: int,
-                 distance: Sequence[Sequence[float]],
+    def __init__(self, nodes: int, remote_cycles: float,
                  core_nodes: Sequence[int],
                  tenant_nodes: Sequence[int],
                  node_bytes: int):
         if nodes < 1:
             raise ValueError("nodes must be >= 1")
-        if len(distance) != nodes or any(
-                len(row) != nodes for row in distance):
-            raise ValueError(f"distance matrix must be {nodes}x{nodes}")
-        for i, row in enumerate(distance):
-            if row[i] != 0:
-                raise ValueError("distance diagonal must be zero")
-            if any(cycles < 0 for cycles in row):
-                raise ValueError("distances must be non-negative")
         for name, homes in (("core", core_nodes), ("tenant",
                                                    tenant_nodes)):
             if any(not 0 <= n < nodes for n in homes):
                 raise ValueError(f"{name} home node out of range")
         self.nodes = nodes
-        self.distance: Tuple[Tuple[float, ...], ...] = tuple(
-            tuple(float(cycles) for cycles in row) for row in distance)
+        self.remote_cycles = float(remote_cycles)
         self.core_nodes = tuple(core_nodes)
         self.tenant_nodes = tuple(tenant_nodes)
         self.node_bytes = node_bytes
@@ -117,17 +107,13 @@ class NumaTopology:
 
         Cores spread over the nodes in contiguous blocks (cores 0..k
         on node 0, like socket enumeration on real machines); tenants
-        round-robin so consecutive ASIDs land on different nodes.  Every
-        distance off the diagonal is ``params.remote_cycles``.
+        round-robin so consecutive ASIDs land on different nodes.
         """
         nodes = params.nodes
-        remote = float(params.remote_cycles)
-        distance = [[0.0 if i == j else remote for j in range(nodes)]
-                    for i in range(nodes)]
         core_nodes = [core * nodes // num_cores
                       for core in range(num_cores)]
         tenant_nodes = [asid % nodes for asid in range(tenants)]
-        return cls(nodes, distance, core_nodes, tenant_nodes,
+        return cls(nodes, params.remote_cycles, core_nodes, tenant_nodes,
                    node_bytes=phys_bytes // nodes)
 
     def node_of_core(self, core_id: int) -> int:
@@ -138,26 +124,29 @@ class NumaTopology:
         """Home node of tenant ``asid``."""
         return self.tenant_nodes[asid]
 
+    def penalty(self, src: int, dst: int) -> float:
+        """Extra cycles of an access from node ``src`` to ``dst``."""
+        return 0.0 if src == dst else self.remote_cycles
+
     def penalty_rows(self) -> Tuple[Tuple[float, ...], ...]:
-        """Per-core distance rows for the memory hierarchy.
+        """Per-core penalty rows for the memory hierarchy.
 
         ``rows[core_id][frame_node]`` is the extra cycles a DRAM
         access from ``core_id`` pays when its frame lives on
         ``frame_node`` — the one table lookup the miss path performs.
         """
-        return tuple(self.distance[self.core_nodes[core]]
-                     for core in range(len(self.core_nodes)))
+        return tuple(
+            tuple(self.penalty(home, node) for node in range(self.nodes))
+            for home in self.core_nodes)
 
     def fallback_order(self, node: int) -> Tuple[int, ...]:
         """Nodes to try when ``node``'s pool is exhausted.
 
-        The home node first, then the rest nearest-first (node id as
-        the deterministic tiebreak) — the zone fallback list of a real
-        kernel.
+        The home node first, then the rest in node-id order: every
+        other node is equally far away, so the id is the whole
+        deterministic order of the kernel's zone fallback list.
         """
-        others = sorted((n for n in range(self.nodes) if n != node),
-                        key=lambda n: (self.distance[node][n], n))
-        return (node, *others)
+        return (node, *(n for n in range(self.nodes) if n != node))
 
 
 @dataclass(slots=True)
@@ -189,7 +178,7 @@ class NumaFrameAllocator:
       installing a mapping — the table itself does not know which core
       faulted;
     * when the chosen node's pool is exhausted the allocation spills
-      to the remaining nodes in distance order (counted in
+      to the remaining nodes in fallback order (counted in
       :attr:`numa_stats`), and only a machine-wide exhaustion raises
       :class:`~repro.vm.frames.OutOfMemoryError` — mirroring zone
       fallback.

@@ -19,7 +19,6 @@ from repro.vm.occupancy import (
     level_occupancy_from_ranges,
     normalize_ranges,
     occupancy_report,
-    table_occupancy,
 )
 from repro.vm.os_model import (
     FaultCosts,
@@ -47,5 +46,4 @@ __all__ = [
     "level_occupancy_from_ranges",
     "normalize_ranges",
     "occupancy_report",
-    "table_occupancy",
 ]

@@ -75,34 +75,9 @@ def node_frame_tag(node: int) -> int:
     return node << NODE_FRAME_SHIFT
 
 
-def node_of_frame(frame: int) -> int:
-    """NUMA node encoded in a tagged frame number."""
-    return frame >> NODE_FRAME_SHIFT
-
-
-def node_of_paddr(paddr: int) -> int:
-    """NUMA node encoded in a tagged physical address."""
-    return paddr >> NODE_PADDR_SHIFT
-
-
-def page_offset(vaddr: int) -> int:
-    """Offset of ``vaddr`` within its 4 KB page."""
-    return vaddr & (PAGE_SIZE - 1)
-
-
 def vpn(vaddr: int) -> int:
     """Virtual page number (4 KB granularity) of ``vaddr``."""
     return (vaddr & VA_MASK) >> PAGE_SHIFT
-
-
-def huge_vpn(vaddr: int) -> int:
-    """Virtual page number at 2 MB granularity."""
-    return (vaddr & VA_MASK) >> HUGE_PAGE_SHIFT
-
-
-def vpn_to_vaddr(page: int) -> int:
-    """First virtual address covered by 4 KB-granularity VPN ``page``."""
-    return page << PAGE_SHIFT
 
 
 def level_index(page: int, level: int) -> int:
@@ -121,43 +96,6 @@ def flat_index(page: int) -> int:
     return page & _FLAT_MASK
 
 
-def flat_tag(page: int) -> int:
-    """Upper VPN bits selecting *which* flattened node covers ``page``."""
-    return page >> FLAT_LEVEL_BITS
-
-
-def make_vpn(i4: int, i3: int, i2: int, i1: int) -> int:
-    """Compose a VPN from its four radix indices (inverse of level_index)."""
-    for name, idx in (("i4", i4), ("i3", i3), ("i2", i2), ("i1", i1)):
-        if not 0 <= idx < ENTRIES_PER_NODE:
-            raise ValueError(f"{name} out of range: {idx}")
-    return (((i4 << LEVEL_BITS | i3) << LEVEL_BITS | i2) << LEVEL_BITS) | i1
-
-
-def line_of(paddr: int) -> int:
-    """Cache-line number of physical address ``paddr``."""
-    return paddr >> LINE_SHIFT
-
-
-def align_down(addr: int, alignment: int) -> int:
-    """Round ``addr`` down to a multiple of ``alignment`` (a power of two)."""
-    return addr & ~(alignment - 1)
-
-
 def align_up(addr: int, alignment: int) -> int:
     """Round ``addr`` up to a multiple of ``alignment`` (a power of two)."""
     return (addr + alignment - 1) & ~(alignment - 1)
-
-
-def is_canonical(vaddr: int) -> bool:
-    """True when ``vaddr`` fits the simulated 48-bit user address space."""
-    return 0 <= vaddr < (1 << VA_BITS)
-
-
-def pages_in_range(base: int, length: int) -> range:
-    """VPNs of every 4 KB page overlapping ``[base, base + length)``."""
-    if length <= 0:
-        return range(0)
-    first = vpn(base)
-    last = vpn(base + length - 1)
-    return range(first, last + 1)

@@ -1,13 +1,11 @@
 """Page-table occupancy analysis (Fig. 8, key observation 2).
 
-Two equivalent views are provided:
-
-* :func:`table_occupancy` inspects a live :class:`~repro.vm.base.PageTable`.
-* :func:`occupancy_report` computes the same ratios *analytically* from
-  the set of mapped VPN ranges, without building any table.  This lets
-  the Fig. 8 benchmark evaluate occupancy at the paper's full dataset
-  scale (8-33 GB of mappings) in milliseconds; the equivalence of the
-  two views on small layouts is asserted by property-based tests.
+:func:`occupancy_report` computes the ratios a live page table reports
+(:meth:`~repro.vm.base.PageTable.occupancy`) *analytically* from the
+set of mapped VPN ranges, without building any table.  This lets the
+Fig. 8 benchmark evaluate occupancy at the paper's full dataset scale
+(8-33 GB of mappings) in milliseconds; the equivalence of the two on
+small layouts is asserted by property-based tests.
 
 Occupancy at level L is defined as the paper uses it: the fraction of
 entries in use across the *allocated* nodes of that level (an
@@ -19,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from repro.vm.address import ENTRIES_PER_NODE, FLAT_ENTRIES, LEVEL_BITS
-from repro.vm.base import PageTable
 
 PageRange = Tuple[int, int]  # (first_vpn, last_vpn), inclusive
 
@@ -94,8 +91,3 @@ def occupancy_report(ranges: Iterable[PageRange]) -> Dict[str, float]:
     }
     report["PL2/1"] = flattened_occupancy_from_ranges(merged)
     return report
-
-
-def table_occupancy(table: PageTable) -> Dict[str, float]:
-    """Occupancy as reported by a live page table instance."""
-    return table.occupancy()

@@ -255,10 +255,6 @@ class RadixPageTable(PageTable):
                 len(nodes) * ENTRIES_PER_NODE)
         return result
 
-    def node_count(self, level: int) -> int:
-        """Number of allocated page-table pages at radix ``level``."""
-        return len(self._nodes_by_level[level])
-
     def table_bytes(self) -> int:
         return sum(len(v) for v in self._nodes_by_level.values()) * PAGE_SIZE
 

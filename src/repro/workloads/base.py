@@ -15,10 +15,9 @@ A workload exposes:
   (datasets are laid out densely in one arena, the way the real apps'
   init phases populate their heaps; this is what fills PL1/PL2);
 * ``stream_chunks(core_id, num_refs)`` — the deterministic per-core
-  reference stream in whole numpy ``(addresses, writes)`` batches;
-  :func:`core_chunk` turns one into the plain-list chunk the core
-  model's inlined hit loop consumes, and ``stream`` is the per-item
-  ``(vaddr, is_write)`` view;
+  reference stream in whole numpy ``(addresses, writes)`` batches, its
+  only form; :func:`core_chunk` turns one into the plain-list chunk
+  the core model's inlined hit loop consumes;
 * ``gap_cycles`` — non-memory instructions between references.
 """
 
@@ -229,13 +228,6 @@ class Workload(ABC):
                 writes[mask] = rng.random(count) < 0.5
             yield addrs, np.asarray(writes, dtype=bool)
             remaining -= batch
-
-    def stream(self, core_id: int,
-               num_refs: int) -> Iterator[Tuple[int, bool]]:
-        """Per-item view of :meth:`stream_chunks`: ``(vaddr,
-        is_write)`` pairs."""
-        for addrs, writes in self.stream_chunks(core_id, num_refs):
-            yield from zip(addrs.tolist(), writes.tolist())
 
     # -- introspection --------------------------------------------------------
 

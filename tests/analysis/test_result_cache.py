@@ -13,9 +13,20 @@ from repro.analysis.cache import (
     result_from_dict,
     result_to_dict,
 )
+from repro.obs.events import EventSink, session
 from repro.service import SweepService
 from repro.sim.config import ndp_config
 from repro.sim.runner import run_once
+
+
+class EventTypes(EventSink):
+    """The types of the events a cache emits, in order."""
+
+    def __init__(self):
+        self.types = []
+
+    def emit(self, event):
+        self.types.append(event.type)
 
 
 def tiny_config(**overrides):
@@ -59,17 +70,16 @@ class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
         cfg = tiny_config()
-        assert cache.load(cfg) is None
-        assert cfg not in cache
+        with session(EventTypes()) as seen:
+            assert cache.load(cfg) is None
+            assert cfg not in cache
 
-        result = run_once(cfg)
-        cache.store(cfg, result)
-        assert cfg in cache
-        cached = cache.load(cfg)
+            result = run_once(cfg)
+            cache.store(cfg, result)
+            assert cfg in cache
+            cached = cache.load(cfg)
         assert dataclasses.asdict(cached) == dataclasses.asdict(result)
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.stores == 1
+        assert seen.types == ["cache.store", "cache.hit"]
 
     def test_different_config_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -92,8 +102,9 @@ class TestResultCache:
         cfg = tiny_config()
         cache.store(cfg, run_once(cfg))
         cache.path(cfg).write_text("{ truncated")
-        assert cache.load(cfg) is None
-        assert cache.stats.corrupt == 1
+        with session(EventTypes()) as seen:
+            assert cache.load(cfg) is None
+        assert seen.types == ["cache.corrupt"]
         assert not cache.path(cfg).exists()
         quarantined = tmp_path / QUARANTINE_DIR / cache.path(cfg).name
         assert quarantined.exists()
@@ -146,10 +157,11 @@ class TestResultCache:
     def test_hit_rate(self, tmp_path):
         cache = ResultCache(tmp_path)
         cfg = tiny_config()
-        cache.load(cfg)
+        loads = [cache.load(cfg)]
         cache.store(cfg, run_once(cfg))
-        cache.load(cfg)
-        assert cache.stats.hit_rate == 0.5
+        loads.append(cache.load(cfg))
+        hits = sum(result is not None for result in loads)
+        assert hits / len(loads) == 0.5
 
 
 class TestEntryIntegrity:
@@ -170,8 +182,9 @@ class TestEntryIntegrity:
         entry = json.loads(cache.path(cfg).read_text())
         entry["result"]["cycles"] += 1.0        # plausible but wrong
         cache.path(cfg).write_text(json.dumps(entry))
-        assert cache.load(cfg) is None
-        assert cache.stats.corrupt == 1
+        with session(EventTypes()) as seen:
+            assert cache.load(cfg) is None
+        assert seen.types == ["cache.corrupt"]
         assert (tmp_path / QUARANTINE_DIR / cache.path(cfg).name).exists()
 
     def test_stale_code_version_not_quarantined(self, tmp_path):
@@ -181,8 +194,9 @@ class TestEntryIntegrity:
         cfg = tiny_config()
         old.store(cfg, run_once(cfg))
         new = ResultCache(tmp_path, code_version="sim-v2")
-        assert new.load(cfg) is None
-        assert new.stats.corrupt == 0
+        with session(EventTypes()) as seen:
+            assert new.load(cfg) is None
+        assert seen.types == []
         assert old.path(cfg).exists()
 
     def test_v1_entry_quarantined_and_restored(self, tmp_path):
@@ -203,8 +217,8 @@ class TestEntryIntegrity:
         service = SweepService(backend="serial", cache=cache)
         (rerun,) = service.run_grid([cfg]).results
         assert service.last_stats.simulated == 1
-        assert cache.stats.corrupt == 1
-        assert (tmp_path / QUARANTINE_DIR / cache.path(cfg).name).exists()
+        assert [path.name for path in cache.quarantine_dir.iterdir()] \
+            == [cache.path(cfg).name]
         assert dataclasses.asdict(rerun) == dataclasses.asdict(result)
 
         restored = json.loads(cache.path(cfg).read_text())

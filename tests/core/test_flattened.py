@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.flattened import FlattenedPageTable, flattened_coverage_bytes
-from repro.vm.address import FLAT_ENTRIES, PAGE_SHIFT, make_vpn
+from repro.core.flattened import FlattenedPageTable
+from repro.vm.address import FLAT_ENTRIES, FLAT_NODE_BYTES, PAGE_SHIFT
 from repro.vm.base import MappingError, Translation
 from repro.vm.frames import FrameAllocator, OutOfMemoryError
 
@@ -65,7 +65,7 @@ class TestWalkStructure:
         with pytest.raises(MappingError):
             table.walk_stages(3)
 
-    def test_flat_index_spans_18_bits(self, table):
+    def test_flat_index_spans_18_bits(self, make_vpn, table):
         low = make_vpn(0, 0, 0, 0)
         high = make_vpn(0, 0, 511, 511)
         table.map_page(low, pfn=1)
@@ -76,21 +76,24 @@ class TestWalkStructure:
         assert leaf_high.pte_paddr - leaf_low.pte_paddr \
             == (FLAT_ENTRIES - 1) * 8
 
-    def test_pages_one_gb_apart_use_different_flat_nodes(self, table):
+    def test_pages_one_gb_apart_use_different_flat_nodes(self, make_vpn,
+                                                         table):
         a = make_vpn(0, 0, 0, 0)
         b = make_vpn(0, 1, 0, 0)
         table.map_page(a, pfn=1)
+        one_node = table.table_bytes()
         table.map_page(b, pfn=2)
-        assert table.flat_node_count == 2
+        assert table.table_bytes() == one_node + FLAT_NODE_BYTES
 
-    def test_pl2_sibling_pages_share_flat_node(self, table):
+    def test_pl2_sibling_pages_share_flat_node(self, make_vpn, table):
         a = make_vpn(0, 0, 3, 0)
         b = make_vpn(0, 0, 4, 0)
         table.map_page(a, pfn=1)
+        one_node = table.table_bytes()
         table.map_page(b, pfn=2)
-        assert table.flat_node_count == 1
+        assert table.table_bytes() == one_node
 
-    def test_pwc_keys(self, table):
+    def test_pwc_keys(self, make_vpn, table):
         page = make_vpn(1, 2, 3, 4)
         table.map_page(page, pfn=1)
         stages = table.walk_stages(page)
@@ -98,8 +101,14 @@ class TestWalkStructure:
         assert stages[1][0].pwc_key == ("PL3", page >> 18)
         assert stages[2][0].pwc_key == ("PL2/1", page)
 
-    def test_coverage_is_one_gb(self):
-        assert flattened_coverage_bytes() == 1 << 30
+    def test_coverage_is_one_gb(self, table):
+        gib_pages = (1 << 30) >> PAGE_SHIFT
+        table.map_page(0, pfn=1)
+        one_node = table.table_bytes()
+        table.map_page(gib_pages - 1, pfn=2)  # last page of the node
+        assert table.table_bytes() == one_node
+        table.map_page(gib_pages, pfn=3)      # first page of the next
+        assert table.table_bytes() == one_node + FLAT_NODE_BYTES
 
 
 class TestPhysicalStructure:

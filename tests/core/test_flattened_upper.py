@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.flattened_upper import UpperFlattenedPageTable
-from repro.vm.address import PAGE_SHIFT, make_vpn
+from repro.vm.address import PAGE_SHIFT
 from repro.vm.base import MappingError, Translation
 from repro.vm.frames import FrameAllocator
 
@@ -49,7 +49,7 @@ class TestStructure:
         stages = table.walk_stages(0x12345)
         assert [s[0].level for s in stages] == ["PL4", "PL3/2", "PL1"]
 
-    def test_merged_level_spans_18_bits(self, table):
+    def test_merged_level_spans_18_bits(self, make_vpn, table):
         low = make_vpn(0, 0, 0, 7)
         high = make_vpn(0, 511, 511, 7)
         table.map_page(low, pfn=1)
@@ -58,7 +58,7 @@ class TestStructure:
         b = table.walk_stages(high)[1][0]
         assert b.pte_paddr - a.pte_paddr == ((1 << 18) - 1) * 8
 
-    def test_pl1_nodes_conventional(self, table):
+    def test_pl1_nodes_conventional(self, make_vpn, table):
         table.map_page(make_vpn(0, 0, 0, 3), pfn=1)
         table.map_page(make_vpn(0, 0, 0, 4), pfn=2)
         a = table.walk_stages(make_vpn(0, 0, 0, 3))[2][0]

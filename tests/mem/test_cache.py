@@ -10,7 +10,7 @@ from repro.mem.cache import (
     MISS_DIRTY_EVICT,
     Cache,
 )
-from repro.mem.request import KIND_DATA, KIND_METADATA, RequestKind
+from repro.mem.request import KIND_DATA, KIND_METADATA
 
 
 def data_read(cache, paddr):
@@ -23,6 +23,12 @@ def data_write(cache, paddr):
 
 def meta_read(cache, paddr):
     return cache.access_fast(paddr, KIND_METADATA, 0)
+
+
+def holds(cache, paddr):
+    """True when the line of ``paddr`` is resident (no stats touched)."""
+    line = paddr >> cache._line_shift
+    return line in cache._sets[line % cache.num_sets]
 
 
 @pytest.fixture
@@ -68,20 +74,14 @@ class TestHitMiss:
         assert cache.stats.metadata.misses == 1
         assert cache.stats.metadata.hits == 1
 
-    def test_contains_no_side_effects(self, cache):
-        data_read(cache, 0)
-        hits_before = cache.stats.data.hits
-        assert cache.contains(0)
-        assert cache.stats.data.hits == hits_before
-
 
 class TestEviction:
     def test_lru_eviction_within_set(self, cache):
         stride = cache.num_sets * 64  # same set
         for i in range(5):
             data_read(cache, i * stride)
-        assert not cache.contains(0)
-        assert cache.contains(4 * stride)
+        assert not holds(cache, 0)
+        assert holds(cache, 4 * stride)
 
     def test_eviction_reports_victim(self, cache):
         stride = cache.num_sets * 64
@@ -114,12 +114,14 @@ class TestEviction:
         assert cache.stats.data_evicted_by_metadata == 1
 
     def test_reverse_pollution_counter(self, cache):
+        """A data fill evicting metadata reports its victim but is not
+        pollution: only metadata evicting data counts."""
         stride = cache.num_sets * 64
         for i in range(4):
             meta_read(cache, i * stride)
         assert data_read(cache, 4 * stride) == MISS_CLEAN_EVICT
         assert cache.evict_kind == KIND_METADATA
-        assert cache.stats.metadata_evicted_by_data == 1
+        assert cache.stats.data_evicted_by_metadata == 0
 
 
 class TestWriteSemantics:
@@ -133,30 +135,18 @@ class TestWriteSemantics:
 
     def test_write_allocates(self, cache):
         data_write(cache, 128)
-        assert cache.contains(128)
+        assert holds(cache, 128)
 
 
 class TestMaintenance:
-    def test_invalidate(self, cache):
-        data_read(cache, 0)
-        assert cache.invalidate(0)
-        assert not cache.contains(0)
-
-    def test_invalidate_absent(self, cache):
-        assert not cache.invalidate(0)
-
-    def test_flush(self, cache):
-        for i in range(8):
-            data_read(cache, i * 64)
-        cache.flush()
-        assert cache.resident_lines == 0
-
     def test_resident_kind_counts(self, cache):
+        """Each resident line keeps the kind that filled it."""
         data_read(cache, 0)
         meta_read(cache, 64)
-        counts = cache.resident_kind_counts()
-        assert counts[RequestKind.DATA] == 1
-        assert counts[RequestKind.METADATA] == 1
+        data_read(cache, 64)  # a hit does not re-attribute the line
+        kinds = sorted(packed >> 1 for cache_set in cache._sets
+                       for packed in cache_set.values())
+        assert kinds == [KIND_DATA, KIND_METADATA]
 
 
 class TestProperties:
@@ -166,7 +156,7 @@ class TestProperties:
         cache = Cache("prop", 2048, 2, 1)
         for line in lines:
             data_read(cache, line * 64)
-        assert cache.resident_lines <= 2048 // 64
+        assert sum(map(len, cache._sets)) <= 2048 // 64
         for s in cache._sets:
             assert len(s) <= 2
 
@@ -187,3 +177,56 @@ class TestProperties:
             data_read(cache, line * 64)
         for line in lines:
             assert data_read(cache, line * 64) == HIT
+
+
+#: One access: (line, kind code, is_write).  16 lines over the 4 sets
+#: of a 2-way cache keep every set under pressure.
+ACCESSES = st.lists(
+    st.tuples(st.integers(0, 15), st.sampled_from([KIND_DATA,
+                                                   KIND_METADATA]),
+              st.integers(0, 1)),
+    min_size=10, max_size=200)
+
+
+class TestAccessFastDifferential:
+    """:meth:`Cache.access_fast` against the :class:`LruSets` model
+    plus a per-line (kind, dirty) record: the same hit or miss and the
+    same victim (line, kind, dirtiness) on every access, the same
+    write-back and pollution counts, and the same set contents and line
+    states in LRU order at the end."""
+
+    @given(accesses=ACCESSES, offset=st.integers(0, 63))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lru_model(self, lru_sets, accesses, offset):
+        cache = Cache("diff", 512, 2, hit_latency=1)
+        model = lru_sets(cache.num_sets, cache.associativity)
+        state = {}  # resident line -> [kind, dirty]
+        counts = {KIND_DATA: [0, 0], KIND_METADATA: [0, 0]}
+        writebacks = polluted = 0
+        for line, kind, is_write in accesses:
+            code = cache.access_fast(line * 64 + offset, kind, is_write)
+            hit, victim = model.access(line)
+            counts[kind][0 if hit else 1] += 1
+            if hit:
+                assert code == HIT
+                state[line][1] |= is_write
+                continue
+            state[line] = [kind, is_write]
+            if victim is None:
+                assert code == MISS
+                continue
+            victim_kind, dirty = state.pop(victim)
+            assert code == (MISS_DIRTY_EVICT if dirty
+                            else MISS_CLEAN_EVICT)
+            assert (cache.evict_tag, cache.evict_kind) \
+                == (victim, victim_kind)
+            writebacks += dirty
+            polluted += kind == KIND_METADATA and victim_kind == KIND_DATA
+        assert {KIND_DATA: [cache.stats.data.hits, cache.stats.data.misses],
+                KIND_METADATA: [cache.stats.metadata.hits,
+                                cache.stats.metadata.misses]} == counts
+        assert cache.stats.writebacks == writebacks
+        assert cache.stats.data_evicted_by_metadata == polluted
+        assert [list(cache_set.items()) for cache_set in cache._sets] \
+            == [[(line, state[line][0] << 1 | state[line][1])
+                 for line in entries] for entries in model.sets]

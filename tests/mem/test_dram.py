@@ -122,11 +122,11 @@ class TestAttribution:
 
     def test_writes_counted(self, dram):
         dram.access_fast(0.0, 0, KIND_DATA, 1)
-        assert dram.stats.writes == 1
+        assert (dram.stats.demand_writes, dram.stats.writebacks) == (1, 0)
 
     def test_drain_write_counts_but_is_posted(self, dram):
         dram.drain_write_fast(0.0, 0, KIND_DATA)
-        assert dram.stats.writes == 1
+        assert (dram.stats.demand_writes, dram.stats.writebacks) == (0, 1)
         # Posted write occupies the bank: a racing read queues.
         latency = read(dram, 0.0, 0)
         assert latency >= HBM2.row_hit_cycles

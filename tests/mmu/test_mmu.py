@@ -2,14 +2,13 @@
 
 from typing import NamedTuple
 
-import pytest
-
 from repro.core.bypass import NoBypass
 from repro.mem.dram import HBM2
 from repro.mem.hierarchy import build_ndp_hierarchy
 from repro.mmu.mmu import Mmu
-from repro.mmu.tlb import build_table1_tlbs
+from repro.mmu.tlb import build_tlbs
 from repro.mmu.walker import PageTableWalker
+from repro.sim.config import TlbParams
 from repro.vm.frames import FrameAllocator
 from repro.vm.ideal import IdealPageTable
 from repro.vm.os_model import OSMemoryManager
@@ -42,7 +41,7 @@ def make_mmu(ideal=False):
     hierarchy = build_ndp_hierarchy(1, HBM2)
     walker = PageTableWalker(table, hierarchy, core_id=0,
                              bypass=NoBypass())
-    return Mmu(0, build_table1_tlbs(), walker, os_model, ideal=ideal)
+    return Mmu(0, build_tlbs(TlbParams()), walker, os_model, ideal=ideal)
 
 
 class TestTranslationFlow:
@@ -87,7 +86,6 @@ class TestTranslationFlow:
         assert mmu.stats.translations == 3
         assert mmu.stats.tlb_hits == 1
         assert mmu.stats.walks == 2
-        assert mmu.stats.tlb_miss_rate == pytest.approx(2 / 3)
 
     def test_walk_latency_distribution(self):
         mmu = make_mmu()

@@ -7,7 +7,7 @@ from repro.core.bypass import MetadataBypass, NoBypass
 from repro.core.mechanisms import get_mechanism
 from repro.mem.dram import DDR4_2400, HBM2
 from repro.mem.hierarchy import build_cpu_hierarchy, build_ndp_hierarchy
-from repro.mem.request import KIND_DATA, RequestKind
+from repro.mem.request import KIND_DATA, KIND_METADATA
 from repro.mmu.pwc import PwcSet
 from repro.mmu.walker import PageTableWalker
 from repro.vm.address import asid_tag
@@ -117,7 +117,8 @@ class TestPwcSkipping:
         walker = PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs)
         walk(walker, 0.0, 0x12345)
         walk(walker, 10_000.0, 0x12345)
-        assert pwcs.hit_rates()["PL1"] == 0.5
+        pl1 = pwcs.caches()["PL1"].stats
+        assert (pl1.hits, pl1.misses) == (1, 1)
 
 
 class TestAsidTaggedPwc:
@@ -148,7 +149,7 @@ class TestAsidTaggedPwc:
         pwcs, (first, second) = self.tenant_walkers(hierarchy)
         walk(first, 0.0, 0x12345)
         walk(second, 10_000.0, 0x12345)
-        pl1 = pwcs.cache_for("PL1")
+        pl1 = pwcs.caches()["PL1"]
         keys = {key for pwc_set in pl1._sets for key in pwc_set}
         assert keys == {0x12345, 0x12345 | asid_tag(1)}
 
@@ -167,8 +168,9 @@ class TestBypass:
         walker = PageTableWalker(table, hierarchy, core_id=0,
                                  bypass=NoBypass())
         walk(walker, 0.0, 0x12345)
-        counts = hierarchy.l1ds[0].resident_kind_counts()
-        assert counts[RequestKind.METADATA] == 4
+        kinds = [packed >> 1 for cache_set in hierarchy.l1ds[0]._sets
+                 for packed in cache_set.values()]
+        assert kinds == [KIND_METADATA] * 4
 
     def test_selective_bypass(self, radix_setup):
         table, hierarchy = radix_setup
@@ -257,8 +259,7 @@ def walker_counters(walker):
         "caches": [(cache.stats.data.hits, cache.stats.data.misses,
                     cache.stats.metadata.hits, cache.stats.metadata.misses,
                     cache.stats.writebacks,
-                    cache.stats.data_evicted_by_metadata,
-                    cache.stats.metadata_evicted_by_data)
+                    cache.stats.data_evicted_by_metadata)
                    for cache in caches],
         "hierarchy": (hierarchy.stats.accesses,
                       hierarchy.stats.l1_bypasses,

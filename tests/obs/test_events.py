@@ -8,8 +8,8 @@ from repro.obs.events import (
     EVENT_TYPES,
     SCHEMA_VERSION,
     Event,
+    EventSink,
     JsonlSink,
-    MemorySink,
     MultiSink,
     dropped_events,
     emit,
@@ -18,6 +18,16 @@ from repro.obs.events import (
     session,
     set_sink,
 )
+
+
+class MemorySink(EventSink):
+    """Collect events in a list."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event):
+        self.events.append(event)
 
 
 class TestSchema:

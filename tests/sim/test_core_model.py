@@ -6,8 +6,9 @@ import pytest
 from repro.mem.dram import HBM2
 from repro.mem.hierarchy import build_ndp_hierarchy
 from repro.mmu.mmu import Mmu
-from repro.mmu.tlb import build_table1_tlbs
+from repro.mmu.tlb import build_tlbs
 from repro.mmu.walker import PageTableWalker
+from repro.sim.config import TlbParams
 from repro.sim.core_model import Core
 from repro.vm.frames import FrameAllocator
 from repro.vm.ideal import IdealPageTable
@@ -36,7 +37,8 @@ def make_core(stream, mlp=2, gap=1):
                                costs=FaultCosts(minor_fault_cycles=0))
     hierarchy = build_ndp_hierarchy(1, HBM2)
     walker = PageTableWalker(table, hierarchy, core_id=0)
-    mmu = Mmu(0, build_table1_tlbs(), walker, os_model, ideal=True)
+    mmu = Mmu(0, build_tlbs(TlbParams()), walker, os_model,
+              ideal=True)
     return Core(0, mmu, hierarchy, chunks_of(stream), gap_cycles=gap,
                 mlp=mlp)
 

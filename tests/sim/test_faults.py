@@ -179,7 +179,7 @@ class TestSerialFaultTolerance:
         stats = runner.last_stats
         assert stats.failed == 1
         assert stats.retries == 1          # 2 attempts = 1 retry
-        assert stats.manifest.labels() == [bad]
+        assert [f.label for f in stats.manifest] == [bad]
         failure = stats.manifest.failures[0]
         assert failure.kind == "error"
         assert failure.attempts == 2
@@ -195,7 +195,7 @@ class TestSerialFaultTolerance:
             strict=True, retries=0, backoff=0.0, fault_plan=f"fail:{bad}:*"))
         with pytest.raises(SweepFailure) as excinfo:
             runner.run_grid(configs)
-        assert excinfo.value.manifest.labels() == [bad]
+        assert [f.label for f in excinfo.value.manifest] == [bad]
         # Every healthy cell was still completed and persisted.
         assert len(cache) == len(configs) - 1
 
@@ -327,7 +327,7 @@ class TestCorruptionThroughSweep:
         clean_cache = ResultCache(tmp_path)
         runner = SweepService(jobs=1, cache=clean_cache)
         results = runner.run_grid(configs).results
-        assert clean_cache.stats.corrupt == 1
+        assert len(list(clean_cache.quarantine_dir.iterdir())) == 1
         assert runner.last_stats.simulated == 1
         assert runner.last_stats.cache_hits == len(configs) - 1
         # The re-simulated result is the real one, not the corrupted.
@@ -365,7 +365,7 @@ class TestAcceptance20Cells:
 
         stats = chaos.last_stats
         assert stats.failed == 2
-        assert sorted(stats.manifest.labels()) == \
+        assert sorted(f.label for f in stats.manifest) == \
             sorted([doomed, wedged])
         assert stats.worker_deaths >= 1
         assert stats.timeouts >= 1
@@ -381,7 +381,7 @@ class TestAcceptance20Cells:
         assert all(r is not None for r in resumed)
         assert resume.last_stats.simulated == 3
         assert resume.last_stats.cache_hits == 17
-        assert resume_cache.stats.corrupt == 1
+        assert len(list(resume_cache.quarantine_dir.iterdir())) == 1
 
         # Third run: fully cache-served and bit-identical to clean.
         third = SweepService(jobs=1, cache_dir=tmp_path)

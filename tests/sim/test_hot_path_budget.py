@@ -49,9 +49,9 @@ WORKLOADS = {
 #: core (seed 42, scale 0.05).  A change that adds per-reference work
 #: fails the test; one that removes work should lower the figure.
 BUDGETS = {
-    "bfs-radix": 1006.1,
+    "bfs-radix": 999.9,
     "xs-ndpage-2t-2c": 413.8,
-    "bfs-radix-4c": 1089.6,
+    "bfs-radix-4c": 1083.3,
 }
 
 #: Measured ``System(config)`` bytecodes per first-touch fault on the

@@ -11,9 +11,9 @@ import dataclasses
 
 import pytest
 
-from repro.mmu.tlb import build_table1_tlbs
+from repro.mmu.tlb import build_tlbs
 from repro.service import SweepService
-from repro.sim.config import SchedulerParams, ndp_config
+from repro.sim.config import SchedulerParams, TlbParams, ndp_config
 from repro.sim.runner import run_once
 from repro.sim.scheduler import TenantCoordinator, tenant_seed
 from repro.vm.address import asid_tag
@@ -234,7 +234,7 @@ class TestShootdowns:
 
     def test_unmap_hook_invalidates_tagged_entry_on_every_slot(self):
         coordinator = TenantCoordinator(SchedulerParams())
-        slots = [build_table1_tlbs(0), build_table1_tlbs(1)]
+        slots = [build_tlbs(TlbParams(), 0), build_tlbs(TlbParams(), 1)]
         for tlbs in slots:
             coordinator.register_slot(tlbs)
         hook = coordinator.unmap_hook(asid=2)
@@ -244,8 +244,8 @@ class TestShootdowns:
             tlbs.l2.insert(key, Translation(7, 12))
         hook(page, False)
         for tlbs in slots:
-            assert tlbs.l1_small.lookup(key) is None
-            assert tlbs.l2.lookup(key) is None
+            for tlb in (tlbs.l1_small, tlbs.l2):
+                assert key not in tlb._sets[key % tlb.num_sets]
         assert coordinator.stats.shootdowns == 1
         assert coordinator.drain_cycles() \
             == SchedulerParams().shootdown_cycles
@@ -253,7 +253,7 @@ class TestShootdowns:
 
     def test_charges_shootdown_cycles_per_page(self):
         coordinator = TenantCoordinator(SchedulerParams())
-        coordinator.register_slot(build_table1_tlbs(0))
+        coordinator.register_slot(build_tlbs(TlbParams()))
         hook = coordinator.unmap_hook(asid=1)
         for page in range(10):
             hook(page, False)
@@ -263,14 +263,14 @@ class TestShootdowns:
 
     def test_unmap_hook_invalidates_huge_mapping(self):
         coordinator = TenantCoordinator(SchedulerParams())
-        tlbs = build_table1_tlbs()
+        tlbs = build_tlbs(TlbParams())
         coordinator.register_slot(tlbs)
         base_page = 3 * 512  # 2 MB-aligned VPN
         key = base_page | asid_tag(1)
         tlbs.insert(key, Translation(9, 21))
-        assert tlbs.l1_huge.occupancy == 1
+        assert sum(map(len, tlbs.l1_huge._sets)) == 1
         coordinator.unmap_hook(asid=1)(base_page, True)
-        assert tlbs.l1_huge.occupancy == 0
+        assert sum(map(len, tlbs.l1_huge._sets)) == 0
 
 
 class TestCrossTenantReclaim:

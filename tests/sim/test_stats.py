@@ -3,12 +3,21 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.mem.dram import HBM2
+from repro.mem.hierarchy import build_ndp_hierarchy
+from repro.mmu.mmu import Mmu
+from repro.mmu.tlb import build_tlbs
+from repro.mmu.walker import PageTableWalker
+from repro.sim.config import TlbParams
 from repro.sim.stats import (
     HitMissStats,
     LatencyStats,
     geometric_mean,
     ratio,
 )
+from repro.vm.frames import FrameAllocator
+from repro.vm.os_model import OSMemoryManager
+from repro.vm.radix import RadixPageTable
 
 
 class TestRatio:
@@ -22,42 +31,41 @@ class TestRatio:
 class TestHitMiss:
     def test_rates(self):
         stats = HitMissStats(hits=3, misses=1)
-        assert stats.hit_rate == 0.75
-        assert stats.miss_rate == 0.25
         assert stats.accesses == 4
+        assert ratio(stats.hits, stats.accesses) == 0.75
 
     def test_empty(self):
-        assert HitMissStats().hit_rate == 0.0
-
-    def test_merge(self):
-        a = HitMissStats(hits=1, misses=1)
-        a.merge(HitMissStats(hits=3, misses=0))
-        assert a.hits == 4
-
-    def test_reset(self):
-        stats = HitMissStats(hits=3, misses=1)
-        stats.reset()
+        stats = HitMissStats()
         assert stats.accesses == 0
+        assert ratio(stats.hits, stats.accesses) == 0.0
 
 
 class TestLatency:
     def test_record(self):
-        stats = LatencyStats()
-        stats.record(10)
-        stats.record(20)
-        assert stats.mean == 15
-        assert stats.maximum == 20
-        assert stats.count == 2
+        """The MMU records one walk-latency sample per page walk."""
+        allocator = FrameAllocator(64 * 1024 ** 2)
+        table = RadixPageTable(allocator)
+        walker = PageTableWalker(table, build_ndp_hierarchy(1, HBM2), 0)
+        mmu = Mmu(0, build_tlbs(TlbParams()), walker,
+                  OSMemoryManager(allocator, table))
+        outcomes = [mmu.translate_parts(now, page << 12)
+                    for now, page in ((0.0, 1), (1e4, 2), (2e4, 1))]
+        # A walk's latency is what the TLBs' 1 + 12 cycles leave; the
+        # third translation hits the L1-DTLB and walks nothing.
+        walks = [latency - 13 for _, latency, _, _, walked in outcomes
+                 if walked]
+        assert len(walks) == 2
+        stats = mmu.stats.walk_latency
+        assert (stats.count, stats.total, stats.maximum) \
+            == (2, sum(walks), max(walks))
+        assert stats.mean == stats.total / 2
 
     def test_empty_mean(self):
         assert LatencyStats().mean == 0.0
 
     def test_merge_keeps_max(self):
-        a = LatencyStats()
-        a.record(5)
-        b = LatencyStats()
-        b.record(50)
-        a.merge(b)
+        a = LatencyStats(total=5, count=1, maximum=5)
+        a.merge(LatencyStats(total=50, count=1, maximum=50))
         assert a.maximum == 50
         assert a.mean == 27.5
 
@@ -66,7 +74,10 @@ class TestLatency:
     def test_mean_bounded_by_extremes(self, values):
         stats = LatencyStats()
         for value in values:
-            stats.record(value)
+            # The sample the MMU takes per walk.
+            stats.total += value
+            stats.count += 1
+            stats.maximum = max(stats.maximum, value)
         slack = 1e-9 * (1 + max(values))  # float-summation tolerance
         assert min(values) - slack <= stats.mean <= max(values) + slack
 

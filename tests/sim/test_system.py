@@ -56,7 +56,7 @@ class TestShapes:
 
     def test_ndpage_pwc_levels(self):
         system = System(ndp_config(mechanism="ndpage", **FAST))
-        assert "PL2/1" in system.pwc_sets[0]
+        assert list(system.pwc_sets[0].caches()) == ["PL4", "PL3", "PL2/1"]
 
 
 class TestPrefault:

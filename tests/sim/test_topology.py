@@ -21,8 +21,6 @@ from repro.vm.address import (
     NODE_FRAME_MASK,
     NODE_FRAME_SHIFT,
     NODE_PADDR_SHIFT,
-    node_of_frame,
-    node_of_paddr,
 )
 from repro.vm.frames import FRAMES_PER_BLOCK, OutOfMemoryError
 from repro.vm.os_model import OSMemoryManager
@@ -31,9 +29,18 @@ from repro.vm.radix import PT_ALLOC_SITE, RadixPageTable
 MIB = 1024 ** 2
 
 
+def node_of_frame(frame):
+    """NUMA node encoded in a tagged frame number."""
+    return frame >> NODE_FRAME_SHIFT
+
+
+def node_of_paddr(paddr):
+    """NUMA node encoded in a tagged physical address."""
+    return paddr >> NODE_PADDR_SHIFT
+
+
 def topo2(node_bytes=64 * MIB, num_cores=2, tenants=2, remote=150.0):
-    distance = [[0.0, remote], [remote, 0.0]]
-    return NumaTopology(2, distance,
+    return NumaTopology(2, remote,
                         core_nodes=[c * 2 // num_cores
                                     for c in range(num_cores)],
                         tenant_nodes=[a % 2 for a in range(tenants)],
@@ -56,8 +63,9 @@ class TestNumaTopology:
         # Cores spread in contiguous blocks, tenants round-robin.
         assert topo.core_nodes == (0, 0, 1, 1, 2, 2, 3, 3)
         assert topo.tenant_nodes == (0, 1, 2, 3)
-        assert topo.distance[0][0] == 0.0
-        assert topo.distance[0][3] == 100.0
+        assert topo.remote_cycles == 100.0
+        assert topo.penalty(0, 0) == 0.0
+        assert topo.penalty(0, 3) == 100.0
 
     def test_penalty_rows_follow_core_homes(self):
         topo = topo2()
@@ -66,22 +74,20 @@ class TestNumaTopology:
         assert rows[1] == (150.0, 0.0)   # core 1 lives on node 1
 
     def test_fallback_order_nearest_first(self):
-        topo = NumaTopology(
-            3, [[0, 50, 10], [50, 0, 20], [10, 20, 0]],
-            core_nodes=[0], tenant_nodes=[0], node_bytes=64 * MIB)
-        assert topo.fallback_order(0) == (0, 2, 1)
+        topo = NumaTopology(3, 50, core_nodes=[0], tenant_nodes=[0],
+                            node_bytes=64 * MIB)
+        # Home node first, then every other node, equally far, by id.
+        assert topo.fallback_order(0) == (0, 1, 2)
+        assert topo.fallback_order(1) == (1, 0, 2)
+        assert topo.fallback_order(2) == (2, 0, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NumaTopology(2, [[0.0]], [0], [0], 64 * MIB)  # not square
+            NumaTopology(0, 5, [], [], 64 * MIB)  # no nodes
         with pytest.raises(ValueError):
-            NumaTopology(2, [[1.0, 5], [5, 0.0]], [0], [0],
-                         64 * MIB)  # non-zero diagonal
+            NumaTopology(2, 5, [2], [0], 64 * MIB)  # core home range
         with pytest.raises(ValueError):
-            NumaTopology(2, [[0, -1], [5, 0]], [0], [0], 64 * MIB)
-        with pytest.raises(ValueError):
-            NumaTopology(2, [[0, 5], [5, 0]], [2], [0],
-                         64 * MIB)  # core home out of range
+            NumaTopology(2, 5, [0], [2], 64 * MIB)  # tenant home range
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -381,6 +387,17 @@ class TestMultiTenantNuma:
         # Slot 1 lives on node 1: tenant 1 first.
         assert [c.mmu.asid for c in system.engine.slots[1].cores] \
             == [1, 0]
+
+    def test_zero_distance_slot_order_is_asid_order(self):
+        """At ``remote_cycles`` 0 no node is nearer than another, so
+        every slot keeps plain ASID order."""
+        from repro.sim.system import System
+        cfg = ndp_config(workload="bfs", refs_per_core=500,
+                         scale=1 / 64, seed=7, tenants=2, num_cores=2,
+                         numa=NumaParams(nodes=2, remote_cycles=0))
+        system = System(cfg)
+        for slot in system.engine.slots:
+            assert [c.mmu.asid for c in slot.cores] == [0, 1]
 
     def test_single_node_slot_order_is_asid_order(self):
         from repro.sim.system import System

@@ -61,7 +61,7 @@ class TestRunGrid:
                                fault_plan=f"fail:{bad}:*"))
         assert not grid.ok
         assert grid[1] is None
-        assert grid.manifest.labels() == [bad]
+        assert [f.label for f in grid.manifest] == [bad]
 
     def test_retry_policy_recovers_flaky_cell(self):
         configs = tiny_grid()

@@ -1,0 +1,116 @@
+"""Every definition in ``src/repro`` has a caller outside ``tests/``.
+
+A function, class or method that only tests call is a second API next
+to the one the simulator runs: its tests pass while the code they were
+meant to check goes unexercised.  This guard parses the package and
+fails on
+
+* any module-level function or class, and
+* any method or property whose name is defined only once under
+  ``src/repro`` (so a reference by that name can only mean it; dunders
+  are left out, since syntax calls them by protocol, not by name)
+
+that nothing references outside its own definition in ``src/``,
+``perfbench/``, ``scripts/``, ``benchmarks/`` or ``examples/``.  A
+reference is a name, an attribute, an import or an identifier string
+(``getattr`` and the perfbench frame tables name code that way); an
+``__init__.py`` re-export or an ``__all__`` entry is not one.  A
+helper only tests need belongs next to those tests (``tests/conftest.py``
+shares fixtures across directories).
+"""
+
+import ast
+from collections import Counter, defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "repro"
+CALLER_DIRS = ("src", "perfbench", "scripts", "benchmarks", "examples")
+
+#: Definitions kept without a caller, each with its reason.
+ALLOWED = {
+    "analysis/experiments.py:pte_dram_amplification":
+        "the PTE DRAM-amplification driver that ROADMAP Open item 1 "
+        "needs for its figure",
+    "sim/faults.py:reset_fired":
+        "clears the process-global once-only fault state between tests",
+}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions():
+    """``(module path, label, name, first line, last line)`` of every
+    definition the guard checks."""
+    found, methods = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = str(path.relative_to(PACKAGE))
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+                found.append((path, f"{module}:{node.name}", node.name,
+                              node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                methods += [
+                    (path, f"{module}:{node.name}.{sub.name}", sub.name,
+                     sub.lineno, sub.end_lineno)
+                    for sub in node.body if isinstance(sub, FUNCTIONS)]
+    defined = Counter(method[2] for method in methods)
+    return found + [method for method in methods
+                    if defined[method[2]] == 1
+                    and not method[2].startswith("__")]
+
+
+def references():
+    """Name -> ``(path, line)`` of every reference in the caller
+    trees."""
+    found = defaultdict(list)
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            skipped = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(
+                        getattr(target, "id", None) == "__all__"
+                        for target in node.targets):
+                    skipped.update(ast.walk(node))
+            reexports = path.name == "__init__.py"
+            for node in ast.walk(tree):
+                if node in skipped:
+                    continue
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom) and not reexports:
+                    names = [alias.name for alias in node.names]
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and node.value.isidentifier() and not reexports):
+                    names = [node.value]
+                else:
+                    continue
+                for name in names:
+                    found[name].append((path, node.lineno))
+    return found
+
+
+def uncalled():
+    refs = references()
+    return {
+        label for path, label, name, first, last in definitions()
+        if all(ref_path == path and first <= line <= last
+               for ref_path, line in refs.get(name, ()))
+    }
+
+
+def test_every_src_definition_has_a_non_test_caller():
+    unexpected = sorted(uncalled() - set(ALLOWED))
+    assert not unexpected, (
+        "src/repro definitions that only tests (or nothing) reference; "
+        "delete them or move them next to the tests that use them: "
+        + ", ".join(unexpected))
+
+
+def test_allowed_names_still_lack_a_caller():
+    """An allowed name that gains a caller leaves the list."""
+    assert set(ALLOWED) <= uncalled()

@@ -1,9 +1,11 @@
 """Unit and property tests for x86-64 address manipulation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.vm import address as addr
+from repro.workloads.base import Region, Workload, chunk_probe_keys
 
 VPNS = st.integers(min_value=0, max_value=(1 << 36) - 1)
 VADDRS = st.integers(min_value=0, max_value=(1 << 48) - 1)
@@ -49,27 +51,31 @@ class TestVpn:
         assert addr.vpn(4096) == 1
 
     def test_page_offset(self):
-        assert addr.page_offset(0x1234) == 0x234
+        # vpn drops exactly the 12-bit page offset.
+        assert 0x1234 - (addr.vpn(0x1234) << addr.PAGE_SHIFT) == 0x234
 
     def test_huge_vpn(self):
-        assert addr.huge_vpn(2 * 1024 * 1024) == 1
-        assert addr.huge_vpn(2 * 1024 * 1024 - 1) == 0
+        # A 2 MB page spans 512 VPNs: its number is the VPN >> 9.
+        shift = addr.HUGE_PAGE_SHIFT - addr.PAGE_SHIFT
+        assert addr.vpn(addr.HUGE_PAGE_SIZE) >> shift == 1
+        assert addr.vpn(addr.HUGE_PAGE_SIZE - 1) >> shift == 0
 
     def test_vpn_to_vaddr_roundtrip(self):
-        assert addr.vpn(addr.vpn_to_vaddr(12345)) == 12345
+        assert addr.vpn(12345 << addr.PAGE_SHIFT) == 12345
 
     @given(VADDRS)
     def test_vpn_offset_recompose(self, vaddr):
         page = addr.vpn(vaddr)
-        assert addr.vpn_to_vaddr(page) + addr.page_offset(vaddr) == vaddr
+        offset = vaddr & (addr.PAGE_SIZE - 1)
+        assert (page << addr.PAGE_SHIFT) + offset == vaddr
 
 
 class TestLevelIndex:
     def test_level1_is_low_bits(self):
         assert addr.level_index(0b111_000000001, 1) == 1
 
-    def test_level_extraction_known_value(self):
-        page = addr.make_vpn(3, 7, 500, 511)
+    def test_level_extraction_known_value(self, make_vpn):
+        page = make_vpn(3, 7, 500, 511)
         assert addr.level_index(page, 4) == 3
         assert addr.level_index(page, 3) == 7
         assert addr.level_index(page, 2) == 500
@@ -81,13 +87,13 @@ class TestLevelIndex:
             addr.level_index(0, level)
 
     @given(VPNS)
-    def test_make_vpn_roundtrip(self, page):
+    def test_make_vpn_roundtrip(self, make_vpn, page):
         indices = [addr.level_index(page, lv) for lv in (4, 3, 2, 1)]
-        assert addr.make_vpn(*indices) == page
+        assert make_vpn(*indices) == page
 
-    def test_make_vpn_range_check(self):
+    def test_make_vpn_range_check(self, make_vpn):
         with pytest.raises(ValueError):
-            addr.make_vpn(512, 0, 0, 0)
+            make_vpn(512, 0, 0, 0)
 
 
 class TestFlatIndex:
@@ -104,15 +110,13 @@ class TestFlatIndex:
 
     @given(VPNS)
     def test_flat_tag_plus_index_recompose(self, page):
-        recomposed = (addr.flat_tag(page) << addr.FLAT_LEVEL_BITS) \
-            | addr.flat_index(page)
-        assert recomposed == page
+        # The index is the low 18 bits; the bits above pick the node.
+        tag = page >> addr.FLAT_LEVEL_BITS
+        assert (tag << addr.FLAT_LEVEL_BITS) | addr.flat_index(page) \
+            == page
 
 
 class TestAlignment:
-    def test_align_down(self):
-        assert addr.align_down(4097, 4096) == 4096
-
     def test_align_up(self):
         assert addr.align_up(4097, 4096) == 8192
 
@@ -122,30 +126,47 @@ class TestAlignment:
     @given(st.integers(min_value=0, max_value=1 << 50),
            st.sampled_from([64, 4096, 2 * 1024 * 1024]))
     def test_align_invariants(self, value, alignment):
-        down = addr.align_down(value, alignment)
         up = addr.align_up(value, alignment)
-        assert down <= value <= up
-        assert down % alignment == 0
+        assert value <= up < value + alignment
         assert up % alignment == 0
-        assert up - down in (0, alignment)
+
+
+class Regions(Workload):
+    """A workload that is only a fixed region layout."""
+
+    name = "regions"
+
+    def __init__(self, regions):
+        super().__init__()
+        self._regions = regions
+
+    def regions(self):
+        return self._regions
+
+    def _chunk(self, rng, num_refs, state):
+        raise NotImplementedError
 
 
 class TestRanges:
+    """VPN ranges of byte regions (:meth:`Workload.page_ranges`, the
+    Fig. 8 occupancy input) and line numbers of addresses."""
+
     def test_pages_in_range_single(self):
-        assert list(addr.pages_in_range(0, 1)) == [0]
+        assert Regions([Region("r", 0, 1)]).page_ranges() == [(0, 0)]
 
     def test_pages_in_range_spanning(self):
-        assert list(addr.pages_in_range(4000, 200)) == [0, 1]
+        assert Regions([Region("r", 4000, 200)]).page_ranges() \
+            == [(0, 1)]
 
     def test_pages_in_range_empty(self):
-        assert list(addr.pages_in_range(0, 0)) == []
+        assert Regions([]).page_ranges() == []
 
     def test_line_of(self):
-        assert addr.line_of(63) == 0
-        assert addr.line_of(64) == 1
+        _, lines = chunk_probe_keys(np.array([63, 64]))
+        assert lines == [0, 1]
 
     def test_is_canonical(self):
-        assert addr.is_canonical(0)
-        assert addr.is_canonical((1 << 48) - 1)
-        assert not addr.is_canonical(1 << 48)
-        assert not addr.is_canonical(-1)
+        # The simulated user address space is 48 bits: the VPN keeps
+        # exactly the 36 bits above the page offset.
+        assert addr.vpn((1 << 48) - 1) == (1 << 36) - 1
+        assert addr.vpn(1 << 48) == 0

@@ -7,7 +7,6 @@ from repro.vm.address import (
     ENTRIES_PER_NODE,
     HUGE_PAGE_SHIFT,
     PAGE_SHIFT,
-    make_vpn,
 )
 from repro.vm.base import MappingError, Translation
 from repro.vm.frames import FrameAllocator
@@ -128,14 +127,14 @@ class TestWalkStages:
         paddrs = [s[0].pte_paddr for s in table.walk_stages(0x12345)]
         assert len(set(paddrs)) == 4
 
-    def test_pte_paddr_encodes_index(self, table):
+    def test_pte_paddr_encodes_index(self, make_vpn, table):
         page = make_vpn(0, 0, 0, 7)
         table.map_page(page, pfn=1)
         stages = table.walk_stages(page)
         pl1 = stages[3][0]
         assert pl1.pte_paddr % 4096 == 7 * 8
 
-    def test_sibling_pages_share_upper_ptes(self, table):
+    def test_sibling_pages_share_upper_ptes(self, make_vpn, table):
         table.map_page(make_vpn(1, 2, 3, 4), pfn=1)
         table.map_page(make_vpn(1, 2, 3, 5), pfn=2)
         walk_a = table.walk_stages(make_vpn(1, 2, 3, 4))
@@ -144,7 +143,7 @@ class TestWalkStages:
             assert walk_a[level][0].pte_paddr == walk_b[level][0].pte_paddr
         assert walk_a[3][0].pte_paddr != walk_b[3][0].pte_paddr
 
-    def test_pwc_keys_identify_prefixes(self, table):
+    def test_pwc_keys_identify_prefixes(self, make_vpn, table):
         page = make_vpn(1, 2, 3, 4)
         table.map_page(page, pfn=1)
         stages = table.walk_stages(page)
@@ -155,7 +154,7 @@ class TestWalkStages:
 
 
 class TestStructure:
-    def test_nodes_allocated_lazily(self, table, allocator):
+    def test_nodes_allocated_lazily(self, make_vpn, table, allocator):
         before = allocator.stats.small_allocs
         table.map_page(make_vpn(1, 1, 1, 1), pfn=1)
         # New PL3 + PL2 + PL1 nodes (root exists already).
@@ -164,9 +163,10 @@ class TestStructure:
     def test_dense_pages_share_nodes(self, table):
         for i in range(512):
             table.map_page(i, pfn=i)
-        assert table.node_count(1) == 1  # one PL1 node, fully used
+        # One node per level: a single PL1 node holds all 512 pages.
+        assert table.table_bytes() == 4 * 4096
 
-    def test_table_bytes_grows_with_nodes(self, table):
+    def test_table_bytes_grows_with_nodes(self, make_vpn, table):
         empty = table.table_bytes()
         table.map_page(make_vpn(2, 2, 2, 2), pfn=1)
         assert table.table_bytes() == empty + 3 * 4096

@@ -7,6 +7,13 @@ from repro.workloads.base import layout_regions
 from repro.workloads.registry import make_workload
 
 
+def stream(workload, core_id, num_refs):
+    """``(vaddr, is_write)`` pairs of :meth:`Workload.stream_chunks`,
+    one per reference, as plain Python values."""
+    for addrs, writes in workload.stream_chunks(core_id, num_refs):
+        yield from zip(addrs.tolist(), writes.tolist())
+
+
 class TestLayout:
     def test_regions_are_2mb_aligned(self):
         regions = layout_regions([("a", 5000), ("b", 3000)])
@@ -55,20 +62,20 @@ class TestWorkloadProtocol:
             assert (hi + 1) * 4096 >= region.end
 
     def test_stream_is_deterministic(self, workload):
-        a = list(workload.stream(0, 500))
-        b = list(workload.stream(0, 500))
+        a = list(stream(workload, 0, 500))
+        b = list(stream(workload, 0, 500))
         assert a == b
 
     def test_cores_get_different_streams(self, workload):
-        a = list(workload.stream(0, 500))
-        b = list(workload.stream(1, 500))
+        a = list(stream(workload, 0, 500))
+        b = list(stream(workload, 1, 500))
         assert a != b
 
     def test_stream_length_exact(self, workload):
-        assert len(list(workload.stream(0, 777))) == 777
+        assert len(list(stream(workload, 0, 777))) == 777
 
     def test_stream_yields_ints_and_bools(self, workload):
-        for vaddr, is_write in workload.stream(0, 50):
+        for vaddr, is_write in stream(workload, 0, 50):
             assert isinstance(vaddr, int)
             assert isinstance(is_write, bool)
 
@@ -84,7 +91,7 @@ class TestWorkloadProtocol:
     def test_stream_touches_shared_and_private(self, workload):
         private = workload.private_region(0)
         shared, private_refs = 0, 0
-        for vaddr, _ in workload.stream(0, 2000):
+        for vaddr, _ in stream(workload, 0, 2000):
             if private.base <= vaddr < private.end:
                 private_refs += 1
             else:

@@ -9,6 +9,9 @@ from repro.workloads.graphbig import KERNELS, GraphBigWorkload
 from repro.workloads.gups import GupsWorkload
 from repro.workloads.xsbench import XSBenchWorkload
 
+# The per-reference view of a stream lives with the base-class tests.
+from test_base import stream
+
 GIB = 1024 ** 3
 SCALE = 1 / 64
 
@@ -23,7 +26,7 @@ def region_of(workload, vaddr):
 def histogram(workload, refs=4000, core=0):
     counts = {}
     writes = 0
-    for vaddr, is_write in workload.stream(core, refs):
+    for vaddr, is_write in stream(workload, core, refs):
         name = region_of(workload, vaddr)
         counts[name] = counts.get(name, 0) + 1
         writes += is_write
@@ -58,14 +61,14 @@ class TestGraphBig:
 
     def test_sweep_kernels_walk_vertices_in_order(self):
         wl = GraphBigWorkload("pr", scale=SCALE)
-        offsets = [vaddr for vaddr, _ in wl.stream(0, 4000)
+        offsets = [vaddr for vaddr, _ in stream(wl, 0, 4000)
                    if region_of(wl, vaddr) == "offsets"]
         deltas = np.diff(offsets)
         assert (deltas >= 0).mean() > 0.9  # monotone sweep (mod wrap)
 
     def test_frontier_kernels_jump_randomly(self):
         wl = GraphBigWorkload("bfs", scale=SCALE)
-        offsets = [vaddr for vaddr, _ in wl.stream(0, 4000)
+        offsets = [vaddr for vaddr, _ in stream(wl, 0, 4000)
                    if region_of(wl, vaddr) == "offsets"]
         deltas = np.diff(offsets)
         assert (deltas >= 0).mean() < 0.7
@@ -97,14 +100,14 @@ class TestXSBench:
     def test_binary_search_converges_in_egrid(self):
         wl = XSBenchWorkload(scale=SCALE)
         egrid_hits = 0
-        for vaddr, _ in wl.stream(0, 2000):
+        for vaddr, _ in stream(wl, 0, 2000):
             if region_of(wl, vaddr) == "egrid":
                 egrid_hits += 1
         assert egrid_hits > 500
 
     def test_xs_rows_read_sequentially(self):
         wl = XSBenchWorkload(scale=SCALE)
-        xs_addrs = [vaddr for vaddr, _ in wl.stream(0, 2000)
+        xs_addrs = [vaddr for vaddr, _ in stream(wl, 0, 2000)
                     if region_of(wl, vaddr) == "xs_data"]
         deltas = np.diff(xs_addrs)
         assert (deltas == 8).sum() > len(deltas) * 0.7
@@ -116,9 +119,9 @@ class TestGups:
 
     def test_read_modify_write_pairs(self):
         wl = GupsWorkload(scale=SCALE)
-        stream = list(wl.stream(0, 1000))
+        refs = list(stream(wl, 0, 1000))
         pairs = 0
-        for (addr_a, write_a), (addr_b, write_b) in zip(stream, stream[1:]):
+        for (addr_a, write_a), (addr_b, write_b) in zip(refs, refs[1:]):
             if addr_a == addr_b and not write_a and write_b:
                 pairs += 1
         assert pairs > 350  # ~45% of adjacent pairs are RMW
@@ -126,7 +129,7 @@ class TestGups:
     def test_uniform_spread(self):
         wl = GupsWorkload(scale=SCALE)
         table = wl.regions()[0]
-        addrs = [v for v, _ in wl.stream(0, 4000)
+        addrs = [v for v, _ in stream(wl, 0, 4000)
                  if table.base <= v < table.end]
         quartile = (np.array(addrs) - table.base) // (table.size // 4)
         counts = np.bincount(quartile.astype(int), minlength=4)
@@ -149,7 +152,7 @@ class TestDlrm:
     def test_output_writes(self):
         wl = DlrmWorkload(scale=SCALE)
         out = next(r for r in wl.regions() if r.name == "output")
-        writes = sum(1 for v, w in wl.stream(0, 4000)
+        writes = sum(1 for v, w in stream(wl, 0, 4000)
                      if w and out.base <= v < out.end)
         assert writes > 0
 
@@ -166,7 +169,7 @@ class TestGenomics:
     def test_input_scanned_sequentially(self):
         wl = GenomicsWorkload(scale=SCALE)
         inp = next(r for r in wl.regions() if r.name == "input_seq")
-        addrs = [v for v, _ in wl.stream(0, 2000)
+        addrs = [v for v, _ in stream(wl, 0, 2000)
                  if inp.base <= v < inp.end]
         # Private-region redirection removes ~10% of items, so some
         # deltas are 16; the scan is still overwhelmingly sequential.
