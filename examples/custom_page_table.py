@@ -10,7 +10,7 @@ trades page-table memory for even shorter walks.
 Run:  python examples/custom_page_table.py
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro import ndp_config
 from repro.analysis.tables import format_table
@@ -18,7 +18,7 @@ from repro.core.bypass import MetadataBypass
 from repro.core.mechanisms import MECHANISMS, MechanismSpec
 from repro.sim.runner import run_mechanisms
 from repro.vm.address import LEVEL_BITS, PAGE_SHIFT, PTE_SIZE, level_index
-from repro.vm.base import MappingError, PageTable, Translation, WalkStage
+from repro.vm.base import MappingError, PageTable, Translation
 from repro.vm.frames import FRAMES_PER_BLOCK
 from repro.vm.os_model import PagingPolicy
 from repro.vm.radix import PT_ALLOC_SITE
@@ -81,18 +81,19 @@ class MegaFlattenedTable(PageTable):
         del node[1][index]
         self._mapped -= 1
 
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
+    def walk_info_decorated(self, page: int, level_info: dict):
+        # The walk plan the walker times: one step per sequential read,
+        # each (PTE address, bypass flag, PWC, PWC prefix), with the
+        # walker's treatment of each level taken from ``level_info``.
         idx4 = level_index(page, 4)
         node = self._nodes.get(idx4)
         index = page & (MEGA_ENTRIES - 1)
         if node is None or index not in node[1]:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        return [
-            [WalkStage("PL4", self._root_paddr + idx4 * PTE_SIZE,
-                       ("PL4", idx4))],
-            [WalkStage("PL3/2/1", node[0] + index * PTE_SIZE,
-                       ("PL3/2/1", page))],
-        ]
+            return None
+        pl4, mega = level_info["PL4"], level_info["PL3/2/1"]
+        flat = ((self._root_paddr + idx4 * PTE_SIZE, *pl4, idx4),
+                (node[0] + index * PTE_SIZE, *mega, page))
+        return flat, None, node[1][index]
 
     def occupancy(self) -> Dict[str, float]:
         if not self._nodes:

@@ -24,43 +24,16 @@ from repro.vm.address import (
     PAGE_SIZE,
     PTE_SIZE,
     flat_index,
-    level_index,
 )
-from repro.vm.base import MappingError, PageTable, Translation, WalkStage
+from repro.vm.base import MappingError, PageTable, Translation
 from repro.vm.frames import FRAMES_PER_BLOCK, FrameAllocator, OutOfMemoryError
-from repro.vm.radix import PT_ALLOC_SITE
+from repro.vm.radix import PT_ALLOC_SITE, TableNode
 
 # Index masks and PL4/PL3 prefix shifts, folded for the walk path.
 _INDEX_MASK = ENTRIES_PER_NODE - 1
 _FLAT_MASK = FLAT_ENTRIES - 1
 _SHIFT4 = 3 * LEVEL_BITS
 _SHIFT3 = 2 * LEVEL_BITS
-
-
-class _InteriorNode:
-    """A conventional 4 KB node (used at PL4 and PL3)."""
-
-    __slots__ = ("base_paddr", "entries")
-
-    def __init__(self, base_paddr: int):
-        self.base_paddr = base_paddr
-        self.entries: Dict[int, object] = {}
-
-    def pte_paddr(self, index: int) -> int:
-        return self.base_paddr + index * PTE_SIZE
-
-
-class _FlatNode:
-    """A merged L2/L1 node: one 2 MB page of 2^18 PTEs."""
-
-    __slots__ = ("base_paddr", "entries")
-
-    def __init__(self, base_paddr: int):
-        self.base_paddr = base_paddr
-        self.entries: Dict[int, Translation] = {}
-
-    def pte_paddr(self, index: int) -> int:
-        return self.base_paddr + index * PTE_SIZE
 
 
 class FlattenedPageTable(PageTable):
@@ -72,24 +45,24 @@ class FlattenedPageTable(PageTable):
         self._allocator = allocator
         self._root = self._new_interior()
         self._interior_nodes = 1
-        self._flat_nodes: List[_FlatNode] = []
+        self._flat_nodes: List[TableNode] = []
         self._mapped_pages = 0
 
-    def _new_interior(self) -> _InteriorNode:
+    def _new_interior(self) -> TableNode:
         frame = self._allocator.alloc_frame(site=PT_ALLOC_SITE)
-        return _InteriorNode(self._allocator.frame_paddr(frame))
+        return TableNode(self._allocator.frame_paddr(frame))
 
-    def _new_flat(self) -> _FlatNode:
+    def _new_flat(self) -> TableNode:
         first_frame = self._allocator.alloc_huge()
         if first_frame is None:
             raise OutOfMemoryError(
                 "no contiguous 2 MB block for a flattened page-table node"
             )
-        node = _FlatNode(self._allocator.frame_paddr(first_frame))
+        node = TableNode(self._allocator.frame_paddr(first_frame))
         self._flat_nodes.append(node)
         return node
 
-    def _flat_node_for(self, page: int) -> Optional[_FlatNode]:
+    def _flat_node_for(self, page: int) -> Optional[TableNode]:
         """The flattened node covering ``page``, or None."""
         child = self._root.entries.get((page >> _SHIFT4) & _INDEX_MASK)
         if child is None:
@@ -99,7 +72,9 @@ class FlattenedPageTable(PageTable):
     # -- PageTable interface --------------------------------------------------
 
     def lookup(self, page: int) -> Optional[Translation]:
-        # Inlined descent (this runs on every TLB miss).
+        # Inlined descent.  A TLB miss takes its translation from the
+        # walk plan; this runs on the fault path
+        # (``ensure_translated``) and in reclaim.
         mask = ENTRIES_PER_NODE - 1
         child = self._root.entries.get((page >> (3 * LEVEL_BITS)) & mask)
         if child is None:
@@ -143,39 +118,16 @@ class FlattenedPageTable(PageTable):
         del flat.entries[flat_index(page)]
         self._mapped_pages -= 1
 
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
-        node = self._root
-        idx4 = level_index(page, 4)
-        stages = [[WalkStage("PL4", node.pte_paddr(idx4),
-                             ("PL4", page >> (3 * LEVEL_BITS)))]]
-        child = node.entries.get(idx4)
-        if child is None:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        idx3 = level_index(page, 3)
-        stages.append([WalkStage("PL3", child.pte_paddr(idx3),
-                                 ("PL3", page >> (2 * LEVEL_BITS)))])
-        flat = child.entries.get(idx3)
-        if flat is None:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        index = flat_index(page)
-        if index not in flat.entries:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        stages.append([WalkStage("PL2/1", flat.pte_paddr(index),
-                                 ("PL2/1", page))])
-        return stages
-
-    def walk_info_decorated(self, page: int, level_info: dict, resolve):
-        """Specialized :meth:`PageTable.walk_info_decorated`: one
-        descent, flat plan, walker treatment baked in.  ``level_info``
-        must already hold every level in :attr:`level_names` (the
-        walker resolves them at construction), so it is indexed, not
-        resolved."""
+    def walk_info_decorated(self, page: int, level_info: dict):
+        """The flat plan of PL4, PL3 and flattened PL2/1 reads, from
+        one descent.  PWC prefixes are ``page >> 27``, ``page >> 18``
+        and ``page``: the flattened level consumes 18 index bits."""
         node = self._root
         prefix = page >> _SHIFT4
         idx4 = prefix & _INDEX_MASK
         info = level_info["PL4"]
         stage4 = (node.base_paddr + idx4 * PTE_SIZE, info[0], info[1],
-                  prefix, "PL4")
+                  prefix)
         child = node.entries.get(idx4)
         if child is None:
             return None
@@ -183,7 +135,7 @@ class FlattenedPageTable(PageTable):
         idx3 = prefix & _INDEX_MASK
         info = level_info["PL3"]
         stage3 = (child.base_paddr + idx3 * PTE_SIZE, info[0], info[1],
-                  prefix, "PL3")
+                  prefix)
         flat = child.entries.get(idx3)
         if flat is None:
             return None
@@ -194,7 +146,7 @@ class FlattenedPageTable(PageTable):
         info = level_info["PL2/1"]
         return ((stage4, stage3,
                  (flat.base_paddr + index * PTE_SIZE, info[0], info[1],
-                  page, "PL2/1")),
+                  page)),
                 None, leaf)
 
     def occupancy(self) -> Dict[str, float]:

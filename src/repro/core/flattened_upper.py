@@ -14,7 +14,7 @@ still cost two sequential accesses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.vm.address import (
     ENTRIES_PER_NODE,
@@ -24,37 +24,18 @@ from repro.vm.address import (
     PTE_SIZE,
     level_index,
 )
-from repro.vm.base import MappingError, PageTable, Translation, WalkStage
+from repro.vm.base import MappingError, PageTable, Translation
 from repro.vm.frames import FRAMES_PER_BLOCK, FrameAllocator, OutOfMemoryError
-from repro.vm.radix import PT_ALLOC_SITE
+from repro.vm.radix import PT_ALLOC_SITE, TableNode
 
 #: The merged PL3/PL2 index: 18 bits selecting a PL1 node.
 UPPER_FLAT_BITS = 2 * LEVEL_BITS
 UPPER_FLAT_ENTRIES = 1 << UPPER_FLAT_BITS
 
-
-class _Pl1Node:
-    __slots__ = ("base_paddr", "entries")
-
-    def __init__(self, base_paddr: int):
-        self.base_paddr = base_paddr
-        self.entries: Dict[int, Translation] = {}
-
-    def pte_paddr(self, index: int) -> int:
-        return self.base_paddr + index * PTE_SIZE
-
-
-class _UpperFlatNode:
-    """One 2 MB node holding the merged PL3/PL2 entries."""
-
-    __slots__ = ("base_paddr", "entries")
-
-    def __init__(self, base_paddr: int):
-        self.base_paddr = base_paddr
-        self.entries: Dict[int, _Pl1Node] = {}
-
-    def pte_paddr(self, index: int) -> int:
-        return self.base_paddr + index * PTE_SIZE
+# Index masks and the PL4 prefix shift, folded for the walk path.
+_INDEX_MASK = ENTRIES_PER_NODE - 1
+_UPPER_MASK = UPPER_FLAT_ENTRIES - 1
+_SHIFT4 = 3 * LEVEL_BITS
 
 
 class UpperFlattenedPageTable(PageTable):
@@ -65,17 +46,16 @@ class UpperFlattenedPageTable(PageTable):
     def __init__(self, allocator: FrameAllocator):
         self._allocator = allocator
         root_frame = allocator.alloc_frame(site=PT_ALLOC_SITE)
-        self._root_paddr = allocator.frame_paddr(root_frame)
-        self._flat_nodes: Dict[int, _UpperFlatNode] = {}
+        # The root's entries are the 2 MB merged PL3/PL2 nodes, whose
+        # entries are 4 KB PL1 nodes.
+        self._root = TableNode(allocator.frame_paddr(root_frame))
         self._pl1_count = 0
         self._mapped = 0
 
-    def _upper_index(self, page: int) -> int:
-        return (page >> LEVEL_BITS) & (UPPER_FLAT_ENTRIES - 1)
-
-    def _pl1_for(self, page: int, create: bool) -> Optional[_Pl1Node]:
-        idx4 = level_index(page, 4)
-        flat = self._flat_nodes.get(idx4)
+    def _pl1_for(self, page: int, create: bool) -> Optional[TableNode]:
+        entries = self._root.entries
+        idx4 = (page >> _SHIFT4) & _INDEX_MASK
+        flat = entries.get(idx4)
         if flat is None:
             if not create:
                 return None
@@ -83,14 +63,14 @@ class UpperFlattenedPageTable(PageTable):
             if first is None:
                 raise OutOfMemoryError(
                     "no contiguous block for an upper-flattened node")
-            flat = _UpperFlatNode(self._allocator.frame_paddr(first))
-            self._flat_nodes[idx4] = flat
-        upper = self._upper_index(page)
+            flat = entries[idx4] = TableNode(
+                self._allocator.frame_paddr(first))
+        upper = (page >> LEVEL_BITS) & _UPPER_MASK
         pl1 = flat.entries.get(upper)
         if pl1 is None and create:
             frame = self._allocator.alloc_frame(site=PT_ALLOC_SITE)
-            pl1 = _Pl1Node(self._allocator.frame_paddr(frame))
-            flat.entries[upper] = pl1
+            pl1 = flat.entries[upper] = TableNode(
+                self._allocator.frame_paddr(frame))
             self._pl1_count += 1
         return pl1
 
@@ -120,41 +100,55 @@ class UpperFlattenedPageTable(PageTable):
         del pl1.entries[idx1]
         self._mapped -= 1
 
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
-        idx4 = level_index(page, 4)
-        flat = self._flat_nodes.get(idx4)
-        upper = self._upper_index(page)
-        if flat is None or upper not in flat.entries:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        pl1 = flat.entries[upper]
-        idx1 = level_index(page, 1)
-        if idx1 not in pl1.entries:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        return [
-            [WalkStage("PL4", self._root_paddr + idx4 * PTE_SIZE,
-                       ("PL4", page >> (3 * LEVEL_BITS)))],
-            [WalkStage("PL3/2", flat.pte_paddr(upper),
-                       ("PL3/2", page >> LEVEL_BITS))],
-            [WalkStage("PL1", pl1.pte_paddr(idx1), ("PL1", page))],
-        ]
+    def walk_info_decorated(self, page: int, level_info: dict):
+        """The flat plan of PL4, merged PL3/2 and PL1 reads, from one
+        descent.  PWC prefixes are ``page >> 27``, ``page >> 9`` and
+        ``page``: the merged level consumes 18 index bits."""
+        node = self._root
+        prefix = page >> _SHIFT4
+        idx4 = prefix & _INDEX_MASK
+        info = level_info["PL4"]
+        stage4 = (node.base_paddr + idx4 * PTE_SIZE, info[0], info[1],
+                  prefix)
+        flat = node.entries.get(idx4)
+        if flat is None:
+            return None
+        prefix = page >> LEVEL_BITS
+        upper = prefix & _UPPER_MASK
+        info = level_info["PL3/2"]
+        stage32 = (flat.base_paddr + upper * PTE_SIZE, info[0], info[1],
+                   prefix)
+        pl1 = flat.entries.get(upper)
+        if pl1 is None:
+            return None
+        index = page & _INDEX_MASK
+        leaf = pl1.entries.get(index)
+        if leaf is None:
+            return None
+        info = level_info["PL1"]
+        return ((stage4, stage32,
+                 (pl1.base_paddr + index * PTE_SIZE, info[0], info[1],
+                  page)),
+                None, leaf)
 
     def occupancy(self) -> Dict[str, float]:
-        result = {"PL4": len(self._flat_nodes) / ENTRIES_PER_NODE}
-        if self._flat_nodes:
-            used = sum(len(f.entries) for f in self._flat_nodes.values())
-            result["PL3/2"] = used / (len(self._flat_nodes)
-                                      * UPPER_FLAT_ENTRIES)
+        flat_nodes = self._root.entries
+        result = {"PL4": len(flat_nodes) / ENTRIES_PER_NODE}
+        if flat_nodes:
+            used = sum(len(f.entries) for f in flat_nodes.values())
+            result["PL3/2"] = used / (len(flat_nodes) * UPPER_FLAT_ENTRIES)
         if self._pl1_count:
             used = sum(
                 len(pl1.entries)
-                for flat in self._flat_nodes.values()
+                for flat in flat_nodes.values()
                 for pl1 in flat.entries.values()
             )
             result["PL1"] = used / (self._pl1_count * ENTRIES_PER_NODE)
         return result
 
     def table_bytes(self) -> int:
-        flat_bytes = len(self._flat_nodes) * FRAMES_PER_BLOCK * PAGE_SIZE
+        flat_bytes = (len(self._root.entries) * FRAMES_PER_BLOCK
+                      * PAGE_SIZE)
         return PAGE_SIZE + flat_bytes + self._pl1_count * PAGE_SIZE
 
     @property

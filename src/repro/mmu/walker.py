@@ -1,30 +1,28 @@
 """Hardware page-table walker.
 
-Turns the structural walk (:meth:`PageTable.walk_stages`) into timed
-memory traffic:
+Times a page table's walk plan (:meth:`PageTable.walk_info_decorated`)
+as memory traffic:
 
-* sequential stages pay their latencies back to back (a radix walk is a
-  pointer chase);
-* parallel accesses within a stage overlap (elastic-cuckoo ways), the
-  stage costing the slowest probe;
-* before touching memory the walker probes the per-level PWCs and skips
-  every stage at or above the deepest hit;
+* a flat plan's steps pay their latencies back to back (a radix walk
+  is a pointer chase);
+* the steps within a stage of a staged plan overlap (elastic-cuckoo
+  ways), the stage costing the slowest probe;
+* before touching memory the walker probes the per-level PWCs of a
+  flat plan and skips every step at or above the deepest hit (no
+  staged table has a PWC level);
 * each PTE request is tagged METADATA and, under NDPage's policy,
   flagged to bypass the L1 cache.
 
 A walk is two calls: :meth:`PageTableWalker.plan_info` resolves a
-page's *walk plan* (PTE addresses, PWC prefixes and per-level
+page's walk plan (PTE addresses, PWC prefixes and per-level
 bypass/PWC treatment) and its translation in one table descent, and
 :meth:`PageTableWalker.walk_from_plan` times it.  Plans are not
 memoized: walk streams are too irregular for a plan cache to pay, so
 every walk descends the table afresh.  Under multiprogramming the
 walker ORs its tenant's ASID tag into each PWC key as it probes.  The
-flat (one step per stage) path inlines the PWC probe and the L1
-metadata hit, falling back to the hierarchy's positional
-``access_fast`` on cache misses; the staged path (parallel probes)
-runs :meth:`PageTableWalker._probe_single_step` and ``access_fast``
-per step.  No ``WalkStage`` traversal or tuple-key hashing happens
-per walk.
+flat path inlines the PWC probe and the L1 metadata hit, falling back
+to the hierarchy's positional ``access_fast`` on cache misses; the
+staged path runs ``access_fast`` per step.
 
 The PWC fill is fused into the probe: both touch the same per-level
 sets, the caches are private to this walker, and nothing else runs
@@ -75,14 +73,17 @@ class PageTableWalker:
         # num_sets``) is unchanged; tag 0 leaves keys as they are.
         self.asid_tag = asid_tag(asid)
         self.stats = WalkerStats()
-        # level -> (bypass_flag, pwc_or_None): bypass policies are pure
-        # per level name and the PWC set is fixed, so both halves of a
-        # stage's treatment are resolved once.  Every level the table
-        # names is resolved here, so tables with fixed levels index
-        # this dict directly; other levels resolve on first use.
-        self._level_info: Dict[str, tuple] = {}
-        for level in table.level_names:
-            self._level_info_for(level)
+        # level -> (bypass_flag, pwc_or_None) for every level the
+        # table names: bypass policies are pure per level name and the
+        # PWC set is fixed, so both halves of a step's treatment are
+        # resolved once.  The level's PageWalkCache itself is the
+        # probe: its sets, geometry and stats are slots, stable for its
+        # lifetime (flush mutates the sets in place).
+        caches = pwcs._caches if pwcs is not None else {}
+        self._level_info: Dict[str, tuple] = {
+            level: (1 if self.bypass.should_bypass(level) else 0,
+                    caches.get(level))
+            for level in table.level_names}
         # This core's L1, for the inlined metadata-hit fast path:
         # (sets, num_sets, line_shift, hit_latency, metadata stats),
         # all bound once: nothing replaces them during a cache's
@@ -90,16 +91,6 @@ class PageTableWalker:
         l1 = hierarchy.l1ds[core_id]
         self._l1_probe = (l1._sets, l1.num_sets, l1._line_shift,
                           l1.hit_latency, l1._kind_stats[KIND_METADATA])
-
-    def _level_info_for(self, level: str) -> tuple:
-        # The level's PageWalkCache itself is the probe: its sets,
-        # geometry and stats are slots, stable for its lifetime (flush
-        # mutates the sets in place).
-        pwc = (self.pwcs._caches.get(level) if self.pwcs is not None
-               else None)
-        info = (1 if self.bypass.should_bypass(level) else 0, pwc)
-        self._level_info[level] = info
-        return info
 
     def plan_info(self, page: int) -> Optional[tuple]:
         """``(flat, staged, translation)`` for ``page`` from one table
@@ -111,23 +102,19 @@ class PageTableWalker:
         the translation here spares the MMU a second table descent per
         walk.
         """
-        return self.table.walk_info_decorated(
-            page, self._level_info, self._level_info_for)
+        return self.table.walk_info_decorated(page, self._level_info)
 
     def walk_from_plan(self, now: float, flat: Optional[tuple],
                        staged: Optional[tuple]) -> float:
         """Execute a resolved walk plan at cycle ``now``.
 
         Exactly one of ``flat``/``staged`` is a tuple (see
-        :meth:`PageTable.walk_info_decorated`); an ideal table's empty
-        plan arrives as an empty ``flat``.
+        :meth:`PageTable.walk_info_decorated`).
         """
         stats = self.stats
         stats.walks += 1
         if flat is None:
             return self._walk_staged(now, staged)
-        if not flat:  # ideal table: nothing to fetch
-            return 0.0
 
         # Probe every level's PWC (hardware probes them in parallel)
         # and resume the walk below the deepest hit; every level records
@@ -139,7 +126,7 @@ class PageTableWalker:
         if pwcs is not None:
             tag = self.asid_tag
             index = 0
-            for _, _, pwc, key, _ in flat:
+            for _, _, pwc, key in flat:
                 index += 1
                 if pwc is not None and key is not None:
                     if tag:
@@ -164,8 +151,8 @@ class PageTableWalker:
         l1_sets, l1_num_sets, l1_shift, l1_latency, l1_meta_stats = \
             self._l1_probe
         hierarchy = self.hierarchy
-        for pte_paddr, bypass_l1, _, _, _ in (flat[start:] if start
-                                              else flat):
+        for pte_paddr, bypass_l1, _, _ in (flat[start:] if start
+                                           else flat):
             if not bypass_l1:
                 line = pte_paddr >> l1_shift
                 cache_set = l1_sets[line % l1_num_sets]
@@ -181,59 +168,15 @@ class PageTableWalker:
         stats.memory_accesses += len(flat) - start
         return clock - now
 
-    def _probe_single_step(self, step: tuple) -> bool:
-        """Fused PWC probe+fill for one decorated step; True on a hit.
-
-        Reference implementation of the probe the flat path in
-        :meth:`walk_from_plan` keeps inlined for speed — change both
-        together.
-        """
-        pwc = step[2]
-        if pwc is None:
-            return False
-        key = step[3]
-        if key is None:
-            return False
-        if self.asid_tag:
-            key |= self.asid_tag
-        pwc_set = pwc._sets[key % pwc.num_sets]
-        if key in pwc_set:
-            pwc.stats.hits += 1
-            pwc_set[key] = pwc_set.pop(key)  # LRU refresh
-            return True
-        pwc.stats.misses += 1
-        if len(pwc_set) >= pwc.associativity:
-            del pwc_set[next(iter(pwc_set))]
-        pwc_set[key] = None
-        return False
-
     def _walk_staged(self, now: float, staged: tuple) -> float:
-        """Staged-plan walk (parallel probes, e.g. elastic-cuckoo ways).
-
-        Same semantics as the flat path; ``stats.walks`` was already
-        counted by the caller.
-        """
-        if not staged:
-            return 0.0
-
-        start = 0
-        pwcs = self.pwcs
-        if pwcs is not None:
-            index = 0
-            for stage in staged:
-                if len(stage) == 1 and self._probe_single_step(stage[0]):
-                    start = index + 1
-                index += 1
-            latency = float(pwcs.latency)
-        else:
-            latency = 0.0
-
+        """Staged-plan walk (parallel probes, e.g. elastic-cuckoo
+        ways): each stage costs its slowest step, and no step probes a
+        PWC.  ``stats.walks`` was already counted by the caller."""
         accesses = 0
-        clock = now + latency
+        clock = now
         hierarchy = self.hierarchy
         core_id = self.core_id
-        for i in range(start, len(staged)):
-            stage = staged[i]
+        for stage in staged:
             stage_latency = 0.0
             for step in stage:
                 access_latency = hierarchy.access_fast(

@@ -5,7 +5,6 @@ from repro.vm.base import (
     MappingError,
     PageTable,
     Translation,
-    WalkStage,
 )
 from repro.vm.cuckoo import ElasticCuckooPageTable
 from repro.vm.frames import (
@@ -40,7 +39,6 @@ __all__ = [
     "PagingPolicy",
     "RadixPageTable",
     "Translation",
-    "WalkStage",
     "address",
     "flattened_occupancy_from_ranges",
     "level_occupancy_from_ranges",

@@ -32,7 +32,6 @@ NUM_LEVELS = 4
 # Flattened L2/L1 geometry (NDPage, Section V-B) ----------------------------
 FLAT_LEVEL_BITS = 2 * LEVEL_BITS       # 18 bits
 FLAT_ENTRIES = 1 << FLAT_LEVEL_BITS    # 262,144 entries
-FLAT_NODE_BYTES = FLAT_ENTRIES * PTE_SIZE  # one 2 MB node
 
 _LEVEL_MASK = ENTRIES_PER_NODE - 1
 _FLAT_MASK = FLAT_ENTRIES - 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.vm.address import PAGE_SHIFT, PAGE_SIZE
-from repro.vm.base import MappingError, PageTable, Translation, WalkStage
+from repro.vm.base import MappingError, PageTable, Translation
 from repro.vm.frames import FrameAllocator
 from repro.vm.radix import PT_ALLOC_SITE
 
@@ -62,9 +62,6 @@ class _Way:
     def index_of(self, page: int) -> int:
         return _splitmix64(page ^ self.salt) % self.size
 
-    def slot_paddr(self, index: int) -> int:
-        return self.base_paddr + index * ECH_ENTRY_BYTES
-
 
 class ElasticCuckooPageTable(PageTable):
     """d-ary elastic cuckoo hash table over 4 KB mappings.
@@ -82,8 +79,6 @@ class ElasticCuckooPageTable(PageTable):
         seed: RNG seed for way salts and kick choices.
     """
 
-    level_names = ()
-
     def __init__(self, allocator: FrameAllocator, ways: int = 2,
                  initial_entries: int = 1 << 14,
                  resize_threshold: float = 0.8,
@@ -95,6 +90,8 @@ class ElasticCuckooPageTable(PageTable):
         self._allocator = allocator
         self._rng = random.Random(seed)
         self._ways_count = ways
+        # One walk level per way: resizes keep the number of ways.
+        self.level_names = tuple(f"ECH-way{i}" for i in range(ways))
         self._resize_threshold = resize_threshold
         self._growth_factor = growth_factor
         self._max_kicks = max_kicks
@@ -125,7 +122,9 @@ class ElasticCuckooPageTable(PageTable):
         return self._mapped_pages / capacity if capacity else 0.0
 
     def lookup(self, page: int) -> Optional[Translation]:
-        # _splitmix64 inlined: this runs on every TLB miss.
+        # _splitmix64 inlined.  A TLB miss takes its translation from
+        # the walk plan; this runs on the fault path
+        # (``ensure_translated``) and in reclaim.
         for way in self._ways:
             value = ((page ^ way.salt) + 0x9E3779B97F4A7C15) \
                 & 0xFFFFFFFFFFFFFFFF
@@ -209,32 +208,17 @@ class ElasticCuckooPageTable(PageTable):
 
     # -- walker-facing structure ----------------------------------------------
 
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
-        """One stage of ``d`` parallel probes (nests disabled)."""
-        if self.lookup(page) is None:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        probes = [
-            WalkStage(f"ECH-way{i}",
-                      way.slot_paddr(way.index_of(page)), None)
-            for i, way in enumerate(self._ways)
-        ]
-        return [probes]
-
-    def walk_info_decorated(self, page: int, level_info: dict, resolve):
-        """Specialized :meth:`PageTable.walk_info_decorated`: the way
-        probes also resolve the translation, so one pass yields both.
-        A walk is one stage of parallel probes, so the plan is always
-        staged."""
+    def walk_info_decorated(self, page: int, level_info: dict):
+        """A staged plan of one stage: a probe of every way in
+        parallel (nests disabled), none with a PWC prefix.  The probes
+        also find the translation, so one pass yields both."""
         translation = None
         probes = []
-        for i, way in enumerate(self._ways):
+        for way, level in zip(self._ways, self.level_names):
             index = _splitmix64(page ^ way.salt) % way.size
-            level = f"ECH-way{i}"
-            deco = level_info.get(level)
-            if deco is None:
-                deco = resolve(level)
+            info = level_info[level]
             probes.append((way.base_paddr + index * ECH_ENTRY_BYTES,
-                           deco[0], deco[1], None, level))
+                           info[0], info[1], None))
             entry = way.slots.get(index)
             if entry is not None and entry[0] == page:
                 translation = entry[1]
@@ -244,8 +228,8 @@ class ElasticCuckooPageTable(PageTable):
 
     def occupancy(self) -> Dict[str, float]:
         return {
-            f"ECH-way{i}": len(way.slots) / way.size
-            for i, way in enumerate(self._ways)
+            level: len(way.slots) / way.size
+            for way, level in zip(self._ways, self.level_names)
         }
 
     def table_bytes(self) -> int:

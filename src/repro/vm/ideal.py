@@ -4,17 +4,18 @@ Every translation request hits a zero-latency L1 TLB: no page-table
 memory traffic exists at all.  This bounds what any translation
 mechanism could achieve and anchors the top of Figs. 12-14.
 
-Functionally a dict; ``walk_stages`` is empty so the walker issues no
-memory requests, and the MMU charges zero lookup latency when it is
-configured with the IDEAL mechanism.
+Functionally a dict.  An MMU configured with the IDEAL mechanism takes
+every translation from the OS model's ``ensure_translated`` (hence
+:meth:`IdealPageTable.lookup`) at zero latency and never walks; the
+walk plan, were one asked for, reads nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.vm.address import PAGE_SHIFT
-from repro.vm.base import MappingError, PageTable, Translation, WalkStage
+from repro.vm.base import MappingError, PageTable, Translation
 
 
 class IdealPageTable(PageTable):
@@ -23,8 +24,6 @@ class IdealPageTable(PageTable):
     Accepts (and ignores) an allocator so it is constructible through
     the same mechanism-spec factory as the real tables.
     """
-
-    level_names = ()
 
     def __init__(self, allocator=None):
         del allocator  # no physical structures exist
@@ -47,10 +46,10 @@ class IdealPageTable(PageTable):
             raise MappingError(f"page {page:#x} not mapped")
         del self._mappings[page]
 
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
-        if page not in self._mappings:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        return []
+    def walk_info_decorated(self, page: int, level_info: dict):
+        """An empty flat plan: no page-table memory exists to read."""
+        translation = self._mappings.get(page)
+        return None if translation is None else ((), None, translation)
 
     def occupancy(self) -> Dict[str, float]:
         return {}

@@ -143,10 +143,10 @@ class OSMemoryManager:
         """Resolve ``vaddr``'s translation, faulting it in if needed.
 
         Returns ``(translation, fault_cycles)``; ``fault_cycles`` is
-        0.0 when the page was already mapped (the common case: this
-        runs on every TLB miss, before the walk).  Returning the
-        translation spares the MMU a second page-table descent after
-        the walk — the walk itself never changes the mapping.
+        0.0 when the page was already mapped.  The Ideal MMU
+        translates through this on every reference; any other MMU
+        calls it only when a walk plan finds the page unmapped, and
+        then resolves the plan again.
         """
         page = (vaddr & VA_MASK) >> PAGE_SHIFT
         translation = self.page_table.lookup(page)

@@ -23,12 +23,7 @@ from repro.vm.address import (
     PTE_SIZE,
     level_index,
 )
-from repro.vm.base import (
-    MappingError,
-    PageTable,
-    Translation,
-    WalkStage,
-)
+from repro.vm.base import MappingError, PageTable, Translation
 from repro.vm.frames import FrameAllocator
 
 #: Allocation site used for page-table pages, distinct from any core.
@@ -43,24 +38,17 @@ _SHIFT4 = 3 * LEVEL_BITS
 _SHIFT3 = 2 * LEVEL_BITS
 
 
-class _Node:
-    """One 4 KB page-table page."""
+class TableNode:
+    """One page-table node: its physical base address and its entries
+    (index -> child node, or a leaf Translation).  The radix,
+    flattened and upper-flattened tables all build their trees of it;
+    a node's size is its table's business."""
 
-    __slots__ = ("level", "base_paddr", "entries")
+    __slots__ = ("base_paddr", "entries")
 
-    def __init__(self, level: int, base_paddr: int):
-        self.level = level
+    def __init__(self, base_paddr: int):
         self.base_paddr = base_paddr
-        # index -> child _Node (interior) or Translation (leaf)
         self.entries: Dict[int, object] = {}
-
-    def pte_paddr(self, index: int) -> int:
-        return self.base_paddr + index * PTE_SIZE
-
-
-def _pwc_key(level: int, page: int):
-    """Tag identifying the translation prefix cached at ``level``."""
-    return (_LEVEL_NAMES[level], page >> (LEVEL_BITS * (level - 1)))
 
 
 class RadixPageTable(PageTable):
@@ -70,7 +58,7 @@ class RadixPageTable(PageTable):
 
     def __init__(self, allocator: FrameAllocator):
         self._allocator = allocator
-        self._nodes_by_level: Dict[int, List[_Node]] = {
+        self._nodes_by_level: Dict[int, List[TableNode]] = {
             4: [], 3: [], 2: [], 1: []}
         self._root = self._new_node(4)
         self._mapped_pages = 0
@@ -78,27 +66,32 @@ class RadixPageTable(PageTable):
 
     # -- construction helpers -------------------------------------------------
 
-    def _new_node(self, level: int) -> _Node:
+    def _new_node(self, level: int) -> TableNode:
         frame = self._allocator.alloc_frame(site=PT_ALLOC_SITE)
-        node = _Node(level, self._allocator.frame_paddr(frame))
+        node = TableNode(self._allocator.frame_paddr(frame))
         self._nodes_by_level[level].append(node)
         return node
 
-    def _child(self, node: _Node, index: int, create: bool) -> Optional[_Node]:
-        child = node.entries.get(index)
-        if child is None and create:
-            child = self._new_node(node.level - 1)
-            node.entries[index] = child
-        if isinstance(child, Translation):
-            return None
-        return child
+    def _pl2_node(self, page: int, create: bool) -> Optional[TableNode]:
+        """The PL2 node covering ``page`` (built, PL3 node first, when
+        missing and ``create``), or None."""
+        node = self._root
+        for shift, level in ((_SHIFT4, 3), (_SHIFT3, 2)):
+            entries = node.entries
+            index = (page >> shift) & _INDEX_MASK
+            node = entries.get(index)
+            if node is None:
+                if not create:
+                    return None
+                node = entries[index] = self._new_node(level)
+        return node
 
     # -- PageTable interface --------------------------------------------------
 
     def lookup(self, page: int) -> Optional[Translation]:
-        # Unrolled descent with the level_index shifts inlined: this
-        # runs on every TLB miss (fault check + walk refill), so the
-        # loop/call overhead is worth trimming.
+        # Unrolled descent with the level_index shifts inlined.  A TLB
+        # miss takes its translation from the walk plan; this runs on
+        # the fault path (``ensure_translated``) and in reclaim.
         mask = ENTRIES_PER_NODE - 1
         node = self._root
         for shift in (3 * LEVEL_BITS, 2 * LEVEL_BITS, LEVEL_BITS):
@@ -149,9 +142,7 @@ class RadixPageTable(PageTable):
             raise MappingError("2 MB mapping must be 512-page aligned")
         if (pfn << PAGE_SHIFT) % (1 << HUGE_PAGE_SHIFT):
             raise MappingError("2 MB mapping needs a 2 MB-aligned frame")
-        node = self._root
-        for level in (4, 3):
-            node = self._child(node, level_index(page, level), create=True)
+        node = self._pl2_node(page, create=True)
         idx2 = level_index(page, 2)
         if idx2 in node.entries:
             raise MappingError(f"PL2 slot for page {page:#x} already in use")
@@ -161,11 +152,9 @@ class RadixPageTable(PageTable):
         self.huge_mappings += 1
 
     def unmap_page(self, page: int) -> None:
-        node = self._root
-        for level in (4, 3):
-            node = self._child(node, level_index(page, level), create=False)
-            if node is None:
-                raise MappingError(f"page {page:#x} not mapped")
+        node = self._pl2_node(page, create=False)
+        if node is None:
+            raise MappingError(f"page {page:#x} not mapped")
         idx2 = level_index(page, 2)
         entry = node.entries.get(idx2)
         if isinstance(entry, Translation):
@@ -178,39 +167,17 @@ class RadixPageTable(PageTable):
         del entry.entries[level_index(page, 1)]
         self._mapped_pages -= 1
 
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
-        stages: List[List[WalkStage]] = []
-        node = self._root
-        for level in (4, 3, 2):
-            index = level_index(page, level)
-            stages.append([WalkStage(
-                _LEVEL_NAMES[level], node.pte_paddr(index),
-                _pwc_key(level, page))])
-            entry = node.entries.get(index)
-            if entry is None:
-                raise MappingError(f"walk of unmapped page {page:#x}")
-            if isinstance(entry, Translation):
-                return stages  # 2 MB leaf: 3-stage walk
-            node = entry
-        index = level_index(page, 1)
-        if index not in node.entries:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        stages.append([WalkStage(
-            "PL1", node.pte_paddr(index), _pwc_key(1, page))])
-        return stages
-
-    def walk_info_decorated(self, page: int, level_info: dict, resolve):
-        """Specialized :meth:`PageTable.walk_info_decorated`: one
-        descent, flat plan, walker treatment baked in.  ``level_info``
-        must already hold every level in :attr:`level_names` (the
-        walker resolves them at construction), so it is indexed, not
-        resolved."""
+    def walk_info_decorated(self, page: int, level_info: dict):
+        """The flat plan of PL4, PL3, PL2 and (below a 4 KB leaf's
+        PL2 entry) PL1 reads, from one unrolled descent.  Each level's
+        PWC prefix is the VPN without the index bits of the levels
+        below it: ``page >> 27``, ``>> 18``, ``>> 9`` and ``page``."""
         node = self._root
         prefix = page >> _SHIFT4
         index = prefix & _INDEX_MASK
         info = level_info["PL4"]
         stage4 = (node.base_paddr + index * PTE_SIZE, info[0], info[1],
-                  prefix, "PL4")
+                  prefix)
         node = node.entries.get(index)
         if node is None:
             return None
@@ -219,7 +186,7 @@ class RadixPageTable(PageTable):
         index = prefix & _INDEX_MASK
         info = level_info["PL3"]
         stage3 = (node.base_paddr + index * PTE_SIZE, info[0], info[1],
-                  prefix, "PL3")
+                  prefix)
         node = node.entries.get(index)
         if node is None:
             return None
@@ -228,7 +195,7 @@ class RadixPageTable(PageTable):
         index = prefix & _INDEX_MASK
         info = level_info["PL2"]
         stage2 = (node.base_paddr + index * PTE_SIZE, info[0], info[1],
-                  prefix, "PL2")
+                  prefix)
         entry = node.entries.get(index)
         if entry is None:
             return None
@@ -242,7 +209,7 @@ class RadixPageTable(PageTable):
         info = level_info["PL1"]
         return ((stage4, stage3, stage2,
                  (entry.base_paddr + index * PTE_SIZE, info[0], info[1],
-                  page, "PL1")),
+                  page)),
                 None, leaf)
 
     def occupancy(self) -> Dict[str, float]:

@@ -7,7 +7,6 @@ from repro.workloads.graphbig import KERNELS, GraphBigWorkload
 from repro.workloads.gups import GupsWorkload
 from repro.workloads.registry import (
     ALL_WORKLOADS,
-    QUICK_WORKLOADS,
     make_workload,
     workload_table,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "GraphBigWorkload",
     "GupsWorkload",
     "KERNELS",
-    "QUICK_WORKLOADS",
     "Region",
     "Workload",
     "XSBenchWorkload",

@@ -20,9 +20,6 @@ from repro.workloads.xsbench import XSBenchWorkload
 ALL_WORKLOADS = ("bc", "bfs", "cc", "gc", "pr", "tc", "sp",
                  "xs", "rnd", "dlrm", "gen")
 
-#: A fast, diverse subset for smoke tests and examples.
-QUICK_WORKLOADS = ("bfs", "xs", "rnd")
-
 
 def make_workload(name: str, scale: float = 1.0,
                   seed: int = 42) -> Workload:

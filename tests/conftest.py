@@ -41,6 +41,20 @@ def make_vpn():
     return _make_vpn
 
 
+def _live_plan(table, page: int):
+    return table.walk_info_decorated(
+        page, {level: (0, level) for level in table.level_names})
+
+
+@pytest.fixture(scope="session")
+def live_plan():
+    """``live_plan(table, page)``: the walk plan the walker runs for
+    ``page`` (``(flat, staged, translation)``, or None when unmapped),
+    with no bypass and each level's name in its steps' PWC slot, so
+    ``step[2]`` tells which level a step reads."""
+    return _live_plan
+
+
 class LruSets:
     """Reference model of one set-associative LRU structure.
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.flattened import FlattenedPageTable
-from repro.vm.address import FLAT_ENTRIES, FLAT_NODE_BYTES, PAGE_SHIFT
+from repro.vm.address import FLAT_ENTRIES, PAGE_SHIFT
 from repro.vm.base import MappingError, Translation
 from repro.vm.frames import FrameAllocator, OutOfMemoryError
 
@@ -55,26 +55,28 @@ class TestMapping:
 
 
 class TestWalkStructure:
-    def test_walk_has_three_stages(self, table):
+    def test_walk_has_three_stages(self, live_plan, table):
         # The headline property: 4 sequential accesses become 3.
         table.map_page(0x54321, pfn=9)
-        stages = table.walk_stages(0x54321)
-        assert [s[0].level for s in stages] == ["PL4", "PL3", "PL2/1"]
+        flat, staged, translation = live_plan(table, 0x54321)
+        assert staged is None
+        assert [step[2] for step in flat] == ["PL4", "PL3", "PL2/1"]
+        assert translation == Translation(9, PAGE_SHIFT)
 
-    def test_walk_unmapped_rejected(self, table):
-        with pytest.raises(MappingError):
-            table.walk_stages(3)
+    def test_walk_unmapped_rejected(self, live_plan, table):
+        assert live_plan(table, 3) is None
+        table.map_page(4, pfn=1)  # every node exists, the leaf not
+        assert live_plan(table, 3) is None
 
-    def test_flat_index_spans_18_bits(self, make_vpn, table):
+    def test_flat_index_spans_18_bits(self, make_vpn, live_plan, table):
         low = make_vpn(0, 0, 0, 0)
         high = make_vpn(0, 0, 511, 511)
         table.map_page(low, pfn=1)
         table.map_page(high, pfn=2)
-        leaf_low = table.walk_stages(low)[2][0]
-        leaf_high = table.walk_stages(high)[2][0]
+        leaf_low = live_plan(table, low)[0][2]
+        leaf_high = live_plan(table, high)[0][2]
         # Same flattened node, indices 0 and 2^18 - 1.
-        assert leaf_high.pte_paddr - leaf_low.pte_paddr \
-            == (FLAT_ENTRIES - 1) * 8
+        assert leaf_high[0] - leaf_low[0] == (FLAT_ENTRIES - 1) * 8
 
     def test_pages_one_gb_apart_use_different_flat_nodes(self, make_vpn,
                                                          table):
@@ -83,7 +85,8 @@ class TestWalkStructure:
         table.map_page(a, pfn=1)
         one_node = table.table_bytes()
         table.map_page(b, pfn=2)
-        assert table.table_bytes() == one_node + FLAT_NODE_BYTES
+        # A new 4 KB PL3 node is not needed: only the 2 MB flat node.
+        assert table.table_bytes() == one_node + 2 * MIB
 
     def test_pl2_sibling_pages_share_flat_node(self, make_vpn, table):
         a = make_vpn(0, 0, 3, 0)
@@ -93,13 +96,11 @@ class TestWalkStructure:
         table.map_page(b, pfn=2)
         assert table.table_bytes() == one_node
 
-    def test_pwc_keys(self, make_vpn, table):
+    def test_pwc_keys(self, make_vpn, live_plan, table):
         page = make_vpn(1, 2, 3, 4)
         table.map_page(page, pfn=1)
-        stages = table.walk_stages(page)
-        assert stages[0][0].pwc_key == ("PL4", page >> 27)
-        assert stages[1][0].pwc_key == ("PL3", page >> 18)
-        assert stages[2][0].pwc_key == ("PL2/1", page)
+        flat, _, _ = live_plan(table, page)
+        assert [step[3] for step in flat] == [page >> 27, page >> 18, page]
 
     def test_coverage_is_one_gb(self, table):
         gib_pages = (1 << 30) >> PAGE_SHIFT
@@ -108,7 +109,7 @@ class TestWalkStructure:
         table.map_page(gib_pages - 1, pfn=2)  # last page of the node
         assert table.table_bytes() == one_node
         table.map_page(gib_pages, pfn=3)      # first page of the next
-        assert table.table_bytes() == one_node + FLAT_NODE_BYTES
+        assert table.table_bytes() == one_node + 2 * MIB
 
 
 class TestPhysicalStructure:
@@ -117,11 +118,11 @@ class TestPhysicalStructure:
         table.map_page(0, pfn=1)
         assert allocator.free_block_count == before - 1
 
-    def test_flat_node_is_2mb_aligned(self, table):
+    def test_flat_node_is_2mb_aligned(self, live_plan, table):
         table.map_page(0, pfn=1)
-        leaf = table.walk_stages(0)[2][0]
-        node_base = leaf.pte_paddr - (leaf.pte_paddr % (2 * MIB))
-        assert node_base % (2 * MIB) == 0
+        # Index 0's PTE is the node's first: its base.
+        leaf = live_plan(table, 0)[0][2]
+        assert leaf[0] % (2 * MIB) == 0
 
     def test_table_bytes_counts_flat_nodes(self, table):
         empty = table.table_bytes()
@@ -172,16 +173,15 @@ class TestEquivalenceWithRadix:
 
     @given(VPNS)
     @settings(max_examples=30, deadline=None)
-    def test_walk_is_exactly_one_stage_shorter(self, page):
+    def test_walk_is_exactly_one_stage_shorter(self, live_plan, page):
+        from repro.vm.radix import RadixPageTable
         flat = FlattenedPageTable(FrameAllocator(64 * MIB))
-        radix = RadixPageTable_cached(page)
+        radix = RadixPageTable(FrameAllocator(64 * MIB))
         flat.map_page(page, pfn=1)
-        assert len(flat.walk_stages(page)) == len(radix) - 1
-
-
-def RadixPageTable_cached(page):
-    """Build a radix walk for comparison (helper, not a fixture)."""
-    from repro.vm.radix import RadixPageTable
-    table = RadixPageTable(FrameAllocator(64 * MIB))
-    table.map_page(page, pfn=1)
-    return table.walk_stages(page)
+        radix.map_page(page, pfn=1)
+        flat_walk = live_plan(flat, page)[0]
+        radix_walk = live_plan(radix, page)[0]
+        assert len(flat_walk) == len(radix_walk) - 1
+        # The same PWC prefixes above the merged level.
+        assert [step[3] for step in flat_walk[:2]] \
+            == [step[3] for step in radix_walk[:2]]

@@ -44,26 +44,31 @@ class TestFunctional:
 
 
 class TestStructure:
-    def test_three_stage_walk(self, table):
+    def test_three_stage_walk(self, live_plan, table):
         table.map_page(0x12345, pfn=1)
-        stages = table.walk_stages(0x12345)
-        assert [s[0].level for s in stages] == ["PL4", "PL3/2", "PL1"]
+        flat, staged, translation = live_plan(table, 0x12345)
+        assert staged is None
+        assert [step[2] for step in flat] == ["PL4", "PL3/2", "PL1"]
+        assert [step[3] for step in flat] \
+            == [0x12345 >> 27, 0x12345 >> 9, 0x12345]
+        assert translation == Translation(1, PAGE_SHIFT)
+        assert live_plan(table, 0x12346) is None
 
-    def test_merged_level_spans_18_bits(self, make_vpn, table):
+    def test_merged_level_spans_18_bits(self, make_vpn, live_plan, table):
         low = make_vpn(0, 0, 0, 7)
         high = make_vpn(0, 511, 511, 7)
         table.map_page(low, pfn=1)
         table.map_page(high, pfn=2)
-        a = table.walk_stages(low)[1][0]
-        b = table.walk_stages(high)[1][0]
-        assert b.pte_paddr - a.pte_paddr == ((1 << 18) - 1) * 8
+        a = live_plan(table, low)[0][1]
+        b = live_plan(table, high)[0][1]
+        assert b[0] - a[0] == ((1 << 18) - 1) * 8
 
-    def test_pl1_nodes_conventional(self, make_vpn, table):
+    def test_pl1_nodes_conventional(self, make_vpn, live_plan, table):
         table.map_page(make_vpn(0, 0, 0, 3), pfn=1)
         table.map_page(make_vpn(0, 0, 0, 4), pfn=2)
-        a = table.walk_stages(make_vpn(0, 0, 0, 3))[2][0]
-        b = table.walk_stages(make_vpn(0, 0, 0, 4))[2][0]
-        assert b.pte_paddr - a.pte_paddr == 8
+        a = live_plan(table, make_vpn(0, 0, 0, 3))[0][2]
+        b = live_plan(table, make_vpn(0, 0, 0, 4))[0][2]
+        assert b[0] - a[0] == 8
 
     def test_flat_node_consumes_block(self, table, allocator):
         before = allocator.free_block_count
@@ -89,13 +94,13 @@ class TestWhyBottomIsRight:
     walker actually performs; upper-two removes one the PWCs already
     absorbed."""
 
-    def test_upper_walk_still_pays_two_leaf_levels(self, table):
+    def test_upper_walk_still_pays_two_leaf_levels(self, live_plan, table):
         from repro.core.flattened import FlattenedPageTable
         bottom = FlattenedPageTable(FrameAllocator(64 * MIB))
         table.map_page(0x777, pfn=1)
         bottom.map_page(0x777, pfn=1)
-        upper_levels = [s[0].level for s in table.walk_stages(0x777)]
-        bottom_levels = [s[0].level for s in bottom.walk_stages(0x777)]
+        upper_levels = [step[2] for step in live_plan(table, 0x777)[0]]
+        bottom_levels = [step[2] for step in live_plan(bottom, 0x777)[0]]
         # Both are 3-stage, but upper keeps two poorly-caching low
         # levels (PL3/2 node per-region entries + PL1), while bottom
         # keeps only one.

@@ -1,18 +1,28 @@
 """Tests for the mechanism registry (Section VI)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bypass import MetadataBypass, NoBypass
 from repro.core.flattened import FlattenedPageTable
+from repro.core.flattened_upper import UpperFlattenedPageTable
 from repro.core.mechanisms import (
     MECHANISMS,
     PAPER_MECHANISMS,
     get_mechanism,
 )
+from repro.vm.base import Translation
 from repro.vm.cuckoo import ElasticCuckooPageTable
 from repro.vm.frames import FrameAllocator
-from repro.vm.address import HUGE_PAGE_SHIFT, LEVEL_BITS
+from repro.vm.address import (
+    HUGE_PAGE_SHIFT,
+    LEVEL_BITS,
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    PTE_SIZE,
+)
 from repro.vm.ideal import IdealPageTable
 from repro.vm.os_model import PagingPolicy
 from repro.vm.radix import RadixPageTable
@@ -91,26 +101,171 @@ HUGE_PAGES = st.builds(lambda group: (4 << 27) | (group << LEVEL_BITS),
 UNMAPPED_PAGE = 5 << 27
 
 
-def structural_plan(table, page, treatment):
-    """The ``walk_info_decorated`` result derived from ``walk_stages``
-    and ``lookup``: each step ``(pte_paddr, bypass, probe, prefix,
-    level)``, flat when every stage is a single step."""
-    staged = tuple(
-        tuple((step.pte_paddr, *treatment[step.level],
-               step.pwc_key[-1] if step.pwc_key is not None else None,
-               step.level) for step in stage)
-        for stage in table.walk_stages(page))
-    translation = table.lookup(page)
-    if all(len(stage) == 1 for stage in staged):
-        return tuple(stage[0] for stage in staged), None, translation
-    return None, staged, translation
+class RecordingAllocator(FrameAllocator):
+    """A frame allocator that records the first frame of every
+    allocation, in order.  A table under test allocates nothing but
+    its own structures, so this is its record of page-table
+    allocations."""
+
+    def __init__(self, phys_bytes: int):
+        super().__init__(phys_bytes)
+        self.allocations = []
+
+    def alloc_frame(self, site: int = 0) -> int:
+        frame = super().alloc_frame(site)
+        self.allocations.append(frame)
+        return frame
+
+    def alloc_huge(self, site: int = 0):
+        frame = super().alloc_huge(site)
+        if frame is not None:
+            self.allocations.append(frame)
+        return frame
+
+
+class RadixFamilyModel:
+    """Reference walk plans of a radix-family table, derived from the
+    VPN, the table's level split and the allocator's record alone.
+
+    ``levels`` is the split, root first: ``(name, index bits)`` per
+    level, consuming the 36-bit VPN from the top.  A node is named by
+    the VPN bits above its level's index; nodes take the recorded
+    allocations in first-touch order, root first (the root at
+    construction), so the model never reads the table's nodes.  A
+    level at ``huge_depth`` holds 2 MB leaves.
+    """
+
+    def __init__(self, levels, allocations, huge_depth=None):
+        self.level_names = tuple(name for name, _ in levels)
+        self.huge_depth = huge_depth
+        self._allocations = iter(allocations)
+        # Per level: (name, index mask, bits below it, bits below and
+        # at it); the third is that level's PWC prefix shift.
+        self._levels = []
+        below = sum(bits for _, bits in levels)
+        for name, bits in levels:
+            below -= bits
+            self._levels.append((name, (1 << bits) - 1, below,
+                                 below + bits))
+        self._bases = {}
+        self._leaves = {}  # 4 KB page or (2 MB group,) -> Translation
+        self._touch(0, 0)
+
+    def _touch(self, depth, page):
+        key = (depth, page >> self._levels[depth][3])
+        if key not in self._bases:
+            self._bases[key] = next(self._allocations) * PAGE_SIZE
+
+    def map_page(self, page, pfn, page_shift):
+        depth = len(self._levels) - 1
+        if page_shift == HUGE_PAGE_SHIFT:
+            depth = self.huge_depth
+            self._leaves[(page >> LEVEL_BITS,)] = Translation(
+                pfn >> LEVEL_BITS, HUGE_PAGE_SHIFT)
+        else:
+            self._leaves[page] = Translation(pfn, PAGE_SHIFT)
+        for level in range(depth + 1):
+            self._touch(level, page)
+
+    def walk_stages(self, page, level_info):
+        huge = self._leaves.get((page >> LEVEL_BITS,))
+        translation = huge or self._leaves.get(page)
+        if translation is None:
+            return None
+        depth = self.huge_depth if huge else len(self._levels) - 1
+        steps = []
+        for level, (name, mask, shift, node_shift) in enumerate(
+                self._levels[:depth + 1]):
+            base = self._bases[(level, page >> node_shift)]
+            prefix = page >> shift
+            steps.append((base + (prefix & mask) * PTE_SIZE,
+                          *level_info[name], prefix))
+        return tuple(steps), None, translation
+
+
+#: The level splits of the radix-family tables.
+RADIX_LEVELS = (("PL4", 9), ("PL3", 9), ("PL2", 9), ("PL1", 9))
+FLAT_LEVELS = (("PL4", 9), ("PL3", 9), ("PL2/1", 18))
+UPPER_FLAT_LEVELS = (("PL4", 9), ("PL3/2", 18), ("PL1", 9))
+
+#: What ``get_mechanism("ech")`` builds: 2 ways of 2^14 16-byte slots
+#: each, salts drawn from a ``random.Random(0x5EED)``.
+ECH_WAYS, ECH_SLOTS, ECH_ENTRY, ECH_SEED = 2, 1 << 14, 16, 0x5EED
+
+
+def splitmix64(value: int) -> int:
+    value = (value + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) \
+        & 0xFFFFFFFFFFFFFFFF
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) \
+        & 0xFFFFFFFFFFFFFFFF
+    return value ^ (value >> 31)
+
+
+class CuckooModel:
+    """Reference plans of an ECH table that has not grown: one stage
+    of a probe per way, at the slot the way's salt hashes the VPN to.
+    Each way allocates its frames one at a time and addresses its
+    slots from the first."""
+
+    def __init__(self, allocations):
+        self.level_names = tuple(f"ECH-way{i}" for i in range(ECH_WAYS))
+        rng = random.Random(ECH_SEED)
+        frames = -(-ECH_SLOTS * ECH_ENTRY // PAGE_SIZE)
+        self._ways = [(rng.getrandbits(64),
+                       allocations[way * frames] * PAGE_SIZE)
+                      for way in range(ECH_WAYS)]
+        self._leaves = {}
+
+    def map_page(self, page, pfn, page_shift):
+        self._leaves[page] = Translation(pfn, page_shift)
+
+    def walk_stages(self, page, level_info):
+        translation = self._leaves.get(page)
+        if translation is None:
+            return None
+        probes = tuple(
+            (base + splitmix64(page ^ salt) % ECH_SLOTS * ECH_ENTRY,
+             *level_info[name], None)
+            for (salt, base), name in zip(self._ways, self.level_names))
+        return None, (probes,), translation
+
+
+class IdealModel:
+    """The ideal table reads nothing: an empty flat plan."""
+
+    level_names = ()
+
+    def __init__(self):
+        self._leaves = {}
+
+    def map_page(self, page, pfn, page_shift):
+        self._leaves[page] = Translation(pfn, page_shift)
+
+    def walk_stages(self, page, level_info):
+        translation = self._leaves.get(page)
+        return None if translation is None else ((), None, translation)
+
+
+def plan_model(table, allocations):
+    """The reference model of ``table``'s class."""
+    if isinstance(table, RadixPageTable):
+        return RadixFamilyModel(RADIX_LEVELS, allocations, huge_depth=2)
+    if isinstance(table, FlattenedPageTable):
+        return RadixFamilyModel(FLAT_LEVELS, allocations)
+    if isinstance(table, UpperFlattenedPageTable):
+        return RadixFamilyModel(UPPER_FLAT_LEVELS, allocations)
+    if isinstance(table, ElasticCuckooPageTable):
+        return CuckooModel(allocations)
+    assert isinstance(table, IdealPageTable)
+    return IdealModel()
 
 
 class TestLiveWalkPlan:
-    """Each table's live walk plan (``walk_info_decorated``, the one
-    method the walker calls) against its structural walk: the same PTE
-    addresses, levels, PWC prefixes, per-level walker treatment,
-    flat-versus-staged shape and translation."""
+    """Each mechanism's live walk plan (``walk_info_decorated``, the
+    one method the walker calls) against the reference model of its
+    table: the same PTE addresses, PWC prefixes, per-level walker
+    treatment, flat-versus-staged shape and translation."""
 
     @pytest.mark.parametrize("key", sorted(MECHANISMS))
     @given(small=st.lists(SMALL_PAGES, min_size=1, max_size=30,
@@ -120,31 +275,27 @@ class TestLiveWalkPlan:
                             max_size=4))
     @settings(max_examples=20, deadline=None)
     def test_plan_matches_walk_stages(self, key, small, huge, offsets):
-        table = get_mechanism(key).build_table(FrameAllocator(1024 * MIB))
-        for pfn, page in enumerate(small, start=1):
-            table.map_page(page, pfn=pfn)
+        allocator = RecordingAllocator(1024 * MIB)
+        table = get_mechanism(key).build_table(allocator)
+        maps = [(page, pfn, PAGE_SHIFT)
+                for pfn, page in enumerate(small, start=1)]
         walked = list(small)
         if isinstance(table, RadixPageTable):
-            for group, page in enumerate(huge, start=1):
-                table.map_page(page, pfn=group << LEVEL_BITS,
-                               page_shift=HUGE_PAGE_SHIFT)
-                walked += [page + offset for offset in offsets]
+            maps += [(page, group << LEVEL_BITS, HUGE_PAGE_SHIFT)
+                     for group, page in enumerate(huge, start=1)]
+            walked += [page + offset for page in huge for offset in offsets]
+        for page, pfn, page_shift in maps:
+            table.map_page(page, pfn=pfn, page_shift=page_shift)
+        if isinstance(table, ElasticCuckooPageTable):
+            assert table.stats.resizes == 0  # the model's premise
 
-        # A distinct treatment per level, memoized in ``level_info`` as
-        # the walker does: every level the table names up front, any
-        # other on first use.
-        level_info = {}
-
-        def resolve(level):
-            info = (len(level_info) % 2, f"probe-{level}")
-            level_info[level] = info
-            return info
-
-        for level in table.level_names:
-            resolve(level)
-
-        for page in walked:
-            live = table.walk_info_decorated(page, level_info, resolve)
-            assert live == structural_plan(table, page, level_info)
-        assert table.walk_info_decorated(
-            UNMAPPED_PAGE, level_info, resolve) is None
+        model = plan_model(table, allocator.allocations)
+        for page, pfn, page_shift in maps:
+            model.map_page(page, pfn, page_shift)
+        assert table.level_names == model.level_names
+        # A distinct treatment per level, as the walker resolves it.
+        level_info = {level: (i % 2, f"probe-{level}")
+                      for i, level in enumerate(model.level_names)}
+        for page in walked + [UNMAPPED_PAGE, small[0] ^ 1]:
+            assert table.walk_info_decorated(page, level_info) \
+                == model.walk_stages(page, level_info), hex(page)

@@ -36,7 +36,7 @@ def step_walker(pwcs=None):
 def probe(walker, pwc, key):
     """Walk a one-step plan through ``pwc``; True on a PWC hit."""
     hits = pwc.stats.hits
-    walker.walk_from_plan(0.0, ((0, 1, pwc, key, pwc.level),), None)
+    walker.walk_from_plan(0.0, ((0, 1, pwc, key),), None)
     return pwc.stats.hits > hits
 
 
@@ -172,11 +172,11 @@ class TestWalkFromPlanDifferential:
             assert staged is None
             expected = {}   # level -> (hit, victim)
             start = 0
-            for depth, (_, _, pwc, key, level) in enumerate(flat, 1):
+            for depth, (_, _, pwc, key) in enumerate(flat, 1):
                 if pwc is None or key is None:
                     continue
-                expected[level] = model[level].access(key | tag)
-                if expected[level][0]:
+                expected[pwc.level] = model[pwc.level].access(key | tag)
+                if expected[pwc.level][0]:
                     start = depth
             before = {level: set().union(*map(set, cache._sets))
                       for level, cache in caches.items()}

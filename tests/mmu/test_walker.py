@@ -229,33 +229,34 @@ OPS = st.lists(
     min_size=60, max_size=200)
 
 
+def small_hierarchy(shape):
+    """A one-core hierarchy with a 2 KB 2-way L1 (and, on the CPU
+    shape, small L2 and L3), so PTE and data lines evict each other."""
+    if shape == "ndp":
+        return build_ndp_hierarchy(1, HBM2, l1_size=2048, l1_assoc=2)
+    return build_cpu_hierarchy(
+        1, DDR4_2400, l1_size=2048, l1_assoc=2, l2_size=8192,
+        l2_assoc=2, l3_per_core=16384, l3_assoc=2)
+
+
 def walker_world(mechanism, shape, table, asid=0):
     """One walker over ``table`` with ``mechanism``'s PWC levels and
     bypass policy, in front of a small private hierarchy."""
     spec = get_mechanism(mechanism)
-    if shape == "ndp":
-        hierarchy = build_ndp_hierarchy(1, HBM2, l1_size=2048, l1_assoc=2)
-    else:
-        hierarchy = build_cpu_hierarchy(
-            1, DDR4_2400, l1_size=2048, l1_assoc=2, l2_size=8192,
-            l2_assoc=2, l3_per_core=16384, l3_assoc=2)
     pwcs = PwcSet(spec.pwc_levels, entries=4, associativity=2)
-    return PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs,
-                           bypass=spec.build_bypass(), asid=asid)
+    return PageTableWalker(table, small_hierarchy(shape), core_id=0,
+                           pwcs=pwcs, bypass=spec.build_bypass(),
+                           asid=asid)
 
 
-def walker_counters(walker):
-    hierarchy = walker.hierarchy
+def hierarchy_state(hierarchy):
+    """Every counter of a walker's private hierarchy, and its L1's sets
+    in LRU order (oldest line first, with its packed kind and dirty
+    bits)."""
     caches = [hierarchy.l1ds[0]]
     if hierarchy.l2s is not None:
         caches += [hierarchy.l2s[0], hierarchy.l3]
-    stats = walker.stats
     return {
-        "walker": (stats.walks, stats.memory_accesses),
-        "pwc": {level: ({key for pwc_set in cache._sets
-                         for key in pwc_set},
-                        cache.stats.hits, cache.stats.misses)
-                for level, cache in walker.pwcs.caches().items()},
         "caches": [(cache.stats.data.hits, cache.stats.data.misses,
                     cache.stats.metadata.hits, cache.stats.metadata.misses,
                     cache.stats.writebacks,
@@ -267,14 +268,51 @@ def walker_counters(walker):
         "dram": (list(hierarchy.dram.stats.kind_counts),
                  hierarchy.dram.stats.row_hits,
                  hierarchy.dram.stats.row_misses),
+        "l1_sets": [list(cache_set.items())
+                    for cache_set in hierarchy.l1ds[0]._sets],
     }
+
+
+class ReferenceWalk:
+    """The walker's flat path spelled out: probe-and-fill each step's
+    PWC on one :class:`LruSets` model per level, resume below the
+    deepest hit, and read every remaining PTE through a twin
+    hierarchy's ``access_fast`` (no inlined L1 hit)."""
+
+    def __init__(self, walker, hierarchy, lru_sets):
+        self.hierarchy = hierarchy
+        self.latency = float(walker.pwcs.latency)
+        self.tag = walker.asid_tag
+        # level -> (model, [hits, misses])
+        self.pwcs = {level: (lru_sets(cache.num_sets, cache.associativity),
+                             [0, 0])
+                     for level, cache in walker.pwcs.caches().items()}
+        self.walks = self.reads = 0
+
+    def walk(self, now, flat):
+        start = 0
+        for depth, (_, _, pwc, key) in enumerate(flat, 1):
+            if pwc is not None and key is not None:
+                model, counts = self.pwcs[pwc.level]
+                hit, _ = model.access(key | self.tag)
+                counts[0 if hit else 1] += 1
+                if hit:
+                    start = depth
+        clock = now + self.latency
+        for pte_paddr, bypass_l1, _, _ in flat[start:]:
+            clock += self.hierarchy.access_fast(
+                clock, pte_paddr, KIND_METADATA, 0, 0, bypass_l1)
+        self.walks += 1
+        self.reads += len(flat) - start
+        return clock - now
 
 
 class TestFlatPlanDifferential:
     """``walk_from_plan``'s flat path (inlined PWC probe and L1
-    metadata hit) against the same plan run as single-step stages
-    through ``_walk_staged``: the same latency for every walk, and the
-    same counters and PWC contents at the end."""
+    metadata hit) against :class:`ReferenceWalk`, which takes each
+    step as a single access: the same latency for every walk, the same
+    walk and PWC counters, the same PWC sets and the same hierarchy
+    counters and L1 sets in LRU order at the end."""
 
     @pytest.mark.parametrize("mechanism,shape", [
         ("radix", "ndp"), ("radix", "cpu"), ("ndpage", "ndp"),
@@ -282,38 +320,43 @@ class TestFlatPlanDifferential:
     ])
     @given(ops=OPS)
     @settings(max_examples=25, deadline=None)
-    def test_flat_matches_single_step_stages(self, mechanism, shape, ops):
-        self.check(mechanism, shape, ops, asid=0)
+    def test_flat_matches_single_step_stages(self, lru_sets, mechanism,
+                                             shape, ops):
+        self.check(lru_sets, mechanism, shape, ops, asid=0)
 
     @pytest.mark.parametrize("mechanism", ["radix", "ndpage"])
     @given(ops=OPS)
     @settings(max_examples=15, deadline=None)
-    def test_tenant_tagged_keys(self, mechanism, ops):
-        self.check(mechanism, "ndp", ops, asid=3)
+    def test_tenant_tagged_keys(self, lru_sets, mechanism, ops):
+        self.check(lru_sets, mechanism, "ndp", ops, asid=3)
 
-    def check(self, mechanism, shape, ops, asid):
+    def check(self, lru_sets, mechanism, shape, ops, asid):
         table = get_mechanism(mechanism).build_table(
             FrameAllocator(1024 * MIB))
         for pfn, page in enumerate(DIFF_PAGES, start=1):
             table.map_page(page, pfn=pfn)
-        flat_walker = walker_world(mechanism, shape, table, asid)
-        staged_walker = walker_world(mechanism, shape, table, asid)
+        walker = walker_world(mechanism, shape, table, asid)
+        reference = ReferenceWalk(walker, small_hierarchy(shape), lru_sets)
         now = 0.0
         for gap, is_walk, index in ops:
             now += gap
             if not is_walk:
                 # Data traffic competes with PTE lines for the L1.
                 paddr = index * 3 * 64
-                for walker in (flat_walker, staged_walker):
-                    walker.hierarchy.access_fast(now, paddr, KIND_DATA, 1,
-                                                 0, 0)
+                for hierarchy in (walker.hierarchy, reference.hierarchy):
+                    hierarchy.access_fast(now, paddr, KIND_DATA, 1, 0, 0)
                 continue
-            page = DIFF_PAGES[index]
-            flat, staged, _ = flat_walker.plan_info(page)
+            flat, staged, _ = walker.plan_info(DIFF_PAGES[index])
             assert staged is None
-            got = flat_walker.walk_from_plan(now, flat, None)
-            flat_b, _, _ = staged_walker.plan_info(page)
-            stages = tuple((step,) for step in flat_b)
-            assert got == staged_walker.walk_from_plan(now, None, stages)
-        assert walker_counters(flat_walker) \
-            == walker_counters(staged_walker)
+            assert walker.walk_from_plan(now, flat, None) \
+                == reference.walk(now, flat)
+        stats = walker.stats
+        assert (stats.walks, stats.memory_accesses) \
+            == (reference.walks, reference.reads)
+        for level, cache in walker.pwcs.caches().items():
+            model, counts = reference.pwcs[level]
+            assert [list(pwc_set) for pwc_set in cache._sets] \
+                == model.sets, level
+            assert [cache.stats.hits, cache.stats.misses] == counts, level
+        assert hierarchy_state(walker.hierarchy) \
+            == hierarchy_state(reference.hierarchy)

@@ -1,15 +1,21 @@
-"""Tests for the core timing model (MLP window, accounting)."""
+"""Tests for the core timing model (MLP window, accounting, the
+inlined hit probes)."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mem.dram import HBM2
 from repro.mem.hierarchy import build_ndp_hierarchy
 from repro.mmu.mmu import Mmu
 from repro.mmu.tlb import build_tlbs
 from repro.mmu.walker import PageTableWalker
-from repro.sim.config import TlbParams
+from repro.sim.config import CacheParams, TlbParams, ndp_config
 from repro.sim.core_model import Core
+from repro.sim.system import System
+from repro.vm.address import PAGE_SHIFT, PAGE_SIZE
 from repro.vm.frames import FrameAllocator
 from repro.vm.ideal import IdealPageTable
 from repro.vm.os_model import OSMemoryManager
@@ -123,3 +129,70 @@ class TestAccounting:
         while (now := core.step(now)) is not None:
             pass
         assert core.stats.ipc > 0
+
+
+def recorded(chunks, into):
+    """Pass ``chunks`` through, appending each one to ``into``."""
+    for chunk in chunks:
+        into.append(chunk)
+        yield chunk
+
+
+class TestInlineHitProbes:
+    """The L1-DTLB and L1 hit probes ``Core._chunk_runner`` inlines,
+    against one :class:`LruSets` model per structure over a whole run.
+
+    One core under ``ndpage``: its PTE reads bypass the L1, so the L1
+    holds the core's data lines alone.  Every reference probes the
+    L1-DTLB with its VPN (a miss refills it, from the L2 TLB or the
+    walk) and the L1 with its physical line (a miss fills it, a write
+    dirties it).  The run and the models must agree on every hit and
+    miss count, the final sets in LRU order and the dirty bits.
+    """
+
+    @pytest.mark.parametrize("workload", ["xs", "dlrm", "bfs"])
+    @given(seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=5, deadline=None)
+    def test_matches_lru_model(self, lru_sets, workload, seed):
+        config = dataclasses.replace(
+            ndp_config(mechanism="ndpage", workload=workload,
+                       refs_per_core=3000, scale=1 / 256, seed=seed),
+            tlb=TlbParams(l1_small_entries=8, l1_small_assoc=2),
+            l1=CacheParams(2048, 2, 4))
+        system = System(config)
+        core = system.cores[0]
+        chunks = []
+        core._chunks = recorded(core._chunks, chunks)
+        l1t = core.mmu.tlbs.l1_small
+        l1 = system.hierarchy.l1ds[0]
+        # The warmup maps pages without probing either structure.
+        assert not any(l1t._sets) and not any(l1._sets)
+        system.run()
+        tenant = system.tenants[0]
+        assert tenant.os.stats.reclaims == 0  # every mapping held
+
+        tlb = lru_sets(l1t.num_sets, l1t.associativity)
+        cache = lru_sets(l1.num_sets, l1.associativity)
+        dirty = {}  # resident line -> dirty bit
+        references = tlb_hits = l1_hits = 0
+        for addrs, writes, vpns, _ in chunks:
+            for vaddr, is_write, vpn in zip(addrs, writes, vpns):
+                references += 1
+                tlb_hits += tlb.access(vpn)[0]
+                pfn = tenant.page_table.lookup(vpn).pfn
+                line = (((pfn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1)))
+                        >> l1._line_shift)
+                hit, victim = cache.access(line)
+                l1_hits += hit
+                dirty.pop(victim, None)
+                dirty[line] = dirty.get(line, 0) | int(is_write)
+
+        assert references == core.stats.references == 3000
+        assert (l1t.stats.hits, l1t.stats.misses) \
+            == (tlb_hits, references - tlb_hits)
+        assert (l1.stats.data.hits, l1.stats.data.misses) \
+            == (l1_hits, references - l1_hits)
+        assert [list(tlb_set) for tlb_set in l1t._sets] == tlb.sets
+        assert [list(cache_set) for cache_set in l1._sets] == cache.sets
+        assert {line: packed & 1 for cache_set in l1._sets
+                for line, packed in cache_set.items()} == dirty

@@ -5,7 +5,8 @@ chunked core fast path, plan memoization) must never change *simulated*
 numbers — only wall-clock time.  Two lines of defense:
 
 1. golden values: one small config per mechanism family (radix / NDPage
-   / ideal) with every headline ``RunResult`` metric pinned exactly, so
+   / ideal, plus the upper-flattened ablation) with every headline
+   ``RunResult`` metric pinned exactly, so
    a hot-path refactor that silently perturbs the simulation fails
    loudly;
 2. path equivalence: the single-core chunked fast path (the core's
@@ -73,6 +74,23 @@ GOLDEN = {
         "dram_accesses_by_kind": {"data": 3291, "metadata": 2677,
                                   "instruction": 0},
         "dram_row_hit_rate": 0.02898793565683646,
+    },
+    # The counterfactual PL3/PL2 flattening: the one ablation table
+    # with its own walk plan.
+    "ndpage-flatten-upper": {
+        "cycles": 527845.0,
+        "references": 4000,
+        "walks": 2674,
+        "tlb_miss_rate": 0.6685,
+        "ptw_latency_mean": 163.1170531039641,
+        "l1_data_miss_rate": 0.71875,
+        "l1_metadata_miss_rate": 0.0,
+        "pte_memory_accesses": 3755,
+        "data_evicted_by_metadata": 0,
+        "fault_cycles": 0.0,
+        "dram_accesses_by_kind": {"data": 3291, "metadata": 3755,
+                                  "instruction": 0},
+        "dram_row_hit_rate": 0.08558047118932728,
     },
     "ideal": {
         "cycles": 203099.0,

@@ -49,9 +49,9 @@ WORKLOADS = {
 #: core (seed 42, scale 0.05).  A change that adds per-reference work
 #: fails the test; one that removes work should lower the figure.
 BUDGETS = {
-    "bfs-radix": 999.9,
-    "xs-ndpage-2t-2c": 413.8,
-    "bfs-radix-4c": 1083.3,
+    "bfs-radix": 990.1,
+    "xs-ndpage-2t-2c": 411.4,
+    "bfs-radix-4c": 1073.5,
 }
 
 #: Measured ``System(config)`` bytecodes per first-touch fault on the
@@ -59,10 +59,10 @@ BUDGETS = {
 #: references, scale 1, seed 42).  A change that adds per-touch or
 #: per-fault work to the build fails the test.
 SETUP_BUDGETS = {
-    "bfs-radix": 274.0,
-    "xs-ndpage-2t-2c": 295.4,
-    "bfs-radix-4c": 265.2,
-    "fig12-bc": 300.2,
+    "bfs-radix": 273.4,
+    "xs-ndpage-2t-2c": 295.3,
+    "bfs-radix-4c": 264.9,
+    "fig12-bc": 297.9,
 }
 
 #: Slack over the measured figure before the test fails.

@@ -10,10 +10,9 @@ from repro.mem.dram import DDR4_2400, HBM2
 from repro.sim import runner
 from repro.sim.config import cpu_config, ndp_config
 from repro.sim.core_model import Core
-from repro.core.flattened import _FlatNode, _InteriorNode
 from repro.sim.system import System
 from repro.vm.os_model import OSMemoryManager
-from repro.vm.radix import _Node
+from repro.vm.radix import TableNode
 from repro.workloads.base import CHUNK_REFS
 from repro.workloads.gups import GupsWorkload
 
@@ -105,7 +104,7 @@ def _leftovers(config, finish=_collected):
     """Cores, OS managers and page-table nodes still alive after a
     System is built, ``finish``-ed (by default run and collected) and
     dropped, with the cyclic collector paused."""
-    tracked = (Core, OSMemoryManager, _Node, _InteriorNode, _FlatNode)
+    tracked = (Core, OSMemoryManager, TableNode)
 
     def live():
         return sum(type(obj) in tracked for obj in gc.get_objects())

@@ -5,7 +5,9 @@ to the one the simulator runs: its tests pass while the code they were
 meant to check goes unexercised.  This guard parses the package and
 fails on
 
-* any module-level function or class, and
+* any module-level function, class or constant (a name bound by a
+  module-level assignment; dunders such as ``__all__`` are left out),
+  and
 * any method or property whose name is defined only once under
   ``src/repro`` (so a reference by that name can only mean it; dunders
   are left out, since syntax calls them by protocol, not by name)
@@ -34,6 +36,11 @@ ALLOWED = {
         "needs for its figure",
     "sim/faults.py:reset_fired":
         "clears the process-global once-only fault state between tests",
+    "mem/request.py:KIND_INSTRUCTION":
+        "no code issues an instruction request, but dropping the kind "
+        "changes RunResult.dram_accesses_by_kind, hence every cache "
+        "entry and the perfbench fingerprint: it waits for a "
+        "CODE_VERSION bump",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -49,6 +56,16 @@ def definitions():
             if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
                 found.append((path, f"{module}:{node.name}", node.name,
                               node.lineno, node.end_lineno))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                found += [
+                    (path, f"{module}:{name.id}", name.id, node.lineno,
+                     node.end_lineno)
+                    for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                    and isinstance(name.ctx, ast.Store)
+                    and not name.id.startswith("__")]
             if isinstance(node, ast.ClassDef):
                 methods += [
                     (path, f"{module}:{node.name}.{sub.name}", sub.name,

@@ -25,9 +25,6 @@ class TestConstants:
         # Section V-B: 2^9 x 2^9 = 262,144 entries per flattened node.
         assert addr.FLAT_ENTRIES == 262_144
 
-    def test_flat_node_is_2mb(self):
-        assert addr.FLAT_NODE_BYTES == 2 * 1024 * 1024
-
     def test_pte_size(self):
         assert addr.PTE_SIZE == 8
 

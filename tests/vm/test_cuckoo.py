@@ -101,26 +101,29 @@ class TestElasticity:
 
 
 class TestWalkStructure:
-    def test_single_parallel_stage(self, table):
+    def test_single_parallel_stage(self, live_plan, table):
         table.map_page(50, pfn=1)
-        stages = table.walk_stages(50)
-        assert len(stages) == 1          # one stage...
-        assert len(stages[0]) == 2       # ...of d parallel probes
+        flat, staged, translation = live_plan(table, 50)
+        assert flat is None
+        assert len(staged) == 1          # one stage...
+        assert len(staged[0]) == 2       # ...of d parallel probes
+        assert [step[2] for step in staged[0]] \
+            == ["ECH-way0", "ECH-way1"]
+        assert translation == Translation(1, PAGE_SHIFT)
 
-    def test_probes_have_no_pwc_keys(self, table):
+    def test_probes_have_no_pwc_keys(self, live_plan, table):
         table.map_page(50, pfn=1)
-        assert all(step.pwc_key is None for step in table.walk_stages(50)[0])
+        assert all(step[3] is None for step in live_plan(table, 50)[1][0])
 
-    def test_probe_addresses_follow_hashes(self, table):
+    def test_probe_addresses_follow_hashes(self, live_plan, table):
         table.map_page(50, pfn=1)
-        probes = table.walk_stages(50)[0]
-        assert len({p.pte_paddr for p in probes}) == 2
+        probes = live_plan(table, 50)[1][0]
+        assert len({probe[0] for probe in probes}) == 2
         for probe in probes:
-            assert probe.pte_paddr % ECH_ENTRY_BYTES == 0
+            assert probe[0] % ECH_ENTRY_BYTES == 0
 
-    def test_walk_unmapped_rejected(self, table):
-        with pytest.raises(MappingError):
-            table.walk_stages(1)
+    def test_walk_unmapped_rejected(self, live_plan, table):
+        assert live_plan(table, 1) is None
 
     def test_occupancy_per_way(self, table):
         for i in range(100):
@@ -132,12 +135,11 @@ class TestWalkStructure:
 
 
 class TestDeterminism:
-    def test_same_seed_same_structure(self):
+    def test_same_seed_same_structure(self, live_plan):
         t1 = ElasticCuckooPageTable(FrameAllocator(256 * MIB), seed=7)
         t2 = ElasticCuckooPageTable(FrameAllocator(256 * MIB), seed=7)
         for i in range(300):
             t1.map_page(i, pfn=i)
             t2.map_page(i, pfn=i)
         for i in range(300):
-            assert [s.pte_paddr for s in t1.walk_stages(i)[0]] \
-                == [s.pte_paddr for s in t2.walk_stages(i)[0]]
+            assert live_plan(t1, i) == live_plan(t2, i)

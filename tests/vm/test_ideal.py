@@ -43,13 +43,13 @@ class TestIdeal:
         with pytest.raises(MappingError):
             table.map_page(0, pfn=0, page_shift=21)
 
-    def test_walk_is_empty(self, table):
+    def test_walk_is_empty(self, live_plan, table):
         table.map_page(9, pfn=4)
-        assert table.walk_stages(9) == []
+        assert table.level_names == ()
+        assert live_plan(table, 9) == ((), None, Translation(4, PAGE_SHIFT))
 
-    def test_walk_unmapped_rejected(self, table):
-        with pytest.raises(MappingError):
-            table.walk_stages(9)
+    def test_walk_unmapped_rejected(self, live_plan, table):
+        assert live_plan(table, 9) is None
 
     def test_no_physical_footprint(self, table):
         table.map_page(9, pfn=4)

@@ -104,53 +104,60 @@ class TestHugeMapping:
 
 
 class TestWalkStages:
-    def test_small_walk_has_four_stages(self, table):
-        table.map_page(0x12345, pfn=1)
-        stages = table.walk_stages(0x12345)
-        assert [s[0].level for s in stages] == ["PL4", "PL3", "PL2", "PL1"]
+    """The flat walk plan the walker runs (``walk_info_decorated``)."""
 
-    def test_each_stage_single_access(self, table):
+    def test_small_walk_has_four_stages(self, live_plan, table):
         table.map_page(0x12345, pfn=1)
-        assert all(len(s) == 1 for s in table.walk_stages(0x12345))
+        flat, staged, _ = live_plan(table, 0x12345)
+        assert staged is None
+        assert [step[2] for step in flat] == ["PL4", "PL3", "PL2", "PL1"]
 
-    def test_huge_walk_has_three_stages(self, table):
+    def test_each_stage_single_access(self, live_plan, table):
+        table.map_page(0x12345, pfn=1)
+        flat, staged, translation = live_plan(table, 0x12345)
+        # Flat: one PTE read per sequential stage, no parallel probes.
+        assert staged is None and len(flat) == 4
+        assert all(len(step) == 4 for step in flat)
+        assert translation == Translation(1, PAGE_SHIFT)
+
+    def test_huge_walk_has_three_stages(self, live_plan, table):
         table.map_page(0, pfn=512, page_shift=HUGE_PAGE_SHIFT)
-        stages = table.walk_stages(100)
-        assert [s[0].level for s in stages] == ["PL4", "PL3", "PL2"]
+        flat, _, translation = live_plan(table, 100)
+        assert [step[2] for step in flat] == ["PL4", "PL3", "PL2"]
+        assert translation == Translation(1, HUGE_PAGE_SHIFT)
 
-    def test_walk_of_unmapped_page_rejected(self, table):
-        with pytest.raises(MappingError):
-            table.walk_stages(42)
+    def test_walk_of_unmapped_page_rejected(self, live_plan, table):
+        assert live_plan(table, 42) is None
+        table.map_page(43, pfn=1)  # every node exists, the leaf not
+        assert live_plan(table, 42) is None
 
-    def test_pte_addresses_distinct_across_levels(self, table):
+    def test_pte_addresses_distinct_across_levels(self, live_plan, table):
         table.map_page(0x12345, pfn=1)
-        paddrs = [s[0].pte_paddr for s in table.walk_stages(0x12345)]
-        assert len(set(paddrs)) == 4
+        flat, _, _ = live_plan(table, 0x12345)
+        assert len({step[0] for step in flat}) == 4
 
-    def test_pte_paddr_encodes_index(self, make_vpn, table):
+    def test_pte_paddr_encodes_index(self, make_vpn, live_plan, table):
         page = make_vpn(0, 0, 0, 7)
         table.map_page(page, pfn=1)
-        stages = table.walk_stages(page)
-        pl1 = stages[3][0]
-        assert pl1.pte_paddr % 4096 == 7 * 8
+        pl1 = live_plan(table, page)[0][3]
+        assert pl1[0] % 4096 == 7 * 8
 
-    def test_sibling_pages_share_upper_ptes(self, make_vpn, table):
+    def test_sibling_pages_share_upper_ptes(self, make_vpn, live_plan,
+                                            table):
         table.map_page(make_vpn(1, 2, 3, 4), pfn=1)
         table.map_page(make_vpn(1, 2, 3, 5), pfn=2)
-        walk_a = table.walk_stages(make_vpn(1, 2, 3, 4))
-        walk_b = table.walk_stages(make_vpn(1, 2, 3, 5))
+        walk_a = live_plan(table, make_vpn(1, 2, 3, 4))[0]
+        walk_b = live_plan(table, make_vpn(1, 2, 3, 5))[0]
         for level in range(3):  # PL4, PL3, PL2 shared
-            assert walk_a[level][0].pte_paddr == walk_b[level][0].pte_paddr
-        assert walk_a[3][0].pte_paddr != walk_b[3][0].pte_paddr
+            assert walk_a[level][0] == walk_b[level][0]
+        assert walk_a[3][0] != walk_b[3][0]
 
-    def test_pwc_keys_identify_prefixes(self, make_vpn, table):
+    def test_pwc_keys_identify_prefixes(self, make_vpn, live_plan, table):
         page = make_vpn(1, 2, 3, 4)
         table.map_page(page, pfn=1)
-        stages = table.walk_stages(page)
-        assert stages[0][0].pwc_key == ("PL4", page >> 27)
-        assert stages[1][0].pwc_key == ("PL3", page >> 18)
-        assert stages[2][0].pwc_key == ("PL2", page >> 9)
-        assert stages[3][0].pwc_key == ("PL1", page)
+        flat, _, _ = live_plan(table, page)
+        assert [step[3] for step in flat] \
+            == [page >> 27, page >> 18, page >> 9, page]
 
 
 class TestStructure:
@@ -182,7 +189,8 @@ class TestStructure:
         table.map_page(0, pfn=0)
         assert table.occupancy()["PL1"] == 1 / 512
 
-    def test_pte_addresses_are_in_physical_memory(self, table, allocator):
+    def test_pte_addresses_are_in_physical_memory(self, live_plan, table,
+                                                  allocator):
         table.map_page(0x999, pfn=1)
-        for stage in table.walk_stages(0x999):
-            assert 0 <= stage[0].pte_paddr < allocator.phys_bytes
+        for step in live_plan(table, 0x999)[0]:
+            assert 0 <= step[0] < allocator.phys_bytes

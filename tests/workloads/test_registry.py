@@ -4,7 +4,6 @@ import pytest
 
 from repro.workloads.registry import (
     ALL_WORKLOADS,
-    QUICK_WORKLOADS,
     make_workload,
     workload_table,
 )
@@ -13,9 +12,6 @@ from repro.workloads.registry import (
 class TestRegistry:
     def test_eleven_workloads(self):
         assert len(ALL_WORKLOADS) == 11
-
-    def test_quick_subset(self):
-        assert set(QUICK_WORKLOADS) <= set(ALL_WORKLOADS)
 
     @pytest.mark.parametrize("name", ALL_WORKLOADS)
     def test_all_constructible(self, name):
