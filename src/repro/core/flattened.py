@@ -14,7 +14,7 @@ table allocates nodes lazily exactly like the radix tree.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.vm.address import (
     ENTRIES_PER_NODE,
@@ -45,29 +45,33 @@ class FlattenedPageTable(PageTable):
         self._allocator = allocator
         self._root = self._new_interior()
         self._interior_nodes = 1
-        self._flat_nodes: List[TableNode] = []
+        # Flattened nodes by VPN prefix (``page >> 18``), filled where
+        # one is built; leaves are never freed, so it never goes stale.
+        self._leaves: Dict[int, TableNode] = {}
         self._mapped_pages = 0
 
     def _new_interior(self) -> TableNode:
         frame = self._allocator.alloc_frame(site=PT_ALLOC_SITE)
         return TableNode(self._allocator.frame_paddr(frame))
 
-    def _new_flat(self) -> TableNode:
+    def _new_leaf(self, page: int) -> TableNode:
+        """Build (and index) the flattened node for ``page``, creating
+        its PL3 node first when missing."""
+        entries = self._root.entries
+        index = (page >> _SHIFT4) & _INDEX_MASK
+        child = entries.get(index)
+        if child is None:
+            child = entries[index] = self._new_interior()
+            self._interior_nodes += 1
         first_frame = self._allocator.alloc_huge()
         if first_frame is None:
             raise OutOfMemoryError(
                 "no contiguous 2 MB block for a flattened page-table node"
             )
-        node = TableNode(self._allocator.frame_paddr(first_frame))
-        self._flat_nodes.append(node)
-        return node
-
-    def _flat_node_for(self, page: int) -> Optional[TableNode]:
-        """The flattened node covering ``page``, or None."""
-        child = self._root.entries.get((page >> _SHIFT4) & _INDEX_MASK)
-        if child is None:
-            return None
-        return child.entries.get((page >> _SHIFT3) & _INDEX_MASK)
+        flat = child.entries[(page >> _SHIFT3) & _INDEX_MASK] = TableNode(
+            self._allocator.frame_paddr(first_frame))
+        self._leaves[page >> _SHIFT3] = flat
+        return flat
 
     # -- PageTable interface --------------------------------------------------
 
@@ -91,19 +95,11 @@ class FlattenedPageTable(PageTable):
                 "flattened table keeps 4 KB flexibility; 2 MB mappings "
                 "are intentionally unsupported"
             )
-        # Inlined descent, creating missing nodes root first: this runs
-        # on every demand-paging fault.
-        entries = self._root.entries
-        index = (page >> _SHIFT4) & _INDEX_MASK
-        child = entries.get(index)
-        if child is None:
-            child = entries[index] = self._new_interior()
-            self._interior_nodes += 1
-        entries = child.entries
-        index = (page >> _SHIFT3) & _INDEX_MASK
-        flat = entries.get(index)
+        # One probe of the leaf index on every demand-paging fault, a
+        # descent only to build a missing flattened node.
+        flat = self._leaves.get(page >> _SHIFT3)
         if flat is None:
-            flat = entries[index] = self._new_flat()
+            flat = self._new_leaf(page)
         entries = flat.entries
         index = page & _FLAT_MASK
         if index in entries:
@@ -112,7 +108,7 @@ class FlattenedPageTable(PageTable):
         self._mapped_pages += 1
 
     def unmap_page(self, page: int) -> None:
-        flat = self._flat_node_for(page)
+        flat = self._leaves.get(page >> _SHIFT3)
         if flat is None or flat_index(page) not in flat.entries:
             raise MappingError(f"page {page:#x} not mapped")
         del flat.entries[flat_index(page)]
@@ -159,13 +155,13 @@ class FlattenedPageTable(PageTable):
         if pl3_nodes:
             used = sum(len(n.entries) for n in pl3_nodes)
             result["PL3"] = used / (len(pl3_nodes) * ENTRIES_PER_NODE)
-        if self._flat_nodes:
-            used = sum(len(n.entries) for n in self._flat_nodes)
-            result["PL2/1"] = used / (len(self._flat_nodes) * FLAT_ENTRIES)
+        if self._leaves:
+            used = sum(len(n.entries) for n in self._leaves.values())
+            result["PL2/1"] = used / (len(self._leaves) * FLAT_ENTRIES)
         return result
 
     def table_bytes(self) -> int:
-        flat_bytes = len(self._flat_nodes) * FRAMES_PER_BLOCK * PAGE_SIZE
+        flat_bytes = len(self._leaves) * FRAMES_PER_BLOCK * PAGE_SIZE
         return self._interior_nodes * PAGE_SIZE + flat_bytes
 
     @property

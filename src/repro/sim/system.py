@@ -42,11 +42,10 @@ from repro.sim.core_model import Core
 from repro.sim.engine import SimulationEngine, SlotSchedule
 from repro.sim.scheduler import TenantCoordinator, quantum_chunks, tenant_seed
 from repro.sim.topology import NumaFrameAllocator, NumaTopology
-from repro.vm.address import PAGE_SHIFT
 from repro.vm.base import PageTable
 from repro.vm.frames import FrameAllocator
 from repro.vm.os_model import OSMemoryManager
-from repro.workloads.base import CHUNK_REFS, Workload, core_chunk
+from repro.workloads.base import CHUNK_REFS, Workload, chunk_vpns, core_chunk
 from repro.workloads.registry import make_workload
 
 
@@ -183,19 +182,20 @@ class System:
         initialization phase.  The streams interleave slot by slot in
         256-reference quanta, so allocations interleave — and the
         shared frame pool fills, fragments and comes under
-        cross-tenant pressure — in an order resembling the run.
+        cross-tenant pressure — in an order resembling the run.  Each
+        quantum's VPNs (:func:`~repro.workloads.base.chunk_vpns`) go
+        to the tenant's :meth:`~repro.vm.os_model.OSMemoryManager
+        .ensure_mapped` in one call, two where the quantum spans a
+        stream batch; it filters the touches on its resident index
+        itself.
         """
         def recording(source, record):
             for chunk in source:
                 record.append(chunk)
                 yield chunk
 
-        # One [chunks, addresses, position, ensure_mapped, resident,
-        # slot] state per (tenant, slot) pair, slot-major.  The
-        # tenant's resident index filters repeat touches; a touch it
-        # lets through (a page inside a huge-mapped region, say) still
-        # goes to ensure_mapped, which decides.  The index stays exact
-        # under the tenant's own and cross-tenant reclaim alike.
+        # One [chunks, vpns, position, ensure_mapped, slot] state per
+        # (tenant, slot) pair, slot-major.
         states = []
         for slot in range(self.config.num_cores):
             for tenant in self.tenants:
@@ -205,7 +205,7 @@ class System:
                     source = recording(source,
                                        replay[(tenant.asid, slot)])
                 states.append([source, [], 0, tenant.os.ensure_mapped,
-                               tenant.os.resident, slot])
+                               slot])
         # Like the run loop, prefaulting allocates heavily and builds
         # no reference cycles; pause the cyclic collector for it.
         gc_was_enabled = gc.isenabled()
@@ -215,24 +215,21 @@ class System:
             while states:
                 still_active = []
                 for state in states:
-                    chunks, addrs, pos, ensure_mapped, resident, slot = \
-                        state
+                    chunks, vpns, pos, ensure_mapped, slot = state
                     quota = 256
                     exhausted = False
                     while quota:
-                        if pos >= len(addrs):
+                        if pos >= len(vpns):
                             nxt = next(chunks, None)
                             if nxt is None:
                                 exhausted = True
                                 break
-                            addrs = state[1] = nxt[0].tolist()
+                            vpns = state[1] = chunk_vpns(nxt[0])
                             pos = 0
                         stop = pos + quota
-                        if stop > len(addrs):
-                            stop = len(addrs)
-                        for vaddr in addrs[pos:stop]:
-                            if vaddr >> PAGE_SHIFT not in resident:
-                                ensure_mapped(vaddr, slot)
+                        if stop > len(vpns):
+                            stop = len(vpns)
+                        ensure_mapped(vpns[pos:stop], slot)
                         quota -= stop - pos
                         pos = stop
                     state[2] = pos

@@ -19,7 +19,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Set, Tuple
+from itertools import filterfalse
+from typing import Deque, Iterable, Set, Tuple
 
 from repro.vm.address import HUGE_PAGE_SHIFT, PAGE_SHIFT, VA_MASK
 from repro.vm.base import PageTable
@@ -80,16 +81,19 @@ class OSMemoryManager:
       evict; returns True if memory was reclaimed from another tenant
       (cross-tenant pressure), letting the allocation retry instead of
       dying on OOM;
-    * ``extra_fault_cycles()`` — drained into the cycles returned by
-      :meth:`ensure_translated`, charging shootdown costs to the core
-      whose fault triggered the reclaim.
+    * ``extra_fault_cycles()`` — drained into the cycles a fault batch
+      returns, charging shootdown costs to the core whose fault
+      triggered the reclaim.
 
-    The manager keeps an exact index of what it has mapped:
-    :attr:`resident` holds every 4 KB VPN it mapped and has not
-    reclaimed, and, under the HUGE policy, a private set holds the
-    2 MB regions it mapped huge.  The fault paths and reclaim are the
-    only places that map or unmap, and each updates the index, so
-    :meth:`ensure_mapped` answers from it without a table descent.
+    :meth:`ensure_mapped` is the one fault routine: it takes a batch
+    of 4 KB VPNs (the warmup hands it a 256-reference quantum, the
+    MMU's :meth:`ensure_translated` a single page) and maps, in
+    order, each page that is not resident.  It keeps an exact index
+    of what it has mapped: :attr:`resident` holds every 4 KB VPN it
+    mapped and has not reclaimed, and, under the HUGE policy, a
+    private set holds the 2 MB regions it mapped huge.  Faulting and
+    reclaim are the only places that map or unmap, and each updates
+    the index, so a batch is filtered on it without a table descent.
     """
 
     def __init__(self, allocator: FrameAllocator, page_table: PageTable,
@@ -120,8 +124,7 @@ class OSMemoryManager:
         #: insensitive to touch order.
         self.thp_promotion_fraction = thp_promotion_fraction
         self.stats = OsStats()
-        #: 4 KB VPNs mapped and not reclaimed (read-only to callers;
-        #: the warmup filters its touches on it).
+        #: 4 KB VPNs mapped and not reclaimed (read-only to callers).
         self.resident: Set[int] = set()
         # 2 MB regions mapped huge; read only under the HUGE policy.
         self._huge_regions: Set[int] = set()
@@ -146,65 +149,83 @@ class OSMemoryManager:
         0.0 when the page was already mapped.  The Ideal MMU
         translates through this on every reference; any other MMU
         calls it only when a walk plan finds the page unmapped, and
-        then resolves the plan again.
+        then resolves the plan again.  A fault is a one-page batch of
+        :meth:`ensure_mapped`.
         """
         page = (vaddr & VA_MASK) >> PAGE_SHIFT
         translation = self.page_table.lookup(page)
         if translation is not None:
             return translation, 0.0
-        cycles = self._fault(page, site)
+        cycles = self.ensure_mapped((page,), site)
         return self.page_table.lookup(page), cycles
 
-    def ensure_mapped(self, vaddr: int, site: int = 0) -> float:
-        """Map the page backing ``vaddr`` if needed; return fault cycles.
+    def ensure_mapped(self, pages: Iterable[int], site: int = 0) -> float:
+        """Fault in, in order, each page of ``pages`` (4 KB VPNs) that
+        is not mapped; return (and book) the batch's fault cycles.
 
-        The warmup's entry point.  It answers from the resident index,
-        never from the page table, since the caller never needs the
-        resulting translation.
+        The resident index filters the batch lazily, page by page, so
+        a page faulted earlier in the batch filters its own later
+        touches and a page reclaimed mid-batch faults again; under
+        the HUGE policy a page whose 2 MB region is mapped huge is
+        skipped too.  The minor-fault count, the ECH rehash charge
+        and the shootdown drain are booked once per batch, and the
+        NUMA fault site posted once: every summand is an integer
+        number of cycles, so the totals equal a page-at-a-time
+        loop's.  When a fault raises, the faults before it stay
+        booked, with the ECH growth and shootdowns so far.
         """
-        page = (vaddr & VA_MASK) >> PAGE_SHIFT
-        if page in self.resident or (
-                self._huge
-                and page >> _REGION_SHIFT in self._huge_regions):
-            return 0.0
-        return self._fault(page, site)
-
-    def _fault(self, page: int, site: int) -> float:
-        """Fault unmapped ``page`` in; return (and book) its cycles."""
         if self._note_fault_site is not None:
             self._note_fault_site(site)
-        if self._huge:
-            cycles, mapped = self._fault_huge(page, site)
-        else:
-            cycles, mapped = 0, False
-        if not mapped:
-            # A 4 KB fault: the data frame first, then the mapping,
-            # which may itself allocate page-table nodes.
-            allocator = self.allocator
-            try:
-                frame = allocator.alloc_frame(site)
-            except OutOfMemoryError:
-                frame = self._retrying(allocator.alloc_frame, site)
-            try:
-                self.page_table.map_page(page, frame, PAGE_SHIFT)
-            except OutOfMemoryError:
-                self._retrying(self.page_table.map_page, page, frame,
-                               PAGE_SHIFT)
-            self._lru_frames.append((page, frame, False))
-            self.resident.add(page)
-            self.stats.minor_faults += 1
-            cycles += self.costs.minor_fault_cycles
-        if self._is_ech:
-            # Charge the ECH growth work done since the last fault.
-            rehashed = self.page_table.stats.rehashed_entries
-            cycles += ((rehashed - self._last_rehashed)
-                       * self.costs.ech_rehash_cycles_per_entry)
-            self._last_rehashed = rehashed
-        if self._extra_fault_cycles is not None:
-            # Shootdown IPIs etc. raised by reclaim during this fault,
-            # charged to the faulting core (multi-tenant only).
-            cycles += self._extra_fault_cycles()
-        self.stats.fault_cycles += cycles
+        resident = self.resident
+        table = self.page_table
+        alloc_frame = self.allocator.alloc_frame
+        record = self._lru_frames.append
+        huge = self._huge
+        huge_regions = self._huge_regions
+        small = 0    # 4 KB faults completed
+        cycles = 0   # completed faults' cycles besides the minor charge
+        spent = 0    # compaction run before a 4 KB fallback
+        try:
+            for page in filterfalse(resident.__contains__, pages):
+                if huge:
+                    if page >> _REGION_SHIFT in huge_regions:
+                        continue
+                    spent, mapped = self._fault_huge(page, site)
+                    if mapped:
+                        cycles += spent
+                        continue
+                # A 4 KB fault: the data frame first, then the
+                # mapping, which may itself allocate page-table nodes.
+                try:
+                    frame = alloc_frame(site)
+                except OutOfMemoryError:
+                    frame = self._retrying(alloc_frame, site)
+                try:
+                    table.map_page(page, frame, PAGE_SHIFT)
+                except OutOfMemoryError:
+                    self._retrying(table.map_page, page, frame,
+                                   PAGE_SHIFT)
+                record((page, frame, False))
+                resident.add(page)
+                small += 1
+                cycles += spent
+        finally:
+            costs = self.costs
+            stats = self.stats
+            stats.minor_faults += small
+            cycles += small * costs.minor_fault_cycles
+            if self._is_ech:
+                # Charge the ECH growth work done since the last batch.
+                rehashed = table.stats.rehashed_entries
+                cycles += ((rehashed - self._last_rehashed)
+                           * costs.ech_rehash_cycles_per_entry)
+                self._last_rehashed = rehashed
+            if self._extra_fault_cycles is not None:
+                # Shootdown IPIs etc. raised by reclaim during this
+                # batch, charged to the faulting core (multi-tenant
+                # only).
+                cycles += self._extra_fault_cycles()
+            stats.fault_cycles += cycles
         return cycles
 
     def _retrying(self, operation, *args):
@@ -302,8 +323,8 @@ class OSMemoryManager:
 
         Returns ``(cycles, mapped)``.  When the region falls back to
         4 KB pages ``mapped`` is False, ``cycles`` holds only the
-        compaction work spent first, and :meth:`_fault` maps the page
-        small.
+        compaction work spent first, and :meth:`ensure_mapped` maps
+        the page small.
         """
         region = page >> _REGION_SHIFT
         if region in self._fallback_regions:

@@ -61,6 +61,10 @@ class RadixPageTable(PageTable):
         self._nodes_by_level: Dict[int, List[TableNode]] = {
             4: [], 3: [], 2: [], 1: []}
         self._root = self._new_node(4)
+        # PL1 nodes by VPN prefix (``page >> 9``), filled where one is
+        # built.  Never stale: leaves are never freed, and a PL2 slot
+        # that holds one never takes a 2 MB leaf.
+        self._leaves: Dict[int, TableNode] = {}
         self._mapped_pages = 0
         self.huge_mappings = 0
 
@@ -85,6 +89,28 @@ class RadixPageTable(PageTable):
                     return None
                 node = entries[index] = self._new_node(level)
         return node
+
+    def _new_leaf(self, page: int) -> TableNode:
+        """Build (and index) the PL1 node for ``page``, creating any
+        missing node above it root first (the descent unrolled: at
+        full-scale footprints most first touches build a leaf)."""
+        entries = self._root.entries
+        index = (page >> _SHIFT4) & _INDEX_MASK
+        node = entries.get(index)
+        if node is None:
+            node = entries[index] = self._new_node(3)
+        entries = node.entries
+        index = (page >> _SHIFT3) & _INDEX_MASK
+        node = entries.get(index)
+        if node is None:
+            node = entries[index] = self._new_node(2)
+        entries = node.entries
+        index = (page >> LEVEL_BITS) & _INDEX_MASK
+        if index in entries:  # only a 2 MB leaf goes unindexed
+            raise MappingError(f"page {page:#x} lies inside a 2 MB mapping")
+        leaf = entries[index] = self._new_node(1)
+        self._leaves[page >> LEVEL_BITS] = leaf
+        return leaf
 
     # -- PageTable interface --------------------------------------------------
 
@@ -111,26 +137,12 @@ class RadixPageTable(PageTable):
                 raise MappingError(f"unsupported page_shift {page_shift}")
             self._map_huge(page, pfn)
             return
-        # A 4 KB leaf, with the descent unrolled: this runs on every
-        # demand-paging fault.  Missing nodes are created root first.
-        entries = self._root.entries
-        index = (page >> _SHIFT4) & _INDEX_MASK
-        node = entries.get(index)
-        if node is None:
-            node = entries[index] = self._new_node(3)
-        entries = node.entries
-        index = (page >> _SHIFT3) & _INDEX_MASK
-        node = entries.get(index)
-        if node is None:
-            node = entries[index] = self._new_node(2)
-        entries = node.entries
-        index = (page >> LEVEL_BITS) & _INDEX_MASK
-        node = entries.get(index)
-        if node is None:
-            node = entries[index] = self._new_node(1)
-        elif type(node) is Translation:
-            raise MappingError(f"page {page:#x} lies inside a 2 MB mapping")
-        entries = node.entries
+        # A 4 KB leaf: one probe of the leaf index on every
+        # demand-paging fault, a descent only to build a missing leaf.
+        leaf = self._leaves.get(page >> LEVEL_BITS)
+        if leaf is None:
+            leaf = self._new_leaf(page)
+        entries = leaf.entries
         index = page & _INDEX_MASK
         if index in entries:
             raise MappingError(f"page {page:#x} already mapped")

@@ -50,19 +50,25 @@ CHUNK_REFS = 8192
 PRIVATE_REF_FRACTION = 0.10
 
 
+def chunk_vpns(addrs: np.ndarray) -> List[int]:
+    """The 4 KB VPN (``(addr & VA_MASK) >> PAGE_SHIFT``) of every
+    address in one chunk, as a plain list: the core's TLB probe keys
+    (:func:`chunk_probe_keys`) and the warmup's fault batches."""
+    return ((addrs & VA_MASK) >> PAGE_SHIFT).tolist()
+
+
 def chunk_probe_keys(addrs: np.ndarray) -> Tuple[List[int], List[int]]:
     """Per-reference probe-key arrays for one chunk of addresses.
 
     Returns ``(vpns, vlines)`` as plain lists: the 4 KB VPN
-    (``(addr & VA_MASK) >> PAGE_SHIFT``) and the virtual line address
+    (:func:`chunk_vpns`) and the virtual line address
     (``addr >> LINE_SHIFT``) of every reference — the two keys the
     inlined TLB/L1 hit probe in :meth:`repro.sim.core_model
     .Core._chunk_runner` consumes.  The single definition of the chunk
     layout contract: :func:`core_chunk` and every test that builds
     chunks by hand derive through it.
     """
-    return (((addrs & VA_MASK) >> PAGE_SHIFT).tolist(),
-            (addrs >> LINE_SHIFT).tolist())
+    return chunk_vpns(addrs), (addrs >> LINE_SHIFT).tolist()
 
 
 def core_chunk(addrs: np.ndarray, writes: np.ndarray) -> tuple:

@@ -4,10 +4,11 @@ A ``sys.settrace`` opcode tracer counts the bytecode instructions that
 ``System.run()`` executes, per ``repro`` module, and divides by the
 simulated references.  A second budget traces ``System(config)`` --
 build and warmup -- and divides by the warmup's first-touch faults
-(calls of ``OSMemoryManager._fault``).  The counts repeat exactly from
-run to run on one interpreter version, unlike host time, so they pin
-each phase's cost where wall-clock runs are too noisy to.  Bytecode
-differs between CPython releases, so the budgets hold on 3.11 only.
+(calls of the page table's ``map_page``).  The counts repeat exactly
+from run to run on one interpreter version, unlike host time, so they
+pin each phase's cost where wall-clock runs are too noisy to.
+Bytecode differs between CPython releases, so the budgets hold on
+3.11 only.
 
 Run with ``-s`` to print the per-module tables::
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 import pytest
 
@@ -27,7 +28,7 @@ import repro
 from repro.core.mechanisms import PAPER_MECHANISMS
 from repro.sim.config import SystemConfig, ndp_config
 from repro.sim.system import System
-from repro.vm.os_model import OSMemoryManager
+from repro.vm.base import PageTable
 
 pytestmark = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11),
@@ -59,21 +60,34 @@ BUDGETS = {
 #: references, scale 1, seed 42).  A change that adds per-touch or
 #: per-fault work to the build fails the test.
 SETUP_BUDGETS = {
-    "bfs-radix": 273.4,
-    "xs-ndpage-2t-2c": 295.3,
-    "bfs-radix-4c": 264.9,
-    "fig12-bc": 297.9,
+    "bfs-radix": 160.8,
+    "xs-ndpage-2t-2c": 147.2,
+    "bfs-radix-4c": 145.0,
+    "fig12-bc": 215.1,
 }
 
 #: Slack over the measured figure before the test fails.
 TOLERANCE = 0.01
 
-_FAULT_CODE = OSMemoryManager._fault.__code__
+
+def _map_page_codes() -> Set[object]:
+    """Code objects of every page table's ``map_page``: a first-touch
+    fault, 4 KB or 2 MB, maps its page with one call."""
+    codes, todo = set(), [PageTable]
+    while todo:
+        cls = todo.pop()
+        if "map_page" in vars(cls):
+            codes.add(vars(cls)["map_page"].__code__)
+        todo.extend(cls.__subclasses__())
+    return codes
+
+
+_MAP_PAGE_CODES = _map_page_codes()
 
 
 def _traced(action: Callable[[], object]) -> Tuple[Dict[str, int], int]:
     """Run ``action()`` under the opcode tracer; return its bytecodes
-    by module and its calls of ``OSMemoryManager._fault``.
+    by module and its calls of a page table's ``map_page``.
 
     Modules are paths relative to the ``repro`` package; code outside
     it (the standard library, numpy) is counted under ``"other"``.
@@ -88,7 +102,7 @@ def _traced(action: Callable[[], object]) -> Tuple[Dict[str, int], int]:
 
     def on_call(frame, event, arg):
         nonlocal faults
-        if frame.f_code is _FAULT_CODE:
+        if frame.f_code in _MAP_PAGE_CODES:
             faults += 1
         frame.f_trace_opcodes = True
         return local

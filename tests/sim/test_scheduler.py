@@ -294,12 +294,12 @@ class TestCrossTenantReclaim:
         # The victim maps until the pool is dry...
         page = 0
         while allocator.free_frames > 0:
-            victim.ensure_mapped(page << 12)
+            victim.ensure_mapped([page])
             page += 1
         before = victim.page_table.mapped_pages
         # ...then the starved tenant (no mappings of its own to evict)
         # faults: its reclaim must steal from the victim, not OOM.
-        starved.ensure_mapped(0)
+        starved.ensure_mapped([0])
         assert starved.page_table.lookup(0) is not None
         assert coordinator.stats.cross_tenant_reclaims >= 1
         assert victim.page_table.mapped_pages < before
@@ -309,21 +309,21 @@ class TestCrossTenantReclaim:
         allocator, coordinator, (a, b) = self._two_tenants()
         page = 0
         while allocator.free_frames > 0:
-            a.ensure_mapped(page << 12)
+            a.ensure_mapped([page])
             page += 1
         # Strip both tenants of anything reclaimable.
         a._lru_frames.clear()
         b._lru_frames.clear()
         with pytest.raises(OutOfMemoryError):
-            b.ensure_mapped(0)
+            b.ensure_mapped([0])
 
     def test_initiator_pays_shootdown_cycles(self):
         allocator, coordinator, (victim, starved) = self._two_tenants()
         page = 0
         while allocator.free_frames > 0:
-            victim.ensure_mapped(page << 12)
+            victim.ensure_mapped([page])
             page += 1
-        cycles = starved.ensure_mapped(0)
+        cycles = starved.ensure_mapped([0])
         assert cycles >= starved.costs.minor_fault_cycles \
             + coordinator.params.shootdown_cycles
 

@@ -263,8 +263,8 @@ class TestOsNumaIntegration:
         # the mapping creates on node 1 (the root predates any fault
         # hint and lands on node 0's default).
         root_allocs = list(alloc.numa_stats.pte_allocs)
-        for i in range(16):
-            os_model.ensure_mapped(i << 30, site=1)  # distinct subtrees
+        # Distinct subtrees: one page per 1 GB.
+        os_model.ensure_mapped([i << 18 for i in range(16)], site=1)
         grown = [now - before for now, before in
                  zip(alloc.numa_stats.pte_allocs, root_allocs)]
         assert grown[0] == 0
@@ -274,7 +274,7 @@ class TestOsNumaIntegration:
         alloc = facade("local")
         table = RadixPageTable(alloc)
         os_model = OSMemoryManager(alloc, table)
-        os_model.ensure_mapped(0x1000, site=1)
+        os_model.ensure_mapped([1], site=1)
         translation = table.lookup(1)
         assert node_of_frame(translation.pfn) == 1
 
