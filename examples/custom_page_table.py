@@ -14,7 +14,6 @@ from typing import Dict, Optional
 
 from repro import ndp_config
 from repro.analysis.tables import format_table
-from repro.core.bypass import MetadataBypass
 from repro.core.mechanisms import MECHANISMS, MechanismSpec
 from repro.sim.runner import run_mechanisms
 from repro.vm.address import LEVEL_BITS, PAGE_SHIFT, PTE_SIZE, level_index
@@ -37,7 +36,6 @@ class MegaFlattenedTable(PageTable):
         root_frame = allocator.alloc_frame(site=PT_ALLOC_SITE)
         self._root_paddr = allocator.frame_paddr(root_frame)
         self._nodes: Dict[int, tuple] = {}  # PL4 index -> (base, entries)
-        self._mapped = 0
 
     def _node_for(self, page: int, create: bool):
         idx4 = level_index(page, 4)
@@ -71,7 +69,6 @@ class MegaFlattenedTable(PageTable):
         if index in entries:
             raise MappingError(f"page {page:#x} already mapped")
         entries[index] = Translation(pfn, PAGE_SHIFT)
-        self._mapped += 1
 
     def unmap_page(self, page: int) -> None:
         node = self._nodes.get(level_index(page, 4))
@@ -79,20 +76,19 @@ class MegaFlattenedTable(PageTable):
         if node is None or index not in node[1]:
             raise MappingError(f"page {page:#x} not mapped")
         del node[1][index]
-        self._mapped -= 1
 
-    def walk_info_decorated(self, page: int, level_info: dict):
-        # The walk plan the walker times: one step per sequential read,
-        # each (PTE address, bypass flag, PWC, PWC prefix), with the
-        # walker's treatment of each level taken from ``level_info``.
+    def walk_info_decorated(self, page: int):
+        # The walk plan the walker times: one (PTE address, PWC prefix)
+        # step per sequential read, in ``level_names`` order.  The
+        # walker pairs each step with its level's PWC by position and
+        # applies the mechanism's L1-bypass flag to every read.
         idx4 = level_index(page, 4)
         node = self._nodes.get(idx4)
         index = page & (MEGA_ENTRIES - 1)
         if node is None or index not in node[1]:
             return None
-        pl4, mega = level_info["PL4"], level_info["PL3/2/1"]
-        flat = ((self._root_paddr + idx4 * PTE_SIZE, *pl4, idx4),
-                (node[0] + index * PTE_SIZE, *mega, page))
+        flat = ((self._root_paddr + idx4 * PTE_SIZE, idx4),
+                (node[0] + index * PTE_SIZE, page))
         return flat, None, node[1][index]
 
     def occupancy(self) -> Dict[str, float]:
@@ -108,15 +104,11 @@ class MegaFlattenedTable(PageTable):
         per_node = 512 * FRAMES_PER_BLOCK * 4096
         return 4096 + len(self._nodes) * per_node
 
-    @property
-    def mapped_pages(self) -> int:
-        return self._mapped
-
 
 def main():
     MECHANISMS["mega"] = MechanismSpec(
         key="mega", label="Mega-flattened (2-level, this example)",
-        make_table=MegaFlattenedTable, make_bypass=MetadataBypass,
+        table=MegaFlattenedTable, bypass_ptes=True,
         pwc_levels=("PL4",), paging_policy=PagingPolicy.SMALL)
 
     config = ndp_config(workload="rnd", num_cores=4, refs_per_core=6_000)

@@ -24,7 +24,6 @@ from repro.core import (
     PAPER_MECHANISMS,
     FlattenedPageTable,
     MechanismSpec,
-    MetadataBypass,
     get_mechanism,
 )
 from repro.sim import (
@@ -63,7 +62,6 @@ __all__ = [
     "IdealPageTable",
     "MECHANISMS",
     "MechanismSpec",
-    "MetadataBypass",
     "OSMemoryManager",
     "PAPER_MECHANISMS",
     "PagingPolicy",

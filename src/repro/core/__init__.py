@@ -1,6 +1,5 @@
-"""NDPage's contribution: flattened page table, metadata bypass, specs."""
+"""NDPage's contribution: flattened page table and mechanism specs."""
 
-from repro.core.bypass import BypassPolicy, MetadataBypass, NoBypass
 from repro.core.flattened import FlattenedPageTable
 from repro.core.mechanisms import (
     MECHANISMS,
@@ -10,12 +9,9 @@ from repro.core.mechanisms import (
 )
 
 __all__ = [
-    "BypassPolicy",
     "FlattenedPageTable",
     "MECHANISMS",
     "MechanismSpec",
-    "MetadataBypass",
-    "NoBypass",
     "PAPER_MECHANISMS",
     "get_mechanism",
 ]

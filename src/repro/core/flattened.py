@@ -48,7 +48,6 @@ class FlattenedPageTable(PageTable):
         # Flattened nodes by VPN prefix (``page >> 18``), filled where
         # one is built; leaves are never freed, so it never goes stale.
         self._leaves: Dict[int, TableNode] = {}
-        self._mapped_pages = 0
 
     def _new_interior(self) -> TableNode:
         frame = self._allocator.alloc_frame(site=PT_ALLOC_SITE)
@@ -105,33 +104,27 @@ class FlattenedPageTable(PageTable):
         if index in entries:
             raise MappingError(f"page {page:#x} already mapped")
         entries[index] = tuple.__new__(Translation, (pfn, PAGE_SHIFT))
-        self._mapped_pages += 1
 
     def unmap_page(self, page: int) -> None:
         flat = self._leaves.get(page >> _SHIFT3)
         if flat is None or flat_index(page) not in flat.entries:
             raise MappingError(f"page {page:#x} not mapped")
         del flat.entries[flat_index(page)]
-        self._mapped_pages -= 1
 
-    def walk_info_decorated(self, page: int, level_info: dict):
+    def walk_info_decorated(self, page: int):
         """The flat plan of PL4, PL3 and flattened PL2/1 reads, from
         one descent.  PWC prefixes are ``page >> 27``, ``page >> 18``
         and ``page``: the flattened level consumes 18 index bits."""
         node = self._root
         prefix = page >> _SHIFT4
         idx4 = prefix & _INDEX_MASK
-        info = level_info["PL4"]
-        stage4 = (node.base_paddr + idx4 * PTE_SIZE, info[0], info[1],
-                  prefix)
+        step4 = (node.base_paddr + idx4 * PTE_SIZE, prefix)
         child = node.entries.get(idx4)
         if child is None:
             return None
         prefix = page >> _SHIFT3
         idx3 = prefix & _INDEX_MASK
-        info = level_info["PL3"]
-        stage3 = (child.base_paddr + idx3 * PTE_SIZE, info[0], info[1],
-                  prefix)
+        step3 = (child.base_paddr + idx3 * PTE_SIZE, prefix)
         flat = child.entries.get(idx3)
         if flat is None:
             return None
@@ -139,10 +132,7 @@ class FlattenedPageTable(PageTable):
         leaf = flat.entries.get(index)
         if leaf is None:
             return None
-        info = level_info["PL2/1"]
-        return ((stage4, stage3,
-                 (flat.base_paddr + index * PTE_SIZE, info[0], info[1],
-                  page)),
+        return ((step4, step3, (flat.base_paddr + index * PTE_SIZE, page)),
                 None, leaf)
 
     def occupancy(self) -> Dict[str, float]:
@@ -163,8 +153,3 @@ class FlattenedPageTable(PageTable):
     def table_bytes(self) -> int:
         flat_bytes = len(self._leaves) * FRAMES_PER_BLOCK * PAGE_SIZE
         return self._interior_nodes * PAGE_SIZE + flat_bytes
-
-    @property
-    def mapped_pages(self) -> int:
-        return self._mapped_pages
-

@@ -50,7 +50,6 @@ class UpperFlattenedPageTable(PageTable):
         # entries are 4 KB PL1 nodes.
         self._root = TableNode(allocator.frame_paddr(root_frame))
         self._pl1_count = 0
-        self._mapped = 0
 
     def _pl1_for(self, page: int, create: bool) -> Optional[TableNode]:
         entries = self._root.entries
@@ -90,7 +89,6 @@ class UpperFlattenedPageTable(PageTable):
             raise MappingError(f"page {page:#x} already mapped")
         pl1.entries[idx1] = tuple.__new__(Translation,
                                           (pfn, PAGE_SHIFT))
-        self._mapped += 1
 
     def unmap_page(self, page: int) -> None:
         pl1 = self._pl1_for(page, create=False)
@@ -98,26 +96,21 @@ class UpperFlattenedPageTable(PageTable):
         if pl1 is None or idx1 not in pl1.entries:
             raise MappingError(f"page {page:#x} not mapped")
         del pl1.entries[idx1]
-        self._mapped -= 1
 
-    def walk_info_decorated(self, page: int, level_info: dict):
+    def walk_info_decorated(self, page: int):
         """The flat plan of PL4, merged PL3/2 and PL1 reads, from one
         descent.  PWC prefixes are ``page >> 27``, ``page >> 9`` and
         ``page``: the merged level consumes 18 index bits."""
         node = self._root
         prefix = page >> _SHIFT4
         idx4 = prefix & _INDEX_MASK
-        info = level_info["PL4"]
-        stage4 = (node.base_paddr + idx4 * PTE_SIZE, info[0], info[1],
-                  prefix)
+        step4 = (node.base_paddr + idx4 * PTE_SIZE, prefix)
         flat = node.entries.get(idx4)
         if flat is None:
             return None
         prefix = page >> LEVEL_BITS
         upper = prefix & _UPPER_MASK
-        info = level_info["PL3/2"]
-        stage32 = (flat.base_paddr + upper * PTE_SIZE, info[0], info[1],
-                   prefix)
+        step32 = (flat.base_paddr + upper * PTE_SIZE, prefix)
         pl1 = flat.entries.get(upper)
         if pl1 is None:
             return None
@@ -125,10 +118,7 @@ class UpperFlattenedPageTable(PageTable):
         leaf = pl1.entries.get(index)
         if leaf is None:
             return None
-        info = level_info["PL1"]
-        return ((stage4, stage32,
-                 (pl1.base_paddr + index * PTE_SIZE, info[0], info[1],
-                  page)),
+        return ((step4, step32, (pl1.base_paddr + index * PTE_SIZE, page)),
                 None, leaf)
 
     def occupancy(self) -> Dict[str, float]:
@@ -150,7 +140,3 @@ class UpperFlattenedPageTable(PageTable):
         flat_bytes = (len(self._root.entries) * FRAMES_PER_BLOCK
                       * PAGE_SIZE)
         return PAGE_SIZE + flat_bytes + self._pl1_count * PAGE_SIZE
-
-    @property
-    def mapped_pages(self) -> int:
-        return self._mapped

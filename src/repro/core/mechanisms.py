@@ -1,9 +1,9 @@
 """Address-translation mechanism registry (Section VI).
 
-Each :class:`MechanismSpec` bundles everything that distinguishes one of
-the paper's evaluated mechanisms — which page-table structure backs the
-walk, whether PTE accesses bypass the NDP L1, which levels get page-walk
-caches, and how the OS backs memory:
+Each :class:`MechanismSpec` is plain data naming everything that
+distinguishes one of the paper's evaluated mechanisms: which page-table
+class backs the walk, whether PTE reads bypass the NDP L1, which levels
+get page-walk caches, and how the OS backs memory:
 
 * ``radix``    — conventional 4-level x86-64 table (baseline).
 * ``ech``      — elastic cuckoo hash table, parallel probes.
@@ -12,10 +12,16 @@ caches, and how the OS backs memory:
   (this paper).
 * ``ideal``    — zero-latency translation upper bound.
 
+NDPage's first mechanism (Section V-A) sends every PTE read of a walk
+past the L1: the OS marks page-table regions and the hardware issues
+non-caching loads for them.  Because the NDP system has a single cache
+level, bypassing cannot violate multi-level inclusion.  The walker
+takes the spec's ``bypass_ptes`` flag and applies it to every read.
+
 Ablation variants decompose NDPage's two mechanisms so their individual
 contributions can be measured (``benchmarks/test_ablation_ndpage.py``
 runs them): ``ndpage-bypass-only``, ``ndpage-flatten-only``,
-``ndpage-nopwc``.
+``ndpage-nopwc`` and ``ndpage-flatten-upper``.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from repro.core.bypass import BypassPolicy, MetadataBypass, NoBypass
 from repro.core.flattened import FlattenedPageTable
+from repro.core.flattened_upper import UpperFlattenedPageTable
 from repro.vm.base import PageTable
 from repro.vm.cuckoo import ElasticCuckooPageTable
 from repro.vm.frames import FrameAllocator
@@ -35,72 +41,45 @@ from repro.vm.radix import RadixPageTable
 
 @dataclass(frozen=True)
 class MechanismSpec:
-    """Recipe for building one translation mechanism."""
+    """Recipe for building one translation mechanism: ``table`` builds
+    a tenant's page table from the frame allocator, and every PTE read
+    of a walk bypasses the L1 when ``bypass_ptes`` is set."""
 
     key: str
     label: str
-    make_table: Callable[[FrameAllocator], PageTable]
-    make_bypass: Callable[[], BypassPolicy]
+    table: Callable[[FrameAllocator], PageTable]
+    bypass_ptes: bool
     pwc_levels: Tuple[str, ...]
-    paging_policy: PagingPolicy
+    paging_policy: PagingPolicy = PagingPolicy.SMALL
     ideal: bool = False
-
-    def build_table(self, allocator: FrameAllocator) -> PageTable:
-        return self.make_table(allocator)
-
-    def build_bypass(self) -> BypassPolicy:
-        return self.make_bypass()
 
 
 RADIX_PWC_LEVELS = ("PL4", "PL3", "PL2", "PL1")
 NDPAGE_PWC_LEVELS = ("PL4", "PL3", "PL2/1")
 
-
-def _make_upper_flattened(allocator: FrameAllocator) -> PageTable:
-    # Imported lazily to keep the core import graph acyclic.
-    from repro.core.flattened_upper import UpperFlattenedPageTable
-    return UpperFlattenedPageTable(allocator)
-
-
-def _spec(key: str, label: str, make_table, make_bypass, pwc_levels,
-          paging_policy=PagingPolicy.SMALL, ideal=False) -> MechanismSpec:
-    return MechanismSpec(key=key, label=label, make_table=make_table,
-                         make_bypass=make_bypass, pwc_levels=pwc_levels,
-                         paging_policy=paging_policy, ideal=ideal)
-
-
-MECHANISMS = {
-    "radix": _spec(
-        "radix", "Radix (4-level x86-64)",
-        RadixPageTable, NoBypass, RADIX_PWC_LEVELS),
-    "ech": _spec(
-        "ech", "Elastic Cuckoo Hash Table",
-        ElasticCuckooPageTable, NoBypass, ()),
-    "hugepage": _spec(
-        "hugepage", "Huge Page (2MB THP)",
-        RadixPageTable, NoBypass, RADIX_PWC_LEVELS,
-        paging_policy=PagingPolicy.HUGE),
-    "ndpage": _spec(
-        "ndpage", "NDPage (this paper)",
-        FlattenedPageTable, MetadataBypass, NDPAGE_PWC_LEVELS),
-    "ideal": _spec(
-        "ideal", "Ideal (zero-latency translation)",
-        IdealPageTable, NoBypass, (), ideal=True),
+MECHANISMS = {spec.key: spec for spec in (
+    MechanismSpec("radix", "Radix (4-level x86-64)",
+                  RadixPageTable, False, RADIX_PWC_LEVELS),
+    MechanismSpec("ech", "Elastic Cuckoo Hash Table",
+                  ElasticCuckooPageTable, False, ()),
+    MechanismSpec("hugepage", "Huge Page (2MB THP)",
+                  RadixPageTable, False, RADIX_PWC_LEVELS,
+                  paging_policy=PagingPolicy.HUGE),
+    MechanismSpec("ndpage", "NDPage (this paper)",
+                  FlattenedPageTable, True, NDPAGE_PWC_LEVELS),
+    MechanismSpec("ideal", "Ideal (zero-latency translation)",
+                  IdealPageTable, False, (), ideal=True),
     # --- ablations ---------------------------------------------------------
-    "ndpage-bypass-only": _spec(
-        "ndpage-bypass-only", "Radix + metadata L1 bypass",
-        RadixPageTable, MetadataBypass, RADIX_PWC_LEVELS),
-    "ndpage-flatten-only": _spec(
-        "ndpage-flatten-only", "Flattened L2/L1, PTEs cacheable",
-        FlattenedPageTable, NoBypass, NDPAGE_PWC_LEVELS),
-    "ndpage-nopwc": _spec(
-        "ndpage-nopwc", "NDPage without page-walk caches",
-        FlattenedPageTable, MetadataBypass, ()),
-    "ndpage-flatten-upper": _spec(
-        "ndpage-flatten-upper", "Flatten PL3/PL2 instead (counterfactual)",
-        _make_upper_flattened, MetadataBypass,
-        ("PL4", "PL3/2", "PL1")),
-}
+    MechanismSpec("ndpage-bypass-only", "Radix + metadata L1 bypass",
+                  RadixPageTable, True, RADIX_PWC_LEVELS),
+    MechanismSpec("ndpage-flatten-only", "Flattened L2/L1, PTEs cacheable",
+                  FlattenedPageTable, False, NDPAGE_PWC_LEVELS),
+    MechanismSpec("ndpage-nopwc", "NDPage without page-walk caches",
+                  FlattenedPageTable, True, ()),
+    MechanismSpec("ndpage-flatten-upper",
+                  "Flatten PL3/PL2 instead (counterfactual)",
+                  UpperFlattenedPageTable, True, ("PL4", "PL3/2", "PL1")),
+)}
 
 #: The five mechanisms of Figs. 12-14, in the paper's plotting order.
 PAPER_MECHANISMS = ("radix", "ech", "hugepage", "ndpage", "ideal")

@@ -147,9 +147,9 @@ class Mmu:
             _, fault_cycles = self.os.ensure_translated(
                 vaddr, site=self.core_id)
             plan = walker.plan_info(vpn)
-        flat, staged, translation = plan
+        flat, probes, translation = plan
         walk_latency = walker.walk_from_plan(
-            now + latency + fault_cycles, flat, staged)
+            now + latency + fault_cycles, flat, probes)
         self.tlbs.insert(page, translation)
 
         walk_stats = self.stats.walk_latency

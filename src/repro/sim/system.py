@@ -82,7 +82,7 @@ class System:
             workload = make_workload(
                 config.workload, scale=config.scale,
                 seed=tenant_seed(config.seed, asid))
-            table = self.spec.build_table(self.allocator)
+            table = self.spec.table(self.allocator)
             hooks = {} if coordinator is None else dict(
                 on_unmap=coordinator.unmap_hook(asid),
                 peer_reclaim=coordinator.peer_reclaim_hook(asid),
@@ -141,7 +141,7 @@ class System:
             for tenant in self._slot_tenant_order(slot_id):
                 walker = PageTableWalker(
                     tenant.page_table, self.hierarchy, slot_id,
-                    pwcs=pwcs, bypass=self.spec.build_bypass(),
+                    pwcs=pwcs, bypass=self.spec.bypass_ptes,
                     asid=tenant.asid)
                 mmu = Mmu(slot_id, tlbs, walker, tenant.os,
                           ideal=self.spec.ideal, asid=tenant.asid)

@@ -331,10 +331,6 @@ class NumaFrameAllocator:
         return sum(pool.free_block_count for pool in self.pools)
 
     @property
-    def scattered_free_frames(self) -> int:
-        return sum(pool.scattered_free_frames for pool in self.pools)
-
-    @property
     def movable_scattered_frames(self) -> int:
         return sum(pool.movable_scattered_frames
                    for pool in self.pools)

@@ -5,14 +5,15 @@ A page table in this simulator answers three questions:
 1. *Functional*: what physical frame backs this VPN (``lookup``)?
 2. *Structural*: which physical PTE addresses would a hardware walker
    touch, in what order (``walk_info_decorated``, the *walk plan* the
-   walker runs)?  A plan is flat, one PTE read per sequential level
-   (radix levels), or staged: a tuple of stages whose reads happen in
-   parallel (elastic-cuckoo ways).
+   walker runs)?  A plan is sequential, one PTE read per level (radix
+   levels), or parallel: one probe per way, all overlapping
+   (elastic-cuckoo ways).
 3. *Spatial*: how full is each level (``occupancy``), the paper's
    Fig. 8 evidence for flattening.
 
-The walker (:mod:`repro.mmu.walker`) times a plan's steps as memory
-requests; page tables themselves are timing-free.
+The walker (:mod:`repro.mmu.walker`) times a plan's reads as memory
+requests and applies its own treatment to them (L1 bypass, page-walk
+caches); page tables themselves are timing-free.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ class Translation(NamedTuple):
     pfn: int         # physical frame number at ``page_shift`` granularity
     page_shift: int  # 12 for 4 KB mappings, 21 for 2 MB mappings
 
-    def paddr(self, vaddr: int) -> int:
-        """Physical address of ``vaddr`` under this translation."""
-        offset = vaddr & ((1 << self.page_shift) - 1)
-        return (self.pfn << self.page_shift) | offset
-
 
 class MappingError(Exception):
     """Raised on invalid map/unmap operations."""
@@ -47,9 +43,10 @@ class PageTable(ABC):
     """Interface implemented by radix, flattened, cuckoo and ideal tables."""
 
     #: Ordered labels of the levels a walk reads, root first.  The
-    #: walker resolves each level's treatment (bypass, PWC) from them
-    #: once, at construction.  An elastic cuckoo table names its ways
-    #: per instance; the ideal table, which reads nothing, names none.
+    #: walker resolves each level's page-walk cache from them once, at
+    #: construction, and pairs it with a sequential plan's steps by
+    #: position.  An elastic cuckoo table names its ways per instance;
+    #: the ideal table, which reads nothing, names none.
     level_names: Tuple[str, ...] = ()
 
     @abstractmethod
@@ -67,27 +64,24 @@ class PageTable(ABC):
         """Remove a mapping (raises MappingError if absent)."""
 
     @abstractmethod
-    def walk_info_decorated(self, page: int, level_info: dict):
-        """The walker's plan and translation for ``page``, with the
-        walker's per-level treatment baked into each step; None when
-        the page is unmapped.
+    def walk_info_decorated(self, page: int):
+        """The walker's plan and translation for ``page`` from one
+        descent, or None when the page is unmapped.
 
-        ``level_info`` maps every name in :attr:`level_names` to
-        ``(bypass_flag, pwc_or_None)``.  Returns ``(flat, staged,
-        translation)``, each step a ``(pte_paddr, bypass_flag, pwc,
-        pwc_prefix)`` tuple:
+        Returns ``(flat, probes, translation)``; exactly one of
+        ``flat`` and ``probes`` is a tuple:
 
-        * a pointer-chasing walk (the radix family) is *flat*:
-          ``flat`` holds one step per sequential level, root first,
-          and ``staged`` is None;
-        * a walk of parallel probes (elastic-cuckoo ways) is
-          *staged*: ``flat`` is None and ``staged`` is a tuple of
-          stages, each a tuple of steps that overlap.
+        * a pointer-chasing walk (the radix family) is sequential:
+          ``flat`` holds one ``(pte_paddr, pwc_prefix)`` step per level
+          read, in :attr:`level_names` order (a walk that ends early,
+          at a 2 MB leaf, stops short), and ``probes`` is None;
+        * a walk of parallel probes (elastic-cuckoo ways) has ``flat``
+          None and ``probes`` a tuple of PTE addresses, read at once.
 
         ``pwc_prefix`` is the translation prefix that tags the level's
-        page-walk cache entry (each level has its own cache), or None
-        where a level has no prefix.  The walker calls this on every
-        walk, so a table resolves the plan in one descent.
+        page-walk cache entry (each level has its own cache).  The
+        plan says only what the table knows: the walker decides which
+        reads bypass the L1 and which levels have a cache.
         """
 
     @abstractmethod
@@ -97,9 +91,3 @@ class PageTable(ABC):
     @abstractmethod
     def table_bytes(self) -> int:
         """Physical memory consumed by the table structures themselves."""
-
-    @property
-    def mapped_pages(self) -> int:
-        """Number of 4 KB-granularity mappings installed (override where
-        cheaper bookkeeping exists)."""
-        raise NotImplementedError

@@ -208,23 +208,21 @@ class ElasticCuckooPageTable(PageTable):
 
     # -- walker-facing structure ----------------------------------------------
 
-    def walk_info_decorated(self, page: int, level_info: dict):
-        """A staged plan of one stage: a probe of every way in
-        parallel (nests disabled), none with a PWC prefix.  The probes
-        also find the translation, so one pass yields both."""
+    def walk_info_decorated(self, page: int):
+        """A parallel plan: a probe of every way at once (nests
+        disabled).  The probes also find the translation, so one pass
+        yields both."""
         translation = None
         probes = []
-        for way, level in zip(self._ways, self.level_names):
+        for way in self._ways:
             index = _splitmix64(page ^ way.salt) % way.size
-            info = level_info[level]
-            probes.append((way.base_paddr + index * ECH_ENTRY_BYTES,
-                           info[0], info[1], None))
+            probes.append(way.base_paddr + index * ECH_ENTRY_BYTES)
             entry = way.slots.get(index)
             if entry is not None and entry[0] == page:
                 translation = entry[1]
         if translation is None:
             return None
-        return None, (tuple(probes),), translation
+        return None, tuple(probes), translation
 
     def occupancy(self) -> Dict[str, float]:
         return {
@@ -234,7 +232,3 @@ class ElasticCuckooPageTable(PageTable):
 
     def table_bytes(self) -> int:
         return self._table_bytes
-
-    @property
-    def mapped_pages(self) -> int:
-        return self._mapped_pages

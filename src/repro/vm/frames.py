@@ -143,11 +143,6 @@ class FrameAllocator:
                 + partial + fragmented + len(self._free_frames))
 
     @property
-    def scattered_free_frames(self) -> int:
-        """Free frames *not* part of a whole free block."""
-        return self.free_frames - len(self._free_blocks) * FRAMES_PER_BLOCK
-
-    @property
     def free_fraction(self) -> float:
         """Fraction of all physical frames currently free."""
         if self.num_frames == 0:

@@ -46,7 +46,7 @@ class IdealPageTable(PageTable):
             raise MappingError(f"page {page:#x} not mapped")
         del self._mappings[page]
 
-    def walk_info_decorated(self, page: int, level_info: dict):
+    def walk_info_decorated(self, page: int):
         """An empty flat plan: no page-table memory exists to read."""
         translation = self._mappings.get(page)
         return None if translation is None else ((), None, translation)
@@ -56,7 +56,3 @@ class IdealPageTable(PageTable):
 
     def table_bytes(self) -> int:
         return 0
-
-    @property
-    def mapped_pages(self) -> int:
-        return len(self._mappings)

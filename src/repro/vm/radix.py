@@ -65,7 +65,6 @@ class RadixPageTable(PageTable):
         # built.  Never stale: leaves are never freed, and a PL2 slot
         # that holds one never takes a 2 MB leaf.
         self._leaves: Dict[int, TableNode] = {}
-        self._mapped_pages = 0
         self.huge_mappings = 0
 
     # -- construction helpers -------------------------------------------------
@@ -147,7 +146,6 @@ class RadixPageTable(PageTable):
         if index in entries:
             raise MappingError(f"page {page:#x} already mapped")
         entries[index] = tuple.__new__(Translation, (pfn, PAGE_SHIFT))
-        self._mapped_pages += 1
 
     def _map_huge(self, page: int, pfn: int) -> None:
         if page % ENTRIES_PER_NODE != 0:
@@ -160,7 +158,6 @@ class RadixPageTable(PageTable):
             raise MappingError(f"PL2 slot for page {page:#x} already in use")
         node.entries[idx2] = tuple.__new__(Translation, (
             pfn >> (HUGE_PAGE_SHIFT - PAGE_SHIFT), HUGE_PAGE_SHIFT))
-        self._mapped_pages += ENTRIES_PER_NODE
         self.huge_mappings += 1
 
     def unmap_page(self, page: int) -> None:
@@ -171,15 +168,13 @@ class RadixPageTable(PageTable):
         entry = node.entries.get(idx2)
         if isinstance(entry, Translation):
             del node.entries[idx2]
-            self._mapped_pages -= ENTRIES_PER_NODE
             self.huge_mappings -= 1
             return
         if entry is None or level_index(page, 1) not in entry.entries:
             raise MappingError(f"page {page:#x} not mapped")
         del entry.entries[level_index(page, 1)]
-        self._mapped_pages -= 1
 
-    def walk_info_decorated(self, page: int, level_info: dict):
+    def walk_info_decorated(self, page: int):
         """The flat plan of PL4, PL3, PL2 and (below a 4 KB leaf's
         PL2 entry) PL1 reads, from one unrolled descent.  Each level's
         PWC prefix is the VPN without the index bits of the levels
@@ -187,41 +182,33 @@ class RadixPageTable(PageTable):
         node = self._root
         prefix = page >> _SHIFT4
         index = prefix & _INDEX_MASK
-        info = level_info["PL4"]
-        stage4 = (node.base_paddr + index * PTE_SIZE, info[0], info[1],
-                  prefix)
+        step4 = (node.base_paddr + index * PTE_SIZE, prefix)
         node = node.entries.get(index)
         if node is None:
             return None
 
         prefix = page >> _SHIFT3
         index = prefix & _INDEX_MASK
-        info = level_info["PL3"]
-        stage3 = (node.base_paddr + index * PTE_SIZE, info[0], info[1],
-                  prefix)
+        step3 = (node.base_paddr + index * PTE_SIZE, prefix)
         node = node.entries.get(index)
         if node is None:
             return None
 
         prefix = page >> LEVEL_BITS
         index = prefix & _INDEX_MASK
-        info = level_info["PL2"]
-        stage2 = (node.base_paddr + index * PTE_SIZE, info[0], info[1],
-                  prefix)
+        step2 = (node.base_paddr + index * PTE_SIZE, prefix)
         entry = node.entries.get(index)
         if entry is None:
             return None
-        if type(entry) is Translation:  # 2 MB leaf: 3-stage walk
-            return (stage4, stage3, stage2), None, entry
+        if type(entry) is Translation:  # 2 MB leaf: 3-step walk
+            return (step4, step3, step2), None, entry
 
         index = page & _INDEX_MASK
         leaf = entry.entries.get(index)
         if leaf is None:
             return None
-        info = level_info["PL1"]
-        return ((stage4, stage3, stage2,
-                 (entry.base_paddr + index * PTE_SIZE, info[0], info[1],
-                  page)),
+        return ((step4, step3, step2,
+                 (entry.base_paddr + index * PTE_SIZE, page)),
                 None, leaf)
 
     def occupancy(self) -> Dict[str, float]:
@@ -236,7 +223,3 @@ class RadixPageTable(PageTable):
 
     def table_bytes(self) -> int:
         return sum(len(v) for v in self._nodes_by_level.values()) * PAGE_SIZE
-
-    @property
-    def mapped_pages(self) -> int:
-        return self._mapped_pages

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.vm.address import ENTRIES_PER_NODE, LEVEL_BITS
+from repro.vm.address import ENTRIES_PER_NODE, LEVEL_BITS, PAGE_SHIFT
+from repro.vm.base import Translation
+from repro.vm.cuckoo import ElasticCuckooPageTable
 from repro.vm.frames import FrameAllocator
+from repro.vm.ideal import IdealPageTable
 
 MIB = 1024 ** 2
 GIB = 1024 ** 3
@@ -41,18 +44,28 @@ def make_vpn():
     return _make_vpn
 
 
-def _live_plan(table, page: int):
-    return table.walk_info_decorated(
-        page, {level: (0, level) for level in table.level_names})
+def _count_mapped_pages(table) -> int:
+    """4 KB pages ``table`` maps, counted from its live entries: 512
+    for each 2 MB leaf, one for each other leaf."""
+    if isinstance(table, ElasticCuckooPageTable):
+        return sum(len(way.slots) for way in table._ways)
+    if isinstance(table, IdealPageTable):
+        return len(table._mappings)
+    total, nodes = 0, [table._root]  # the radix family's node trees
+    while nodes:
+        for entry in nodes.pop().entries.values():
+            if type(entry) is Translation:
+                total += 1 << (entry.page_shift - PAGE_SHIFT)
+            else:
+                nodes.append(entry)
+    return total
 
 
 @pytest.fixture(scope="session")
-def live_plan():
-    """``live_plan(table, page)``: the walk plan the walker runs for
-    ``page`` (``(flat, staged, translation)``, or None when unmapped),
-    with no bypass and each level's name in its steps' PWC slot, so
-    ``step[2]`` tells which level a step reads."""
-    return _live_plan
+def mapped_pages():
+    """``mapped_pages(table)``: the 4 KB pages a table maps, counted
+    from its live entries (512 per 2 MB leaf)."""
+    return _count_mapped_pages
 
 
 class LruSets:

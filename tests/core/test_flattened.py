@@ -55,26 +55,27 @@ class TestMapping:
 
 
 class TestWalkStructure:
-    def test_walk_has_three_stages(self, live_plan, table):
+    def test_walk_has_three_stages(self, table):
         # The headline property: 4 sequential accesses become 3.
         table.map_page(0x54321, pfn=9)
-        flat, staged, translation = live_plan(table, 0x54321)
-        assert staged is None
-        assert [step[2] for step in flat] == ["PL4", "PL3", "PL2/1"]
+        flat, probes, translation = table.walk_info_decorated(0x54321)
+        assert probes is None
+        assert len(flat) == len(table.level_names) == 3
+        assert table.level_names == ("PL4", "PL3", "PL2/1")
         assert translation == Translation(9, PAGE_SHIFT)
 
-    def test_walk_unmapped_rejected(self, live_plan, table):
-        assert live_plan(table, 3) is None
+    def test_walk_unmapped_rejected(self, table):
+        assert table.walk_info_decorated(3) is None
         table.map_page(4, pfn=1)  # every node exists, the leaf not
-        assert live_plan(table, 3) is None
+        assert table.walk_info_decorated(3) is None
 
-    def test_flat_index_spans_18_bits(self, make_vpn, live_plan, table):
+    def test_flat_index_spans_18_bits(self, make_vpn, table):
         low = make_vpn(0, 0, 0, 0)
         high = make_vpn(0, 0, 511, 511)
         table.map_page(low, pfn=1)
         table.map_page(high, pfn=2)
-        leaf_low = live_plan(table, low)[0][2]
-        leaf_high = live_plan(table, high)[0][2]
+        leaf_low = table.walk_info_decorated(low)[0][2]
+        leaf_high = table.walk_info_decorated(high)[0][2]
         # Same flattened node, indices 0 and 2^18 - 1.
         assert leaf_high[0] - leaf_low[0] == (FLAT_ENTRIES - 1) * 8
 
@@ -96,11 +97,11 @@ class TestWalkStructure:
         table.map_page(b, pfn=2)
         assert table.table_bytes() == one_node
 
-    def test_pwc_keys(self, make_vpn, live_plan, table):
+    def test_pwc_keys(self, make_vpn, table):
         page = make_vpn(1, 2, 3, 4)
         table.map_page(page, pfn=1)
-        flat, _, _ = live_plan(table, page)
-        assert [step[3] for step in flat] == [page >> 27, page >> 18, page]
+        flat, _, _ = table.walk_info_decorated(page)
+        assert [step[1] for step in flat] == [page >> 27, page >> 18, page]
 
     def test_coverage_is_one_gb(self, table):
         gib_pages = (1 << 30) >> PAGE_SHIFT
@@ -118,10 +119,10 @@ class TestPhysicalStructure:
         table.map_page(0, pfn=1)
         assert allocator.free_block_count == before - 1
 
-    def test_flat_node_is_2mb_aligned(self, live_plan, table):
+    def test_flat_node_is_2mb_aligned(self, table):
         table.map_page(0, pfn=1)
         # Index 0's PTE is the node's first: its base.
-        leaf = live_plan(table, 0)[0][2]
+        leaf = table.walk_info_decorated(0)[0][2]
         assert leaf[0] % (2 * MIB) == 0
 
     def test_table_bytes_counts_flat_nodes(self, table):
@@ -145,12 +146,12 @@ class TestPhysicalStructure:
         assert occ["PL2/1"] == pytest.approx(1000 / FLAT_ENTRIES)
         assert occ["PL4"] == 1 / 512
 
-    def test_mapped_pages(self, table):
+    def test_mapped_pages(self, mapped_pages, table):
         table.map_page(10, pfn=1)
         table.map_page(20, pfn=2)
-        assert table.mapped_pages == 2
+        assert mapped_pages(table) == 2
         table.unmap_page(10)
-        assert table.mapped_pages == 1
+        assert mapped_pages(table) == 1
 
 
 class TestEquivalenceWithRadix:
@@ -173,15 +174,15 @@ class TestEquivalenceWithRadix:
 
     @given(VPNS)
     @settings(max_examples=30, deadline=None)
-    def test_walk_is_exactly_one_stage_shorter(self, live_plan, page):
+    def test_walk_is_exactly_one_stage_shorter(self, page):
         from repro.vm.radix import RadixPageTable
         flat = FlattenedPageTable(FrameAllocator(64 * MIB))
         radix = RadixPageTable(FrameAllocator(64 * MIB))
         flat.map_page(page, pfn=1)
         radix.map_page(page, pfn=1)
-        flat_walk = live_plan(flat, page)[0]
-        radix_walk = live_plan(radix, page)[0]
+        flat_walk = flat.walk_info_decorated(page)[0]
+        radix_walk = radix.walk_info_decorated(page)[0]
         assert len(flat_walk) == len(radix_walk) - 1
         # The same PWC prefixes above the merged level.
-        assert [step[3] for step in flat_walk[:2]] \
-            == [step[3] for step in radix_walk[:2]]
+        assert [step[1] for step in flat_walk[:2]] \
+            == [step[1] for step in radix_walk[:2]]

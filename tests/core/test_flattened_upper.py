@@ -37,37 +37,38 @@ class TestFunctional:
         with pytest.raises(MappingError):
             table.map_page(0, pfn=0, page_shift=21)
 
-    def test_mapped_pages(self, table):
+    def test_mapped_pages(self, mapped_pages, table):
         table.map_page(1, pfn=1)
         table.map_page(2, pfn=2)
-        assert table.mapped_pages == 2
+        assert mapped_pages(table) == 2
 
 
 class TestStructure:
-    def test_three_stage_walk(self, live_plan, table):
+    def test_three_stage_walk(self, table):
         table.map_page(0x12345, pfn=1)
-        flat, staged, translation = live_plan(table, 0x12345)
-        assert staged is None
-        assert [step[2] for step in flat] == ["PL4", "PL3/2", "PL1"]
-        assert [step[3] for step in flat] \
+        flat, probes, translation = table.walk_info_decorated(0x12345)
+        assert probes is None
+        assert len(flat) == 3
+        assert table.level_names == ("PL4", "PL3/2", "PL1")
+        assert [step[1] for step in flat] \
             == [0x12345 >> 27, 0x12345 >> 9, 0x12345]
         assert translation == Translation(1, PAGE_SHIFT)
-        assert live_plan(table, 0x12346) is None
+        assert table.walk_info_decorated(0x12346) is None
 
-    def test_merged_level_spans_18_bits(self, make_vpn, live_plan, table):
+    def test_merged_level_spans_18_bits(self, make_vpn, table):
         low = make_vpn(0, 0, 0, 7)
         high = make_vpn(0, 511, 511, 7)
         table.map_page(low, pfn=1)
         table.map_page(high, pfn=2)
-        a = live_plan(table, low)[0][1]
-        b = live_plan(table, high)[0][1]
+        a = table.walk_info_decorated(low)[0][1]
+        b = table.walk_info_decorated(high)[0][1]
         assert b[0] - a[0] == ((1 << 18) - 1) * 8
 
-    def test_pl1_nodes_conventional(self, make_vpn, live_plan, table):
+    def test_pl1_nodes_conventional(self, make_vpn, table):
         table.map_page(make_vpn(0, 0, 0, 3), pfn=1)
         table.map_page(make_vpn(0, 0, 0, 4), pfn=2)
-        a = live_plan(table, make_vpn(0, 0, 0, 3))[0][2]
-        b = live_plan(table, make_vpn(0, 0, 0, 4))[0][2]
+        a = table.walk_info_decorated(make_vpn(0, 0, 0, 3))[0][2]
+        b = table.walk_info_decorated(make_vpn(0, 0, 0, 4))[0][2]
         assert b[0] - a[0] == 8
 
     def test_flat_node_consumes_block(self, table, allocator):
@@ -85,7 +86,7 @@ class TestStructure:
     def test_registered_as_mechanism(self):
         from repro.core.mechanisms import get_mechanism
         spec = get_mechanism("ndpage-flatten-upper")
-        table = spec.build_table(FrameAllocator(64 * MIB))
+        table = spec.table(FrameAllocator(64 * MIB))
         assert isinstance(table, UpperFlattenedPageTable)
 
 
@@ -94,16 +95,19 @@ class TestWhyBottomIsRight:
     walker actually performs; upper-two removes one the PWCs already
     absorbed."""
 
-    def test_upper_walk_still_pays_two_leaf_levels(self, live_plan, table):
+    def test_upper_walk_still_pays_two_leaf_levels(self, table):
         from repro.core.flattened import FlattenedPageTable
         bottom = FlattenedPageTable(FrameAllocator(64 * MIB))
         table.map_page(0x777, pfn=1)
         bottom.map_page(0x777, pfn=1)
-        upper_levels = [step[2] for step in live_plan(table, 0x777)[0]]
-        bottom_levels = [step[2] for step in live_plan(bottom, 0x777)[0]]
+        upper_walk = table.walk_info_decorated(0x777)[0]
+        bottom_walk = bottom.walk_info_decorated(0x777)[0]
+        # Steps follow ``level_names`` by position.
+        upper_levels = table.level_names[:len(upper_walk)]
+        bottom_levels = bottom.level_names[:len(bottom_walk)]
         # Both are 3-stage, but upper keeps two poorly-caching low
         # levels (PL3/2 node per-region entries + PL1), while bottom
         # keeps only one.
-        assert len(upper_levels) == len(bottom_levels) == 3
+        assert len(upper_walk) == len(bottom_walk) == 3
         assert upper_levels[-1] == "PL1"
         assert bottom_levels[-1] == "PL2/1"

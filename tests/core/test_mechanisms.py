@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bypass import MetadataBypass, NoBypass
 from repro.core.flattened import FlattenedPageTable
 from repro.core.flattened_upper import UpperFlattenedPageTable
 from repro.core.mechanisms import (
@@ -51,15 +50,13 @@ class TestRegistry:
     ])
     def test_table_types(self, key, table_cls):
         spec = get_mechanism(key)
-        table = spec.build_table(FrameAllocator(256 * MIB))
+        table = spec.table(FrameAllocator(256 * MIB))
         assert isinstance(table, table_cls)
 
     def test_only_ndpage_bypasses(self):
-        assert isinstance(get_mechanism("ndpage").build_bypass(),
-                          MetadataBypass)
+        assert get_mechanism("ndpage").bypass_ptes is True
         for key in ("radix", "ech", "hugepage", "ideal"):
-            assert isinstance(get_mechanism(key).build_bypass(),
-                              NoBypass)
+            assert get_mechanism(key).bypass_ptes is False
 
     def test_only_hugepage_uses_thp(self):
         assert get_mechanism("hugepage").paging_policy \
@@ -81,12 +78,11 @@ class TestRegistry:
 
     def test_ablation_variants(self):
         bypass_only = get_mechanism("ndpage-bypass-only")
-        assert isinstance(
-            bypass_only.build_table(FrameAllocator(64 * MIB)),
-            RadixPageTable)
-        assert isinstance(bypass_only.build_bypass(), MetadataBypass)
+        assert isinstance(bypass_only.table(FrameAllocator(64 * MIB)),
+                          RadixPageTable)
+        assert bypass_only.bypass_ptes is True
         flatten_only = get_mechanism("ndpage-flatten-only")
-        assert isinstance(flatten_only.build_bypass(), NoBypass)
+        assert flatten_only.bypass_ptes is False
         assert get_mechanism("ndpage-nopwc").pwc_levels == ()
 
 
@@ -167,19 +163,18 @@ class RadixFamilyModel:
         for level in range(depth + 1):
             self._touch(level, page)
 
-    def walk_stages(self, page, level_info):
+    def walk_stages(self, page):
         huge = self._leaves.get((page >> LEVEL_BITS,))
         translation = huge or self._leaves.get(page)
         if translation is None:
             return None
         depth = self.huge_depth if huge else len(self._levels) - 1
         steps = []
-        for level, (name, mask, shift, node_shift) in enumerate(
+        for level, (_, mask, shift, node_shift) in enumerate(
                 self._levels[:depth + 1]):
             base = self._bases[(level, page >> node_shift)]
             prefix = page >> shift
-            steps.append((base + (prefix & mask) * PTE_SIZE,
-                          *level_info[name], prefix))
+            steps.append((base + (prefix & mask) * PTE_SIZE, prefix))
         return tuple(steps), None, translation
 
 
@@ -203,10 +198,10 @@ def splitmix64(value: int) -> int:
 
 
 class CuckooModel:
-    """Reference plans of an ECH table that has not grown: one stage
-    of a probe per way, at the slot the way's salt hashes the VPN to.
-    Each way allocates its frames one at a time and addresses its
-    slots from the first."""
+    """Reference plans of an ECH table that has not grown: a parallel
+    probe per way, at the slot the way's salt hashes the VPN to.  Each
+    way allocates its frames one at a time and addresses its slots
+    from the first."""
 
     def __init__(self, allocations):
         self.level_names = tuple(f"ECH-way{i}" for i in range(ECH_WAYS))
@@ -220,15 +215,13 @@ class CuckooModel:
     def map_page(self, page, pfn, page_shift):
         self._leaves[page] = Translation(pfn, page_shift)
 
-    def walk_stages(self, page, level_info):
+    def walk_stages(self, page):
         translation = self._leaves.get(page)
         if translation is None:
             return None
-        probes = tuple(
-            (base + splitmix64(page ^ salt) % ECH_SLOTS * ECH_ENTRY,
-             *level_info[name], None)
-            for (salt, base), name in zip(self._ways, self.level_names))
-        return None, (probes,), translation
+        probes = tuple(base + splitmix64(page ^ salt) % ECH_SLOTS * ECH_ENTRY
+                       for salt, base in self._ways)
+        return None, probes, translation
 
 
 class IdealModel:
@@ -242,7 +235,7 @@ class IdealModel:
     def map_page(self, page, pfn, page_shift):
         self._leaves[page] = Translation(pfn, page_shift)
 
-    def walk_stages(self, page, level_info):
+    def walk_stages(self, page):
         translation = self._leaves.get(page)
         return None if translation is None else ((), None, translation)
 
@@ -264,8 +257,8 @@ def plan_model(table, allocations):
 class TestLiveWalkPlan:
     """Each mechanism's live walk plan (``walk_info_decorated``, the
     one method the walker calls) against the reference model of its
-    table: the same PTE addresses, PWC prefixes, per-level walker
-    treatment, flat-versus-staged shape and translation."""
+    table: the same level names, PTE addresses, PWC prefixes,
+    sequential-versus-parallel shape and translation."""
 
     @pytest.mark.parametrize("key", sorted(MECHANISMS))
     @given(small=st.lists(SMALL_PAGES, min_size=1, max_size=30,
@@ -276,7 +269,7 @@ class TestLiveWalkPlan:
     @settings(max_examples=20, deadline=None)
     def test_plan_matches_walk_stages(self, key, small, huge, offsets):
         allocator = RecordingAllocator(1024 * MIB)
-        table = get_mechanism(key).build_table(allocator)
+        table = get_mechanism(key).table(allocator)
         maps = [(page, pfn, PAGE_SHIFT)
                 for pfn, page in enumerate(small, start=1)]
         walked = list(small)
@@ -293,9 +286,6 @@ class TestLiveWalkPlan:
         for page, pfn, page_shift in maps:
             model.map_page(page, pfn, page_shift)
         assert table.level_names == model.level_names
-        # A distinct treatment per level, as the walker resolves it.
-        level_info = {level: (i % 2, f"probe-{level}")
-                      for i, level in enumerate(model.level_names)}
         for page in walked + [UNMAPPED_PAGE, small[0] ^ 1]:
-            assert table.walk_info_decorated(page, level_info) \
-                == model.walk_stages(page, level_info), hex(page)
+            assert table.walk_info_decorated(page) \
+                == model.walk_stages(page), hex(page)

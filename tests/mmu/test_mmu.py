@@ -2,7 +2,6 @@
 
 from typing import NamedTuple
 
-from repro.core.bypass import NoBypass
 from repro.mem.dram import HBM2
 from repro.mem.hierarchy import build_ndp_hierarchy
 from repro.mmu.mmu import Mmu
@@ -39,8 +38,7 @@ def make_mmu(ideal=False):
         table = RadixPageTable(allocator)
     os_model = OSMemoryManager(allocator, table)
     hierarchy = build_ndp_hierarchy(1, HBM2)
-    walker = PageTableWalker(table, hierarchy, core_id=0,
-                             bypass=NoBypass())
+    walker = PageTableWalker(table, hierarchy, core_id=0, bypass=False)
     return Mmu(0, build_tlbs(TlbParams()), walker, os_model, ideal=ideal)
 
 

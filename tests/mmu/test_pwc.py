@@ -2,7 +2,7 @@
 
 A PWC is probed and filled only by the walker's fused pass in
 :meth:`PageTableWalker.walk_from_plan`, so every probe here is a walk:
-of a hand-built one-step plan (any key, any level) or of a real
+of a hand-built one-step plan (any key, one level) or of a real
 table's plan.
 """
 
@@ -24,20 +24,33 @@ from repro.vm.radix import RadixPageTable
 MIB = 1024 ** 2
 
 
-def step_walker(pwcs=None):
-    """A walker whose plans the tests build by hand (it probes the
-    PWCs a plan names once it has a PWC set, empty or not)."""
-    table = RadixPageTable(FrameAllocator(64 * MIB))
-    return PageTableWalker(table, build_ndp_hierarchy(1, HBM2),
-                           core_id=0,
-                           pwcs=PwcSet(()) if pwcs is None else pwcs)
+class OneLevelTable:
+    """A stand-in page table that names one walk level: the walker
+    pairs that level's PWC with a one-step plan."""
+
+    def __init__(self, level):
+        self.level_names = (level,)
+
+
+def step_walker(pwcs, level):
+    """A walker whose hand-built one-step plans probe ``pwcs``' cache
+    of ``level``."""
+    return PageTableWalker(OneLevelTable(level),
+                           build_ndp_hierarchy(1, HBM2), core_id=0,
+                           pwcs=pwcs)
 
 
 def probe(walker, pwc, key):
     """Walk a one-step plan through ``pwc``; True on a PWC hit."""
     hits = pwc.stats.hits
-    walker.walk_from_plan(0.0, ((0, 1, pwc, key),), None)
+    walker.walk_from_plan(0.0, ((0, key),), None)
     return pwc.stats.hits > hits
+
+
+def one_cache(level, **geometry):
+    """A walker over a one-level PWC set, and that level's cache."""
+    pwcs = PwcSet((level,), **geometry)
+    return step_walker(pwcs, level), pwcs.caches()[level]
 
 
 def resident(pwc):
@@ -47,27 +60,24 @@ def resident(pwc):
 
 class TestPageWalkCache:
     def test_cold_miss(self):
-        pwc = PageWalkCache("PL4")
-        assert not probe(step_walker(), pwc, 0)
+        walker, pwc = one_cache("PL4")
+        assert not probe(walker, pwc, 0)
         assert pwc.stats.misses == 1
 
     def test_insert_then_hit(self):
-        pwc = PageWalkCache("PL4")
-        walker = step_walker()
+        walker, pwc = one_cache("PL4")
         probe(walker, pwc, 0)  # the miss fills the key
         assert probe(walker, pwc, 0)
 
     def test_capacity_bounded(self):
-        pwc = PageWalkCache("PL2", entries=8, associativity=2)
-        walker = step_walker()
+        walker, pwc = one_cache("PL2", entries=8, associativity=2)
         for i in range(100):
             probe(walker, pwc, i)
         assert all(len(keys) <= 2 for keys in resident(pwc))
         assert sum(map(len, resident(pwc))) == 8
 
     def test_lru_refresh(self):
-        pwc = PageWalkCache("PL2", entries=2, associativity=2)
-        walker = step_walker()
+        walker, pwc = one_cache("PL2", entries=2, associativity=2)
         probe(walker, pwc, 0)
         probe(walker, pwc, 1)
         probe(walker, pwc, 0)
@@ -80,8 +90,7 @@ class TestPageWalkCache:
             PageWalkCache("x", entries=5, associativity=2)
 
     def test_flush(self):
-        pwc = PageWalkCache("PL4")
-        walker = step_walker()
+        walker, pwc = one_cache("PL4")
         probe(walker, pwc, 0)
         pwc.flush()
         assert not probe(walker, pwc, 0)
@@ -95,14 +104,26 @@ class TestPwcSet:
                    for level, cache in pwcs.caches().items())
 
     def test_hit_rates_per_level(self):
+        """A radix walk under a PL4/PL3 set probes and fills those two
+        caches, paired with the first two steps, and no other."""
+        table = RadixPageTable(FrameAllocator(64 * MIB))
+        near, far = 0x12345, 0x12345 + (1 << 18)  # one PL4 prefix
+        for pfn, page in enumerate((near, far), start=1):
+            table.map_page(page, pfn=pfn)
         pwcs = PwcSet(("PL4", "PL3"))
-        walker = step_walker(pwcs)
+        walker = PageTableWalker(table, build_ndp_hierarchy(1, HBM2),
+                                 core_id=0, pwcs=pwcs)
+        for page in (near, near, far):
+            flat, _, _ = walker.plan_info(page)
+            walker.walk_from_plan(0.0, flat, None)
         pl4, pl3 = pwcs.caches()["PL4"], pwcs.caches()["PL3"]
-        probe(walker, pl4, 0)
-        probe(walker, pl4, 0)
-        probe(walker, pl3, 0)
-        assert (pl4.stats.hits, pl4.stats.misses) == (1, 1)
-        assert (pl3.stats.hits, pl3.stats.misses) == (0, 1)
+        assert (pl4.stats.hits, pl4.stats.misses) == (2, 1)
+        assert (pl3.stats.hits, pl3.stats.misses) == (1, 2)
+        assert sum(resident(pl4), []) == [near >> 27]
+        assert sorted(sum(resident(pl3), [])) == [near >> 18, far >> 18]
+        # Each walk resumes below its deepest hit (none, PL3, PL4):
+        # the PL2 and PL1 steps read memory every time.
+        assert walker.stats.memory_accesses == 4 + 2 + 3
 
     def test_merged_hit_rate(self):
         """A run reports each level's hit rate over every slot's PWC."""
@@ -125,7 +146,7 @@ class TestPwcSet:
 
     def test_flush_all(self):
         pwcs = PwcSet(("PL4", "PL3"))
-        walker = step_walker(pwcs)
+        walker = step_walker(pwcs, "PL4")
         pl4 = pwcs.caches()["PL4"]
         probe(walker, pl4, 1)
         pwcs.flush()
@@ -155,28 +176,29 @@ class TestWalkFromPlanDifferential:
     @settings(max_examples=40, deadline=None)
     def test_matches_lru_model(self, lru_sets, mechanism, asid, walks):
         spec = get_mechanism(mechanism)
-        table = spec.build_table(FrameAllocator(1024 * MIB))
+        table = spec.table(FrameAllocator(1024 * MIB))
         for pfn, page in enumerate(DIFF_PAGES, start=1):
             table.map_page(page, pfn=pfn)
         pwcs = PwcSet(spec.pwc_levels, entries=4, associativity=2)
         walker = PageTableWalker(table, build_ndp_hierarchy(1, HBM2),
                                  core_id=0, pwcs=pwcs,
-                                 bypass=spec.build_bypass(), asid=asid)
+                                 bypass=spec.bypass_ptes, asid=asid)
         caches = pwcs.caches()
         model = {level: lru_sets(cache.num_sets, cache.associativity)
                  for level, cache in caches.items()}
         tag = asid_tag(asid)
         now = 0.0
         for index in walks:
-            flat, staged, _ = walker.plan_info(DIFF_PAGES[index])
-            assert staged is None
+            flat, probes, _ = walker.plan_info(DIFF_PAGES[index])
+            assert probes is None
             expected = {}   # level -> (hit, victim)
             start = 0
-            for depth, (_, _, pwc, key) in enumerate(flat, 1):
-                if pwc is None or key is None:
+            for depth, ((_, key), level) in enumerate(
+                    zip(flat, table.level_names), 1):
+                if level not in model:
                     continue
-                expected[pwc.level] = model[pwc.level].access(key | tag)
-                if expected[pwc.level][0]:
+                expected[level] = model[level].access(key | tag)
+                if expected[level][0]:
                     start = depth
             before = {level: set().union(*map(set, cache._sets))
                       for level, cache in caches.items()}

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bypass import MetadataBypass, NoBypass
+from repro.core.flattened import FlattenedPageTable
 from repro.core.mechanisms import get_mechanism
 from repro.mem.dram import DDR4_2400, HBM2
 from repro.mem.hierarchy import build_cpu_hierarchy, build_ndp_hierarchy
@@ -23,8 +23,8 @@ def walk(walker, now, page):
     """Walk ``page`` through the two calls the MMU makes; returns
     ``(latency, PTE memory accesses of this walk)``."""
     before = walker.stats.memory_accesses
-    flat, staged, _ = walker.plan_info(page)
-    latency = walker.walk_from_plan(now, flat, staged)
+    flat, probes, _ = walker.plan_info(page)
+    latency = walker.walk_from_plan(now, flat, probes)
     return latency, walker.stats.memory_accesses - before
 
 
@@ -110,6 +110,15 @@ class TestPwcSkipping:
         walk(walker, 0.0, 0x12345)
         _, accesses = walk(walker, 10_000.0, 0x12345)
         assert accesses == 2  # PL2 and PL1 every time
+        # Only the named levels are probed and filled, each with the
+        # prefix of the step at its position.
+        caches = pwcs.caches()
+        assert list(caches) == ["PL4", "PL3"]
+        assert [(c.stats.hits, c.stats.misses) for c in caches.values()] \
+            == [(1, 1), (1, 1)]
+        assert [[key for pwc_set in c._sets for key in pwc_set]
+                for c in caches.values()] == [[0x12345 >> 27],
+                                              [0x12345 >> 18]]
 
     def test_pwc_hit_rates_observable(self, radix_setup):
         table, hierarchy = radix_setup
@@ -155,10 +164,11 @@ class TestAsidTaggedPwc:
 
 
 class TestBypass:
+    """One flag per walker: every PTE read bypasses the L1, or none."""
+
     def test_bypass_keeps_ptes_out_of_l1(self, radix_setup):
         table, hierarchy = radix_setup
-        walker = PageTableWalker(table, hierarchy, core_id=0,
-                                 bypass=MetadataBypass())
+        walker = PageTableWalker(table, hierarchy, core_id=0, bypass=True)
         walk(walker, 0.0, 0x12345)
         assert hierarchy.l1ds[0].stats.metadata.accesses == 0
         assert hierarchy.stats.l1_bypasses == 4
@@ -166,19 +176,40 @@ class TestBypass:
     def test_no_bypass_fills_l1(self, radix_setup):
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0,
-                                 bypass=NoBypass())
+                                 bypass=False)
         walk(walker, 0.0, 0x12345)
+        assert hierarchy.stats.l1_bypasses == 0
         kinds = [packed >> 1 for cache_set in hierarchy.l1ds[0]._sets
                  for packed in cache_set.values()]
         assert kinds == [KIND_METADATA] * 4
 
-    def test_selective_bypass(self, radix_setup):
-        table, hierarchy = radix_setup
-        walker = PageTableWalker(
-            table, hierarchy, core_id=0,
-            bypass=MetadataBypass(levels=("PL1",)))
-        walk(walker, 0.0, 0x12345)
-        assert hierarchy.stats.l1_bypasses == 1
+    def test_no_bypass_on_flattened_or_parallel_walks(self):
+        flat_hierarchy = build_ndp_hierarchy(1, HBM2)
+        flat = FlattenedPageTable(FrameAllocator(256 * MIB))
+        flat.map_page(0x12345, pfn=5)
+        _, accesses = walk(PageTableWalker(flat, flat_hierarchy, core_id=0,
+                                           bypass=False), 0.0, 0x12345)
+        assert accesses == 3
+        assert flat_hierarchy.stats.l1_bypasses == 0
+        assert flat_hierarchy.l1ds[0].stats.metadata.accesses == 3
+
+        ech_hierarchy = build_ndp_hierarchy(1, HBM2)
+        ech = ElasticCuckooPageTable(FrameAllocator(256 * MIB),
+                                     initial_entries=1 << 10)
+        ech.map_page(7, pfn=1)
+        walk(PageTableWalker(ech, ech_hierarchy, core_id=0, bypass=False),
+             0.0, 7)
+        assert ech_hierarchy.stats.l1_bypasses == 0
+        assert ech_hierarchy.l1ds[0].stats.metadata.accesses == 2
+
+    def test_bypass_covers_every_parallel_probe(self, hierarchy):
+        table = ElasticCuckooPageTable(FrameAllocator(256 * MIB),
+                                       initial_entries=1 << 10)
+        table.map_page(7, pfn=1)
+        walker = PageTableWalker(table, hierarchy, core_id=0, bypass=True)
+        walk(walker, 0.0, 7)
+        assert hierarchy.stats.l1_bypasses == 2
+        assert hierarchy.l1ds[0].stats.metadata.accesses == 0
 
 
 class TestParallelStages:
@@ -241,12 +272,11 @@ def small_hierarchy(shape):
 
 def walker_world(mechanism, shape, table, asid=0):
     """One walker over ``table`` with ``mechanism``'s PWC levels and
-    bypass policy, in front of a small private hierarchy."""
+    bypass flag, in front of a small private hierarchy."""
     spec = get_mechanism(mechanism)
     pwcs = PwcSet(spec.pwc_levels, entries=4, associativity=2)
     return PageTableWalker(table, small_hierarchy(shape), core_id=0,
-                           pwcs=pwcs, bypass=spec.build_bypass(),
-                           asid=asid)
+                           pwcs=pwcs, bypass=spec.bypass_ptes, asid=asid)
 
 
 def hierarchy_state(hierarchy):
@@ -274,15 +304,19 @@ def hierarchy_state(hierarchy):
 
 
 class ReferenceWalk:
-    """The walker's flat path spelled out: probe-and-fill each step's
-    PWC on one :class:`LruSets` model per level, resume below the
-    deepest hit, and read every remaining PTE through a twin
-    hierarchy's ``access_fast`` (no inlined L1 hit)."""
+    """The walker's flat path spelled out: probe-and-fill the PWC of
+    each step's level (named by its position in the table's
+    ``level_names``) on one :class:`LruSets` model per level, resume
+    below the deepest hit, and read every remaining PTE through a twin
+    hierarchy's ``access_fast`` (no inlined L1 hit) with the
+    mechanism's one bypass flag."""
 
-    def __init__(self, walker, hierarchy, lru_sets):
+    def __init__(self, walker, hierarchy, lru_sets, bypass):
         self.hierarchy = hierarchy
         self.latency = float(walker.pwcs.latency)
         self.tag = walker.asid_tag
+        self.bypass = bypass
+        self.level_names = walker.table.level_names
         # level -> (model, [hits, misses])
         self.pwcs = {level: (lru_sets(cache.num_sets, cache.associativity),
                              [0, 0])
@@ -291,17 +325,18 @@ class ReferenceWalk:
 
     def walk(self, now, flat):
         start = 0
-        for depth, (_, _, pwc, key) in enumerate(flat, 1):
-            if pwc is not None and key is not None:
-                model, counts = self.pwcs[pwc.level]
+        for depth, ((_, key), level) in enumerate(
+                zip(flat, self.level_names), 1):
+            if level in self.pwcs:
+                model, counts = self.pwcs[level]
                 hit, _ = model.access(key | self.tag)
                 counts[0 if hit else 1] += 1
                 if hit:
                     start = depth
         clock = now + self.latency
-        for pte_paddr, bypass_l1, _, _ in flat[start:]:
+        for pte_paddr, _ in flat[start:]:
             clock += self.hierarchy.access_fast(
-                clock, pte_paddr, KIND_METADATA, 0, 0, bypass_l1)
+                clock, pte_paddr, KIND_METADATA, 0, 0, self.bypass)
         self.walks += 1
         self.reads += len(flat) - start
         return clock - now
@@ -331,12 +366,12 @@ class TestFlatPlanDifferential:
         self.check(lru_sets, mechanism, "ndp", ops, asid=3)
 
     def check(self, lru_sets, mechanism, shape, ops, asid):
-        table = get_mechanism(mechanism).build_table(
-            FrameAllocator(1024 * MIB))
+        table = get_mechanism(mechanism).table(FrameAllocator(1024 * MIB))
         for pfn, page in enumerate(DIFF_PAGES, start=1):
             table.map_page(page, pfn=pfn)
         walker = walker_world(mechanism, shape, table, asid)
-        reference = ReferenceWalk(walker, small_hierarchy(shape), lru_sets)
+        reference = ReferenceWalk(walker, small_hierarchy(shape), lru_sets,
+                                  get_mechanism(mechanism).bypass_ptes)
         now = 0.0
         for gap, is_walk, index in ops:
             now += gap
@@ -346,8 +381,8 @@ class TestFlatPlanDifferential:
                 for hierarchy in (walker.hierarchy, reference.hierarchy):
                     hierarchy.access_fast(now, paddr, KIND_DATA, 1, 0, 0)
                 continue
-            flat, staged, _ = walker.plan_info(DIFF_PAGES[index])
-            assert staged is None
+            flat, probes, _ = walker.plan_info(DIFF_PAGES[index])
+            assert probes is None
             assert walker.walk_from_plan(now, flat, None) \
                 == reference.walk(now, flat)
         stats = walker.stats

@@ -72,7 +72,7 @@ def small(make=ndp_config, **overrides):
 
 #: One config per engine loop and machine shape: the single-core
 #: fast path, the multi-core run-ahead, the scheduler's budgeted
-#: slices, NUMA routing, the CPU hierarchy, staged (ECH) walks and the
+#: slices, NUMA routing, the CPU hierarchy, parallel (ECH) walks and the
 #: Ideal MMU.
 ENGINE_CONFIGS = {
     "radix-1c": small(mechanism="radix"),

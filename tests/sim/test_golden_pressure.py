@@ -9,7 +9,9 @@ the OS model's resident state under churn, not only the ROI.
 
 Pinned per config: every ``RunResult`` field (``extras`` and
 ``os_stats`` included, with int/float types), the allocator counters
-right after the build, and each tenant table's ``mapped_pages``.
+right after the build, and each tenant table's ``mapped_pages``: the
+4 KB pages its live entries map, 512 per 2 MB leaf.  Before and after
+the run, each table maps exactly what its OS's resident index holds.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ import pytest
 from repro.sim.config import ndp_config
 from repro.sim.runner import collect
 from repro.sim.system import System
+from repro.vm.address import ENTRIES_PER_NODE
 
 MIB = 1 << 20
 
@@ -409,17 +412,27 @@ GOLDEN = {
 }
 
 
+def resident_pages(system):
+    """Per tenant, the 4 KB pages its OS's resident index holds, 512
+    per huge region."""
+    return [len(tenant.os.resident)
+            + ENTRIES_PER_NODE * len(tenant.os._huge_regions)
+            for tenant in system.tenants]
+
+
 @pytest.mark.parametrize("name", list(CONFIGS))
-def test_pressure_warmup_matches_golden(name):
+def test_pressure_warmup_matches_golden(mapped_pages, name):
     system = System(ndp_config(**{**BASE, **CONFIGS[name]}))
     golden = GOLDEN[name]
     allocator = dataclasses.asdict(system.allocator.stats)
     assert allocator["frees"] > 0, "the warmup never reclaimed"
     assert allocator == golden["allocator"]
-    tables = [tenant.page_table for tenant in system.tenants]
-    assert [table.mapped_pages for table in tables] \
-        == golden["mapped_pages"]
+    counts = [mapped_pages(tenant.page_table) for tenant in system.tenants]
+    assert counts == golden["mapped_pages"]
+    assert counts == resident_pages(system)
     fields = dataclasses.asdict(collect(system, system.run()))
+    assert [mapped_pages(tenant.page_table) for tenant in system.tenants] \
+        == resident_pages(system)
     fields.pop("config")
     assert fields == golden["result"]
     # Types too: an int where a float was changes a cache entry.

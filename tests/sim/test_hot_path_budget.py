@@ -50,9 +50,9 @@ WORKLOADS = {
 #: core (seed 42, scale 0.05).  A change that adds per-reference work
 #: fails the test; one that removes work should lower the figure.
 BUDGETS = {
-    "bfs-radix": 990.1,
-    "xs-ndpage-2t-2c": 411.4,
-    "bfs-radix-4c": 1073.5,
+    "bfs-radix": 957.8,
+    "xs-ndpage-2t-2c": 404.6,
+    "bfs-radix-4c": 1041.0,
 }
 
 #: Measured ``System(config)`` bytecodes per first-touch fault on the
@@ -60,10 +60,10 @@ BUDGETS = {
 #: references, scale 1, seed 42).  A change that adds per-touch or
 #: per-fault work to the build fails the test.
 SETUP_BUDGETS = {
-    "bfs-radix": 160.8,
-    "xs-ndpage-2t-2c": 147.2,
-    "bfs-radix-4c": 145.0,
-    "fig12-bc": 215.1,
+    "bfs-radix": 153.7,
+    "xs-ndpage-2t-2c": 140.0,
+    "bfs-radix-4c": 138.0,
+    "fig12-bc": 210.9,
 }
 
 #: Slack over the measured figure before the test fails.

@@ -289,20 +289,20 @@ class TestCrossTenantReclaim:
             tenants.append(os_model)
         return allocator, coordinator, tenants
 
-    def test_exhausted_tenant_reclaims_from_peer(self):
+    def test_exhausted_tenant_reclaims_from_peer(self, mapped_pages):
         allocator, coordinator, (victim, starved) = self._two_tenants()
         # The victim maps until the pool is dry...
         page = 0
         while allocator.free_frames > 0:
             victim.ensure_mapped([page])
             page += 1
-        before = victim.page_table.mapped_pages
+        before = mapped_pages(victim.page_table)
         # ...then the starved tenant (no mappings of its own to evict)
         # faults: its reclaim must steal from the victim, not OOM.
         starved.ensure_mapped([0])
         assert starved.page_table.lookup(0) is not None
         assert coordinator.stats.cross_tenant_reclaims >= 1
-        assert victim.page_table.mapped_pages < before
+        assert mapped_pages(victim.page_table) < before
         assert coordinator.stats.shootdowns >= 1
 
     def test_machine_wide_exhaustion_still_raises(self):

@@ -59,9 +59,9 @@ class TestShapes:
 
 
 class TestPrefault:
-    def test_warmup_maps_stream_footprint(self):
+    def test_warmup_maps_stream_footprint(self, mapped_pages):
         system = System(ndp_config(**FAST))
-        assert system.tenants[0].page_table.mapped_pages > 0
+        assert mapped_pages(system.tenants[0].page_table) > 0
 
     def test_warmup_fault_stats_reset(self):
         system = System(ndp_config(**FAST))
@@ -73,22 +73,22 @@ class TestPrefault:
         system.run()
         assert system.tenants[0].os.stats.minor_faults == 0
 
-    def test_cold_start_when_disabled(self):
+    def test_cold_start_when_disabled(self, mapped_pages):
         system = System(ndp_config(warmup_refs=0, **FAST))
-        assert system.tenants[0].page_table.mapped_pages == 0
+        assert mapped_pages(system.tenants[0].page_table) == 0
         system.run()
         assert system.tenants[0].os.stats.minor_faults > 0
 
-    def test_partial_warmup(self):
+    def test_partial_warmup(self, mapped_pages):
         cfg = ndp_config(workload="rnd", refs_per_core=400,
                          warmup_refs=100, scale=1 / 64)
         system = System(cfg)
         table = system.tenants[0].page_table
-        mapped_after_warmup = table.mapped_pages
+        mapped_after_warmup = mapped_pages(table)
         system.run()
         # The second half faults.
         assert system.tenants[0].os.stats.minor_faults > 0
-        assert table.mapped_pages > mapped_after_warmup
+        assert mapped_pages(table) > mapped_after_warmup
 
     def test_hugepage_contiguity_consumed_in_warmup(self):
         system = System(ndp_config(mechanism="hugepage",

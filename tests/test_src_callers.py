@@ -6,23 +6,25 @@ meant to check goes unexercised.  This guard parses the package and
 fails on
 
 * any module-level function, class or constant (a name bound by a
-  module-level assignment; dunders such as ``__all__`` are left out),
-  and
-* any method or property whose name is defined only once under
-  ``src/repro`` (so a reference by that name can only mean it; dunders
-  are left out, since syntax calls them by protocol, not by name)
+  module-level assignment; dunders such as ``__all__`` are left out)
+  that nothing references outside its own definition, and
+* any method or property (dunders are left out, since syntax calls
+  them by protocol, not by name) whose name nothing references
+  outside every method of that name under ``src/repro``: an override
+  counts as called only when something calls the name,
 
-that nothing references outside its own definition in ``src/``,
-``perfbench/``, ``scripts/``, ``benchmarks/`` or ``examples/``.  A
-reference is a name, an attribute, an import or an identifier string
-(``getattr`` and the perfbench frame tables name code that way); an
-``__init__.py`` re-export or an ``__all__`` entry is not one.  A
-helper only tests need belongs next to those tests (``tests/conftest.py``
-shares fixtures across directories).
+looking in ``src/``, ``perfbench/``, ``scripts/``, ``benchmarks/`` and
+``examples/``.  A reference is an attribute, an identifier string
+(``getattr`` and the perfbench frame tables name code that way), and,
+for module-level definitions only, a bare name or an import: a local
+variable that shares a method's name does not call the method.  An
+``__init__.py`` re-export or an ``__all__`` entry is not a reference.
+A helper only tests need belongs next to those tests
+(``tests/conftest.py`` shares fixtures across directories).
 """
 
 import ast
-from collections import Counter, defaultdict
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,7 +50,7 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 def definitions():
     """``(module path, label, name, first line, last line)`` of every
-    definition the guard checks."""
+    module-level definition and of every method the guard checks."""
     found, methods = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
         module = str(path.relative_to(PACKAGE))
@@ -70,16 +72,15 @@ def definitions():
                 methods += [
                     (path, f"{module}:{node.name}.{sub.name}", sub.name,
                      sub.lineno, sub.end_lineno)
-                    for sub in node.body if isinstance(sub, FUNCTIONS)]
-    defined = Counter(method[2] for method in methods)
-    return found + [method for method in methods
-                    if defined[method[2]] == 1
-                    and not method[2].startswith("__")]
+                    for sub in node.body if isinstance(sub, FUNCTIONS)
+                    and not sub.name.startswith("__")]
+    return found, methods
 
 
 def references():
-    """Name -> ``(path, line)`` of every reference in the caller
-    trees."""
+    """Name -> ``(path, line, bare)`` of every reference in the caller
+    trees; ``bare`` marks a name or an import, which only a
+    module-level definition can be called by."""
     found = defaultdict(list)
     for directory in CALLER_DIRS:
         for path in sorted((ROOT / directory).rglob("*.py")):
@@ -94,6 +95,7 @@ def references():
             for node in ast.walk(tree):
                 if node in skipped:
                     continue
+                bare = isinstance(node, (ast.Name, ast.ImportFrom))
                 if isinstance(node, ast.Name):
                     names = [node.id]
                 elif isinstance(node, ast.Attribute):
@@ -107,16 +109,29 @@ def references():
                 else:
                     continue
                 for name in names:
-                    found[name].append((path, node.lineno))
+                    found[name].append((path, node.lineno, bare))
     return found
 
 
 def uncalled():
     refs = references()
+    found, methods = definitions()
+    spans = defaultdict(list)  # method name -> every definition's span
+    for path, _, name, first, last in methods:
+        spans[name].append((path, first, last))
+
+    def inside(ref_path, line, owners):
+        return any(ref_path == path and first <= line <= last
+                   for path, first, last in owners)
+
     return {
-        label for path, label, name, first, last in definitions()
-        if all(ref_path == path and first <= line <= last
-               for ref_path, line in refs.get(name, ()))
+        label for path, label, name, first, last in found
+        if all(inside(ref_path, line, [(path, first, last)])
+               for ref_path, line, _ in refs.get(name, ()))
+    } | {
+        label for _, label, name, _, _ in methods
+        if all(bare or inside(ref_path, line, spans[name])
+               for ref_path, line, bare in refs.get(name, ()))
     }
 
 

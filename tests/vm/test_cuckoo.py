@@ -49,14 +49,14 @@ class TestFunctional:
 
     @given(st.lists(VPNS, min_size=1, max_size=200, unique=True))
     @settings(max_examples=20, deadline=None)
-    def test_mass_insert_lookup(self, pages):
+    def test_mass_insert_lookup(self, mapped_pages, pages):
         table = ElasticCuckooPageTable(
             FrameAllocator(1024 * MIB), initial_entries=1 << 8)
         for i, page in enumerate(pages):
             table.map_page(page, pfn=i)
         for i, page in enumerate(pages):
             assert table.lookup(page) == Translation(i, PAGE_SHIFT)
-        assert table.mapped_pages == len(pages)
+        assert mapped_pages(table) == len(pages)
 
 
 class TestElasticity:
@@ -101,29 +101,30 @@ class TestElasticity:
 
 
 class TestWalkStructure:
-    def test_single_parallel_stage(self, live_plan, table):
+    def test_single_parallel_stage(self, table):
         table.map_page(50, pfn=1)
-        flat, staged, translation = live_plan(table, 50)
+        flat, probes, translation = table.walk_info_decorated(50)
         assert flat is None
-        assert len(staged) == 1          # one stage...
-        assert len(staged[0]) == 2       # ...of d parallel probes
-        assert [step[2] for step in staged[0]] \
-            == ["ECH-way0", "ECH-way1"]
+        # d parallel probes, one per way in ``level_names`` order.
+        assert table.level_names == ("ECH-way0", "ECH-way1")
+        assert len(probes) == 2
         assert translation == Translation(1, PAGE_SHIFT)
 
-    def test_probes_have_no_pwc_keys(self, live_plan, table):
+    def test_probes_have_no_pwc_keys(self, table):
         table.map_page(50, pfn=1)
-        assert all(step[3] is None for step in live_plan(table, 50)[1][0])
+        # A probe is a bare PTE address: no PWC prefix rides along.
+        assert all(type(probe) is int
+                   for probe in table.walk_info_decorated(50)[1])
 
-    def test_probe_addresses_follow_hashes(self, live_plan, table):
+    def test_probe_addresses_follow_hashes(self, table):
         table.map_page(50, pfn=1)
-        probes = live_plan(table, 50)[1][0]
-        assert len({probe[0] for probe in probes}) == 2
+        probes = table.walk_info_decorated(50)[1]
+        assert len(set(probes)) == 2
         for probe in probes:
-            assert probe[0] % ECH_ENTRY_BYTES == 0
+            assert probe % ECH_ENTRY_BYTES == 0
 
-    def test_walk_unmapped_rejected(self, live_plan, table):
-        assert live_plan(table, 1) is None
+    def test_walk_unmapped_rejected(self, table):
+        assert table.walk_info_decorated(1) is None
 
     def test_occupancy_per_way(self, table):
         for i in range(100):
@@ -135,11 +136,11 @@ class TestWalkStructure:
 
 
 class TestDeterminism:
-    def test_same_seed_same_structure(self, live_plan):
+    def test_same_seed_same_structure(self):
         t1 = ElasticCuckooPageTable(FrameAllocator(256 * MIB), seed=7)
         t2 = ElasticCuckooPageTable(FrameAllocator(256 * MIB), seed=7)
         for i in range(300):
             t1.map_page(i, pfn=i)
             t2.map_page(i, pfn=i)
         for i in range(300):
-            assert live_plan(t1, i) == live_plan(t2, i)
+            assert t1.walk_info_decorated(i) == t2.walk_info_decorated(i)

@@ -352,10 +352,6 @@ class EagerFrameAllocator:
                 + partial + len(self._free_frames))
 
     @property
-    def scattered_free_frames(self) -> int:
-        return self.free_frames - len(self._free_blocks) * FRAMES_PER_BLOCK
-
-    @property
     def free_fraction(self) -> float:
         if self.num_frames == 0:
             return 0.0
@@ -492,8 +488,7 @@ def _outcome(call):
 
 def _capacity(alloc):
     return (alloc.free_frames, alloc.free_block_count,
-            alloc.scattered_free_frames, alloc.movable_scattered_frames,
-            alloc.stats)
+            alloc.movable_scattered_frames, alloc.stats)
 
 
 def _apply(alloc, op, small, huge):

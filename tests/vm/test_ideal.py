@@ -43,20 +43,21 @@ class TestIdeal:
         with pytest.raises(MappingError):
             table.map_page(0, pfn=0, page_shift=21)
 
-    def test_walk_is_empty(self, live_plan, table):
+    def test_walk_is_empty(self, table):
         table.map_page(9, pfn=4)
         assert table.level_names == ()
-        assert live_plan(table, 9) == ((), None, Translation(4, PAGE_SHIFT))
+        assert table.walk_info_decorated(9) \
+            == ((), None, Translation(4, PAGE_SHIFT))
 
-    def test_walk_unmapped_rejected(self, live_plan, table):
-        assert live_plan(table, 9) is None
+    def test_walk_unmapped_rejected(self, table):
+        assert table.walk_info_decorated(9) is None
 
     def test_no_physical_footprint(self, table):
         table.map_page(9, pfn=4)
         assert table.table_bytes() == 0
         assert table.occupancy() == {}
 
-    def test_mapped_pages(self, table):
+    def test_mapped_pages(self, mapped_pages, table):
         table.map_page(1, pfn=1)
         table.map_page(2, pfn=2)
-        assert table.mapped_pages == 2
+        assert mapped_pages(table) == 2

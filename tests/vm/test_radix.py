@@ -43,12 +43,12 @@ class TestMapping:
         with pytest.raises(MappingError):
             table.unmap_page(5)
 
-    def test_mapped_pages_counter(self, table):
+    def test_mapped_pages_counter(self, mapped_pages, table):
         table.map_page(1, pfn=1)
         table.map_page(2, pfn=2)
-        assert table.mapped_pages == 2
+        assert mapped_pages(table) == 2
         table.unmap_page(1)
-        assert table.mapped_pages == 1
+        assert mapped_pages(table) == 1
 
     def test_unsupported_page_shift(self, table):
         with pytest.raises(MappingError):
@@ -83,9 +83,10 @@ class TestHugeMapping:
 
     def test_huge_paddr_includes_21bit_offset(self, table):
         table.map_page(0, pfn=512, page_shift=HUGE_PAGE_SHIFT)
-        translation = table.lookup(100)
+        pfn, shift = table.lookup(100)
         vaddr = 100 * 4096 + 12
-        assert translation.paddr(vaddr) == 512 * 4096 + 100 * 4096 + 12
+        paddr = (pfn << shift) | (vaddr & ((1 << shift) - 1))
+        assert paddr == 512 * 4096 + 100 * 4096 + 12
 
     def test_small_map_inside_huge_rejected(self, table):
         table.map_page(0, pfn=512, page_shift=HUGE_PAGE_SHIFT)
@@ -98,65 +99,66 @@ class TestHugeMapping:
         assert table.lookup(0) is None
         assert table.huge_mappings == 0
 
-    def test_huge_counts_512_pages(self, table):
+    def test_huge_counts_512_pages(self, mapped_pages, table):
         table.map_page(0, pfn=512, page_shift=HUGE_PAGE_SHIFT)
-        assert table.mapped_pages == ENTRIES_PER_NODE
+        assert mapped_pages(table) == ENTRIES_PER_NODE
 
 
 class TestWalkStages:
     """The flat walk plan the walker runs (``walk_info_decorated``)."""
 
-    def test_small_walk_has_four_stages(self, live_plan, table):
+    def test_small_walk_has_four_stages(self, table):
         table.map_page(0x12345, pfn=1)
-        flat, staged, _ = live_plan(table, 0x12345)
-        assert staged is None
-        assert [step[2] for step in flat] == ["PL4", "PL3", "PL2", "PL1"]
+        flat, probes, _ = table.walk_info_decorated(0x12345)
+        assert probes is None
+        # Steps follow ``level_names`` by position.
+        assert table.level_names[:len(flat)] == ("PL4", "PL3", "PL2",
+                                                 "PL1")
 
-    def test_each_stage_single_access(self, live_plan, table):
+    def test_each_stage_single_access(self, table):
         table.map_page(0x12345, pfn=1)
-        flat, staged, translation = live_plan(table, 0x12345)
-        # Flat: one PTE read per sequential stage, no parallel probes.
-        assert staged is None and len(flat) == 4
-        assert all(len(step) == 4 for step in flat)
+        flat, probes, translation = table.walk_info_decorated(0x12345)
+        # Flat: one PTE read per sequential step, no parallel probes.
+        assert probes is None and len(flat) == 4
+        assert all(len(step) == 2 for step in flat)
         assert translation == Translation(1, PAGE_SHIFT)
 
-    def test_huge_walk_has_three_stages(self, live_plan, table):
+    def test_huge_walk_has_three_stages(self, table):
         table.map_page(0, pfn=512, page_shift=HUGE_PAGE_SHIFT)
-        flat, _, translation = live_plan(table, 100)
-        assert [step[2] for step in flat] == ["PL4", "PL3", "PL2"]
+        flat, _, translation = table.walk_info_decorated(100)
+        assert table.level_names[:len(flat)] == ("PL4", "PL3", "PL2")
         assert translation == Translation(1, HUGE_PAGE_SHIFT)
 
-    def test_walk_of_unmapped_page_rejected(self, live_plan, table):
-        assert live_plan(table, 42) is None
+    def test_walk_of_unmapped_page_rejected(self, table):
+        assert table.walk_info_decorated(42) is None
         table.map_page(43, pfn=1)  # every node exists, the leaf not
-        assert live_plan(table, 42) is None
+        assert table.walk_info_decorated(42) is None
 
-    def test_pte_addresses_distinct_across_levels(self, live_plan, table):
+    def test_pte_addresses_distinct_across_levels(self, table):
         table.map_page(0x12345, pfn=1)
-        flat, _, _ = live_plan(table, 0x12345)
+        flat, _, _ = table.walk_info_decorated(0x12345)
         assert len({step[0] for step in flat}) == 4
 
-    def test_pte_paddr_encodes_index(self, make_vpn, live_plan, table):
+    def test_pte_paddr_encodes_index(self, make_vpn, table):
         page = make_vpn(0, 0, 0, 7)
         table.map_page(page, pfn=1)
-        pl1 = live_plan(table, page)[0][3]
+        pl1 = table.walk_info_decorated(page)[0][3]
         assert pl1[0] % 4096 == 7 * 8
 
-    def test_sibling_pages_share_upper_ptes(self, make_vpn, live_plan,
-                                            table):
+    def test_sibling_pages_share_upper_ptes(self, make_vpn, table):
         table.map_page(make_vpn(1, 2, 3, 4), pfn=1)
         table.map_page(make_vpn(1, 2, 3, 5), pfn=2)
-        walk_a = live_plan(table, make_vpn(1, 2, 3, 4))[0]
-        walk_b = live_plan(table, make_vpn(1, 2, 3, 5))[0]
+        walk_a = table.walk_info_decorated(make_vpn(1, 2, 3, 4))[0]
+        walk_b = table.walk_info_decorated(make_vpn(1, 2, 3, 5))[0]
         for level in range(3):  # PL4, PL3, PL2 shared
             assert walk_a[level][0] == walk_b[level][0]
         assert walk_a[3][0] != walk_b[3][0]
 
-    def test_pwc_keys_identify_prefixes(self, make_vpn, live_plan, table):
+    def test_pwc_keys_identify_prefixes(self, make_vpn, table):
         page = make_vpn(1, 2, 3, 4)
         table.map_page(page, pfn=1)
-        flat, _, _ = live_plan(table, page)
-        assert [step[3] for step in flat] \
+        flat, _, _ = table.walk_info_decorated(page)
+        assert [step[1] for step in flat] \
             == [page >> 27, page >> 18, page >> 9, page]
 
 
@@ -189,8 +191,8 @@ class TestStructure:
         table.map_page(0, pfn=0)
         assert table.occupancy()["PL1"] == 1 / 512
 
-    def test_pte_addresses_are_in_physical_memory(self, live_plan, table,
+    def test_pte_addresses_are_in_physical_memory(self, table,
                                                   allocator):
         table.map_page(0x999, pfn=1)
-        for step in live_plan(table, 0x999)[0]:
+        for step in table.walk_info_decorated(0x999)[0]:
             assert 0 <= step[0] < allocator.phys_bytes
